@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -147,6 +148,18 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
             raise ValidationError(f"unknown config key {key!r} for command {args.command!r}")
         if getattr(args, key) == defaults.get(key):
             setattr(args, key, value)
+
+
+def _check_positive(args: argparse.Namespace) -> None:
+    """Slot width and raster density scale the print; only positive values make one."""
+    for key in ("slot_width", "dpi"):
+        if not hasattr(args, key):
+            continue
+        value = getattr(args, key)
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value) and value > 0):
+            flag = "--" + key.replace("_", "-")
+            raise ValidationError(f"{flag} must be a positive number, got {value!r}")
 
 
 def _load_labels(args):
@@ -295,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
+        _check_positive(args)
         return _COMMANDS[args.command](args)
     except SliceforgeError as exc:
         stage = getattr(exc, "stage", args.command)

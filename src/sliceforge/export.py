@@ -12,7 +12,7 @@ from __future__ import annotations
 import base64
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np

@@ -10,7 +10,7 @@ largest global scale that still fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -355,8 +355,11 @@ def _assign_clusters_to_sheets(weights: list[float], sheets: int) -> list[int]:
     sheet, acc = 0, 0.0
     for c in range(k):
         overflow = acc + weights[c] > target and acc > 0
-        must_stay = (k - c) <= (used - 1 - sheet)  # never leave a sheet empty
-        if overflow and sheet < used - 1 and not must_stay:
+        # never leave a sheet empty: once the clusters left are no more than
+        # the sheets left, each remaining cluster opens the next sheet (the
+        # current sheet already holds cluster c - 1)
+        must_advance = c > 0 and (k - c) <= (used - 1 - sheet)
+        if (overflow or must_advance) and sheet < used - 1:
             sheet += 1
             acc = 0.0
         sheet_of.append(sheet)

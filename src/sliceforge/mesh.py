@@ -27,6 +27,10 @@ _PAD_FRACTION = 0.08
 # longest side prints at this physical size at scale 1
 REFERENCE_EXTENT_MM = 100.0
 
+# (triangle, ray) candidate pairs the voxelizer evaluates at once; bounds
+# its temporaries to a few MB however large the triangles are
+_MAX_CANDIDATES = 1 << 14
+
 _HUE_STEP = 0.618  # golden-ratio conjugate, truncated per palette convention
 _PALETTE_S = 0.65
 _PALETTE_V = 0.9
@@ -130,53 +134,70 @@ def _inside_by_parity(mesh: Mesh, centers: tuple[np.ndarray, np.ndarray, np.ndar
     points are jittered by a sub-nanovoxel irrational offset so rays cannot
     hit shared triangle edges exactly (grid-aligned meshes otherwise double
     count crossings on face diagonals).
+
+    All triangles of the axis are processed as flat arrays. Each triangle
+    that is not parallel to the ray axis expands into one candidate per ray
+    inside its projected bounding box; a candidate's barycentric weights
+    decide whether the ray crosses the triangle and at which depth. A
+    crossing toggles the first voxel center above it, and the running
+    parity of those toggles along the ray is the inside test. Candidates
+    are evaluated at most _MAX_CANDIDATES at a time (a large triangle is
+    split across chunks), so the temporaries stay a few MB whatever the
+    triangle sizes.
     """
     u_axis, v_axis = [a for a in range(3) if a != axis]
     cu, cv, cr = centers[u_axis], centers[v_axis], centers[axis]
-    n_u, n_v = len(cu), len(cv)
+    n_u, n_v, n_r = len(cu), len(cv), len(cr)
     cu = cu + (cu[1] - cu[0]) * 2.718281828e-7
     cv = cv + (cv[1] - cv[0]) * 3.141592653e-7
 
     tri = mesh.vertices[mesh.triangles]  # (m, 3, 3)
-    crossings: dict[tuple[int, int], list[float]] = {}
-    for a, b, c in tri:
-        pu = np.array([a[u_axis], b[u_axis], c[u_axis]])
-        pv = np.array([a[v_axis], b[v_axis], c[v_axis]])
-        pr = np.array([a[axis], b[axis], c[axis]])
-        area2 = (pu[1] - pu[0]) * (pv[2] - pv[0]) - (pu[2] - pu[0]) * (pv[1] - pv[0])
-        if area2 == 0.0:
-            continue  # parallel to the ray axis: no interior crossing possible
-        iu0, iu1 = np.searchsorted(cu, pu.min()), np.searchsorted(cu, pu.max(), side="right")
-        iv0, iv1 = np.searchsorted(cv, pv.min()), np.searchsorted(cv, pv.max(), side="right")
-        if iu0 >= iu1 or iv0 >= iv1:
-            continue
-        gu, gv = np.meshgrid(cu[iu0:iu1], cv[iv0:iv1], indexing="ij")
+    pu, pv, pr = tri[:, :, u_axis], tri[:, :, v_axis], tri[:, :, axis]
+    area2 = (pu[:, 1] - pu[:, 0]) * (pv[:, 2] - pv[:, 0]) - (pu[:, 2] - pu[:, 0]) * (pv[:, 1] - pv[:, 0])
+    # rays inside each triangle's projected bounding box; triangles parallel
+    # to the ray axis (area2 == 0) admit no interior crossing and get none
+    iu0 = np.searchsorted(cu, pu.min(axis=1))
+    iv0 = np.searchsorted(cv, pv.min(axis=1))
+    span_u = np.maximum(np.searchsorted(cu, pu.max(axis=1), side="right") - iu0, 0)
+    span_v = np.maximum(np.searchsorted(cv, pv.max(axis=1), side="right") - iv0, 0)
+    n_rays = np.where(area2 != 0.0, span_u * span_v, 0)
+    kept = np.flatnonzero(n_rays)
+    # one row per kept triangle: u0 u1 u2 v0 v1 v2 r0 r1 r2 area2
+    rows = np.column_stack([pu[kept], pv[kept], pr[kept], area2[kept]])
+    iu0, iv0, span_v, n_rays = iu0[kept], iv0[kept], span_v[kept], n_rays[kept]
+    ends = np.cumsum(n_rays)
+    starts = ends - n_rays
+    total = int(ends[-1]) if len(ends) else 0
+
+    # toggles[k, iu, iv] flips once per crossing r with cr[k - 1] <= r < cr[k];
+    # row n_r collects the crossings at or above every center
+    toggles = np.zeros((n_r + 1, n_u, n_v), dtype=np.uint8)
+    for first in range(0, total, _MAX_CANDIDATES):
+        cand = np.arange(first, min(first + _MAX_CANDIDATES, total))
+        t = np.searchsorted(ends, cand, side="right")
+        du, dv = np.divmod(cand - starts[t], span_v[t])
+        iu, iv = iu0[t] + du, iv0[t] + dv
+        gu, gv = cu[iu], cv[iv]
+        u0, u1, u2, v0, v1, v2, r0, r1, r2, a2 = rows[t].T
         # barycentric coordinates in the projection plane
-        w0 = ((pu[1] - gu) * (pv[2] - gv) - (pu[2] - gu) * (pv[1] - gv)) / area2
-        w1 = ((pu[2] - gu) * (pv[0] - gv) - (pu[0] - gu) * (pv[2] - gv)) / area2
+        w0 = ((u1 - gu) * (v2 - gv) - (u2 - gu) * (v1 - gv)) / a2
+        w1 = ((u2 - gu) * (v0 - gv) - (u0 - gu) * (v2 - gv)) / a2
         w2 = 1.0 - w0 - w1
         hit = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
-        if not hit.any():
-            continue
-        r_hit = w0 * pr[0] + w1 * pr[1] + w2 * pr[2]
-        for du, dv in zip(*np.nonzero(hit)):
-            crossings.setdefault((iu0 + int(du), iv0 + int(dv)), []).append(float(r_hit[du, dv]))
-
-    inside_uv = np.zeros((n_u, n_v, len(cr)), dtype=bool)
-    for (iu, iv), xs in crossings.items():
-        xs.sort()
-        below = np.searchsorted(xs, cr)
-        inside_uv[iu, iv] = (below % 2) == 1
-
-    shape = [0, 0, 0]
-    shape[u_axis], shape[v_axis], shape[axis] = n_u, n_v, len(cr)
-    return np.moveaxis(inside_uv, (0, 1, 2), (u_axis, v_axis, axis))
+        r_hit = w0[hit] * r0[hit] + w1[hit] * r1[hit] + w2[hit] * r2[hit]
+        above = np.searchsorted(cr, r_hit, side="right")
+        np.bitwise_xor.at(toggles.reshape(-1), (above * n_u + iu[hit]) * n_v + iv[hit], 1)
+    # running parity along the ray, one contiguous plane at a time
+    # (bitwise_xor.accumulate over axis 0 is an order of magnitude slower)
+    for k in range(1, n_r):
+        np.bitwise_xor(toggles[k], toggles[k - 1], out=toggles[k])
+    return np.moveaxis(toggles[:n_r].view(bool), (0, 1, 2), (axis, u_axis, v_axis))
 
 
 def mesh_inside_grid(mesh: Mesh, centers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
     """Majority vote of the three single-axis parity tests."""
     votes = sum(
-        _inside_by_parity(mesh, centers, axis).astype(np.uint8) for axis in range(3)
+        _inside_by_parity(mesh, centers, axis).view(np.uint8) for axis in range(3)
     )
     return votes >= 2
 

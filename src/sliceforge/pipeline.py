@@ -19,7 +19,6 @@ from .hinges import (
     collect_triples,
     compute_hinges,
     find_backbone,
-    hinges_from_json,
     hinges_to_json,
 )
 from .layout import PageLayout, Partition, Placement, cluster_slices, pack
@@ -30,7 +29,6 @@ from .octree import (
     Slice,
     build_octree,
     extract_slices,
-    slices_from_json,
     slices_to_json,
     unify_slices,
     up_axis,
@@ -49,7 +47,6 @@ from .volume import (
     TransferFunction,
     load_transfer_function,
     load_volume,
-    quantize,
 )
 
 

@@ -7,8 +7,7 @@ Voxel data is indexed ``scalars[x, y, z]`` and stored x-fastest on disk
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sliceforge.mesh import Mesh
 from sliceforge.octree import Slice
 from sliceforge.volume import ScalarVolume, TransferFunction, save_volume
 
@@ -112,6 +113,63 @@ def _components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
                             queue.append((nu, nv))
             comps.append(comp)
     return comps
+
+
+# --- per-triangle parity oracle -------------------------------------------
+
+
+def inside_by_parity_reference(mesh: Mesh, centers: tuple[np.ndarray, np.ndarray, np.ndarray], axis: int) -> np.ndarray:
+    """Per-triangle parity voxelizer: the loop `sliceforge.mesh._inside_by_parity`
+    replaced, kept verbatim as the oracle for the batched version.
+
+    Boolean inside-grid for one mesh using rays along one axis.
+
+    Rays pass through voxel centers; a voxel is inside when an odd number
+    of triangle crossings lie below its center along the ray axis. Query
+    points are jittered by a sub-nanovoxel irrational offset so rays cannot
+    hit shared triangle edges exactly (grid-aligned meshes otherwise double
+    count crossings on face diagonals).
+    """
+    u_axis, v_axis = [a for a in range(3) if a != axis]
+    cu, cv, cr = centers[u_axis], centers[v_axis], centers[axis]
+    n_u, n_v = len(cu), len(cv)
+    cu = cu + (cu[1] - cu[0]) * 2.718281828e-7
+    cv = cv + (cv[1] - cv[0]) * 3.141592653e-7
+
+    tri = mesh.vertices[mesh.triangles]  # (m, 3, 3)
+    crossings: dict[tuple[int, int], list[float]] = {}
+    for a, b, c in tri:
+        pu = np.array([a[u_axis], b[u_axis], c[u_axis]])
+        pv = np.array([a[v_axis], b[v_axis], c[v_axis]])
+        pr = np.array([a[axis], b[axis], c[axis]])
+        area2 = (pu[1] - pu[0]) * (pv[2] - pv[0]) - (pu[2] - pu[0]) * (pv[1] - pv[0])
+        if area2 == 0.0:
+            continue  # parallel to the ray axis: no interior crossing possible
+        iu0, iu1 = np.searchsorted(cu, pu.min()), np.searchsorted(cu, pu.max(), side="right")
+        iv0, iv1 = np.searchsorted(cv, pv.min()), np.searchsorted(cv, pv.max(), side="right")
+        if iu0 >= iu1 or iv0 >= iv1:
+            continue
+        gu, gv = np.meshgrid(cu[iu0:iu1], cv[iv0:iv1], indexing="ij")
+        # barycentric coordinates in the projection plane
+        w0 = ((pu[1] - gu) * (pv[2] - gv) - (pu[2] - gu) * (pv[1] - gv)) / area2
+        w1 = ((pu[2] - gu) * (pv[0] - gv) - (pu[0] - gu) * (pv[2] - gv)) / area2
+        w2 = 1.0 - w0 - w1
+        hit = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
+        if not hit.any():
+            continue
+        r_hit = w0 * pr[0] + w1 * pr[1] + w2 * pr[2]
+        for du, dv in zip(*np.nonzero(hit)):
+            crossings.setdefault((iu0 + int(du), iv0 + int(dv)), []).append(float(r_hit[du, dv]))
+
+    inside_uv = np.zeros((n_u, n_v, len(cr)), dtype=bool)
+    for (iu, iv), xs in crossings.items():
+        xs.sort()
+        below = np.searchsorted(xs, cr)
+        inside_uv[iu, iv] = (below % 2) == 1
+
+    shape = [0, 0, 0]
+    shape[u_axis], shape[v_axis], shape[axis] = n_u, n_v, len(cr)
+    return np.moveaxis(inside_uv, (0, 1, 2), (u_axis, v_axis, axis))
 
 
 # --- exhaustive order oracle ------------------------------------------------

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceforge.errors import InfeasibleError
 from sliceforge.layout import (
     MaxRects,
+    _assign_clusters_to_sheets,
     build_vectors,
     cluster_slices,
     kmeans_elbow,
@@ -310,3 +313,22 @@ class TestPack:
         assert math.isclose(w, 7.4) and math.isclose(h, 15.0)
         got = (pl.w, pl.h) if not pl.rotated else (pl.h, pl.w)
         assert math.isclose(got[0] / got[1], w / h, rel_tol=1e-9)
+
+
+class TestSheetAssignment:
+    @given(
+        weights=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=12),
+        sheets=st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_sheet_used_contiguous_non_decreasing(self, weights, sheets):
+        sheet_of = _assign_clusters_to_sheets(weights, sheets)
+        assert len(sheet_of) == len(weights)
+        assert sheet_of[0] == 0
+        assert all(b - a in (0, 1) for a, b in zip(sheet_of, sheet_of[1:]))
+        if len(weights) >= sheets:
+            assert set(sheet_of) == set(range(sheets))
+
+    def test_one_cluster_per_sheet(self):
+        assert _assign_clusters_to_sheets([1, 1], 2) == [0, 1]
+        assert _assign_clusters_to_sheets([1, 1, 1], 3) == [0, 1, 2]
