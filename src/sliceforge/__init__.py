@@ -16,7 +16,6 @@ from .volume import (
     ScalarVolume,
     TransferBin,
     TransferFunction,
-    importance,
     load_transfer_function,
     load_volume,
     quantize,
@@ -38,5 +37,4 @@ __all__ = [
     "save_volume",
     "load_transfer_function",
     "quantize",
-    "importance",
 ]

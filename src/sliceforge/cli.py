@@ -16,6 +16,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import pipeline
+from .codec import encode
 from .errors import SliceforgeError, ValidationError
 from .hinges import hinges_from_json
 from .layout import DEFAULT_GUTTER_MM, DEFAULT_MARGIN_MM, PAGE_SIZES_MM
@@ -130,6 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+
+
 def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     """Config file supplies values only where the flag kept its default."""
     if not getattr(args, "config", None):
@@ -141,25 +147,41 @@ def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser
         cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file is not valid JSON: {exc}")
-    sub_action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    defaults = {a.dest: a.default for a in sub_action.choices[args.command]._actions}
+    if not isinstance(cfg, dict):
+        raise ValidationError("config file must hold a JSON object")
+    actions = _subcommand_actions(parser, args.command)
     for key, value in cfg.items():
-        if not hasattr(args, key):
+        if key not in actions:
             raise ValidationError(f"unknown config key {key!r} for command {args.command!r}")
-        if getattr(args, key) == defaults.get(key):
+        if getattr(args, key) == actions[key].default:
             setattr(args, key, value)
 
 
-def _check_positive(args: argparse.Namespace) -> None:
-    """Slot width and raster density scale the print; only positive values make one."""
-    for key in ("slot_width", "dpi"):
-        if not hasattr(args, key):
-            continue
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Every option holds a value of its flag's kind. A --config value skips
+    argparse's conversion, so a wrong one is caught here. Slot width and
+    raster density scale the print; only positive values make one."""
+    for key, action in _subcommand_actions(parser, args.command).items():
         value = getattr(args, key)
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value) and value > 0):
-            flag = "--" + key.replace("_", "-")
-            raise ValidationError(f"{flag} must be a positive number, got {value!r}")
+        if key in ("slot_width", "dpi"):
+            ok, kind = _is_number(value) and math.isfinite(value) and value > 0, "a positive number"
+        elif action.type is int:
+            ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+        elif action.type is float:
+            ok, kind = _is_number(value), "a number"
+        elif isinstance(action, argparse._StoreTrueAction):
+            ok, kind = isinstance(value, bool), "true or false"
+        elif action.nargs == "+":
+            ok = isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+            kind = "a list of strings"
+        else:
+            ok, kind = isinstance(value, str), "a string"
+        if not ok and not (value is None and action.default is None):
+            raise ValidationError(f"{action.option_strings[0]} must be {kind}, got {value!r}")
 
 
 def _load_labels(args):
@@ -208,35 +230,32 @@ def cmd_slice(args) -> int:
     grid = GridInfo(labels.dims, labels.spacing, labels.origin, orientations)
     with _stage("octree"):
         _root, slices = pipeline.stage_slice(labels, args.level, orientations)
-    pipeline.write_artifact(
-        args.out, {"grid": grid.to_json(), "slices": pipeline.slices_to_json(slices)}
-    )
+    pipeline.write_artifact(args.out, encode({"grid": grid, "slices": slices}))
     print(f"{len(slices)} slices -> {args.out}")
     return 0
 
 
 def cmd_hinge(args) -> int:
-    art = pipeline.read_artifact(args.inp, ("grid", "slices"))
-    grid = GridInfo.from_json(art["grid"])
-    slices = slices_from_json(art["slices"])
+    art = pipeline.read_artifact(args.inp)
+    grid = GridInfo.from_json(art.get("grid"))
+    slices = slices_from_json(art.get("slices"))
     with _stage("hinge"):
         hinges = pipeline.stage_hinges(slices, grid.orientations)
     pipeline.write_artifact(
-        args.out,
-        {"grid": art["grid"], "slices": art["slices"], "hinges": pipeline.hinges_to_json(hinges)},
+        args.out, {"grid": art["grid"], "slices": art["slices"], "hinges": encode(hinges)}
     )
     print(f"{len(hinges)} hinges -> {args.out}")
     return 0
 
 
 def cmd_order(args) -> int:
-    art = pipeline.read_artifact(args.inp, ("grid", "slices", "hinges"))
-    grid = GridInfo.from_json(art["grid"])
-    slices = slices_from_json(art["slices"])
-    hinges = hinges_from_json(art["hinges"])
+    art = pipeline.read_artifact(args.inp)
+    grid = GridInfo.from_json(art.get("grid"))
+    slices = slices_from_json(art.get("slices"))
+    hinges = hinges_from_json(art.get("hinges"))
     with _stage("order"):
         plan, _report, problem = pipeline.stage_order(hinges, slices, grid, args.exact_threshold)
-    pipeline.write_artifact(args.out, pipeline.plan_to_json(plan))
+    pipeline.write_artifact(args.out, encode(plan))
     if args.lp:
         Path(args.lp).write_text(export_lp(problem))
     print(f"plan ({'exact' if plan.exact else 'heuristic'}) -> {args.out}")
@@ -245,39 +264,29 @@ def cmd_order(args) -> int:
 
 def cmd_pack(args) -> int:
     page = _parse_page(args.page)
-    art = pipeline.read_artifact(args.inp, ("grid", "slices"))
-    grid = GridInfo.from_json(art["grid"])
-    slices = slices_from_json(art["slices"])
-    plan = pipeline.plan_from_json(
-        pipeline.read_artifact(args.plan, ("hinge_order", "slice_order", "objective", "exact"))
-    )
+    art = pipeline.read_artifact(args.inp)
+    grid = GridInfo.from_json(art.get("grid"))
+    slices = slices_from_json(art.get("slices"))
+    plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
     with _stage("pack"):
         _clusters, layout = pipeline.stage_pack(
             slices, plan, grid, page, args.sheets, args.slot_width,
             args.margin, args.gutter, args.k_max, args.seed,
         )
-    record = layout.to_json()
-    record["slot_width_mm"] = args.slot_width
-    record["seed"] = args.seed
-    pipeline.write_artifact(args.out, record)
+    pipeline.write_artifact(
+        args.out, encode(layout) | {"slot_width_mm": args.slot_width, "seed": args.seed}
+    )
     print(f"scale {layout.scale:.3f} on {layout.sheets} page(s) -> {args.out}")
     return 0
 
 
 def cmd_export(args) -> int:
-    layout_art = pipeline.read_artifact(
-        args.inp,
-        ("page_size_mm", "margin_mm", "gutter_mm", "sheets", "scale",
-         "partitions", "placements", "clusters", "slot_width_mm", "seed"),
-    )
-    layout, slot_width, seed = pipeline.layout_from_json(layout_art)
-    hinge_art = pipeline.read_artifact(args.hinges, ("grid", "slices", "hinges"))
-    grid = GridInfo.from_json(hinge_art["grid"])
-    slices = slices_from_json(hinge_art["slices"])
-    hinges = hinges_from_json(hinge_art["hinges"])
-    plan = pipeline.plan_from_json(
-        pipeline.read_artifact(args.plan, ("hinge_order", "slice_order", "objective", "exact"))
-    )
+    layout, slot_width, seed = pipeline.layout_from_json(pipeline.read_artifact(args.inp))
+    hinge_art = pipeline.read_artifact(args.hinges)
+    grid = GridInfo.from_json(hinge_art.get("grid"))
+    slices = slices_from_json(hinge_art.get("slices"))
+    hinges = hinges_from_json(hinge_art.get("hinges"))
+    plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
     labels, tf = _load_labels(args)
     if labels.dims != grid.dims:
         raise ValidationError(
@@ -308,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config_file(args, parser)
-        _check_positive(args)
+        _check_options(args, parser)
         return _COMMANDS[args.command](args)
     except SliceforgeError as exc:
         stage = getattr(exc, "stage", args.command)

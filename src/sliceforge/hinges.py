@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .codec import decode
 from .errors import InfeasibleError, ValidationError
 from .octree import OctreeNode, Slice
 
@@ -204,42 +205,5 @@ def collect_triples(hinges: list[Hinge], slices: list[Slice]) -> list[Precedence
     return triples
 
 
-def hinges_to_json(hinges: list[Hinge]) -> list[dict]:
-    return [
-        {
-            "id": h.id,
-            "slice_a": h.slice_a,
-            "slice_b": h.slice_b,
-            "u_a": h.u_a,
-            "u_b": h.u_b,
-            "v0": h.v0,
-            "v1": h.v1,
-            "kind": h.kind.value,
-            "slot_a": h.slot_a.value,
-            "slot_b": h.slot_b.value,
-            "stopper_on": h.stopper_on,
-        }
-        for h in hinges
-    ]
-
-
 def hinges_from_json(items: list[dict]) -> list[Hinge]:
-    try:
-        return [
-            Hinge(
-                id=int(d["id"]),
-                slice_a=int(d["slice_a"]),
-                slice_b=int(d["slice_b"]),
-                u_a=int(d["u_a"]),
-                u_b=int(d["u_b"]),
-                v0=int(d["v0"]),
-                v1=int(d["v1"]),
-                kind=HingeKind(d["kind"]),
-                slot_a=SlotKind(d["slot_a"]),
-                slot_b=SlotKind(d["slot_b"]),
-                stopper_on=None if d.get("stopper_on") is None else int(d["stopper_on"]),
-            )
-            for d in items
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"hinges artifact malformed: {exc}") from exc
+    return decode(list[Hinge], items, "hinges")

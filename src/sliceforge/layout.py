@@ -10,7 +10,7 @@ largest global scale that still fits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,7 +190,7 @@ class Partition:
 
 @dataclass(frozen=True)
 class Placement:
-    slice_id: int
+    slice_id: int = field(metadata={"json": "slice"})
     page: int
     x: float
     y: float
@@ -201,40 +201,14 @@ class Placement:
 
 @dataclass(frozen=True)
 class PageLayout:
-    page_size: tuple[float, float]
-    margin: float
-    gutter: float
+    page_size: tuple[float, float] = field(metadata={"json": "page_size_mm"})
+    margin: float = field(metadata={"json": "margin_mm"})
+    gutter: float = field(metadata={"json": "gutter_mm"})
     sheets: int
     scale: float
     partitions: tuple[Partition, ...]
     placements: tuple[Placement, ...]
-    cluster_of: dict[int, int]  # slice id -> cluster
-
-    def to_json(self) -> dict:
-        return {
-            "page_size_mm": list(self.page_size),
-            "margin_mm": self.margin,
-            "gutter_mm": self.gutter,
-            "sheets": self.sheets,
-            "scale": self.scale,
-            "partitions": [
-                {"page": p.page, "cluster": p.cluster, "rect": list(p.rect)}
-                for p in self.partitions
-            ],
-            "placements": [
-                {
-                    "slice": pl.slice_id,
-                    "page": pl.page,
-                    "x": pl.x,
-                    "y": pl.y,
-                    "rotated": pl.rotated,
-                    "w": pl.w,
-                    "h": pl.h,
-                }
-                for pl in self.placements
-            ],
-            "clusters": {str(sid): c for sid, c in sorted(self.cluster_of.items())},
-        }
+    cluster_of: dict[int, int] = field(metadata={"json": "clusters"})  # slice id -> cluster
 
 
 def partition_page(page_rect: Rect, weights: list[float]) -> list[Rect]:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import decode
 from .errors import ValidationError
 from .volume import LabelVolume
 
@@ -231,30 +232,5 @@ def unify_slices(raw: list[Slice]) -> list[Slice]:
     ]
 
 
-def slices_to_json(slices: list[Slice]) -> list[dict]:
-    return [
-        {
-            "id": s.id,
-            "orientation": s.orientation,
-            "plane_coord": s.plane_coord,
-            "extent": list(s.extent),
-            "source_nodes": list(s.source_nodes),
-        }
-        for s in slices
-    ]
-
-
 def slices_from_json(items: list[dict]) -> list[Slice]:
-    try:
-        return [
-            Slice(
-                id=int(d["id"]),
-                orientation=str(d["orientation"]),
-                plane_coord=int(d["plane_coord"]),
-                extent=tuple(int(v) for v in d["extent"]),
-                source_nodes=tuple(int(v) for v in d["source_nodes"]),
-            )
-            for d in items
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"slices artifact malformed: {exc}") from exc
+    return decode(list[Slice], items, "slices")

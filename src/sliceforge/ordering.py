@@ -2,8 +2,9 @@
 
 The order of hinge stitching is a constrained permutation: every hinge gets
 a distinct position, the backbone goes first, each cut-through precedes its
-neighboring up-down hinges, and the objective prefers stitching near the
-volume center early (sum of center-distance weights times positions).
+neighboring up-down hinges, and the objective minimizes the sum of
+center-distance weights times positions, so hinges far from the volume
+center are stitched early.
 
 The big-M integer-program formulation is kept for LP export; the solver
 itself is a branch and bound over positions, which satisfies the pairwise
@@ -59,9 +60,6 @@ class AssemblyPlan:
     slice_order: tuple[int, ...]
     objective: float
     exact: bool
-
-    def position(self, hinge_id: int) -> int:
-        return self.hinge_order.index(hinge_id)
 
 
 def hinge_midpoint_weight(
@@ -239,15 +237,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return not (self.o1_violations or self.o3_violations or self.triple_violations)
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "o1_violations": self.o1_violations,
-            "o3_violations": self.o3_violations,
-            "triple_violations": self.triple_violations,
-            "objective": self.objective,
-        }
 
 
 def verify_plan(plan: AssemblyPlan, problem: OrderProblem) -> VerificationReport:

@@ -8,20 +8,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import ValidationError
+from .codec import decode, encode
+from .errors import IOFailure, ValidationError
 from .export import emit_instructions, emit_pages, slice_cut_geometry
-from .hinges import (
-    Hinge,
-    collect_triples,
-    compute_hinges,
-    find_backbone,
-    hinges_to_json,
-)
-from .layout import PageLayout, Partition, Placement, cluster_slices, pack
+from .hinges import Hinge, collect_triples, compute_hinges, find_backbone
+from .layout import PageLayout, cluster_slices, pack
 from .mesh import MeshSet, load_obj, voxelize_meshes
 from .octree import (
     AXES,
@@ -29,12 +24,13 @@ from .octree import (
     Slice,
     build_octree,
     extract_slices,
-    slices_to_json,
     unify_slices,
     up_axis,
 )
 from .ordering import (
     AssemblyPlan,
+    OrderProblem,
+    VerificationReport,
     build_order_problem,
     derive_slice_order,
     solve_order,
@@ -53,29 +49,13 @@ from .volume import (
 @dataclass
 class GridInfo:
     dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
-    origin: tuple[float, float, float]
+    spacing: tuple[float, float, float] = field(metadata={"json": "spacing_mm"})
+    origin: tuple[float, float, float] = field(metadata={"json": "origin_mm"})
     orientations: tuple[str, str]
-
-    def to_json(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "spacing_mm": list(self.spacing),
-            "origin_mm": list(self.origin),
-            "orientations": list(self.orientations),
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "GridInfo":
-        try:
-            return GridInfo(
-                dims=tuple(int(v) for v in obj["dims"]),
-                spacing=tuple(float(v) for v in obj["spacing_mm"]),
-                origin=tuple(float(v) for v in obj["origin_mm"]),
-                orientations=tuple(str(v) for v in obj["orientations"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"grid section malformed or missing: {exc}") from exc
+        return decode(GridInfo, obj, "grid")
 
     @property
     def axes(self) -> tuple[int, int, int]:
@@ -128,14 +108,14 @@ def stage_order(
     slices: list[Slice],
     grid: GridInfo,
     exact_threshold: int = 16,
-):
+) -> tuple[AssemblyPlan, VerificationReport, OrderProblem]:
     backbone = find_backbone(hinges, slices)
     triples = collect_triples(hinges, slices)
     problem = build_order_problem(hinges, slices, backbone, triples, grid.dims, grid.axes)
     plan = solve_order(problem, exact_threshold)
     plan = dataclasses.replace(plan, slice_order=derive_slice_order(plan, hinges, slices))
     report = verify_plan(plan, problem)
-    return plan, report.to_json(), problem
+    return plan, report, problem
 
 
 def stage_pack(
@@ -200,6 +180,9 @@ def stage_export(
         name = f"page-{i}.svg"
         (outdir / "pages" / name).write_text(svg)
         page_names.append(f"pages/{name}")
+    for old in (outdir / "pages").glob("page-*.svg"):
+        if f"pages/{old.name}" not in page_names:
+            old.unlink()  # left by an earlier run with more pages
     instructions = emit_instructions(
         plan, hinges, slices, grid.dims, grid.orientations, page_size=layout.page_size
     )
@@ -215,14 +198,14 @@ def stage_export(
         slot_width_mm=slot_width_mm,
         orientations=grid.orientations,
     )
-    (outdir / "stability.json").write_text(_dump(stability.to_json()))
+    (outdir / "stability.json").write_text(_dump(encode(stability)))
 
-    manifest = {
+    manifest = encode({
         "version": __version__,
         "seed": seed,
         "options": {
-            "orientations": list(grid.orientations),
-            "page_size_mm": list(layout.page_size),
+            "orientations": grid.orientations,
+            "page_size_mm": layout.page_size,
             "sheets": layout.sheets,
             "margin_mm": layout.margin,
             "gutter_mm": layout.gutter,
@@ -230,12 +213,12 @@ def stage_export(
             "px_per_mm": px_per_mm,
             "perforate": perforate,
         },
-        "grid": grid.to_json(),
-        "slices": slices_to_json(slices),
-        "hinges": hinges_to_json(hinges),
-        "plan": plan_to_json(plan),
-        "layout": layout.to_json(),
-        "stability": stability.to_json(),
+        "grid": grid,
+        "slices": slices,
+        "hinges": hinges,
+        "plan": plan,
+        "layout": layout,
+        "stability": stability,
         "pages": page_names,
         "warnings": warnings_out,
         "summary": {
@@ -246,62 +229,19 @@ def stage_export(
             "pages": layout.sheets,
             "balanced": stability.balanced,
         },
-    }
+    })
     (outdir / "manifest.json").write_text(_dump(manifest))
     return manifest
 
 
-def plan_to_json(plan: AssemblyPlan) -> dict:
-    return {
-        "hinge_order": list(plan.hinge_order),
-        "slice_order": list(plan.slice_order),
-        "objective": plan.objective,
-        "exact": plan.exact,
-    }
-
-
 def plan_from_json(obj: dict) -> AssemblyPlan:
-    try:
-        return AssemblyPlan(
-            hinge_order=tuple(int(v) for v in obj["hinge_order"]),
-            slice_order=tuple(int(v) for v in obj["slice_order"]),
-            objective=float(obj["objective"]),
-            exact=bool(obj["exact"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"plan artifact malformed: {exc}") from exc
+    return decode(AssemblyPlan, obj, "plan artifact")
 
 
 def layout_from_json(obj: dict) -> tuple[PageLayout, float, int]:
     """Returns (layout, slot_width_mm, seed) from a pack artifact."""
-    try:
-        layout = PageLayout(
-            page_size=tuple(float(v) for v in obj["page_size_mm"]),
-            margin=float(obj["margin_mm"]),
-            gutter=float(obj["gutter_mm"]),
-            sheets=int(obj["sheets"]),
-            scale=float(obj["scale"]),
-            partitions=tuple(
-                Partition(page=int(p["page"]), cluster=int(p["cluster"]), rect=tuple(float(v) for v in p["rect"]))
-                for p in obj["partitions"]
-            ),
-            placements=tuple(
-                Placement(
-                    slice_id=int(p["slice"]),
-                    page=int(p["page"]),
-                    x=float(p["x"]),
-                    y=float(p["y"]),
-                    rotated=bool(p["rotated"]),
-                    w=float(p["w"]),
-                    h=float(p["h"]),
-                )
-                for p in obj["placements"]
-            ),
-            cluster_of={int(k): int(v) for k, v in obj["clusters"].items()},
-        )
-        return layout, float(obj["slot_width_mm"]), int(obj["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"layout artifact malformed: {exc}") from exc
+    record = (obj, obj.get("slot_width_mm"), obj.get("seed"))
+    return decode(tuple[PageLayout, float, int], record, "layout artifact")
 
 
 def _dump(obj) -> str:
@@ -312,17 +252,14 @@ def write_artifact(path: str | Path, obj: dict) -> None:
     Path(path).write_text(_dump(obj))
 
 
-def read_artifact(path: str | Path, required: tuple[str, ...]) -> dict:
+def read_artifact(path: str | Path) -> dict:
     p = Path(path)
     if not p.exists():
-        from .errors import IOFailure
-
         raise IOFailure(f"artifact not found: {p}")
     try:
         obj = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"artifact {p} is not valid JSON: {exc}") from exc
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise ValidationError(f"artifact {p} missing fields: {missing}")
+    if not isinstance(obj, dict):
+        raise ValidationError(f"artifact {p} is not a JSON object")
     return obj

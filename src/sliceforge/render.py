@@ -76,16 +76,6 @@ class StabilityReport:
     balanced: bool
     slot_width_ok: bool
 
-    def to_json(self) -> dict:
-        return {
-            "net_torque": list(self.net_torque),
-            "torque_limit": list(self.torque_limit),
-            "min_slot_width_mm": self.min_slot_width_mm,
-            "stopper_count": self.stopper_count,
-            "balanced": self.balanced,
-            "slot_width_ok": self.slot_width_ok,
-        }
-
 
 def stability_check(
     slices: list[Slice],

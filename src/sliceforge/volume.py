@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import decode
 from .errors import IngestError, IOFailure, ValidationError
 
 _DTYPES = {"u8": np.uint8, "u16": np.uint16, "f32": np.float32}
@@ -89,29 +90,6 @@ class TransferFunction:
         idx = np.where((idx >= 0) & (values < his[np.clip(idx, 0, None)]), idx, -1)
         return idx
 
-    def opacity_at(self, value: float) -> float:
-        i = int(self.bin_index(np.array([value]))[0])
-        return self.bins[i].opacity if i >= 0 else 0.0
-
-    @staticmethod
-    def from_json(obj: dict) -> "TransferFunction":
-        try:
-            bins = tuple(
-                TransferBin(float(b["lo"]), float(b["hi"]), tuple(float(c) for c in b["rgb"]), float(b["opacity"]))
-                for b in obj["bins"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"transfer-function JSON missing field: {exc}") from exc
-        return TransferFunction(bins)
-
-    def to_json(self) -> dict:
-        return {
-            "bins": [
-                {"lo": b.lo, "hi": b.hi, "rgb": list(b.rgb), "opacity": b.opacity}
-                for b in self.bins
-            ]
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class LabelVolume:
@@ -128,7 +106,11 @@ def load_transfer_function(path: str | Path) -> TransferFunction:
     path = Path(path)
     if not path.exists():
         raise IOFailure(f"transfer function file not found: {path}")
-    return TransferFunction.from_json(json.loads(path.read_text()))
+    try:
+        obj = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"transfer function is not valid JSON: {exc}") from exc
+    return decode(TransferFunction, obj, "transfer function")
 
 
 def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
@@ -164,11 +146,8 @@ def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
             f"expected {expected} scalars ({expected * dtype.itemsize} bytes), "
             f"file holds {actual} ({len(raw)} bytes)"
         )
-    flat = np.frombuffer(raw, dtype=dtype).astype(np.float32)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise IngestError(f"non-finite intensity at flat index {int(bad[0])}")
-    scalars = flat.reshape(dims, order="F")
+    # ScalarVolume rejects non-finite values, reporting the same F-order index
+    scalars = np.frombuffer(raw, dtype=dtype).astype(np.float32).reshape(dims, order="F")
     return ScalarVolume(dims=dims, spacing=spacing, origin=origin, scalars=scalars)
 
 
@@ -210,7 +189,3 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
         n_labels=k,
     )
 
-
-def importance(intensity: float, tf: TransferFunction) -> float:
-    """Visibility-weighted importance: intensity scaled by its bin opacity."""
-    return float(intensity) * tf.opacity_at(float(intensity))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from sliceforge.codec import encode
 from sliceforge.mesh import Mesh
 from sliceforge.octree import Slice
 from sliceforge.volume import ScalarVolume, TransferFunction, save_volume
@@ -25,7 +26,7 @@ def write_volume_files(tmp: Path, volume: ScalarVolume, tf: TransferFunction, st
     header = tmp / f"{stem}.json"
     tf_path = tmp / f"{stem}_tf.json"
     save_volume(volume, raw, header, dtype=dtype)
-    tf_path.write_text(json.dumps(tf.to_json()))
+    tf_path.write_text(json.dumps(encode(tf)))
     return raw, header, tf_path
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from sliceforge.codec import encode
 from sliceforge.errors import InfeasibleError
 from sliceforge.hinges import (
     HingeKind,
@@ -9,7 +10,6 @@ from sliceforge.hinges import (
     find_backbone,
     hinges_from_json,
     hinges_on_slice,
-    hinges_to_json,
 )
 from sliceforge.octree import build_octree, extract_slices, unify_slices
 
@@ -88,7 +88,7 @@ class TestComputeHinges:
 
     def test_json_round_trip(self):
         hinges = compute_hinges(stopper_model())
-        assert hinges_from_json(hinges_to_json(hinges)) == hinges
+        assert hinges_from_json(encode(hinges)) == hinges
 
 
 class TestBackbone:

@@ -2,7 +2,8 @@
 
 `build` must write exactly the files that slice -> hinge -> order -> pack ->
 export write with the same options, and its manifest must match the
-committed golden file. The fixture is the nested spheres (two icosphere
+committed golden file. A rerun into the same directory leaves only the
+pages its manifest lists. The fixture is the nested spheres (two icosphere
 subdivisions) voxelized at 32^3, octree level 3, on two A4 sheets.
 
 After an intended change of the output, rewrite the golden file with
@@ -11,6 +12,7 @@ After an intended change of the output, rewrite the golden file with
 
 from __future__ import annotations
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -37,8 +39,9 @@ def run(argv: list[str]) -> None:
     assert cli.main(argv) == 0, argv
 
 
-def build(meshes: list[str], out: Path) -> None:
-    run(["build", "--meshes", *meshes, *GRID, "--level", "3", "--sheets", "2", "--out", str(out)])
+def build(meshes: list[str], out: Path, *options: str) -> None:
+    options = options or ("--sheets", "2")
+    run(["build", "--meshes", *meshes, *GRID, "--level", "3", *options, "--out", str(out)])
 
 
 def files_under(root: Path) -> dict[str, bytes]:
@@ -76,6 +79,15 @@ def test_build_equals_staged_commands(meshes, built, tmp_path):
 
 def test_manifest_matches_golden(built):
     assert (built / "manifest.json").read_bytes() == GOLDEN.read_bytes()
+
+
+def test_rerun_with_fewer_pages_removes_stale_pages(meshes, tmp_path):
+    build(meshes, tmp_path)
+    assert (tmp_path / "pages" / "page-2.svg").exists()
+    build(meshes, tmp_path, "--page", "A3", "--sheets", "1")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["pages"] == ["pages/page-1.svg"]
+    assert sorted(p.name for p in (tmp_path / "pages").iterdir()) == ["page-1.svg"]
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ from sliceforge.volume import (
     ScalarVolume,
     TransferBin,
     TransferFunction,
-    importance,
     load_volume,
     quantize,
     save_volume,
@@ -154,24 +153,3 @@ class TestQuantize:
         b = quantize(load_volume(raw, header), TF_TWO)
         assert np.array_equal(a.labels, b.labels)
 
-
-class TestImportance:
-    def test_ct_bone_example(self):
-        # an intensity of 1000 at opacity 0.5 weighs 500
-        tf = make_tf((900.0, 1100.0, (1, 1, 1), 0.5))
-        assert importance(1000.0, tf) == 500.0
-
-    def test_hidden_structures_ignored(self):
-        tf = make_tf((0.0, 10.0, (1, 1, 1), 0.0))
-        assert importance(5.0, tf) == 0.0
-
-    def test_identity_opacity(self):
-        tf = make_tf((100.0, 300.0, (1, 1, 1), 1.0))
-        assert importance(200.0, tf) == 200.0
-
-    def test_monotone_in_opacity(self):
-        values = []
-        for opacity in (0.1, 0.3, 0.5, 0.8, 1.0):
-            tf = make_tf((0.0, 10.0, (1, 1, 1), opacity))
-            values.append(importance(4.0, tf))
-        assert values == sorted(values)
