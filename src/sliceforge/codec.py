@@ -52,7 +52,7 @@ def _parts(tp) -> tuple[object, tuple]:
     if origin in (typing.Union, types.UnionType):
         args = tuple(a for a in typing.get_args(tp) if a is not type(None))
         if len(args) != 1:
-            raise TypeError(f"only X | None unions are supported, got {tp}")
+            raise NotImplementedError(f"only X | None unions are supported, got {tp}")
         return typing.Optional, args
     return origin or tp, typing.get_args(tp)
 
@@ -76,12 +76,11 @@ def _encoder(tp):
         inner = _encoder(args[0])
         return _same if inner is _same else lambda obj: None if obj is None else inner(obj)
     if cls in (list, tuple):
-        if not args:  # unannotated items: dispatch on each one's runtime type
-            return lambda obj: [encode(v) for v in obj]
-        encs = [_encoder(a) for a in args if a is not Ellipsis]
+        # unannotated items dispatch on each one's runtime type
+        encs = [_encoder(a) for a in args if a is not Ellipsis] or [encode]
         if all(enc is _same for enc in encs):
             return list
-        if args[-1] is Ellipsis:
+        if len(encs) == 1:
             inner = encs[0]
             return lambda obj: [inner(v) for v in obj]
         return lambda obj: [enc(v) for enc, v in zip(encs, obj)]
@@ -108,17 +107,19 @@ _as_array = _checked((list, tuple), "array")
 @functools.cache
 def _decoder(tp):
     if dataclasses.is_dataclass(tp):
-        required, optional = [], []  # fields with a default follow those without
-        for key, f, hint in _fields(tp):
-            has_default = f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING
-            (optional if has_default else required).append((key, f.name, _decoder(hint)))
+        # an absent key takes the field's default, converted like a present one
+        missing = dataclasses.MISSING
+        fields = [
+            (key, _decoder(hint), missing if f.default is missing else encode(f.default))
+            for key, f, hint in _fields(tp)
+        ]
 
         def dec(data):
             data = _as_object(data)
-            return tp(
-                *[conv(data[key]) for key, _, conv in required],
-                **{name: conv(data[key]) for key, name, conv in optional if key in data},
-            )
+            return tp(*[
+                conv(data[key]) if default is missing else conv(data.get(key, default))
+                for key, conv, default in fields
+            ])
 
         return dec
     if _is_enum(tp):
@@ -127,16 +128,19 @@ def _decoder(tp):
     if cls is typing.Optional:
         inner = _decoder(args[0])
         return lambda data: None if data is None else inner(data)
-    if cls is list or cls is tuple and args[-1] is Ellipsis:
+    if cls is list:
         inner = _decoder(args[0])
-        return lambda data: cls(inner(v) for v in _as_array(data))
+        return lambda data: [inner(v) for v in _as_array(data)]
+    if cls is tuple and args[-1] is Ellipsis:
+        inner = _decoder(args[0])
+        return lambda data: tuple([inner(v) for v in _as_array(data)])
     if cls is tuple:
         convs = [_decoder(a) for a in args]
 
         def dec_fixed(data):
             if len(_as_array(data)) != len(convs):
                 raise ValueError(f"expected {len(convs)} items, got {len(data)}")
-            return tuple(conv(v) for conv, v in zip(convs, data))
+            return tuple([conv(v) for conv, v in zip(convs, data)])
 
         return dec_fixed
     if cls is dict:
@@ -144,4 +148,4 @@ def _decoder(tp):
         return lambda data: {key(k): value(v) for k, v in _as_object(data).items()}
     if cls in (int, float, str, bool):
         return cls
-    raise TypeError(f"no JSON decoder for {tp}")
+    raise NotImplementedError(f"no JSON decoder for {tp}")

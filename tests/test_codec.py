@@ -1,0 +1,75 @@
+"""The artifact codec: encode/decode round trips, JSON key names, and one
+ValidationError for every malformed input."""
+
+import json
+
+import pytest
+
+from sliceforge.codec import decode, encode
+from sliceforge.errors import ValidationError
+from sliceforge.hinges import Hinge, HingeKind, SlotKind
+from sliceforge.layout import PageLayout, Partition, Placement
+from sliceforge.ordering import AssemblyPlan
+from sliceforge.pipeline import GridInfo
+from sliceforge.volume import TransferBin, TransferFunction
+
+GRID = GridInfo((4, 5, 6), (0.5, 0.5, 1.0), (-1.0, 0.0, 2.5), ("x", "y"))
+LAYOUT = PageLayout(
+    page_size=(210.0, 297.0),
+    margin=5.0,
+    gutter=4.0,
+    sheets=1,
+    scale=0.75,
+    partitions=(Partition(page=0, cluster=0, rect=(5.0, 5.0, 200.0, 287.0)),),
+    placements=(Placement(slice_id=3, page=0, x=5.0, y=6.5, rotated=True, w=10.0, h=20.0),),
+    cluster_of={3: 0, 11: 0},
+)
+HINGE = Hinge(1, 0, 7, 4, 4, 0, 32, HingeKind.CUT_THROUGH, SlotKind.WINDOW, SlotKind.NONE, stopper_on=7)
+VALUES = [
+    GRID,
+    LAYOUT,
+    HINGE,
+    AssemblyPlan(hinge_order=(2, 0, 1), slice_order=(1, 0), objective=3.25, exact=False),
+    TransferFunction(bins=(TransferBin(0.0, 1.0, (1.0, 0.5, 0.0), 0.25),)),
+]
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
+def test_round_trip_through_json_text(value):
+    assert decode(type(value), json.loads(json.dumps(encode(value))), "value") == value
+
+
+def test_json_keys_follow_field_metadata():
+    assert sorted(encode(GRID)) == ["dims", "orientations", "origin_mm", "spacing_mm"]
+    record = encode(LAYOUT)
+    assert sorted(record) == [
+        "clusters", "gutter_mm", "margin_mm", "page_size_mm", "partitions", "placements", "scale", "sheets",
+    ]
+    assert record["clusters"] == {"3": 0, "11": 0}
+    assert record["placements"][0]["slice"] == 3
+    assert encode(HINGE)["kind"] == "cut_through"
+
+
+def test_absent_field_with_a_default_takes_the_default():
+    record = encode(HINGE)
+    del record["stopper_on"]
+    assert decode(Hinge, record, "hinge").stopper_on is None
+
+
+GRID_JSON = encode(GRID)
+MALFORMED = [
+    (GridInfo, {k: v for k, v in GRID_JSON.items() if k != "dims"}),  # missing key
+    (GridInfo, {**GRID_JSON, "dims": [4, 5]}),  # wrong tuple length
+    (GridInfo, {**GRID_JSON, "spacing_mm": ["a", 1, 1]}),  # not a number
+    (GridInfo, None),
+    (GridInfo, [1, 2, 3]),
+    (Hinge, {**encode(HINGE), "kind": "sideways"}),  # unknown enum value
+    (PageLayout, {**encode(LAYOUT), "clusters": [0, 0]}),  # array for an object
+    (list[Hinge], {"0": encode(HINGE)}),  # object for an array
+]
+
+
+@pytest.mark.parametrize("tp,data", MALFORMED)
+def test_malformed_input_raises_one_validation_error(tp, data):
+    with pytest.raises(ValidationError, match="^thing malformed: "):
+        decode(tp, data, "thing")

@@ -152,4 +152,3 @@ class TestQuantize:
         a = quantize(load_volume(raw, header), TF_TWO)
         b = quantize(load_volume(raw, header), TF_TWO)
         assert np.array_equal(a.labels, b.labels)
-
