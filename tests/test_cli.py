@@ -58,7 +58,6 @@ def test_positive_values_pass_validation(capsys, tmp_path, monkeypatch):
     assert "must be a positive number" not in err
 
 
-
 @pytest.fixture
 def volume_build(tmp_path, monkeypatch):
     """A build of a small checkerboard volume that succeeds as written;
