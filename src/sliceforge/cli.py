@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -161,15 +160,39 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _finite(value) -> bool:
+    """A float can hold it: not nan, not infinite, and no integer too large
+    to convert (Python compares an int with a float exactly)."""
+    return abs(value) <= sys.float_info.max
+
+
+def _positive(value) -> bool:
+    return _finite(value) and value > 0
+
+
+def _finite_non_negative(value) -> bool:
+    return _finite(value) and value >= 0
+
+
+# options held to a range as well as a kind: the test and how a message names it.
+# Slot width and raster density scale the print; only positive values make one.
+# Margins and gutters measure paper; the seed starts a random generator.
+_RANGES = {
+    "slot_width": (_positive, "a positive number"),
+    "dpi": (_positive, "a positive number"),
+    "margin": (_finite_non_negative, "a finite number >= 0"),
+    "gutter": (_finite_non_negative, "a finite number >= 0"),
+    "seed": (lambda value: value >= 0, "an integer >= 0"),
+}
+
+
 def _check_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Every option holds a value of its flag's kind. A --config value skips
-    argparse's conversion, so a wrong one is caught here. Slot width and
-    raster density scale the print; only positive values make one."""
+    """Every option holds a value of its flag's kind, and of its range where
+    `_RANGES` names one. A --config value skips argparse's conversion, so a
+    wrong one is caught here."""
     for key, action in _subcommand_actions(parser, args.command).items():
         value = getattr(args, key)
-        if key in ("slot_width", "dpi"):
-            ok, kind = _is_number(value) and math.isfinite(value) and value > 0, "a positive number"
-        elif action.type is int:
+        if action.type is int:
             ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
         elif action.type is float:
             ok, kind = _is_number(value), "a number"
@@ -180,6 +203,9 @@ def _check_options(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
             kind = "a list of strings"
         else:
             ok, kind = isinstance(value, str), "a string"
+        if key in _RANGES:
+            in_range, kind = _RANGES[key]
+            ok = ok and in_range(value)
         if not ok and not (value is None and action.default is None):
             raise ValidationError(f"{action.option_strings[0]} must be {kind}, got {value!r}")
 
@@ -287,6 +313,11 @@ def cmd_export(args) -> int:
     slices = slices_from_json(hinge_art.get("slices"))
     hinges = hinges_from_json(hinge_art.get("hinges"))
     plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
+    hint = "export the layout with the hinges and plan of the run that packed it"
+    if sorted(p.slice_id for p in layout.placements) != sorted(s.id for s in slices):
+        raise ValidationError(f"layout {args.inp} does not place exactly the slices of {args.hinges}", hint=hint)
+    if sorted(plan.hinge_order) != sorted(h.id for h in hinges):
+        raise ValidationError(f"plan {args.plan} does not order exactly the hinges of {args.hinges}", hint=hint)
     labels, tf = _load_labels(args)
     if labels.dims != grid.dims:
         raise ValidationError(
@@ -314,7 +345,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage and why (or the help)
+        return exc.code
     try:
         _apply_config_file(args, parser)
         _check_options(args, parser)

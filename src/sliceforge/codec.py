@@ -3,8 +3,10 @@
 `encode` turns a dataclass into a dict of its fields, an enum into its
 value, a tuple into a list and dict keys into strings; ints, floats, strings,
 booleans and None pass through unchanged. `decode` builds a value back from
-the annotated field types. A field whose JSON key differs from its name
-names the key in ``field(metadata={"json": key})``.
+the annotated field types, and a value must already have the JSON type its
+annotation stands for: a boolean for bool, an integer that is not a boolean
+for int, any number but a boolean for float, a string for str. A field whose
+JSON key differs from its name names the key in ``field(metadata={"json": key})``.
 
 The converters are built once per type, not by reflecting on every value.
 """
@@ -90,18 +92,43 @@ def _encoder(tp):
     return _same  # int, float, str, bool, None and their subclasses
 
 
+def _json_type(data) -> str:
+    return "null" if data is None else type(data).__name__
+
+
 def _checked(kinds, name: str):
     def check(data):
         if not isinstance(data, kinds):
-            got = "null" if data is None else type(data).__name__
-            raise TypeError(f"expected a JSON {name}, got {got}")
+            raise TypeError(f"expected a JSON {name}, got {_json_type(data)}")
         return data
+
+    return check
+
+
+def _scalar(name: str, *types):
+    """Passes a JSON value whose type is exactly one of `types` (so a bool is
+    no int), converted to the first of them; anything else is a TypeError."""
+    first = types[0]
+
+    def check(data):
+        if type(data) is first:
+            return data
+        if type(data) in types:
+            return first(data)
+        raise TypeError(f"expected a JSON {name}, got {_json_type(data)}")
 
     return check
 
 
 _as_object = _checked(dict, "object")
 _as_array = _checked((list, tuple), "array")
+# a JSON value decodes only to the type that its own JSON type stands for
+_SCALARS = {
+    bool: _scalar("boolean", bool),
+    int: _scalar("integer", int),
+    float: _scalar("number", float, int),
+    str: _scalar("string", str),
+}
 
 
 @functools.cache
@@ -144,8 +171,10 @@ def _decoder(tp):
 
         return dec_fixed
     if cls is dict:
-        key, value = _decoder(args[0]), _decoder(args[1])
+        # JSON object keys are strings; an int key is written as its digits
+        key = int if args[0] is int else _decoder(args[0])
+        value = _decoder(args[1])
         return lambda data: {key(k): value(v) for k, v in _as_object(data).items()}
-    if cls in (int, float, str, bool):
-        return cls
+    if cls in _SCALARS:
+        return _SCALARS[cls]
     raise NotImplementedError(f"no JSON decoder for {tp}")

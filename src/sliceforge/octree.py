@@ -54,39 +54,98 @@ def _should_subdivide(distinct: frozenset[int], level: int, bounds: Bounds, max_
     return all(hi - lo >= 2 for lo, hi in bounds)
 
 
+def _halve(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Both halves of every interval, as a node splits; a one-voxel interval
+    gives an empty first half."""
+    return [half for lo, hi in intervals for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))]
+
+
+def _block_masks(grid: np.ndarray, bits: np.ndarray, intervals) -> np.ndarray:
+    """OR of the label bits over every block of the tensor grid `intervals`
+    (one interval list per axis).
+
+    An empty interval ``(lo, lo)`` is the first half of a one-voxel one, so
+    it is never a node's; its block reads voxel ``lo``, which its sibling
+    holds too, so the blocks of every coarser grid still come out right.
+    """
+    masks = bits[grid]
+    # along the axis of smallest stride first: the fastest order on either layout
+    for axis in sorted(range(masks.ndim), key=lambda a: masks.strides[a]):
+        starts = np.array([lo for lo, _ in intervals[axis]])
+        masks = np.bitwise_or.reduceat(masks, starts, axis=axis)
+    return masks
+
+
 def build_octree(labels: LabelVolume, max_level: int) -> OctreeNode:
-    """Recursive octant subdivision driven by distinct visible labels."""
+    """Recursive octant subdivision driven by distinct visible labels.
+
+    Every node at depth d spans one block of the tensor grid whose axes are
+    halved d times, so the labels of all nodes come from one pass over the
+    volume: label l sets bit l - 1 of a mask, the masks are OR-reduced per
+    block of the deepest grid a node can reach, and each coarser grid ORs
+    2 x 2 x 2 blocks of the one below.
+    """
     if max_level < 1:
         raise ValidationError(f"octree level must be >= 1, got {max_level}")
     grid = labels.labels
+    n_bits = labels.n_labels
+    top = int(grid.max())
+    if top > n_bits:
+        raise ValidationError(f"label volume holds label {top} but has only {n_bits} labels")
+    # intervals[d][axis]: the node intervals along an axis at depth d
+    intervals = [[[(0, int(n))] for n in labels.dims]]
+    while len(intervals) < max_level and all(
+        max(hi - lo for lo, hi in ivs) >= 2 for ivs in intervals[-1]
+    ):
+        intervals.append([_halve(ivs) for ivs in intervals[-1]])
+
+    # label l sets bit (l - 1) % word_bits of word (l - 1) // word_bits
+    word_bits = next((b for b in (8, 16, 32) if n_bits <= b), 64)
+    dtype = np.dtype(f"uint{word_bits}")
+    # masks_by_depth[d]: per word, the OR of the label bits in every block at depth d
+    masks_by_depth: list[list[np.ndarray]] = [[] for _ in intervals]
+    for first in range(0, max(n_bits, 1), word_bits):
+        held = np.arange(first, min(n_bits, first + word_bits))  # label - 1
+        bits = np.zeros(n_bits + 1, dtype=dtype)
+        bits[held + 1] = np.left_shift(dtype.type(1), (held - first).astype(dtype))
+        masks = _block_masks(grid, bits, intervals[-1])
+        for depth in reversed(range(len(intervals))):
+            masks_by_depth[depth].append(masks)
+            if depth:  # the blocks at depth - 1 are 2 x 2 x 2 blocks of these
+                nx, ny, nz = (n // 2 for n in masks.shape)
+                masks = np.bitwise_or.reduce(masks.reshape(nx, 2, ny, 2, nz, 2), axis=(1, 3, 5))
+
+    label_sets: dict[tuple[int, ...], frozenset[int]] = {}
+
+    def distinct_at(depth: int, index: tuple[int, int, int]) -> frozenset[int]:
+        words = tuple(m.item(index) for m in masks_by_depth[depth])
+        if words not in label_sets:
+            label_sets[words] = frozenset(
+                w * word_bits + b + 1
+                for w, word in enumerate(words)
+                for b in range(word_bits)
+                if word >> b & 1
+            )
+        return label_sets[words]
+
     counter = [0]
 
-    def distinct_in(bounds: Bounds) -> frozenset[int]:
-        (x0, x1), (y0, y1), (z0, z1) = bounds
-        vals = np.unique(grid[x0:x1, y0:y1, z0:z1])
-        return frozenset(int(v) for v in vals if v != 0)
-
-    def build(bounds: Bounds, level: int) -> OctreeNode:
+    def build(depth: int, index: tuple[int, int, int]) -> OctreeNode:
         node_id = counter[0]
         counter[0] += 1
-        distinct = distinct_in(bounds)
+        bounds = tuple(intervals[depth][axis][i] for axis, i in enumerate(index))
+        distinct = distinct_at(depth, index)
         children: tuple[OctreeNode, ...] = ()
-        if _should_subdivide(distinct, level, bounds, max_level):
-            mids = tuple((lo + hi) // 2 for lo, hi in bounds)
-            kids = []
-            for ix in range(2):
-                for iy in range(2):
-                    for iz in range(2):
-                        halves = []
-                        for axis, pick in enumerate((ix, iy, iz)):
-                            lo, hi = bounds[axis]
-                            halves.append((lo, mids[axis]) if pick == 0 else (mids[axis], hi))
-                        kids.append(build(tuple(halves), level + 1))
-            children = tuple(kids)
-        return OctreeNode(id=node_id, bounds=bounds, level=level, distinct_labels=distinct, children=children)
+        if _should_subdivide(distinct, depth + 1, bounds, max_level):
+            children = tuple(
+                build(depth + 1, (2 * index[0] + ix, 2 * index[1] + iy, 2 * index[2] + iz))
+                for ix in range(2)
+                for iy in range(2)
+                for iz in range(2)
+            )
+        return OctreeNode(id=node_id, bounds=bounds, level=depth + 1, distinct_labels=distinct, children=children)
 
-    root_bounds = tuple((0, int(d)) for d in labels.dims)
-    root = build(root_bounds, 1)
+    root = build(0, (0, 0, 0))
     if not root.distinct_labels:
         warnings.warn("volume is entirely background: nothing to slice")
     return root

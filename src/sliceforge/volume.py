@@ -16,6 +16,8 @@ from .codec import decode
 from .errors import IngestError, IOFailure, ValidationError
 
 _DTYPES = {"u8": np.uint8, "u16": np.uint16, "f32": np.float32}
+# voxels labelled per step of `quantize`; bounds its float64 and index temporaries
+_QUANTIZE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,15 +82,6 @@ class TransferFunction:
     def visible_bins(self) -> tuple[TransferBin, ...]:
         """Bins with opacity > 0; label k maps to visible_bins[k - 1]."""
         return tuple(b for b in self.bins if b.opacity > 0.0)
-
-    def bin_index(self, values: np.ndarray) -> np.ndarray:
-        """Index into self.bins per value, -1 where no bin matches."""
-        values = np.asarray(values, dtype=np.float64)
-        los = np.array([b.lo for b in self.bins])
-        his = np.array([b.hi for b in self.bins])
-        idx = np.searchsorted(los, values, side="right") - 1
-        idx = np.where((idx >= 0) & (values < his[np.clip(idx, 0, None)]), idx, -1)
-        return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,16 +164,29 @@ def save_volume(volume: ScalarVolume, path: str | Path, header: str | Path, dtyp
 
 
 def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
-    """Map each voxel to its visible-bin label (1-based), 0 for background."""
-    bin_idx = tf.bin_index(volume.scalars)
-    # bin index -> label: visible bins count 1..K in bin order, opacity-0 bins are 0
-    lut = np.zeros(len(tf.bins) + 1, dtype=np.uint16)
+    """Map each voxel to its visible-bin label (1-based), 0 for background.
+
+    The scalars are walked in memory order, `_QUANTIZE_CHUNK` at a time, so
+    no full-size temporary is made. A value's count of bin breaks ``lo, hi``
+    at or below it is ``2i + 1`` exactly when it lies in bin i; any even count
+    is background.
+    """
+    breaks = np.array([edge for b in tf.bins for edge in (b.lo, b.hi)], dtype=np.float64)
+    # break count -> label: visible bins count 1..K in bin order, opacity-0 bins are 0
+    table = np.zeros(len(breaks) + 1, dtype=np.uint16)
     k = 0
     for i, b in enumerate(tf.bins):
         if b.opacity > 0.0:
             k += 1
-            lut[i + 1] = k
-    labels = lut[bin_idx + 1]
+            table[2 * i + 1] = k
+    order = "F" if volume.scalars.flags.f_contiguous else "C"
+    scalars = volume.scalars.reshape(-1, order=order)  # a view unless the grid is strided
+    labels = np.empty(volume.dims, dtype=np.uint16, order=order)
+    flat = labels.reshape(-1, order=order)
+    for start in range(0, flat.size, _QUANTIZE_CHUNK):
+        part = slice(start, start + _QUANTIZE_CHUNK)
+        counts = np.searchsorted(breaks, scalars[part].astype(np.float64), side="right")
+        np.take(table, counts, out=flat[part])
     return LabelVolume(
         dims=volume.dims,
         spacing=volume.spacing,
@@ -188,4 +194,3 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
         labels=labels,
         n_labels=k,
     )
-

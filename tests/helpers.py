@@ -11,14 +11,16 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from sliceforge.codec import encode
+from sliceforge.errors import ValidationError
 from sliceforge.mesh import Mesh
-from sliceforge.octree import Slice
-from sliceforge.volume import ScalarVolume, TransferFunction, save_volume
+from sliceforge.octree import Bounds, OctreeNode, Slice, _should_subdivide, iter_nodes
+from sliceforge.volume import LabelVolume, ScalarVolume, TransferFunction, save_volume
 
 
 def write_volume_files(tmp: Path, volume: ScalarVolume, tf: TransferFunction, stem: str = "vol", dtype: str = "f32"):
@@ -171,6 +173,82 @@ def inside_by_parity_reference(mesh: Mesh, centers: tuple[np.ndarray, np.ndarray
     shape = [0, 0, 0]
     shape[u_axis], shape[v_axis], shape[axis] = n_u, n_v, len(cr)
     return np.moveaxis(inside_uv, (0, 1, 2), (u_axis, v_axis, axis))
+
+
+# --- whole-grid quantizer and per-node octree -----------------------------
+
+
+def quantize_reference(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
+    """Whole-grid quantizer: the code `sliceforge.volume.quantize` replaced
+    (with the `TransferFunction.bin_index` it called), kept as the oracle for
+    the chunked version."""
+    values = np.asarray(volume.scalars, dtype=np.float64)
+    los = np.array([b.lo for b in tf.bins])
+    his = np.array([b.hi for b in tf.bins])
+    idx = np.searchsorted(los, values, side="right") - 1
+    bin_idx = np.where((idx >= 0) & (values < his[np.clip(idx, 0, None)]), idx, -1)
+    # bin index -> label: visible bins count 1..K in bin order, opacity-0 bins are 0
+    lut = np.zeros(len(tf.bins) + 1, dtype=np.uint16)
+    k = 0
+    for i, b in enumerate(tf.bins):
+        if b.opacity > 0.0:
+            k += 1
+            lut[i + 1] = k
+    labels = lut[bin_idx + 1]
+    return LabelVolume(
+        dims=volume.dims,
+        spacing=volume.spacing,
+        origin=volume.origin,
+        labels=labels,
+        n_labels=k,
+    )
+
+
+def build_octree_reference(labels: LabelVolume, max_level: int) -> OctreeNode:
+    """Per-node `np.unique` octree: the recursion `sliceforge.octree.build_octree`
+    replaced, kept as the oracle for the block-mask version."""
+    if max_level < 1:
+        raise ValidationError(f"octree level must be >= 1, got {max_level}")
+    grid = labels.labels
+    counter = [0]
+
+    def distinct_in(bounds: Bounds) -> frozenset[int]:
+        (x0, x1), (y0, y1), (z0, z1) = bounds
+        vals = np.unique(grid[x0:x1, y0:y1, z0:z1])
+        return frozenset(int(v) for v in vals if v != 0)
+
+    def build(bounds: Bounds, level: int) -> OctreeNode:
+        node_id = counter[0]
+        counter[0] += 1
+        distinct = distinct_in(bounds)
+        children: tuple[OctreeNode, ...] = ()
+        if _should_subdivide(distinct, level, bounds, max_level):
+            mids = tuple((lo + hi) // 2 for lo, hi in bounds)
+            kids = []
+            for ix in range(2):
+                for iy in range(2):
+                    for iz in range(2):
+                        halves = []
+                        for axis, pick in enumerate((ix, iy, iz)):
+                            lo, hi = bounds[axis]
+                            halves.append((lo, mids[axis]) if pick == 0 else (mids[axis], hi))
+                        kids.append(build(tuple(halves), level + 1))
+            children = tuple(kids)
+        return OctreeNode(id=node_id, bounds=bounds, level=level, distinct_labels=distinct, children=children)
+
+    root_bounds = tuple((0, int(d)) for d in labels.dims)
+    root = build(root_bounds, 1)
+    if not root.distinct_labels:
+        warnings.warn("volume is entirely background: nothing to slice")
+    return root
+
+
+def octree_records(root: OctreeNode) -> list[tuple]:
+    """Every node as (id, bounds, level, distinct labels, child ids), in id order."""
+    return [
+        (n.id, n.bounds, n.level, n.distinct_labels, tuple(c.id for c in n.children))
+        for n in iter_nodes(root)
+    ]
 
 
 # --- exhaustive order oracle ------------------------------------------------

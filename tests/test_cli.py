@@ -1,8 +1,13 @@
 """Command-line validation: bad values exit 2 with a message, never a traceback."""
 
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from sliceforge import cli
 from sliceforge.synth import checkerboard_volume
@@ -87,3 +92,116 @@ def test_malformed_input_exits_2_with_a_message(volume_build, name, text, messag
     assert code == 2
     assert message in err
     assert "Traceback" not in err
+
+
+# --margin and --gutter measure paper, --seed starts a random generator
+RANGE_CASES = [
+    ("build", "margin"), ("build", "gutter"), ("build", "seed"),
+    ("pack", "margin"), ("pack", "gutter"), ("pack", "seed"), ("export", "seed"),
+]
+RANGE_MESSAGES = {"margin": "a finite number >= 0", "gutter": "a finite number >= 0", "seed": "an integer >= 0"}
+
+
+@pytest.mark.parametrize("command,key", RANGE_CASES)
+@pytest.mark.parametrize("value", ["-20", "-1", "nan", "inf"])
+def test_out_of_range_flag_rejected(command, key, value, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = run(COMMANDS[command] + [f"--{key}", value], capsys)
+    assert code == 2
+    assert "Traceback" not in err
+    if not (key == "seed" and value in ("nan", "inf")):  # argparse itself refuses a non-integer seed
+        assert f"--{key} must be {RANGE_MESSAGES[key]}" in err
+
+
+@pytest.mark.parametrize("command,key", RANGE_CASES)
+@pytest.mark.parametrize("value", [-1, -0.5, float("nan"), float("inf"), "1", None, True])
+def test_out_of_range_config_value_rejected(command, key, value, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    code, err = run(COMMANDS[command] + ["--config", "cfg.json"], capsys)
+    assert code == 2
+    assert f"--{key} must be {RANGE_MESSAGES[key]}" in err
+
+
+def test_zero_margin_gutter_and_seed_pass_validation(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = run(COMMANDS["build"] + ["--margin", "0", "--gutter", "0", "--seed", "0"], capsys)
+    assert code == 4
+    assert "must be" not in err
+
+
+def test_export_rejects_artifacts_of_another_slice_set(tmp_path, monkeypatch, capsys):
+    # level 2 and level 3 runs of one volume slice it differently
+    monkeypatch.chdir(tmp_path)
+    raw, header, tf = write_volume_files(tmp_path, *checkerboard_volume(8))
+    inputs = ["--input", str(raw), "--header", str(header), "--tf", str(tf)]
+    for level in ("2", "3"):
+        for argv in (
+            ["slice", *inputs, "--level", level, "--out", f"slices{level}.json"],
+            ["hinge", "--in", f"slices{level}.json", "--out", f"hinges{level}.json"],
+            ["order", "--in", f"hinges{level}.json", "--out", f"plan{level}.json"],
+            ["pack", "--in", f"hinges{level}.json", "--plan", f"plan{level}.json", "--out", f"layout{level}.json"],
+        ):
+            assert cli.main(argv) == 0
+
+    def export(layout, hinges, plan):
+        return run(["export", *inputs, "--in", layout, "--hinges", hinges, "--plan", plan, "--out", "out"], capsys)
+
+    code, err = export("layout3.json", "hinges2.json", "plan2.json")
+    assert code == 2
+    assert "layout layout3.json does not place exactly the slices of hinges2.json" in err
+    code, err = export("layout2.json", "hinges2.json", "plan3.json")
+    assert code == 2
+    assert "plan plan3.json does not order exactly the hinges of hinges2.json" in err
+    assert "Traceback" not in err
+    assert export("layout2.json", "hinges2.json", "plan2.json")[0] == 0
+
+
+# every numeric option of `build`, by its config key
+NUMERIC = ("resolution", "seed", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter", "exact_threshold")
+POOL = (-1, 0, math.nan, math.inf, "x")
+
+
+@pytest.fixture(scope="module")
+def volume16(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("volume16")
+    raw, header, tf = write_volume_files(tmp, *checkerboard_volume(16))
+    return tmp, ["build", "--input", str(raw), "--header", str(header), "--tf", str(tf)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    options=st.dictionaries(
+        st.sampled_from(NUMERIC), st.tuples(st.sampled_from(("flag", "config")), st.sampled_from(POOL))
+    ),
+    config_path=st.one_of(st.none(), st.sampled_from(POOL)),
+)
+def test_any_bad_option_value_exits_with_a_code(volume16, options, config_path):
+    # values from the pool go in as flags or as --config keys, and the pool
+    # also names the config file itself; main returns a code and never raises
+    tmp, argv = volume16
+    work = Path(tempfile.mkdtemp(dir=tmp))
+    argv = argv + ["--out", str(work / "out")]
+    config = {}
+    for key, (channel, value) in options.items():
+        if channel == "flag":
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            config[key] = value
+    if config_path is None:
+        (work / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", str(work / "cfg.json")]
+    else:
+        argv += ["--config", str(work / str(config_path))]  # no such file
+    code = cli.main(argv)
+    event(f"exit {code}")
+    assert code in (0, 2, 3, 4)
+
+
+@pytest.mark.parametrize("key", ["slot_width", "dpi", "margin", "gutter"])
+def test_integer_too_large_for_a_float_rejected(key, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: 10**400}))
+    code, err = run(COMMANDS["build"] + ["--config", "cfg.json"], capsys)
+    assert code == 2
+    assert f"--{key.replace('_', '-')} must be a" in err

@@ -73,3 +73,27 @@ MALFORMED = [
 def test_malformed_input_raises_one_validation_error(tp, data):
     with pytest.raises(ValidationError, match="^thing malformed: "):
         decode(tp, data, "thing")
+
+
+PLAN_JSON = encode(VALUES[3])
+MISMATCHED = [
+    (AssemblyPlan, {**PLAN_JSON, "exact": "false"}),  # a string for a bool
+    (AssemblyPlan, {**PLAN_JSON, "exact": 0}),  # an integer for a bool
+    (AssemblyPlan, {**PLAN_JSON, "hinge_order": [2, 0, 1.7]}),  # a fraction for an int
+    (AssemblyPlan, {**PLAN_JSON, "hinge_order": [2, 0, True]}),  # a bool for an int
+    (AssemblyPlan, {**PLAN_JSON, "objective": True}),  # a bool for a float
+    (AssemblyPlan, {**PLAN_JSON, "objective": "3.25"}),  # a string for a float
+    (GridInfo, {**GRID_JSON, "orientations": ["x", 1]}),  # a number for a str
+    (Hinge, {**encode(HINGE), "stopper_on": 7.0}),  # a float for an optional int
+]
+
+
+@pytest.mark.parametrize("tp,data", MISMATCHED)
+def test_mismatched_json_type_is_not_converted(tp, data):
+    with pytest.raises(ValidationError, match="^thing malformed: TypeError: expected a JSON "):
+        decode(tp, data, "thing")
+
+
+def test_integer_decodes_as_float():
+    plan = decode(AssemblyPlan, {**PLAN_JSON, "objective": 3}, "plan")
+    assert plan.objective == 3.0 and type(plan.objective) is float
