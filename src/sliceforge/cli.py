@@ -20,7 +20,6 @@ from .errors import SliceforgeError, ValidationError
 from .hinges import hinges_from_json
 from .layout import DEFAULT_GUTTER_MM, DEFAULT_MARGIN_MM, PAGE_SIZES_MM
 from .octree import slices_from_json
-from .ordering import EXACT_THRESHOLD, export_lp
 from .pipeline import GridInfo
 from .volume import quantize
 
@@ -84,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--margin", type=float, default=DEFAULT_MARGIN_MM)
     b.add_argument("--gutter", type=float, default=DEFAULT_GUTTER_MM)
     b.add_argument("--perforate", action="store_true")
-    b.add_argument("--exact-threshold", dest="exact_threshold", type=int, default=EXACT_THRESHOLD)
     b.add_argument("--out", required=True, help="output directory")
 
     s = sub.add_parser("slice", help="octree partition + slice unification")
@@ -102,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("order", help="solve the assembly order")
     o.add_argument("--in", dest="inp", required=True, help="hinges artifact")
     o.add_argument("--out", required=True, help="plan artifact path")
-    o.add_argument("--exact-threshold", dest="exact_threshold", type=int, default=EXACT_THRESHOLD)
-    o.add_argument("--lp", help="also export the big-M MILP in LP format")
     _add_common_args(o)
 
     k = sub.add_parser("pack", help="cluster, partition pages, and pack slices")
@@ -229,7 +225,7 @@ def cmd_build(args) -> int:
     with _stage("hinge"):
         hinges = pipeline.stage_hinges(slices, orientations)
     with _stage("order"):
-        plan, _report, _problem = pipeline.stage_order(hinges, slices, grid, args.exact_threshold)
+        plan, _report = pipeline.stage_order(hinges, slices, grid)
     with _stage("pack"):
         _clusters, layout = pipeline.stage_pack(
             slices, plan, grid, page, args.sheets, args.slot_width,
@@ -280,12 +276,20 @@ def cmd_order(args) -> int:
     slices = slices_from_json(art.get("slices"))
     hinges = hinges_from_json(art.get("hinges"))
     with _stage("order"):
-        plan, _report, problem = pipeline.stage_order(hinges, slices, grid, args.exact_threshold)
+        plan, _report = pipeline.stage_order(hinges, slices, grid)
     pipeline.write_artifact(args.out, encode(plan))
-    if args.lp:
-        Path(args.lp).write_text(export_lp(problem))
     print(f"plan ({'exact' if plan.exact else 'heuristic'}) -> {args.out}")
     return 0
+
+
+def _check_same_run(hinges_path, slices, hinges, plan_path, plan, layout_path=None, layout=None) -> None:
+    """The plan, and the layout if given, come from the run that wrote the
+    hinges artifact: they hold exactly its hinges and slices."""
+    hint = "use the hinges, plan and layout artifacts of one run"
+    if layout is not None and sorted(p.slice_id for p in layout.placements) != sorted(s.id for s in slices):
+        raise ValidationError(f"layout {layout_path} does not place exactly the slices of {hinges_path}", hint=hint)
+    if sorted(plan.hinge_order) != sorted(h.id for h in hinges):
+        raise ValidationError(f"plan {plan_path} does not order exactly the hinges of {hinges_path}", hint=hint)
 
 
 def cmd_pack(args) -> int:
@@ -293,7 +297,9 @@ def cmd_pack(args) -> int:
     art = pipeline.read_artifact(args.inp)
     grid = GridInfo.from_json(art.get("grid"))
     slices = slices_from_json(art.get("slices"))
+    hinges = hinges_from_json(art.get("hinges"))
     plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
+    _check_same_run(args.inp, slices, hinges, args.plan, plan)
     with _stage("pack"):
         _clusters, layout = pipeline.stage_pack(
             slices, plan, grid, page, args.sheets, args.slot_width,
@@ -313,11 +319,7 @@ def cmd_export(args) -> int:
     slices = slices_from_json(hinge_art.get("slices"))
     hinges = hinges_from_json(hinge_art.get("hinges"))
     plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
-    hint = "export the layout with the hinges and plan of the run that packed it"
-    if sorted(p.slice_id for p in layout.placements) != sorted(s.id for s in slices):
-        raise ValidationError(f"layout {args.inp} does not place exactly the slices of {args.hinges}", hint=hint)
-    if sorted(plan.hinge_order) != sorted(h.id for h in hinges):
-        raise ValidationError(f"plan {args.plan} does not order exactly the hinges of {args.hinges}", hint=hint)
+    _check_same_run(args.hinges, slices, hinges, args.plan, plan, args.inp, layout)
     labels, tf = _load_labels(args)
     if labels.dims != grid.dims:
         raise ValidationError(

@@ -41,10 +41,6 @@ class SlotCut:
     x1: Fraction
     y1: Fraction
 
-    @property
-    def x_center(self) -> Fraction:
-        return (self.x0 + self.x1) / 2
-
 
 @dataclass(frozen=True)
 class CutGeometry:
@@ -268,7 +264,6 @@ def emit_pages(
     geometries: dict[int, CutGeometry],
     plan: AssemblyPlan,
     perforate: bool = False,
-    draw_partitions: bool = True,
 ) -> tuple[list[str], list[str]]:
     """Render one SVG document per page; returns (documents, warnings)."""
     order_of = {sid: i + 1 for i, sid in enumerate(plan.slice_order)}
@@ -276,16 +271,15 @@ def emit_pages(
     warnings_out: list[str] = []
     for page in range(layout.sheets):
         doc = SvgDoc(*layout.page_size)
-        if draw_partitions:
-            for part in layout.partitions:
-                if part.page != page:
-                    continue
-                x, y, w, h = part.rect
-                doc.add(
-                    "label",
-                    f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
-                    'fill="none" stroke="#bbbbbb" stroke-width="0.1" stroke-dasharray="1 1"/>',
-                )
+        for part in layout.partitions:
+            if part.page != page:
+                continue
+            x, y, w, h = part.rect
+            doc.add(
+                "label",
+                f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" '
+                'fill="none" stroke="#bbbbbb" stroke-width="0.1" stroke-dasharray="1 1"/>',
+            )
         for pl in layout.placements:
             if pl.page != page:
                 continue

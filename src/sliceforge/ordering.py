@@ -6,13 +6,16 @@ neighboring up-down hinges, and the objective minimizes the sum of
 center-distance weights times positions, so hinges far from the volume
 center are stitched early.
 
-The big-M integer-program formulation is kept for LP export; the solver
-itself is a branch and bound over positions, which satisfies the pairwise
-order inequalities structurally and is exact for small hinge counts.
+One Kahn (1962) topological pass over the precedence DAG, driven by a heap,
+both detects cycles and yields a precedence-respecting greedy order. Up to
+EXACT_THRESHOLD hinges a branch and bound over positions, which satisfies
+the pairwise order inequalities structurally, returns the exact optimum
+instead.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -44,14 +47,6 @@ class OrderProblem:
         for h, w in self.w_distance.items():
             if not math.isfinite(w) or w < 0:
                 raise ValidationError(f"w_distance[{h}] = {w} must be finite and >= 0")
-
-    @property
-    def n(self) -> int:
-        return len(self.hinge_ids)
-
-    @property
-    def big_m(self) -> int:
-        return self.n + 1
 
 
 @dataclass(frozen=True)
@@ -94,70 +89,67 @@ def build_order_problem(
     )
 
 
-def _predecessors(problem: OrderProblem) -> dict[int, set[int]]:
+def _precedence_order(problem: OrderProblem) -> tuple[dict[int, set[int]], list[int]]:
+    """One Kahn pass over the precedence DAG: returns the predecessor sets
+    and the greedy order, which is the backbone, then always the free hinge
+    with the smallest (w, id). Raises if the DAG has a cycle or the backbone
+    has predecessors."""
     preds: dict[int, set[int]] = {h: set() for h in problem.hinge_ids}
     for t in problem.triples:
         preds[t.i].add(t.j)
         preds[t.k].add(t.j)
-    return preds
+    succs: dict[int, list[int]] = {h: [] for h in preds}
+    for h, ps in preds.items():
+        for p in ps:
+            succs[p].append(h)
+    waiting = {h: len(ps) for h, ps in preds.items()}
+    w, backbone = problem.w_distance, problem.backbone
+    free = [(h != backbone, w[h], h) for h, ps in preds.items() if not ps]
+    heapq.heapify(free)
+    order: list[int] = []
+    while free:
+        h = heapq.heappop(free)[2]
+        order.append(h)
+        for s in succs[h]:
+            waiting[s] -= 1
+            if not waiting[s]:
+                heapq.heappush(free, (s != backbone, w[s], s))
+    if len(order) < len(preds):
+        unreached = sorted(set(preds) - set(order))
+        raise InfeasibleError(f"cyclic cut-through precedence among hinges {unreached}")
+    if preds[backbone]:
+        raise InfeasibleError(
+            f"backbone hinge {backbone} cannot be first: "
+            f"hinges {sorted(preds[backbone])} must precede it"
+        )
+    return preds, order
 
 
-def _find_cycle(preds: dict[int, set[int]]) -> list[int] | None:
-    """Kahn peel; returns some ids on a cycle if the precedence DAG is cyclic."""
-    remaining = {h: set(p) for h, p in preds.items()}
-    ready = [h for h, p in remaining.items() if not p]
-    while ready:
-        h = ready.pop()
-        del remaining[h]
-        for other, p in remaining.items():
-            if h in p:
-                p.discard(h)
-                if not p:
-                    ready.append(other)
-    return sorted(remaining) if remaining else None
-
-
-def solve_order(problem: OrderProblem, exact_threshold: int = EXACT_THRESHOLD) -> AssemblyPlan:
+def solve_order(problem: OrderProblem) -> AssemblyPlan:
     """Minimize sum(w * position) subject to the hard ordering constraints.
 
-    Exact branch and bound up to exact_threshold hinges; above that, a
-    precedence-respecting greedy order is returned and flagged.
+    Exact branch and bound up to EXACT_THRESHOLD hinges; above that, the
+    greedy order of the precedence pass is returned and flagged.
     Ties between equal-objective optima resolve to the lexicographically
     smallest hinge-id sequence.
     """
-    preds = _predecessors(problem)
-    cycle = _find_cycle(preds)
-    if cycle is not None:
-        raise InfeasibleError(f"cyclic cut-through precedence among hinges {cycle}")
-    if preds[problem.backbone]:
-        raise InfeasibleError(
-            f"backbone hinge {problem.backbone} cannot be first: "
-            f"hinges {sorted(preds[problem.backbone])} must precede it"
-        )
-
+    preds, greedy = _precedence_order(problem)
     ids = sorted(problem.hinge_ids)
     n = len(ids)
     w = problem.w_distance
 
-    if n > exact_threshold:
-        order = _greedy_order(problem, preds)
+    if n > EXACT_THRESHOLD:
         return AssemblyPlan(
-            hinge_order=tuple(order),
+            hinge_order=tuple(greedy),
             slice_order=(),
-            objective=_objective(order, w),
+            objective=_objective(greedy, w),
             exact=False,
         )
-
-    succs: dict[int, set[int]] = {h: set() for h in ids}
-    for h, ps in preds.items():
-        for p in ps:
-            succs[p].add(h)
 
     best_order: list[int] | None = None
     best_obj = math.inf
     order: list[int] = [problem.backbone]
     placed = {problem.backbone}
-    cost0 = w[problem.backbone] * 0
 
     def lower_bound(cost: float, pos: int) -> float:
         # remaining hinges in decreasing weight onto the earliest open
@@ -183,28 +175,13 @@ def solve_order(problem: OrderProblem, exact_threshold: int = EXACT_THRESHOLD) -
             order.pop()
             placed.discard(h)
 
-    dfs(1, cost0)
-    if best_order is None:
-        raise InfeasibleError("no feasible assembly order exists")
+    dfs(1, 0.0)  # the greedy order is feasible, so some order is found
     return AssemblyPlan(
         hinge_order=tuple(best_order),
         slice_order=(),
         objective=_objective(best_order, w),
         exact=True,
     )
-
-
-def _greedy_order(problem: OrderProblem, preds: dict[int, set[int]]) -> list[int]:
-    order = [problem.backbone]
-    placed = {problem.backbone}
-    remaining = set(problem.hinge_ids) - placed
-    while remaining:
-        ready = [h for h in remaining if preds[h] <= placed]
-        pick = min(ready, key=lambda h: (problem.w_distance[h], h))
-        order.append(pick)
-        placed.add(pick)
-        remaining.discard(pick)
-    return order
 
 
 def _objective(order: list[int] | tuple[int, ...], w: dict[int, float]) -> float:
@@ -265,38 +242,3 @@ def verify_plan(plan: AssemblyPlan, problem: OrderProblem) -> VerificationReport
         report.objective = _objective(got, problem.w_distance)
     return report
 
-
-def export_lp(problem: OrderProblem) -> str:
-    """The equivalent big-M MILP in LP text format, for external cross-checks.
-
-    One binary per unordered hinge pair realizes the order disjunction;
-    precedence triples and the backbone pin are plain linear rows.
-    """
-    ids = sorted(problem.hinge_ids)
-    n = len(ids)
-    m = problem.big_m
-    lines = ["Minimize"]
-    terms = " + ".join(f"{problem.w_distance[h]:.9g} x_{h}" for h in ids)
-    lines.append(f" obj: {terms}")
-    lines.append("Subject To")
-    for ai in range(n):
-        for bi in range(ai + 1, n):
-            i, j = ids[ai], ids[bi]
-            # x_i + 1 <= x_j + M a_ij ; x_j + 1 <= x_i + M (1 - a_ij)
-            lines.append(f" ord_{i}_{j}_a: x_{i} - x_{j} - {m} a_{i}_{j} <= -1")
-            lines.append(f" ord_{i}_{j}_b: x_{j} - x_{i} + {m} a_{i}_{j} <= {m - 1}")
-    for t_idx, t in enumerate(problem.triples):
-        lines.append(f" ct_{t_idx}_i: x_{t.j} - x_{t.i} <= -1")
-        lines.append(f" ct_{t_idx}_k: x_{t.j} - x_{t.k} <= -1")
-    lines.append(f" backbone: x_{problem.backbone} = 0")
-    lines.append("Bounds")
-    for h in ids:
-        lines.append(f" 0 <= x_{h} <= {n - 1}")
-    lines.append("General")
-    lines.append(" " + " ".join(f"x_{h}" for h in ids))
-    lines.append("Binary")
-    pair_names = [f"a_{ids[ai]}_{ids[bi]}" for ai in range(n) for bi in range(ai + 1, n)]
-    if pair_names:
-        lines.append(" " + " ".join(pair_names))
-    lines.append("End")
-    return "\n".join(lines) + "\n"

@@ -29,7 +29,6 @@ from .octree import (
 )
 from .ordering import (
     AssemblyPlan,
-    OrderProblem,
     VerificationReport,
     build_order_problem,
     derive_slice_order,
@@ -104,18 +103,14 @@ def stage_hinges(slices: list[Slice], orientations: tuple[str, str]) -> list[Hin
 
 
 def stage_order(
-    hinges: list[Hinge],
-    slices: list[Slice],
-    grid: GridInfo,
-    exact_threshold: int = 16,
-) -> tuple[AssemblyPlan, VerificationReport, OrderProblem]:
+    hinges: list[Hinge], slices: list[Slice], grid: GridInfo
+) -> tuple[AssemblyPlan, VerificationReport]:
     backbone = find_backbone(hinges, slices)
     triples = collect_triples(hinges, slices)
     problem = build_order_problem(hinges, slices, backbone, triples, grid.dims, grid.axes)
-    plan = solve_order(problem, exact_threshold)
+    plan = solve_order(problem)
     plan = dataclasses.replace(plan, slice_order=derive_slice_order(plan, hinges, slices))
-    report = verify_plan(plan, problem)
-    return plan, report, problem
+    return plan, verify_plan(plan, problem)
 
 
 def stage_pack(

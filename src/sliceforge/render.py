@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .layout import PageLayout, slice_print_size
+from .layout import MIN_PRINT_SLOT_MM, PageLayout, slice_print_size
 from .octree import Slice, slice_axes
 from .volume import LabelVolume, TransferFunction
 
@@ -85,7 +85,6 @@ def stability_check(
     stopper_count: int,
     slot_width_mm: float = 1.0,
     orientations: tuple[str, str] = ("x", "y"),
-    min_slot_mm: float = 1.0,
 ) -> StabilityReport:
     """Gravitational torque balance about the vertical center axis plus the
     printed slot-width check; report-only."""
@@ -115,5 +114,5 @@ def stability_check(
         min_slot_width_mm=min_slot,
         stopper_count=stopper_count,
         balanced=balanced,
-        slot_width_ok=min_slot >= min_slot_mm,
+        slot_width_ok=min_slot >= MIN_PRINT_SLOT_MM,
     )

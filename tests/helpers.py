@@ -270,6 +270,50 @@ def oracle_min_objective(hinge_ids, backbone, triples, w) -> tuple[float, tuple]
     return best
 
 
+# --- rescanning precedence passes -------------------------------------------
+
+
+def predecessors_reference(problem) -> dict[int, set[int]]:
+    """Predecessor sets of the precedence triples. This and the two passes
+    below are the code the one heap-driven Kahn pass of
+    `sliceforge.ordering.solve_order` replaced, kept as its oracle."""
+    preds: dict[int, set[int]] = {h: set() for h in problem.hinge_ids}
+    for t in problem.triples:
+        preds[t.i].add(t.j)
+        preds[t.k].add(t.j)
+    return preds
+
+
+def find_cycle_reference(preds: dict[int, set[int]]) -> list[int] | None:
+    """Kahn peel; returns some ids on a cycle if the precedence DAG is cyclic."""
+    remaining = {h: set(p) for h, p in preds.items()}
+    ready = [h for h, p in remaining.items() if not p]
+    while ready:
+        h = ready.pop()
+        del remaining[h]
+        for other, p in remaining.items():
+            if h in p:
+                p.discard(h)
+                if not p:
+                    ready.append(other)
+    return sorted(remaining) if remaining else None
+
+
+def greedy_order_reference(problem, preds: dict[int, set[int]]) -> list[int]:
+    """Backbone first, then the ready hinge with the smallest (weight, id),
+    rescanning every remaining hinge for each pick."""
+    order = [problem.backbone]
+    placed = {problem.backbone}
+    remaining = set(problem.hinge_ids) - placed
+    while remaining:
+        ready = [h for h in remaining if preds[h] <= placed]
+        pick = min(ready, key=lambda h: (problem.w_distance[h], h))
+        order.append(pick)
+        placed.add(pick)
+        remaining.discard(pick)
+    return order
+
+
 # --- synthetic slice models --------------------------------------------------
 
 

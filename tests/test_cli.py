@@ -130,8 +130,10 @@ def test_zero_margin_gutter_and_seed_pass_validation(capsys, tmp_path, monkeypat
     assert "must be" not in err
 
 
-def test_export_rejects_artifacts_of_another_slice_set(tmp_path, monkeypatch, capsys):
-    # level 2 and level 3 runs of one volume slice it differently
+@pytest.fixture
+def two_runs(tmp_path, monkeypatch):
+    """The staged artifacts of a level 2 and a level 3 run of one volume,
+    which slice it differently; returns the volume's input flags."""
     monkeypatch.chdir(tmp_path)
     raw, header, tf = write_volume_files(tmp_path, *checkerboard_volume(8))
     inputs = ["--input", str(raw), "--header", str(header), "--tf", str(tf)]
@@ -143,6 +145,11 @@ def test_export_rejects_artifacts_of_another_slice_set(tmp_path, monkeypatch, ca
             ["pack", "--in", f"hinges{level}.json", "--plan", f"plan{level}.json", "--out", f"layout{level}.json"],
         ):
             assert cli.main(argv) == 0
+    return inputs
+
+
+def test_export_rejects_artifacts_of_another_slice_set(two_runs, capsys):
+    inputs = two_runs
 
     def export(layout, hinges, plan):
         return run(["export", *inputs, "--in", layout, "--hinges", hinges, "--plan", plan, "--out", "out"], capsys)
@@ -157,8 +164,17 @@ def test_export_rejects_artifacts_of_another_slice_set(tmp_path, monkeypatch, ca
     assert export("layout2.json", "hinges2.json", "plan2.json")[0] == 0
 
 
+@pytest.mark.parametrize("hinges,plan", [("hinges2.json", "plan3.json"), ("hinges3.json", "plan2.json")])
+def test_pack_rejects_a_plan_of_another_run(two_runs, hinges, plan, capsys, tmp_path):
+    code, err = run(["pack", "--in", hinges, "--plan", plan, "--out", "layout.json"], capsys)
+    assert code == 2
+    assert f"plan {plan} does not order exactly the hinges of {hinges}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "layout.json").exists()
+
+
 # every numeric option of `build`, by its config key
-NUMERIC = ("resolution", "seed", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter", "exact_threshold")
+NUMERIC = ("resolution", "seed", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter")
 POOL = (-1, 0, math.nan, math.inf, "x")
 
 

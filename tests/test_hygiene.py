@@ -1,7 +1,8 @@
-"""Every name a package module imports at top level is used in that module.
+"""Every name a package module imports at top level is used in that module,
+and every function, class and method the package defines is referenced.
 
 `__init__.py` re-exports names on purpose and `from __future__` imports
-are directives, so both are exempt.
+are directives, so both are exempt from the import check.
 """
 
 import ast
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sliceforge"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sliceforge"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -37,3 +39,86 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_names():
     source = "from __future__ import annotations\nimport os\nimport json\nfrom x import a, b as c\nprint(json, c)\n"
     assert unused_imports(source) == ["os", "a"]
+
+
+def _mentions(tree: ast.Module) -> list[tuple[str, int, bool]]:
+    """(name, line, bare) of every name, attribute and string in a module;
+    `bare` marks a plain name, which cannot reach a method. A string in
+    `__all__` does not count, since listing a name there uses it nowhere."""
+    exported = {
+        id(n)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for n in ast.walk(node)
+    }
+    out = []
+    for n in ast.walk(tree):
+        if id(n) in exported:
+            continue
+        if isinstance(n, ast.Name):
+            out.append((n.id, n.lineno, True))
+        elif isinstance(n, ast.Attribute):
+            out.append((n.attr, n.lineno, False))
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):  # getattr-style lookups
+            out.append((n.value, n.lineno, False))
+    return out
+
+
+def unreferenced_definitions(package: dict[str, str], others: dict[str, str]) -> list[str]:
+    """The top-level functions and classes, and the non-dunder methods and
+    properties, of the `package` sources (file -> source) that no source of
+    `package` or `others` mentions outside their own definition."""
+    mentions = {f: _mentions(ast.parse(src)) for f, src in {**package, **others}.items()}
+    dead = []
+    for f, src in package.items():
+        for node in ast.parse(src).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node, False)]
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{m.name}", m, True)
+                    for m in node.body
+                    if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (m.name.startswith("__") and m.name.endswith("__"))
+                ]
+            for qualified, d, method in defs:
+                if not any(
+                    name == d.name and not (method and bare) and (g != f or not d.lineno <= line <= d.end_lineno)
+                    for g, found in mentions.items()
+                    for name, line, bare in found
+                ):
+                    dead.append(f"{f}:{qualified}")
+    return dead
+
+
+def test_every_definition_is_referenced():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    others = {
+        str(p.relative_to(ROOT)): p.read_text()
+        for folder in ("tests", "perfbench")
+        for p in sorted((ROOT / folder).rglob("*.py"))
+    }
+    assert len(others) >= 10
+    assert unreferenced_definitions(package, others) == []
+
+
+def test_checker_flags_unreferenced_definitions():
+    package = {
+        "m.py": (
+            "def used(): pass\n"
+            "def recursive(): return recursive()\n"
+            "def exported(): pass\n"
+            "class C:\n"
+            "    def __init__(self): pass\n"
+            "    def called(self): return self.by_name\n"
+            "    @property\n"
+            "    def by_name(self): return 1\n"
+            "    def dead(self): pass\n"
+            "    def n(self): pass\n"
+            "__all__ = ['exported']\n"
+        )
+    }
+    # a plain name `n` is a variable: it cannot call the method `n`
+    others = {"t.py": "import m\nm.used(); m.C().called(); getattr(m, 'C'); n = 1; print(n)\n"}
+    assert unreferenced_definitions(package, others) == ["m.py:recursive", "m.py:exported", "m.py:C.dead", "m.py:C.n"]

@@ -10,7 +10,6 @@ from sliceforge.ordering import (
     AssemblyPlan,
     OrderProblem,
     derive_slice_order,
-    export_lp,
     solve_order,
     verify_plan,
 )
@@ -129,7 +128,7 @@ class TestSolveOrder:
         triples = [(4, 5, 6), (10, 11, 12)]
         w = {h: (h * 37 % 24) / 24 for h in ids}
         p = problem(ids, 7, triples, w)
-        plan = solve_order(p, exact_threshold=16)
+        plan = solve_order(p)
         assert not plan.exact
         report = verify_plan(plan, p)
         assert report.passed
@@ -137,7 +136,7 @@ class TestSolveOrder:
     def test_exact_at_threshold_boundary(self):
         ids = list(range(16))
         w = {h: (h * 31 % 16) / 16 for h in ids}
-        plan = solve_order(problem(ids, 0, w=w), exact_threshold=16)
+        plan = solve_order(problem(ids, 0, w=w))
         assert plan.exact
 
     def test_invalid_problem_rejected(self):
@@ -221,20 +220,3 @@ class TestVerifyPlan:
         report = verify_plan(plan, p)
         assert math.isclose(report.objective, 0.25 * 1 + 0.5 * 2)
 
-
-class TestLpExport:
-    def test_structure(self):
-        p = problem([0, 1, 2], 0, [(0, 2, 1)], {0: 0.0, 1: 0.25, 2: 0.5})
-        text = export_lp(p)
-        assert "Minimize" in text and "End" in text
-        # one binary per unordered pair
-        assert text.count("ord_") == 2 * math.comb(3, 2)
-        assert " backbone: x_0 = 0" in text
-        assert " ct_0_i: x_2 - x_0 <= -1" in text
-        assert " ct_0_k: x_2 - x_1 <= -1" in text
-        assert "a_0_1 a_0_2 a_1_2" in text
-
-    def test_big_m_value(self):
-        p = problem([0, 1, 2, 3], 0)
-        assert p.big_m == 5
-        assert "- 5 a_0_1 <= -1" in export_lp(p)
