@@ -1,12 +1,12 @@
 """Byte-level guards on the output of the whole pipeline.
 
 `build` must write exactly the files that slice -> hinge -> order -> pack ->
-export write with the same options, and its manifest must match the
-committed golden file. A rerun into the same directory leaves only the
+export write with the same options, and every file it writes must match
+its committed golden file. A rerun into the same directory leaves only the
 pages its manifest lists. The fixture is the nested spheres (two icosphere
 subdivisions) voxelized at 32^3, octree level 3, on two A4 sheets.
 
-After an intended change of the output, rewrite the golden file with
+After an intended change of the output, rewrite the golden files with
 `PYTHONPATH=src python tests/test_pipeline_golden.py`.
 """
 
@@ -22,7 +22,15 @@ from sliceforge import cli
 from sliceforge.mesh import save_obj
 from sliceforge.synth import nested_spheres
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "spheres32_manifest.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "spheres32_manifest.json"
+# build output file -> golden file, besides the manifest
+GOLDEN_FILES = {
+    "pages/page-1.svg": "spheres32_page-1.svg",
+    "pages/page-2.svg": "spheres32_page-2.svg",
+    "instructions.svg": "spheres32_instructions.svg",
+    "stability.json": "spheres32_stability.json",
+}
 GRID = ["--resolution", "32"]
 
 
@@ -81,6 +89,11 @@ def test_manifest_matches_golden(built):
     assert (built / "manifest.json").read_bytes() == GOLDEN.read_bytes()
 
 
+def test_output_files_match_goldens(built):
+    for name, golden in GOLDEN_FILES.items():
+        assert (built / name).read_bytes() == (GOLDEN_DIR / golden).read_bytes(), name
+
+
 def test_rerun_with_fewer_pages_removes_stale_pages(meshes, tmp_path):
     build(meshes, tmp_path)
     assert (tmp_path / "pages" / "page-2.svg").exists()
@@ -94,5 +107,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "build"
         build(write_meshes(Path(tmp)), out)
-        GOLDEN.parent.mkdir(exist_ok=True)
+        GOLDEN_DIR.mkdir(exist_ok=True)
         GOLDEN.write_bytes((out / "manifest.json").read_bytes())
+        for name, golden in GOLDEN_FILES.items():
+            (GOLDEN_DIR / golden).write_bytes((out / name).read_bytes())
