@@ -221,13 +221,13 @@ def cmd_build(args) -> int:
     grid = GridInfo(labels.dims, labels.spacing, labels.origin, orientations)
 
     with _stage("octree"):
-        root, slices = pipeline.stage_slice(labels, args.level, orientations)
+        slices = pipeline.stage_slice(labels, args.level, orientations)
     with _stage("hinge"):
         hinges = pipeline.stage_hinges(slices, orientations)
     with _stage("order"):
         plan, _report = pipeline.stage_order(hinges, slices, grid)
     with _stage("pack"):
-        _clusters, layout = pipeline.stage_pack(
+        layout = pipeline.stage_pack(
             slices, plan, grid, page, args.sheets, args.slot_width,
             args.margin, args.gutter, args.k_max, args.seed,
         )
@@ -251,7 +251,7 @@ def cmd_slice(args) -> int:
     labels, _tf = _load_labels(args)
     grid = GridInfo(labels.dims, labels.spacing, labels.origin, orientations)
     with _stage("octree"):
-        _root, slices = pipeline.stage_slice(labels, args.level, orientations)
+        slices = pipeline.stage_slice(labels, args.level, orientations)
     pipeline.write_artifact(args.out, encode({"grid": grid, "slices": slices}))
     print(f"{len(slices)} slices -> {args.out}")
     return 0
@@ -301,7 +301,7 @@ def cmd_pack(args) -> int:
     plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
     _check_same_run(args.inp, slices, hinges, args.plan, plan)
     with _stage("pack"):
-        _clusters, layout = pipeline.stage_pack(
+        layout = pipeline.stage_pack(
             slices, plan, grid, page, args.sheets, args.slot_width,
             args.margin, args.gutter, args.k_max, args.seed,
         )

@@ -1,10 +1,11 @@
 """Vector print output: per-page SVG with cut paths, slots, stoppers,
 labels, and embedded slice art, plus the instruction sheet.
 
-Cut geometry is computed in exact rational arithmetic in each slice's local
-frame (origin bottom-left, x along the slice's horizontal axis, y up) so
-mating slot positions on the two slices of a hinge stay aligned after
-inverse scaling. SVG output is byte-stable for identical inputs.
+Cut geometry is computed from a slice and its own hinges, in exact
+rational arithmetic in the slice's local frame (origin bottom-left, x along
+the slice's horizontal axis, y up), so mating slot positions on the two
+slices of a hinge stay aligned after inverse scaling. SVG output is
+byte-stable for identical inputs.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hinges import Hinge, HingeKind, SlotKind, hinges_on_slice
+from .hinges import Hinge, HingeKind, SlotKind
 from .layout import PageLayout, Placement
 from .octree import Slice, slice_axes
 from .ordering import AssemblyPlan
@@ -51,19 +52,21 @@ class CutGeometry:
     height: Fraction
     outline: tuple[tuple[Fraction, Fraction], ...]
     slots: tuple[SlotCut, ...]
-    has_stopper: bool
 
 
 def slice_cut_geometry(
     s: Slice,
-    hinges: list[Hinge],
-    slices_by_id: dict[int, Slice],
+    slice_hinges: list[Hinge],
     spacing: tuple[float, float, float],
     scale: float,
     slot_width_mm: float,
     orientations: tuple[str, str] = ("x", "y"),
 ) -> CutGeometry:
-    """Slot rectangles and the outline polygon (with stopper flanges)."""
+    """Slot rectangles and the outline polygon (with stopper flanges).
+
+    `slice_hinges` are the hinges touching `s`, in the order
+    `hinges.hinges_by_slice` gives them; the slots follow that order.
+    """
     _, u_ax, v_ax = slice_axes(s.orientation, orientations)
     sp_u, sp_v = _frac(spacing[u_ax]), _frac(spacing[v_ax])
     sc = _frac(scale)
@@ -80,7 +83,7 @@ def slice_cut_geometry(
 
     slots: list[SlotCut] = []
     flanges: dict[str, list[tuple[Fraction, Fraction]]] = {"left": [], "right": []}
-    for h in hinges_on_slice(hinges, s.id):
+    for h in slice_hinges:
         slot = h.slot_on(s.id)
         x = x_of(h.u_on(s.id))
         if slot in (SlotKind.TOP, SlotKind.BOTTOM):
@@ -105,7 +108,6 @@ def slice_cut_geometry(
         height=height,
         outline=outline,
         slots=tuple(slots),
-        has_stopper=bool(flanges["left"] or flanges["right"]),
     )
 
 
@@ -322,7 +324,6 @@ def emit_instructions(
 ) -> str:
     """Assembly steps plus a top-view schematic of the slice planes."""
     by_id = {h.id: h for h in hinges}
-    slices_by_id = {s.id: s for s in slices}
     order_of = {sid: i + 1 for i, sid in enumerate(plan.slice_order)}
     doc = SvgDoc(*page_size)
     w_pg, h_pg = page_size

@@ -1,5 +1,6 @@
-"""Pairwise slice intersections (hinges), slot classification, and the
-precedence structure the assembly-order optimizer consumes.
+"""Pairwise slice intersections (hinges), slot classification, the hinges
+of each slice in position order, and the precedence structure the
+assembly-order optimizer consumes.
 
 Every hinge is the vertical segment where two perpendicular slices cross.
 Up-down hinges split the segment into a top slot on the first plane family
@@ -10,12 +11,12 @@ contact line sits on the shorter slice's boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .codec import decode
 from .errors import InfeasibleError, ValidationError
-from .octree import OctreeNode, Slice
+from .octree import Slice
 
 
 class HingeKind(str, Enum):
@@ -50,9 +51,6 @@ class Hinge:
     slot_a: SlotKind
     slot_b: SlotKind
     stopper_on: int | None = None
-
-    def slices(self) -> tuple[int, int]:
-        return (self.slice_a, self.slice_b)
 
     def slot_on(self, slice_id: int) -> SlotKind:
         if slice_id == self.slice_a:
@@ -140,34 +138,19 @@ def compute_hinges(slices: list[Slice], orientations: tuple[str, str] = ("x", "y
                 )
             )
     hinges.sort(key=lambda h: (h.u_b, h.u_a, h.v0, h.v1))
-    return [
-        Hinge(
-            id=i,
-            slice_a=h.slice_a,
-            slice_b=h.slice_b,
-            u_a=h.u_a,
-            u_b=h.u_b,
-            v0=h.v0,
-            v1=h.v1,
-            kind=h.kind,
-            slot_a=h.slot_a,
-            slot_b=h.slot_b,
-            stopper_on=h.stopper_on,
-        )
-        for i, h in enumerate(hinges)
-    ]
+    return [replace(h, id=i) for i, h in enumerate(hinges)]
 
 
-def find_backbone(hinges: list[Hinge], slices: list[Slice], root: OctreeNode | int = 0) -> int:
-    """The hinge joining the two root-node slices; stitched first for stability."""
+def find_backbone(hinges: list[Hinge], slices: list[Slice]) -> int:
+    """The hinge joining two slices of the root node (id 0); stitched first
+    for stability."""
     if not hinges:
         raise InfeasibleError("no hinges: the model cannot be stabilized")
-    root_id = root.id if isinstance(root, OctreeNode) else int(root)
     by_id = {s.id: s for s in slices}
     candidates = [
         h
         for h in hinges
-        if root_id in by_id[h.slice_a].source_nodes and root_id in by_id[h.slice_b].source_nodes
+        if 0 in by_id[h.slice_a].source_nodes and 0 in by_id[h.slice_b].source_nodes
     ]
     if not candidates:
         raise InfeasibleError(
@@ -179,18 +162,24 @@ def find_backbone(hinges: list[Hinge], slices: list[Slice], root: OctreeNode | i
     ).id
 
 
-def hinges_on_slice(hinges: list[Hinge], slice_id: int) -> list[Hinge]:
-    """Hinges touching a slice, sorted by in-plane position."""
-    mine = [h for h in hinges if slice_id in h.slices()]
-    mine.sort(key=lambda h: (h.u_on(slice_id), h.v0, h.id))
-    return mine
+def hinges_by_slice(hinges: list[Hinge]) -> dict[int, list[Hinge]]:
+    """The hinges touching each slice, sorted by in-plane position; a slice
+    that no hinge touches has no entry."""
+    by_slice: dict[int, list[Hinge]] = {}
+    for h in hinges:
+        for sid in {h.slice_a, h.slice_b}:
+            by_slice.setdefault(sid, []).append(h)
+    for sid, mine in by_slice.items():
+        mine.sort(key=lambda h: (h.u_on(sid), h.v0, h.id))
+    return by_slice
 
 
 def collect_triples(hinges: list[Hinge], slices: list[Slice]) -> list[PrecedenceTriple]:
     """For each none-slot between up-down hinges, record the ordering triple."""
+    by_slice = hinges_by_slice(hinges)
     triples: list[PrecedenceTriple] = []
     for s in slices:
-        mine = hinges_on_slice(hinges, s.id)
+        mine = by_slice.get(s.id, [])
         for m, h in enumerate(mine):
             if h.slot_on(s.id) != SlotKind.NONE:
                 continue

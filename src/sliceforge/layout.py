@@ -110,8 +110,6 @@ class ClusterModel:
     k: int
     centroids: np.ndarray  # (k, 2)
     assignment: np.ndarray  # (n,) cluster index per point
-    pca: PcaBasis
-    wcss_curve: tuple[float, ...]  # wcss for k = 1..len(curve)
 
 
 def _lloyd(points: np.ndarray, k: int, first_idx: int) -> tuple[np.ndarray, np.ndarray, float]:
@@ -173,9 +171,9 @@ def cluster_slices(
     seed: int = 0,
 ) -> ClusterModel:
     vectors = build_vectors(slices, plan, dims, orientations)
-    basis, projected = pca_2d(vectors)
-    k, centroids, assignment, curve = kmeans_elbow(projected, k_max, seed)
-    return ClusterModel(k=k, centroids=centroids, assignment=assignment, pca=basis, wcss_curve=curve)
+    _basis, projected = pca_2d(vectors)
+    k, centroids, assignment, _curve = kmeans_elbow(projected, k_max, seed)
+    return ClusterModel(k=k, centroids=centroids, assignment=assignment)
 
 
 Rect = tuple[float, float, float, float]  # x, y, w, h (mm)
@@ -253,10 +251,10 @@ class MaxRects:
     def __init__(self, width: float, height: float):
         self.free: list[Rect] = [(0.0, 0.0, width, height)]
 
-    def insert(self, w: float, h: float, allow_rotation: bool = True) -> tuple[float, float, bool] | None:
+    def insert(self, w: float, h: float) -> tuple[float, float, bool] | None:
         best = None  # (short_fit, long_fit, index, rotated)
         for i, (fx, fy, fw, fh) in enumerate(self.free):
-            for rotated in ((False, True) if allow_rotation and w != h else (False,)):
+            for rotated in ((False, True) if w != h else (False,)):
                 iw, ih = (h, w) if rotated else (w, h)
                 if iw <= fw and ih <= fh:
                     short = min(fw - iw, fh - ih)
@@ -393,8 +391,9 @@ def pack(
     """Pack every slice at the largest feasible single global scale.
 
     The minimum acceptable scale keeps printed slots at least 1 mm wide;
-    if even that does not fit, packing is infeasible and more sheets or a
-    bigger page are needed.
+    if even that does not fit, packing is infeasible. Each cluster lands on
+    one page, so more sheets help only while there are fewer than clusters;
+    past that, a bigger page or a wider slot (a smaller minimum scale) does.
     """
     if sheets < 1:
         raise ValidationError(f"sheets must be >= 1, got {sheets}")
@@ -440,10 +439,15 @@ def pack(
             (w * scale_min + gutter) * (h * scale_min + gutter) for w, h in sizes.values()
         )
         need = math.ceil(total_area / (usable[2] * usable[3]))
+        # each cluster lands on one page, so sheets past k stay empty
+        if sheets >= clusters.k:
+            hint = "try a larger page or a wider --slot-width"
+        else:
+            hint = f"try --sheets {min(max(need, sheets + 1), clusters.k)} or a larger page"
         raise InfeasibleError(
             "slices do not fit even at the minimum legible scale "
             f"(printed slot width below {MIN_PRINT_SLOT_MM} mm)",
-            hint=f"try --sheets {max(need, sheets + 1)} or a larger page",
+            hint=hint,
         )
     lo = scale_min
     hi = scale_min * 2

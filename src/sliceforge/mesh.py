@@ -71,7 +71,7 @@ class MeshSet:
         return lo, hi
 
 
-def load_obj(path: str | Path, name: str | None = None) -> Mesh:
+def load_obj(path: str | Path) -> Mesh:
     """Parse the v/f subset of ASCII OBJ (triangulated faces only)."""
     path = Path(path)
     if not path.exists():
@@ -96,7 +96,7 @@ def load_obj(path: str | Path, name: str | None = None) -> Mesh:
                 idx.append(i - 1 if i > 0 else len(vertices) + i)
             triangles.append(tuple(idx))
     return Mesh(
-        name=name or path.stem,
+        name=path.stem,
         vertices=np.asarray(vertices, dtype=np.float64),
         triangles=np.asarray(triangles, dtype=np.int64),
     )

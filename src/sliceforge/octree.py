@@ -4,7 +4,7 @@ A node subdivides while it still contains two or more distinct visible
 structures, the level budget allows, and every axis is at least two voxels
 wide. Every node reached by the recursion emits one center slice per
 configured plane family; coplanar touching slices are then unified into
-minimal bounding rectangles.
+minimal bounding rectangles, in one pass over each plane's rectangles.
 """
 
 from __future__ import annotations
@@ -227,68 +227,46 @@ def _rects_meet(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> b
 
 
 def _merge_group(rects: list[tuple[tuple[int, int, int, int], tuple[int, ...]]]):
-    """Fixpoint union of touching rectangles into bounding rectangles."""
-    changed = True
-    while changed:
-        changed = False
-        merged: list[tuple[tuple[int, int, int, int], tuple[int, ...]]] = []
-        for rect, nodes in rects:
-            hit = None
-            for i, (mrect, _) in enumerate(merged):
-                if _rects_meet(rect, mrect):
-                    hit = i
-                    break
-            if hit is None:
-                merged.append((rect, nodes))
-            else:
-                mrect, mnodes = merged[hit]
-                merged[hit] = (
-                    (
-                        min(rect[0], mrect[0]),
-                        min(rect[1], mrect[1]),
-                        max(rect[2], mrect[2]),
-                        max(rect[3], mrect[3]),
-                    ),
-                    tuple(sorted(set(nodes) | set(mnodes))),
-                )
-                changed = True
-        rects = merged
-    return rects
+    """Least fixpoint of uniting touching rectangles into bounding rectangles.
+
+    The kept rectangles never meet one another. Each incoming rectangle
+    absorbs every kept one it meets and grows until it meets none. Meeting
+    only grows with the rectangles, so every fixpoint joins what a merge
+    joins, and the result does not depend on the input order.
+    """
+    kept: list[tuple[tuple[int, int, int, int], set[int]]] = []
+    for rect, nodes in rects:
+        nodes = set(nodes)
+        while hits := [k for k in kept if _rects_meet(rect, k[0])]:
+            kept = [k for k in kept if not _rects_meet(rect, k[0])]
+            u0, v0, u1, v1 = zip(rect, *(other for other, _ in hits))
+            rect = (min(u0), min(v0), max(u1), max(v1))
+            for _, more in hits:
+                # add the smaller set to the larger: one component can
+                # absorb hundreds of rectangles one at a time
+                if len(more) > len(nodes):
+                    nodes, more = more, nodes
+                nodes |= more
+        kept.append((rect, nodes))
+    return [(rect, tuple(sorted(nodes))) for rect, nodes in kept]
 
 
 def unify_slices(raw: list[Slice]) -> list[Slice]:
     """Coalesce coplanar touching slices into their bounding rectangles.
 
     Idempotent; after unification slices sharing (orientation, plane) are
-    pairwise disjoint and non-adjacent.
+    pairwise disjoint and non-adjacent. They are numbered in (orientation,
+    plane, extent) order, each with its source nodes sorted.
     """
     groups: dict[tuple[str, int], list] = {}
     for s in raw:
         groups.setdefault((s.orientation, s.plane_coord), []).append((s.extent, s.source_nodes))
-
-    unified: list[Slice] = []
-    for (orientation, plane), rects in sorted(groups.items()):
-        for extent, nodes in _merge_group(rects):
-            unified.append(
-                Slice(
-                    id=-1,
-                    orientation=orientation,
-                    plane_coord=plane,
-                    extent=extent,
-                    source_nodes=nodes,
-                )
-            )
-    unified.sort(key=lambda s: (s.orientation, s.plane_coord, s.extent))
-    return [
-        Slice(
-            id=i,
-            orientation=s.orientation,
-            plane_coord=s.plane_coord,
-            extent=s.extent,
-            source_nodes=s.source_nodes,
-        )
-        for i, s in enumerate(unified)
-    ]
+    unified = sorted(
+        (orientation, plane, extent, nodes)
+        for (orientation, plane), rects in groups.items()
+        for extent, nodes in _merge_group(rects)
+    )
+    return [Slice(i, *record) for i, record in enumerate(unified)]
 
 
 def slices_from_json(items: list[dict]) -> list[Slice]:

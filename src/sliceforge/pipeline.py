@@ -15,12 +15,11 @@ from . import __version__
 from .codec import decode, encode
 from .errors import IOFailure, ValidationError
 from .export import emit_instructions, emit_pages, slice_cut_geometry
-from .hinges import Hinge, collect_triples, compute_hinges, find_backbone
+from .hinges import Hinge, collect_triples, compute_hinges, find_backbone, hinges_by_slice
 from .layout import PageLayout, cluster_slices, pack
 from .mesh import MeshSet, load_obj, voxelize_meshes
 from .octree import (
     AXES,
-    OctreeNode,
     Slice,
     build_octree,
     extract_slices,
@@ -73,13 +72,14 @@ def load_input(
     resolution: int = 128,
 ) -> tuple[ScalarVolume, TransferFunction]:
     """Either a raw volume + header + explicit transfer function, or OBJ
-    meshes with an automatic one."""
+    meshes, voxelized, with the automatic transfer function unless
+    `tf_path` names a file."""
     if meshes:
         mesh_set = MeshSet(meshes=tuple(load_obj(p) for p in meshes))
+        volume, tf = voxelize_meshes(mesh_set, (resolution,) * 3)
         if tf_path and tf_path != "auto":
-            volume, _ = voxelize_meshes(mesh_set, (resolution,) * 3)
-            return volume, load_transfer_function(tf_path)
-        return voxelize_meshes(mesh_set, (resolution,) * 3)
+            tf = load_transfer_function(tf_path)
+        return volume, tf
     if not input_path or not header:
         raise ValidationError("volume input requires --input and --header")
     if not tf_path or tf_path == "auto":
@@ -87,15 +87,13 @@ def load_input(
     return load_volume(input_path, header), load_transfer_function(tf_path)
 
 
-def stage_slice(
-    labels: LabelVolume, level: int, orientations: tuple[str, str]
-) -> tuple[OctreeNode, list[Slice]]:
+def stage_slice(labels: LabelVolume, level: int, orientations: tuple[str, str]) -> list[Slice]:
     root = build_octree(labels, level)
     if not root.distinct_labels:
         raise ValidationError(
             "volume is entirely background", hint="nothing to slice: every voxel has opacity 0"
         )
-    return root, unify_slices(extract_slices(root, orientations))
+    return unify_slices(extract_slices(root, orientations))
 
 
 def stage_hinges(slices: list[Slice], orientations: tuple[str, str]) -> list[Hinge]:
@@ -124,9 +122,9 @@ def stage_pack(
     gutter: float,
     k_max: int,
     seed: int,
-):
+) -> PageLayout:
     clusters = cluster_slices(slices, plan, grid.dims, grid.orientations, k_max=k_max, seed=seed)
-    layout = pack(
+    return pack(
         slices,
         plan,
         clusters,
@@ -138,7 +136,6 @@ def stage_pack(
         margin=margin,
         gutter=gutter,
     )
-    return clusters, layout
 
 
 def stage_export(
@@ -158,10 +155,10 @@ def stage_export(
     """Write pages, instructions, manifest, and the stability report."""
     outdir = Path(outdir)
     (outdir / "pages").mkdir(parents=True, exist_ok=True)
-    slices_by_id = {s.id: s for s in slices}
+    by_slice = hinges_by_slice(hinges)
     geometries = {
         s.id: slice_cut_geometry(
-            s, hinges, slices_by_id, grid.spacing, layout.scale, slot_width_mm, grid.orientations
+            s, by_slice.get(s.id, []), grid.spacing, layout.scale, slot_width_mm, grid.orientations
         )
         for s in slices
     }

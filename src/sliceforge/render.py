@@ -20,7 +20,6 @@ TORQUE_TOLERANCE = 0.05
 class SliceRaster:
     slice_id: int
     pixels: np.ndarray  # (rows, cols, 4) uint8, row 0 = top of the slice
-    px_per_mm: float
 
 
 def rasterize_slice(
@@ -64,7 +63,7 @@ def rasterize_slice(
     lut = np.zeros((len(visible) + 1, 4), dtype=np.uint8)
     for k, b in enumerate(visible, start=1):
         lut[k] = [round(c * 255) for c in b.rgb] + [round(b.opacity * 255)]
-    return SliceRaster(slice_id=s.id, pixels=lut[plane], px_per_mm=px_per_mm)
+    return SliceRaster(slice_id=s.id, pixels=lut[plane])
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ import numpy as np
 
 from sliceforge.codec import encode
 from sliceforge.errors import ValidationError
+from sliceforge.hinges import Hinge
 from sliceforge.mesh import Mesh
 from sliceforge.octree import Bounds, OctreeNode, Slice, _should_subdivide, iter_nodes
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferFunction, save_volume
@@ -249,6 +250,88 @@ def octree_records(root: OctreeNode) -> list[tuple]:
         (n.id, n.bounds, n.level, n.distinct_labels, tuple(c.id for c in n.children))
         for n in iter_nodes(root)
     ]
+
+
+# --- rescanning unification and per-slice hinge lists -----------------------
+
+
+def _rects_meet_reference(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
+    """True when rectangles overlap or share an edge of positive length."""
+    du = min(a[2], b[2]) - max(a[0], b[0])
+    dv = min(a[3], b[3]) - max(a[1], b[1])
+    return (du > 0 and dv >= 0) or (du >= 0 and dv > 0)
+
+
+def _merge_group_reference(rects: list[tuple[tuple[int, int, int, int], tuple[int, ...]]]):
+    """Fixpoint union of touching rectangles into bounding rectangles."""
+    changed = True
+    while changed:
+        changed = False
+        merged: list[tuple[tuple[int, int, int, int], tuple[int, ...]]] = []
+        for rect, nodes in rects:
+            hit = None
+            for i, (mrect, _) in enumerate(merged):
+                if _rects_meet_reference(rect, mrect):
+                    hit = i
+                    break
+            if hit is None:
+                merged.append((rect, nodes))
+            else:
+                mrect, mnodes = merged[hit]
+                merged[hit] = (
+                    (
+                        min(rect[0], mrect[0]),
+                        min(rect[1], mrect[1]),
+                        max(rect[2], mrect[2]),
+                        max(rect[3], mrect[3]),
+                    ),
+                    tuple(sorted(set(nodes) | set(mnodes))),
+                )
+                changed = True
+        rects = merged
+    return rects
+
+
+def unify_slices_reference(raw: list[Slice]) -> list[Slice]:
+    """Coalesce coplanar touching slices into their bounding rectangles by
+    rerunning a full pass until nothing changes. This and its two helpers
+    are the code the one-pass `sliceforge.octree.unify_slices` replaced,
+    kept as its oracle."""
+    groups: dict[tuple[str, int], list] = {}
+    for s in raw:
+        groups.setdefault((s.orientation, s.plane_coord), []).append((s.extent, s.source_nodes))
+
+    unified: list[Slice] = []
+    for (orientation, plane), rects in sorted(groups.items()):
+        for extent, nodes in _merge_group_reference(rects):
+            unified.append(
+                Slice(
+                    id=-1,
+                    orientation=orientation,
+                    plane_coord=plane,
+                    extent=extent,
+                    source_nodes=nodes,
+                )
+            )
+    unified.sort(key=lambda s: (s.orientation, s.plane_coord, s.extent))
+    return [
+        Slice(
+            id=i,
+            orientation=s.orientation,
+            plane_coord=s.plane_coord,
+            extent=s.extent,
+            source_nodes=s.source_nodes,
+        )
+        for i, s in enumerate(unified)
+    ]
+
+
+def hinges_on_slice_reference(hinges: list[Hinge], slice_id: int) -> list[Hinge]:
+    """Hinges touching a slice, sorted by in-plane position, found by a scan
+    of every hinge: what `sliceforge.hinges.hinges_by_slice` replaced."""
+    mine = [h for h in hinges if slice_id in (h.slice_a, h.slice_b)]
+    mine.sort(key=lambda h: (h.u_on(slice_id), h.v0, h.id))
+    return mine
 
 
 # --- exhaustive order oracle ------------------------------------------------

@@ -8,8 +8,8 @@ from sliceforge.hinges import (
     collect_triples,
     compute_hinges,
     find_backbone,
+    hinges_by_slice,
     hinges_from_json,
-    hinges_on_slice,
 )
 from sliceforge.octree import build_octree, extract_slices, unify_slices
 
@@ -163,7 +163,7 @@ class TestTriples:
         assert len(triples) == 1
         (t,) = triples
         assert t.host_slice == 0
-        mine = hinges_on_slice(hinges, 0)
+        mine = hinges_by_slice(hinges)[0]
         pos = {h.id: i for i, h in enumerate(mine)}
         assert pos[t.i] < pos[t.j] < pos[t.k]
 

@@ -1,5 +1,6 @@
 """Every name a package module imports at top level is used in that module,
-and every function, class and method the package defines is referenced.
+every function, class and method the package defines is referenced, and
+every parameter is read.
 
 `__init__.py` re-exports names on purpose and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -39,6 +40,47 @@ def test_no_unused_imports(path):
 def test_checker_flags_unused_names():
     source = "from __future__ import annotations\nimport os\nimport json\nfrom x import a, b as c\nprint(json, c)\n"
     assert unused_imports(source) == ["os", "a"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """`function:parameter` for every parameter of a function, method or
+    lambda that its body never reads; `self`, `cls` and names starting with
+    `_` are exempt. A nested function or lambda that reads the name counts."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "lambda")
+        unread += [
+            f"{name}:{p.arg}"
+            for p in params
+            if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")
+        ]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_checker_flags_unread_parameters():
+    source = (
+        "def f(a, b, *args, c, _d, **kw):\n"
+        "    b = 1\n"
+        "    return a + c\n"
+        "class C:\n"
+        "    def m(self, x, y=2):\n"
+        "        return lambda z, w: (lambda: x)() + z\n"
+        "    @classmethod\n"
+        "    def k(cls): pass\n"
+    )
+    # `b` is only written; a closure reading `x` counts as reading it
+    assert unread_parameters(source) == ["f:b", "f:args", "f:kw", "m:y", "lambda:w"]
 
 
 def _mentions(tree: ast.Module) -> list[tuple[str, int, bool]]:

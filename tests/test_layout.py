@@ -273,7 +273,7 @@ class TestPack:
         # a second sheet can (pinned clustering isolates the pack behavior)
         import numpy as np
 
-        from sliceforge.layout import ClusterModel, PcaBasis
+        from sliceforge.layout import ClusterModel
 
         specs = []
         for i in range(4):
@@ -285,8 +285,6 @@ class TestPack:
             k=2,
             centroids=np.array([[0.0, 0.0], [1.0, 0.0]]),
             assignment=np.array([0, 0, 1, 1]),
-            pca=PcaBasis(mean=np.zeros(4), directions=np.eye(4)[:2]),
-            wcss_curve=(1.0,),
         )
         with pytest.raises(InfeasibleError) as err:
             pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4", sheets=1)
@@ -294,6 +292,34 @@ class TestPack:
         layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4", sheets=2)
         assert layout.sheets == 2
         check_layout(layout, slices)
+
+    @pytest.mark.parametrize(
+        "k, per_cluster, sheets",
+        [(1, 3, 1), (1, 3, 3), (2, 4, 1), (2, 4, 2), (3, 3, 1), (3, 3, 2), (3, 3, 5)],
+    )
+    def test_infeasible_hint_never_asks_for_more_sheets_than_clusters(self, k, per_cluster, sheets):
+        # pinned clusters of 250 mm slices: A4 holds two per page at the
+        # minimum scale, and each cluster lands on one page, so sheets past
+        # k stay empty
+        from sliceforge.layout import ClusterModel
+
+        n = k * per_cluster
+        slices = synthetic_slices(
+            [("x" if i % 2 == 0 else "y", 16 + i, (0, 0, 250, 250), (i,)) for i in range(n)]
+        )
+        clusters = ClusterModel(
+            k=k,
+            centroids=np.array([[float(c), 0.0] for c in range(k)]),
+            assignment=np.repeat(np.arange(k), per_cluster),
+        )
+        with pytest.raises(InfeasibleError) as err:
+            pack(slices, plan_for(slices), clusters, (1.0, 1.0, 1.0), page="A4", sheets=sheets)
+        hint = err.value.hint
+        if sheets >= k:
+            assert hint == "try a larger page or a wider --slot-width"
+        else:
+            suggested = int(hint.split("--sheets ")[1].split()[0])
+            assert sheets < suggested <= k
 
     def test_multi_sheet_partitions_disjoint_pages(self):
         slices = grid_slices([(0, 0, 90, 90), (0, 0, 90, 90), (0, 0, 90, 90), (0, 0, 90, 90)])
