@@ -20,7 +20,7 @@ from sliceforge.codec import encode
 from sliceforge.errors import ValidationError
 from sliceforge.hinges import Hinge
 from sliceforge.mesh import Mesh
-from sliceforge.octree import Bounds, OctreeNode, Slice, _should_subdivide, iter_nodes
+from sliceforge.octree import Bounds, OctreeNode, Slice, _rects_meet, _should_subdivide, iter_nodes
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferFunction, save_volume
 
 
@@ -255,13 +255,6 @@ def octree_records(root: OctreeNode) -> list[tuple]:
 # --- rescanning unification and per-slice hinge lists -----------------------
 
 
-def _rects_meet_reference(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
-    """True when rectangles overlap or share an edge of positive length."""
-    du = min(a[2], b[2]) - max(a[0], b[0])
-    dv = min(a[3], b[3]) - max(a[1], b[1])
-    return (du > 0 and dv >= 0) or (du >= 0 and dv > 0)
-
-
 def _merge_group_reference(rects: list[tuple[tuple[int, int, int, int], tuple[int, ...]]]):
     """Fixpoint union of touching rectangles into bounding rectangles."""
     changed = True
@@ -271,7 +264,7 @@ def _merge_group_reference(rects: list[tuple[tuple[int, int, int, int], tuple[in
         for rect, nodes in rects:
             hit = None
             for i, (mrect, _) in enumerate(merged):
-                if _rects_meet_reference(rect, mrect):
+                if _rects_meet(rect, mrect):
                     hit = i
                     break
             if hit is None:
@@ -294,9 +287,9 @@ def _merge_group_reference(rects: list[tuple[tuple[int, int, int, int], tuple[in
 
 def unify_slices_reference(raw: list[Slice]) -> list[Slice]:
     """Coalesce coplanar touching slices into their bounding rectangles by
-    rerunning a full pass until nothing changes. This and its two helpers
-    are the code the one-pass `sliceforge.octree.unify_slices` replaced,
-    kept as its oracle."""
+    rerunning a full pass until nothing changes. This and its helper are
+    the code the one-pass `sliceforge.octree.unify_slices` replaced, kept
+    as its oracle."""
     groups: dict[tuple[str, int], list] = {}
     for s in raw:
         groups.setdefault((s.orientation, s.plane_coord), []).append((s.extent, s.source_nodes))
