@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--plan", required=True, help="plan artifact")
     _add_input_args(e)
     _add_common_args(e)
-    e.add_argument("--dpi", type=float, default=4.0)
+    e.add_argument("--dpi", type=float, default=4.0, help="raster density in px per mm")
     e.add_argument("--perforate", action="store_true")
     e.add_argument("--out", required=True, help="output directory")
     return parser

@@ -47,7 +47,6 @@ class SlotCut:
 class CutGeometry:
     """Everything to cut for one slice, in its local frame (mm, y up)."""
 
-    slice_id: int
     width: Fraction
     height: Fraction
     outline: tuple[tuple[Fraction, Fraction], ...]
@@ -102,13 +101,7 @@ def slice_cut_geometry(
                 flanges[side].append((y_of(h.v0) - sw, y_of(h.v1) + sw))
 
     outline = _outline_polygon(width, height, sw, flanges)
-    return CutGeometry(
-        slice_id=s.id,
-        width=width,
-        height=height,
-        outline=outline,
-        slots=tuple(slots),
-    )
+    return CutGeometry(width=width, height=height, outline=outline, slots=tuple(slots))
 
 
 def _merge_intervals(spans: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
@@ -148,7 +141,9 @@ def _outline_polygon(width: Fraction, height: Fraction, sw: Fraction, flanges) -
 def encode_png(rgba: np.ndarray) -> bytes:
     """RGBA8 PNG, filter 0, fixed zlib level: byte-stable across runs."""
     rows, cols = rgba.shape[:2]
-    raw = b"".join(b"\x00" + rgba[r].tobytes() for r in range(rows))
+    # one scanline per row: filter byte 0, then the row's RGBA bytes
+    raw = np.zeros((rows, 4 * cols + 1), dtype=np.uint8)
+    raw[:, 1:] = rgba.reshape(rows, 4 * cols)
 
     def chunk(tag: bytes, payload: bytes) -> bytes:
         crc = zlib.crc32(tag + payload) & 0xFFFFFFFF

@@ -18,7 +18,6 @@ TORQUE_TOLERANCE = 0.05
 
 @dataclass(frozen=True, eq=False)
 class SliceRaster:
-    slice_id: int
     pixels: np.ndarray  # (rows, cols, 4) uint8, row 0 = top of the slice
 
 
@@ -32,8 +31,11 @@ def rasterize_slice(
 ) -> SliceRaster:
     """Nearest-neighbor resampling of the label plane into an RGBA image.
 
-    Alpha equals the transfer-function opacity of the sampled voxel, so
-    background stays fully transparent on film.
+    Nearest-neighbor sampling only repeats voxels, so each voxel of the
+    slice's rectangle is colored once, as one uint32 RGBA word, and the
+    colored plane is then expanded to the pixel grid by repeating columns
+    and rows. Alpha equals the transfer-function opacity of the sampled
+    voxel, so background stays fully transparent on film.
     """
     normal, u_ax, v_ax = slice_axes(s.orientation, orientations)
     dims = labels.dims
@@ -53,17 +55,22 @@ def rasterize_slice(
     # row 0 is the top of the printed slice = highest v
     vs = np.clip((v1 - (np.arange(rows) + 0.5) * (v1 - v0) / rows).astype(int), 0, dims[v_ax] - 1)
 
-    index = [0, 0, 0]
-    index[normal] = np.full((rows, cols), layer)
-    index[u_ax] = np.broadcast_to(us[None, :], (rows, cols))
-    index[v_ax] = np.broadcast_to(vs[:, None], (rows, cols))
+    # the sampled voxels of the slice: a 2-D view, (u, v) once transposed
+    u_lo, v_lo = int(us.min()), int(vs.min())
+    index: list = [layer, layer, layer]
+    index[u_ax] = slice(u_lo, int(us.max()) + 1)
+    index[v_ax] = slice(v_lo, int(vs.max()) + 1)
     plane = labels.labels[tuple(index)]
+    if u_ax > v_ax:
+        plane = plane.T
 
     visible = tf.visible_bins
     lut = np.zeros((len(visible) + 1, 4), dtype=np.uint8)
     for k, b in enumerate(visible, start=1):
         lut[k] = [round(c * 255) for c in b.rgb] + [round(b.opacity * 255)]
-    return SliceRaster(slice_id=s.id, pixels=lut[plane])
+    colors = lut.view(np.uint32)[:, 0][plane]
+    pixels = colors.take(vs - v_lo, axis=1).T.take(us - u_lo, axis=1)
+    return SliceRaster(pixels=pixels.view(np.uint8).reshape(rows, cols, 4))
 
 
 @dataclass(frozen=True)

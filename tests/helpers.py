@@ -11,7 +11,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import struct
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +21,10 @@ import numpy as np
 from sliceforge.codec import encode
 from sliceforge.errors import ValidationError
 from sliceforge.hinges import Hinge
+from sliceforge.layout import slice_print_size
 from sliceforge.mesh import Mesh
-from sliceforge.octree import Bounds, OctreeNode, Slice, _rects_meet, _should_subdivide, iter_nodes
+from sliceforge.octree import Bounds, OctreeNode, Slice, _rects_meet, _should_subdivide, iter_nodes, slice_axes
+from sliceforge.render import SliceRaster
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferFunction, save_volume
 
 
@@ -325,6 +329,70 @@ def hinges_on_slice_reference(hinges: list[Hinge], slice_id: int) -> list[Hinge]
     mine = [h for h in hinges if slice_id in (h.slice_a, h.slice_b)]
     mine.sort(key=lambda h: (h.u_on(slice_id), h.v0, h.id))
     return mine
+
+
+# --- per-pixel rasterizer and row-joined PNG scanlines ---------------------
+
+
+def rasterize_slice_reference(
+    labels: LabelVolume,
+    tf: TransferFunction,
+    s: Slice,
+    scale: float,
+    px_per_mm: float = 4.0,
+    orientations: tuple[str, str] = ("x", "y"),
+) -> SliceRaster:
+    """Per-pixel gather of labels and then of colors: the code
+    `sliceforge.render.rasterize_slice` replaced, kept as the oracle for the
+    per-voxel version."""
+    normal, u_ax, v_ax = slice_axes(s.orientation, orientations)
+    dims = labels.dims
+    if not (0 <= s.plane_coord <= dims[normal]):
+        raise ValidationError(f"slice plane {s.plane_coord} outside volume axis {normal}")
+    # integer plane p is the face between voxel layers p-1 and p; sample the
+    # layer on the + side, clamped at the top face
+    layer = min(s.plane_coord, dims[normal] - 1)
+
+    w_mm, h_mm = slice_print_size(s, labels.spacing, orientations)
+    cols = max(1, math.ceil(w_mm * scale * px_per_mm))
+    rows = max(1, math.ceil(h_mm * scale * px_per_mm))
+
+    u0, u1 = s.u_range
+    v0, v1 = s.v_range
+    us = np.clip((u0 + (np.arange(cols) + 0.5) * (u1 - u0) / cols).astype(int), 0, dims[u_ax] - 1)
+    # row 0 is the top of the printed slice = highest v
+    vs = np.clip((v1 - (np.arange(rows) + 0.5) * (v1 - v0) / rows).astype(int), 0, dims[v_ax] - 1)
+
+    index = [0, 0, 0]
+    index[normal] = np.full((rows, cols), layer)
+    index[u_ax] = np.broadcast_to(us[None, :], (rows, cols))
+    index[v_ax] = np.broadcast_to(vs[:, None], (rows, cols))
+    plane = labels.labels[tuple(index)]
+
+    visible = tf.visible_bins
+    lut = np.zeros((len(visible) + 1, 4), dtype=np.uint8)
+    for k, b in enumerate(visible, start=1):
+        lut[k] = [round(c * 255) for c in b.rgb] + [round(b.opacity * 255)]
+    return SliceRaster(pixels=lut[plane])
+
+
+def encode_png_reference(rgba: np.ndarray) -> bytes:
+    """PNG whose scanlines are joined row by row in Python: the code
+    `sliceforge.export.encode_png` replaced."""
+    rows, cols = rgba.shape[:2]
+    raw = b"".join(b"\x00" + rgba[r].tobytes() for r in range(rows))
+
+    def chunk(tag: bytes, payload: bytes) -> bytes:
+        crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
+        return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
+
+    ihdr = struct.pack(">IIBBBBB", cols, rows, 8, 6, 0, 0, 0)
+    return (
+        b"\x89PNG\r\n\x1a\n"
+        + chunk(b"IHDR", ihdr)
+        + chunk(b"IDAT", zlib.compress(raw, 6))
+        + chunk(b"IEND", b"")
+    )
 
 
 # --- exhaustive order oracle ------------------------------------------------
