@@ -72,8 +72,6 @@ def _block_masks(grid: np.ndarray, bits: np.ndarray, intervals) -> np.ndarray:
     # along the axis of smallest stride first: the fastest order on either layout
     for axis in sorted(range(masks.ndim), key=lambda a: masks.strides[a]):
         starts = np.array([lo for lo, _ in intervals[axis]])
-        if np.array_equal(starts, np.arange(masks.shape[axis])):
-            continue  # every block is one voxel wide: the reduction would only copy
         masks = np.bitwise_or.reduceat(masks, starts, axis=axis)
     return masks
 
