@@ -7,7 +7,8 @@ Voxel data is indexed ``scalars[x, y, z]`` and stored x-fastest on disk
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,18 @@ from .errors import IngestError, IOFailure, ValidationError
 _DTYPES = {"u8": np.uint8, "u16": np.uint16, "f32": np.float32}
 # voxels labelled per step of `quantize`; bounds its float64 and index temporaries
 _QUANTIZE_CHUNK = 1 << 16
+# `quantize`'s table entry for a bucket of float32 values that straddles a bin
+# break; never a label, since a transfer function has fewer visible bins
+_MIXED = 0xFFFF
+
+
+def _check_grid(dims, spacing, origin) -> None:
+    if len(dims) != 3 or any(int(d) < 1 for d in dims):
+        raise ValidationError(f"dims must be three integers >= 1, got {dims}")
+    if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise ValidationError(f"spacing must be three finite numbers > 0, got {spacing}")
+    if len(origin) != 3 or not all(math.isfinite(o) for o in origin):
+        raise ValidationError(f"origin must be three finite numbers, got {origin}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,10 +43,9 @@ class ScalarVolume:
     scalars: np.ndarray  # float32, shape == dims
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(int(d) < 1 for d in self.dims):
-            raise ValidationError(f"dims must be three integers >= 1, got {self.dims}")
-        if any(s <= 0 for s in self.spacing):
-            raise ValidationError(f"spacing must be strictly positive, got {self.spacing}")
+        _check_grid(self.dims, self.spacing, self.origin)
+        if self.scalars.dtype != np.float32:
+            raise ValidationError(f"scalars must be float32, got {self.scalars.dtype}")
         if tuple(self.scalars.shape) != tuple(self.dims):
             raise ValidationError(
                 f"scalar grid shape {self.scalars.shape} does not match dims {self.dims}"
@@ -45,6 +57,24 @@ class ScalarVolume:
     @property
     def voxel_count(self) -> int:
         return int(np.prod(self.dims))
+
+
+@dataclass(frozen=True)
+class _VolumeHeader:
+    """The JSON sidecar of a raw volume; `dims` are x, y, z."""
+
+    dims: tuple[int, int, int]
+    spacing: tuple[float, float, float] = field(metadata={"json": "spacing_mm"})
+    dtype: str
+    origin: tuple[float, float, float] = field(default=(0.0, 0.0, 0.0), metadata={"json": "origin_mm"})
+    endianness: str = "little"
+
+    def __post_init__(self):
+        _check_grid(self.dims, self.spacing, self.origin)
+        if self.dtype not in _DTYPES:
+            raise ValidationError(f"unsupported dtype {self.dtype!r}, expected one of {sorted(_DTYPES)}")
+        if self.endianness != "little":
+            raise ValidationError(f"unsupported endianness {self.endianness!r}")
 
 
 @dataclass(frozen=True)
@@ -117,20 +147,9 @@ def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
         meta = json.loads(header.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"header is not valid JSON: {exc}") from exc
-    try:
-        dims = tuple(int(d) for d in meta["dims"])
-        spacing = tuple(float(s) for s in meta["spacing_mm"])
-        origin = tuple(float(o) for o in meta.get("origin_mm", (0.0, 0.0, 0.0)))
-        dtype_name = meta["dtype"]
-        endianness = meta.get("endianness", "little")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"header missing or malformed field: {exc}") from exc
-    if dtype_name not in _DTYPES:
-        raise ValidationError(f"unsupported dtype {dtype_name!r}, expected one of {sorted(_DTYPES)}")
-    if endianness != "little":
-        raise ValidationError(f"unsupported endianness {endianness!r}")
-
-    dtype = np.dtype(_DTYPES[dtype_name]).newbyteorder("<")
+    head = decode(_VolumeHeader, meta, "header")
+    dims = head.dims
+    dtype = np.dtype(_DTYPES[head.dtype]).newbyteorder("<")
     raw = path.read_bytes()
     expected = int(np.prod(dims))
     actual = len(raw) // dtype.itemsize
@@ -141,7 +160,7 @@ def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
         )
     # ScalarVolume rejects non-finite values, reporting the same F-order index
     scalars = np.frombuffer(raw, dtype=dtype).astype(np.float32).reshape(dims, order="F")
-    return ScalarVolume(dims=dims, spacing=spacing, origin=origin, scalars=scalars)
+    return ScalarVolume(dims=dims, spacing=head.spacing, origin=head.origin, scalars=scalars)
 
 
 def save_volume(volume: ScalarVolume, path: str | Path, header: str | Path, dtype: str = "f32") -> None:
@@ -166,10 +185,18 @@ def save_volume(volume: ScalarVolume, path: str | Path, header: str | Path, dtyp
 def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
     """Map each voxel to its visible-bin label (1-based), 0 for background.
 
-    The scalars are walked in memory order, `_QUANTIZE_CHUNK` at a time, so
-    no full-size temporary is made. A value's count of bin breaks ``lo, hi``
-    at or below it is ``2i + 1`` exactly when it lies in bin i; any even count
-    is background.
+    A value's count of bin breaks ``lo, hi`` at or below it is ``2i + 1``
+    exactly when it lies in bin i; any even count is background. Breaks are
+    compared as float64, so a break between two float32 values splits them.
+
+    Most voxels are labelled through a table of the 2^16 buckets of float32
+    bit patterns that share their top 16 bits. Each bucket is one interval of
+    values (ordered in reverse for negative ones), and the break count only
+    grows with the value, so when the bucket's two end patterns have the same
+    count, every value in it has that count and the table holds its label.
+    A bucket whose ends differ is mixed: the table holds `_MIXED`, and its
+    voxels take the float64 break search. The scalars are walked in memory
+    order, `_QUANTIZE_CHUNK` at a time, so no full-size temporary is made.
     """
     breaks = np.array([edge for b in tf.bins for edge in (b.lo, b.hi)], dtype=np.float64)
     # break count -> label: visible bins count 1..K in bin order, opacity-0 bins are 0
@@ -178,15 +205,28 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
     for i, b in enumerate(tf.bins):
         if b.opacity > 0.0:
             k += 1
+            if k >= _MIXED:
+                raise ValidationError(f"transfer function has more than {_MIXED - 1} visible bins")
             table[2 * i + 1] = k
+    first = np.arange(1 << 16, dtype=np.uint32) << 16
+    # the buckets of exponent 0xFF hold inf and NaN, which no ScalarVolume holds
+    with np.errstate(invalid="ignore"):
+        ends = [np.searchsorted(breaks, p.view(np.float32).astype(np.float64), side="right")
+                for p in (first, first | 0xFFFF)]
+    buckets = np.where(ends[0] == ends[1], table[ends[0]], _MIXED).astype(np.uint16)
     order = "F" if volume.scalars.flags.f_contiguous else "C"
     scalars = volume.scalars.reshape(-1, order=order)  # a view unless the grid is strided
+    bits = scalars.view(np.uint32)
     labels = np.empty(volume.dims, dtype=np.uint16, order=order)
     flat = labels.reshape(-1, order=order)
     for start in range(0, flat.size, _QUANTIZE_CHUNK):
         part = slice(start, start + _QUANTIZE_CHUNK)
-        counts = np.searchsorted(breaks, scalars[part].astype(np.float64), side="right")
-        np.take(table, counts, out=flat[part])
+        out = flat[part]
+        np.take(buckets, bits[part] >> 16, out=out)
+        mixed = np.flatnonzero(out == _MIXED)
+        if mixed.size:
+            values = scalars[part][mixed].astype(np.float64)
+            out[mixed] = table[np.searchsorted(breaks, values, side="right")]
     return LabelVolume(
         dims=volume.dims,
         spacing=volume.spacing,

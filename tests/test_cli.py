@@ -94,6 +94,24 @@ def test_malformed_input_exits_2_with_a_message(volume_build, name, text, messag
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("spacing_mm", [math.nan, 1, 1], "spacing must be three finite numbers > 0"),
+    ("spacing_mm", [math.inf, 1, 1], "spacing must be three finite numbers > 0"),
+    ("spacing_mm", [1, 1], "header malformed: ValueError: expected 3 items"),
+    ("dtype", ["f32"], "header malformed: TypeError: expected a JSON string"),
+    ("dims", "888", "header malformed: TypeError: expected a JSON array"),
+    ("origin_mm", [math.nan, 0, 0], "origin must be three finite numbers"),
+])
+def test_malformed_volume_header_exits_2(volume_build, key, value, message, capsys, tmp_path):
+    header = tmp_path / "vol.json"
+    header.write_text(json.dumps({**json.loads(header.read_text()), key: value}))
+    code, err = run(volume_build, capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 # --margin and --gutter measure paper, --seed starts a random generator
 RANGE_CASES = [
     ("build", "margin"), ("build", "gutter"), ("build", "seed"),

@@ -87,6 +87,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ScalarVolume((2, 2, 2), (1.0, -1.0, 1.0), (0, 0, 0), np.zeros((2, 2, 2), np.float32))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.uint16, np.dtype(">f4")])
+    def test_scalars_other_than_float32_rejected(self, dtype):
+        # quantize reads the float32 bit patterns of the grid in native byte order
+        with pytest.raises(ValidationError, match="scalars must be float32"):
+            ScalarVolume((2, 2, 2), (1.0, 1.0, 1.0), (0, 0, 0), np.zeros((2, 2, 2), dtype))
+
     def test_overlapping_bins_rejected(self):
         with pytest.raises(ValidationError):
             make_tf((0.0, 2.0, (1, 0, 0), 1.0), (1.0, 3.0, (0, 1, 0), 1.0))

@@ -103,6 +103,134 @@ def test_quantize_without_bins_is_all_background():
     assert not got.labels.any()
 
 
+# float32 bit patterns: +-0, the smallest and largest subnormals, +-FLT_MAX
+SPECIAL_BITS = (0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF, 0x7F7FFFFF, 0xFF7FFFFF)
+
+
+def _bits_to_float32(bits) -> np.ndarray:
+    return np.asarray(bits, dtype=np.uint32).view(np.float32)
+
+
+def _near_edge_bits() -> list[int]:
+    """The patterns of `_near_edges`, and the first and last pattern of each
+    one's 2^16-pattern bucket."""
+    out = []
+    for v in _near_edges():
+        p = int(np.float32(v).view(np.uint32))
+        out += [p, p & ~0xFFFF, p | 0xFFFF]
+    return out
+
+
+def _in_mixed_bucket(values: np.ndarray, tf: TransferFunction) -> np.ndarray:
+    """Whether the 2^16-pattern bucket of each float32 value holds a bin break
+    above its least value and at or below its greatest: the buckets whose
+    voxels `quantize` must label by the break search."""
+    breaks = [e for b in tf.bins for e in (b.lo, b.hi)]
+    first = (values.view(np.uint32) >> 16) << 16
+    ends = [_bits_to_float32(first).astype(np.float64), _bits_to_float32(first | 0xFFFF).astype(np.float64)]
+    lo, hi = np.minimum(*ends), np.maximum(*ends)
+    return np.array([any(a < b <= z for b in breaks) for a, z in zip(lo.ravel(), hi.ravel())]).reshape(values.shape)
+
+
+def _assert_quantize_matches_reference(values: np.ndarray, tf: TransferFunction, layout: str = "F", chunk: int | None = None):
+    vol = ScalarVolume(values.shape, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), _grid_in_layout(values, layout))
+    with mock.patch.object(volume, "_QUANTIZE_CHUNK", chunk or volume._QUANTIZE_CHUNK):
+        got = quantize(vol, tf)
+    want = quantize_reference(vol, tf)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.n_labels == want.n_labels
+
+
+finite_bits = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(SPECIAL_BITS),
+    st.sampled_from(_near_edge_bits()),
+).filter(lambda b: np.isfinite(_bits_to_float32(b)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tf=transfer_functions(),
+    dims=dims_st,
+    picks=st.lists(finite_bits, min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(LAYOUTS),
+    chunk=st.integers(1, 40),
+)
+def test_quantize_matches_reference_on_any_finite_float32(tf, dims, picks, seed, layout, chunk):
+    # negative values, both zeros, subnormals and +-FLT_MAX as well as the
+    # bucket ends around every edge
+    values = np.random.default_rng(seed).choice(_bits_to_float32(picks), size=dims)
+    _assert_quantize_matches_reference(values, tf, layout, chunk)
+
+
+def test_quantize_every_voxel_in_a_mixed_bucket():
+    # edges inside their buckets, voxels drawn from those buckets' patterns
+    tf = TransferFunction(bins=(
+        TransferBin(-0.1, 0.1, (1.0, 0.0, 0.0), 0.5),
+        TransferBin(0.1, 1 / 3, (0.0, 1.0, 0.0), 0.0),
+        TransferBin(1 / 3, 1.0 + 2.0**-40, (0.0, 0.0, 1.0), 1.0),
+        TransferBin(1e4, 1e30, (1.0, 1.0, 0.0), 0.25),
+    ))
+    rng = np.random.default_rng(5)
+    buckets = np.array([int(np.float32(e).view(np.uint32)) >> 16 for e in (-0.1, 0.1, 1 / 3, 1e4, 1e30)])
+    bits = (rng.choice(buckets, size=(9, 8, 7)) << 16) | rng.integers(0, 1 << 16, size=(9, 8, 7))
+    values = _bits_to_float32(bits)
+    assert _in_mixed_bucket(values, tf).all()
+    vol = ScalarVolume(values.shape, (1.0,) * 3, (0.0,) * 3, values)
+    assert len(np.unique(quantize_reference(vol, tf).labels)) >= 4  # buckets on both sides of their breaks
+    for layout in LAYOUTS:
+        _assert_quantize_matches_reference(values, tf, layout, chunk=37)
+
+
+def test_quantize_no_voxel_in_a_mixed_bucket():
+    # every edge is the first value of its bucket and no voxel is negative, so
+    # the table labels every voxel
+    tf = TransferFunction(bins=(
+        TransferBin(0.5, 1.0, (1.0, 0.0, 0.0), 0.5),
+        TransferBin(1.0, 2.0, (0.0, 1.0, 0.0), 0.0),
+        TransferBin(2.0, 256.0, (0.0, 0.0, 1.0), 1.0),
+    ))
+    rng = np.random.default_rng(6)
+    values = np.concatenate([
+        rng.uniform(0.0, 300.0, 900).astype(np.float32),
+        np.float32([0.0, 0.5, 1.0, 2.0, 256.0]),
+        np.nextafter(np.float32([0.5, 1.0, 2.0, 256.0]), np.float32(0.0)),
+        _bits_to_float32(list(SPECIAL_BITS[::2])),
+    ]).reshape(-1, 1, 1)
+    assert not _in_mixed_bucket(values, tf).any()
+    for layout in LAYOUTS:
+        _assert_quantize_matches_reference(values, tf, layout)
+
+
+def test_quantize_with_three_hundred_contiguous_bins():
+    edges = np.linspace(-1.0, 5.0, 301)
+    tf = TransferFunction(bins=tuple(
+        TransferBin(float(lo), float(hi), (0.5, 0.5, 0.5), 0.0 if i % 7 == 3 else 1.0)
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:]))
+    ))
+    rng = np.random.default_rng(7)
+    near = np.float32(edges)
+    values = np.concatenate([
+        rng.uniform(-1.5, 5.5, 4000).astype(np.float32),
+        near,
+        np.nextafter(near, np.float32(-np.inf)),
+        np.nextafter(near, np.float32(np.inf)),
+    ]).reshape(-1, 1, 1)
+    assert quantize(ScalarVolume(values.shape, (1.0,) * 3, (0.0,) * 3, values), tf).n_labels > 255
+    for layout in LAYOUTS:
+        _assert_quantize_matches_reference(values, tf, layout, chunk=1000)
+
+
+def test_quantize_rejects_a_label_that_is_the_mixed_marker():
+    tf = TransferFunction(bins=tuple(
+        TransferBin(float(i), float(i + 1), (0.5, 0.5, 0.5), 1.0) for i in range(volume._MIXED)
+    ))
+    vol = ScalarVolume((1, 1, 1), (1.0,) * 3, (0.0,) * 3, np.zeros((1, 1, 1), np.float32))
+    with pytest.raises(ValidationError, match="visible bins"):
+        quantize(vol, tf)
+
+
 def label_volume(grid: np.ndarray, n_labels: int) -> LabelVolume:
     return LabelVolume(grid.shape, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), grid, n_labels)
 
