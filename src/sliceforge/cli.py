@@ -325,6 +325,10 @@ def cmd_export(args) -> int:
         raise ValidationError(
             f"volume dims {labels.dims} do not match the artifact grid {grid.dims}"
         )
+    if labels.spacing != grid.spacing:
+        raise ValidationError(
+            f"volume spacing {labels.spacing} does not match the artifact grid {grid.spacing}"
+        )
     with _stage("export"):
         manifest = pipeline.stage_export(
             args.out, labels, tf, slices, hinges, plan, layout, grid,

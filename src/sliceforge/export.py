@@ -1,9 +1,9 @@
 """Vector print output: per-page SVG with cut paths, slots, stoppers,
 labels, and embedded slice art, plus the instruction sheet.
 
-Cut geometry is computed from a slice and its own hinges, in exact
-rational arithmetic in the slice's local frame (origin bottom-left, x along
-the slice's horizontal axis, y up), so mating slot positions on the two
+Cut geometry is computed from a slice and its own hinges in its local frame
+(origin bottom-left, x along the slice's horizontal axis, y up) as integers
+over one power of two, rounded once: mating slot positions on the two
 slices of a hinge stay aligned after inverse scaling. SVG output is
 byte-stable for identical inputs.
 """
@@ -14,7 +14,6 @@ import base64
 import struct
 import zlib
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -28,28 +27,24 @@ LABEL_FONT_MM = 3.0
 FRAME_FONT_MM = 2.2
 
 
-def _frac(x: float | int) -> Fraction:
-    return Fraction(x) if isinstance(x, int) else Fraction(float(x))
-
-
 @dataclass(frozen=True)
 class SlotCut:
     hinge_id: int
     kind: SlotKind
-    # local-frame rect, y up, exact
-    x0: Fraction
-    y0: Fraction
-    x1: Fraction
-    y1: Fraction
+    # local-frame rect, y up; exact integers over one power of two, rounded once
+    x0: float
+    y0: float
+    x1: float
+    y1: float
 
 
 @dataclass(frozen=True)
 class CutGeometry:
     """Everything to cut for one slice, in its local frame (mm, y up)."""
 
-    width: Fraction
-    height: Fraction
-    outline: tuple[tuple[Fraction, Fraction], ...]
+    width: float
+    height: float
+    outline: tuple[tuple[float, float], ...]
     slots: tuple[SlotCut, ...]
 
 
@@ -67,45 +62,55 @@ def slice_cut_geometry(
     `hinges.hinges_by_slice` gives them; the slots follow that order.
     """
     _, u_ax, v_ax = slice_axes(s.orientation, orientations)
-    sp_u, sp_v = _frac(spacing[u_ax]), _frac(spacing[v_ax])
-    sc = _frac(scale)
-    sw = _frac(slot_width_mm) * sc
+    # an int (say a `--config` slot width) stays exact; a numpy scalar goes through float
+    (nu, qu), (nv, qv), (nw, qw), (ns, qs) = (
+        x.as_integer_ratio() if isinstance(x, int) else float(x).as_integer_ratio()
+        for x in (spacing[u_ax], spacing[v_ax], slot_width_mm, scale)
+    )
+    # every q is a power of two, so over `den` each coordinate below is an
+    # integer (half voxels and half slot widths too); `n / den` rounds it once
+    q = max(qu, qv, qw)
+    den = 2 * q * qs
+    du = nu * ns * (2 * q // qu)  # one voxel along u
+    dv = nv * ns * (q // qv)  # half a voxel along v
+    half_sw = nw * ns * (q // qw)
+    sw = 2 * half_sw
     u0, v0 = s.u_range[0], s.v_range[0]
-    width = (s.u_range[1] - u0) * sp_u * sc
-    height = (s.v_range[1] - v0) * sp_v * sc
+    width = (s.u_range[1] - u0) * du
+    height = 2 * (s.v_range[1] - v0) * dv
 
-    def x_of(u: int) -> Fraction:
-        return (u - u0) * sp_u * sc
+    def y_of(v: int) -> int:
+        return 2 * (v - v0) * dv
 
-    def y_of(v: Fraction | int) -> Fraction:
-        return (Fraction(v) - v0) * sp_v * sc
+    def cut(h: Hinge, kind: SlotKind, x: int, y0: int, y1: int) -> SlotCut:
+        return SlotCut(h.id, kind, (x - half_sw) / den, y0 / den, (x + half_sw) / den, y1 / den)
 
     slots: list[SlotCut] = []
-    flanges: dict[str, list[tuple[Fraction, Fraction]]] = {"left": [], "right": []}
+    flanges: dict[str, list[tuple[int, int]]] = {"left": [], "right": []}
     for h in slice_hinges:
         slot = h.slot_on(s.id)
-        x = x_of(h.u_on(s.id))
+        x = (h.u_on(s.id) - u0) * du
         if slot in (SlotKind.TOP, SlotKind.BOTTOM):
-            y_mid = y_of(Fraction(h.v0 + h.v1, 2))
-            y_range = (y_mid, height) if slot == SlotKind.TOP else (Fraction(0), y_mid)
-            slots.append(SlotCut(h.id, slot, x - sw / 2, y_range[0], x + sw / 2, y_range[1]))
+            y_mid = (h.v0 + h.v1 - 2 * v0) * dv
+            y0, y1 = (y_mid, height) if slot == SlotKind.TOP else (0, y_mid)
+            slots.append(cut(h, slot, x, y0, y1))
         elif slot == SlotKind.WINDOW:
             # clearance of one slot width total; open to the edge when the
             # passing slice shares that end
-            y_lo = Fraction(0) if h.v0 == s.v_range[0] else y_of(h.v0) - sw / 2
-            y_hi = height if h.v1 == s.v_range[1] else y_of(h.v1) + sw / 2
-            slots.append(SlotCut(h.id, slot, x - sw / 2, max(y_lo, Fraction(0)), x + sw / 2, min(y_hi, height)))
+            y_lo = 0 if h.v0 == s.v_range[0] else y_of(h.v0) - half_sw
+            y_hi = height if h.v1 == s.v_range[1] else y_of(h.v1) + half_sw
+            slots.append(cut(h, slot, x, max(y_lo, 0), min(y_hi, height)))
         else:  # NONE: nothing cut; a boundary contact grows a stopper tab
             if h.stopper_on == s.id:
                 side = "left" if h.u_on(s.id) == s.u_range[0] else "right"
                 flanges[side].append((y_of(h.v0) - sw, y_of(h.v1) + sw))
 
-    outline = _outline_polygon(width, height, sw, flanges)
-    return CutGeometry(width=width, height=height, outline=outline, slots=tuple(slots))
+    outline = tuple((a / den, b / den) for a, b in _outline_polygon(width, height, sw, flanges))
+    return CutGeometry(width=width / den, height=height / den, outline=outline, slots=tuple(slots))
 
 
-def _merge_intervals(spans: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
-    merged: list[tuple[Fraction, Fraction]] = []
+def _merge_intervals(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    merged: list[tuple[int, int]] = []
     for a0, a1 in sorted(spans):
         if merged and a0 <= merged[-1][1]:
             merged[-1] = (merged[-1][0], max(a1, merged[-1][1]))
@@ -114,25 +119,24 @@ def _merge_intervals(spans: list[tuple[Fraction, Fraction]]) -> list[tuple[Fract
     return merged
 
 
-def _outline_polygon(width: Fraction, height: Fraction, sw: Fraction, flanges) -> tuple:
+def _outline_polygon(width: int, height: int, sw: int, flanges) -> list[tuple[int, int]]:
     """Counterclockwise outline with rectangular stopper tabs protruding
     one slot width past the slice edge."""
-    zero = Fraction(0)
     right = _merge_intervals(flanges["right"])
     left = _merge_intervals(flanges["left"])
-    pts: list[tuple[Fraction, Fraction]] = [(zero, zero), (width, zero)]
+    pts: list[tuple[int, int]] = [(0, 0), (width, 0)]
     for a0, a1 in right:  # ascending along the right edge
         pts += [(width, a0), (width + sw, a0), (width + sw, a1), (width, a1)]
-    pts += [(width, height), (zero, height)]
+    pts += [(width, height), (0, height)]
     for a0, a1 in reversed(left):  # descending along the left edge
-        pts += [(zero, a1), (-sw, a1), (-sw, a0), (zero, a0)]
+        pts += [(0, a1), (-sw, a1), (-sw, a0), (0, a0)]
     out = [pts[0]]
     for p in pts[1:]:
         if p != out[-1]:
             out.append(p)
     if out[-1] == out[0]:
         out.pop()
-    return tuple(out)
+    return out
 
 
 # --- minimal deterministic PNG encoding -----------------------------------
@@ -194,9 +198,8 @@ class _Frame:
 
     placement: Placement
 
-    def to_page(self, a: Fraction | float, b: Fraction | float) -> tuple[float, float]:
+    def to_page(self, a: float, b: float) -> tuple[float, float]:
         p = self.placement
-        a, b = float(a), float(b)
         if not p.rotated:
             return (p.x + a, p.y + (p.h - b))
         # 90 degrees clockwise: local up axis becomes page +x
@@ -235,7 +238,7 @@ def _text(x: float, y: float, size: float, content: str, anchor: str = "start") 
 def _label_position(geom: CutGeometry, text_w: float, text_h: float) -> tuple[float, float, bool]:
     """First collision-free corner for the on-slice order label (local frame,
     y up, returns the text's lower-left). Falls back to the first corner."""
-    w, h = float(geom.width), float(geom.height)
+    w, h = geom.width, geom.height
     inset = 1.5
     candidates = [
         (inset, h - inset - text_h),  # top-left
@@ -244,11 +247,10 @@ def _label_position(geom: CutGeometry, text_w: float, text_h: float) -> tuple[fl
         (w - inset - text_w, inset),
         ((w - text_w) / 2, (h - text_h) / 2),
     ]
-    boxes = [(float(c.x0), float(c.y0), float(c.x1), float(c.y1)) for c in geom.slots]
     for cx, cy in candidates:
         overlap = any(
-            cx < bx1 and cx + text_w > bx0 and cy < by1 and cy + text_h > by0
-            for bx0, by0, bx1, by1 in boxes
+            cx < c.x1 and cx + text_w > c.x0 and cy < c.y1 and cy + text_h > c.y0
+            for c in geom.slots
         )
         if not overlap:
             return cx, cy, True
@@ -303,7 +305,7 @@ def emit_pages(
                 )
             px, py = frame.to_page(lx, ly)
             doc.add("label", _text(px, py, LABEL_FONT_MM, label))
-            fx, fy = frame.to_page(-1.0, float(geom.height))
+            fx, fy = frame.to_page(-1.0, geom.height)
             doc.add("label", _text(fx, fy - 1.0, FRAME_FONT_MM, label, anchor="end"))
         docs.append(doc.render())
     return docs, warnings_out

@@ -14,13 +14,15 @@ import math
 import struct
 import warnings
 import zlib
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from sliceforge.codec import encode
 from sliceforge.errors import ValidationError
-from sliceforge.hinges import Hinge
+from sliceforge.export import CutGeometry, SlotCut
+from sliceforge.hinges import Hinge, SlotKind
 from sliceforge.layout import slice_print_size
 from sliceforge.mesh import Mesh
 from sliceforge.octree import Bounds, OctreeNode, Slice, _rects_meet, _should_subdivide, iter_nodes, slice_axes
@@ -393,6 +395,97 @@ def encode_png_reference(rgba: np.ndarray) -> bytes:
         + chunk(b"IDAT", zlib.compress(raw, 6))
         + chunk(b"IEND", b"")
     )
+
+
+# --- exact rational cut geometry --------------------------------------------
+
+
+def _frac(x: float | int) -> Fraction:
+    return Fraction(x) if isinstance(x, int) else Fraction(float(x))
+
+
+def slice_cut_geometry_reference(
+    s: Slice,
+    slice_hinges: list[Hinge],
+    spacing: tuple[float, float, float],
+    scale: float,
+    slot_width_mm: float,
+    orientations: tuple[str, str] = ("x", "y"),
+) -> CutGeometry:
+    """Slot rectangles and the outline polygon (with stopper flanges), in
+    `Fraction`s: the code `sliceforge.export.slice_cut_geometry` replaced,
+    kept as the oracle for its integers over one power of two.
+
+    `slice_hinges` are the hinges touching `s`, in the order
+    `hinges.hinges_by_slice` gives them; the slots follow that order.
+    """
+    _, u_ax, v_ax = slice_axes(s.orientation, orientations)
+    sp_u, sp_v = _frac(spacing[u_ax]), _frac(spacing[v_ax])
+    sc = _frac(scale)
+    sw = _frac(slot_width_mm) * sc
+    u0, v0 = s.u_range[0], s.v_range[0]
+    width = (s.u_range[1] - u0) * sp_u * sc
+    height = (s.v_range[1] - v0) * sp_v * sc
+
+    def x_of(u: int) -> Fraction:
+        return (u - u0) * sp_u * sc
+
+    def y_of(v: Fraction | int) -> Fraction:
+        return (Fraction(v) - v0) * sp_v * sc
+
+    slots: list[SlotCut] = []
+    flanges: dict[str, list[tuple[Fraction, Fraction]]] = {"left": [], "right": []}
+    for h in slice_hinges:
+        slot = h.slot_on(s.id)
+        x = x_of(h.u_on(s.id))
+        if slot in (SlotKind.TOP, SlotKind.BOTTOM):
+            y_mid = y_of(Fraction(h.v0 + h.v1, 2))
+            y_range = (y_mid, height) if slot == SlotKind.TOP else (Fraction(0), y_mid)
+            slots.append(SlotCut(h.id, slot, x - sw / 2, y_range[0], x + sw / 2, y_range[1]))
+        elif slot == SlotKind.WINDOW:
+            # clearance of one slot width total; open to the edge when the
+            # passing slice shares that end
+            y_lo = Fraction(0) if h.v0 == s.v_range[0] else y_of(h.v0) - sw / 2
+            y_hi = height if h.v1 == s.v_range[1] else y_of(h.v1) + sw / 2
+            slots.append(SlotCut(h.id, slot, x - sw / 2, max(y_lo, Fraction(0)), x + sw / 2, min(y_hi, height)))
+        else:  # NONE: nothing cut; a boundary contact grows a stopper tab
+            if h.stopper_on == s.id:
+                side = "left" if h.u_on(s.id) == s.u_range[0] else "right"
+                flanges[side].append((y_of(h.v0) - sw, y_of(h.v1) + sw))
+
+    outline = _outline_polygon_reference(width, height, sw, flanges)
+    return CutGeometry(width=width, height=height, outline=outline, slots=tuple(slots))
+
+
+def _merge_intervals_reference(spans: list[tuple[Fraction, Fraction]]) -> list[tuple[Fraction, Fraction]]:
+    merged: list[tuple[Fraction, Fraction]] = []
+    for a0, a1 in sorted(spans):
+        if merged and a0 <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(a1, merged[-1][1]))
+        else:
+            merged.append((a0, a1))
+    return merged
+
+
+def _outline_polygon_reference(width: Fraction, height: Fraction, sw: Fraction, flanges) -> tuple:
+    """Counterclockwise outline with rectangular stopper tabs protruding
+    one slot width past the slice edge."""
+    zero = Fraction(0)
+    right = _merge_intervals_reference(flanges["right"])
+    left = _merge_intervals_reference(flanges["left"])
+    pts: list[tuple[Fraction, Fraction]] = [(zero, zero), (width, zero)]
+    for a0, a1 in right:  # ascending along the right edge
+        pts += [(width, a0), (width + sw, a0), (width + sw, a1), (width, a1)]
+    pts += [(width, height), (zero, height)]
+    for a0, a1 in reversed(left):  # descending along the left edge
+        pts += [(zero, a1), (-sw, a1), (-sw, a0), (zero, a0)]
+    out = [pts[0]]
+    for p in pts[1:]:
+        if p != out[-1]:
+            out.append(p)
+    if out[-1] == out[0]:
+        out.pop()
+    return tuple(out)
 
 
 # --- exhaustive order oracle ------------------------------------------------

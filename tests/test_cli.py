@@ -182,6 +182,17 @@ def test_export_rejects_artifacts_of_another_slice_set(two_runs, capsys):
     assert export("layout2.json", "hinges2.json", "plan2.json")[0] == 0
 
 
+def test_export_rejects_a_volume_of_another_spacing(two_runs, capsys, tmp_path):
+    header = tmp_path / "vol.json"
+    header.write_text(json.dumps({**json.loads(header.read_text()), "spacing_mm": [0.5, 0.5, 0.5]}))
+    code, err = run(["export", *two_runs, "--in", "layout2.json", "--hinges", "hinges2.json",
+                     "--plan", "plan2.json", "--out", "out"], capsys)
+    assert code == 2
+    assert "volume spacing (0.5, 0.5, 0.5) does not match the artifact grid (1.0, 1.0, 1.0)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("hinges,plan", [("hinges2.json", "plan3.json"), ("hinges3.json", "plan2.json")])
 def test_pack_rejects_a_plan_of_another_run(two_runs, hinges, plan, capsys, tmp_path):
     code, err = run(["pack", "--in", hinges, "--plan", plan, "--out", "layout.json"], capsys)
