@@ -50,8 +50,11 @@ class ScalarVolume:
             raise ValidationError(
                 f"scalar grid shape {self.scalars.shape} does not match dims {self.dims}"
             )
-        bad = np.flatnonzero(~np.isfinite(self.scalars.ravel(order="F")))
-        if bad.size:
+        # NaN propagates through min and max, so both are finite exactly when
+        # every value is; the grid is scanned for the first bad index only
+        # when one of them is not
+        if not (np.isfinite(self.scalars.min()) and np.isfinite(self.scalars.max())):
+            bad = np.flatnonzero(~np.isfinite(self.scalars.ravel(order="F")))
             raise IngestError(f"non-finite intensity at flat index {int(bad[0])}")
 
     @property

@@ -24,10 +24,10 @@ from sliceforge.errors import ValidationError
 from sliceforge.export import CutGeometry, SlotCut
 from sliceforge.hinges import Hinge, SlotKind
 from sliceforge.layout import slice_print_size
-from sliceforge.mesh import Mesh
+from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _PAD_FRACTION, _inside_by_parity, golden_palette
 from sliceforge.octree import Bounds, OctreeNode, Slice, _rects_meet, _should_subdivide, iter_nodes, slice_axes
 from sliceforge.render import SliceRaster
-from sliceforge.volume import LabelVolume, ScalarVolume, TransferFunction, save_volume
+from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, save_volume
 
 
 def write_volume_files(tmp: Path, volume: ScalarVolume, tf: TransferFunction, stem: str = "vol", dtype: str = "f32"):
@@ -180,6 +180,102 @@ def inside_by_parity_reference(mesh: Mesh, centers: tuple[np.ndarray, np.ndarray
     shape = [0, 0, 0]
     shape[u_axis], shape[v_axis], shape[axis] = n_u, n_v, len(cr)
     return np.moveaxis(inside_uv, (0, 1, 2), (u_axis, v_axis, axis))
+
+
+# --- per-mesh voxelizer oracle --------------------------------------------
+
+
+def mesh_inside_grid_reference(mesh: Mesh, centers: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Majority vote of the three single-axis parity tests: the function
+    `voxelize_meshes_reference` called per mesh, kept verbatim."""
+    votes = sum(
+        _inside_by_parity(mesh, centers, axis).view(np.uint8) for axis in range(3)
+    )
+    return votes >= 2
+
+
+def voxelize_meshes_reference(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[ScalarVolume, TransferFunction]:
+    """Per-mesh voxelizer: the code `sliceforge.mesh.voxelize_meshes`
+    replaced, kept verbatim as the oracle for the bit-packed version.
+
+    Convert a mesh set to a labeled volume plus an automatic transfer function.
+
+    Voxel intensity is 1 + the index of the innermost containing mesh
+    (0 where no mesh contains the voxel center). The transfer function gets
+    one bin per mesh; deeper-nested meshes receive higher opacity so inner
+    structures stay visible through the assembled film stack. Coordinates
+    are normalized so the longest padded side measures REFERENCE_EXTENT_MM.
+    """
+    if any(int(r) < 8 for r in resolution):
+        raise ValidationError(f"resolution must be >= 8 per axis, got {resolution}")
+    resolution = tuple(int(r) for r in resolution)
+    for m in meshes.meshes:
+        tri = m.vertices[m.triangles]
+        areas = np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
+        flat = int((areas == 0.0).sum())
+        if flat:
+            warnings.warn(f"mesh {m.name!r}: skipped {flat} degenerate (zero-area) triangles")
+    lo, hi = meshes.bounds()
+    extent = hi - lo
+    extent[extent == 0] = 1.0
+    lo = lo - _PAD_FRACTION * extent
+    hi = hi + _PAD_FRACTION * extent
+    spacing = (hi - lo) / np.asarray(resolution, dtype=np.float64)
+    centers = tuple(
+        lo[a] + (np.arange(resolution[a]) + 0.5) * spacing[a] for a in range(3)
+    )
+
+    inside = [mesh_inside_grid_reference(m, centers) for m in meshes.meshes]
+    counts = [int(g.sum()) for g in inside]
+    for m, c in zip(meshes.meshes, counts):
+        if c == 0:
+            warnings.warn(f"mesh {m.name!r} contains no voxel centers at this resolution")
+
+    n = len(meshes.meshes)
+    # nesting depth: how many other meshes (almost) completely contain this one
+    depth = np.zeros(n, dtype=int)
+    for i in range(n):
+        if counts[i] == 0:
+            continue
+        for j in range(n):
+            if i == j or counts[j] == 0:
+                continue
+            if int((inside[i] & inside[j]).sum()) >= 0.995 * counts[i] and counts[j] > counts[i]:
+                depth[i] += 1
+
+    volume_center = (lo + hi) / 2.0
+    center_dist = np.array([np.linalg.norm(m.centroid - volume_center) for m in meshes.meshes])
+    # innermost = deepest nesting, ties broken toward the volume center
+    rank_order = sorted(range(n), key=lambda i: (depth[i], -center_dist[i], i))
+    depth_rank = np.empty(n, dtype=int)
+    for r, i in enumerate(rank_order):
+        depth_rank[i] = r
+
+    scalars = np.zeros(resolution, dtype=np.float32)
+    best_rank = np.full(resolution, -1, dtype=np.int32)
+    for i in range(n):
+        take = inside[i] & (depth_rank[i] > best_rank)
+        scalars[take] = np.float32(i + 1)
+        best_rank[take] = depth_rank[i]
+
+    palette = golden_palette(n)
+    bins = tuple(
+        TransferBin(
+            lo=float(i + 1),
+            hi=float(i + 2),
+            rgb=palette[i],
+            opacity=1.0 if n == 1 else 0.35 + 0.65 * depth_rank[i] / (n - 1),
+        )
+        for i in range(n)
+    )
+    norm = REFERENCE_EXTENT_MM / float(np.max(hi - lo))
+    volume = ScalarVolume(
+        dims=resolution,
+        spacing=tuple(float(s) * norm for s in spacing),
+        origin=tuple(float(c[0]) * norm for c in centers),
+        scalars=scalars,
+    )
+    return volume, TransferFunction(bins)
 
 
 # --- whole-grid quantizer and per-node octree -----------------------------

@@ -86,16 +86,25 @@ def test_checker_flags_unread_parameters():
 def _mentions(tree: ast.Module) -> list[tuple[str, int, bool]]:
     """(name, line, bare) of every name, attribute and string in a module;
     `bare` marks a plain name, which cannot reach a method. A string in
-    `__all__` does not count, since listing a name there uses it nowhere."""
+    `__all__` does not count, since listing a name there uses it nowhere,
+    and neither does a string that is a dict key or a subscript index:
+    `{"n": ...}` and `row["n"]` name data, not a definition. A name or
+    attribute in those places (`row[C.n]`) still counts."""
     exported = {
         id(n)
         for node in tree.body
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
         for n in ast.walk(node)
     }
+    keys = {
+        id(k)
+        for n in ast.walk(tree)
+        for k in (n.keys if isinstance(n, ast.Dict) else [n.slice] if isinstance(n, ast.Subscript) else [])
+        if isinstance(k, ast.Constant) and isinstance(k.value, str)
+    }
     out = []
     for n in ast.walk(tree):
-        if id(n) in exported:
+        if id(n) in exported or id(n) in keys:
             continue
         if isinstance(n, ast.Name):
             out.append((n.id, n.lineno, True))
@@ -158,9 +167,20 @@ def test_checker_flags_unreferenced_definitions():
             "    def by_name(self): return 1\n"
             "    def dead(self): pass\n"
             "    def n(self): pass\n"
+            "    def keyed(self): pass\n"
+            "    def indexed(self): pass\n"
+            "    def attr_keyed(self): pass\n"
+            "    def attr_indexed(self): pass\n"
             "__all__ = ['exported']\n"
         )
     }
-    # a plain name `n` is a variable: it cannot call the method `n`
-    others = {"t.py": "import m\nm.used(); m.C().called(); getattr(m, 'C'); n = 1; print(n)\n"}
-    assert unreferenced_definitions(package, others) == ["m.py:recursive", "m.py:exported", "m.py:C.dead", "m.py:C.n"]
+    # a plain name `n` is a variable: it cannot call the method `n`; a dict
+    # key or a subscript index is data, so neither reaches a method either;
+    # an attribute in those places does
+    others = {
+        "t.py": "import m\nm.used(); m.C().called(); getattr(m, 'C'); n = 1; print(n)\n"
+        "row = {'keyed': n, m.C.attr_keyed: n}\nprint(row['indexed'], row[m.C.attr_indexed])\n"
+    }
+    assert unreferenced_definitions(package, others) == [
+        "m.py:recursive", "m.py:exported", "m.py:C.dead", "m.py:C.n", "m.py:C.keyed", "m.py:C.indexed",
+    ]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sliceforge import cli
 from sliceforge.errors import ValidationError
 from sliceforge.mesh import (
     Mesh,
@@ -48,6 +49,22 @@ class TestObjIO:
         path.write_text("v 0 0 0\nv 1 0 0\nv 1 1 0\nv 0 1 0\nf 1 2 3 4\n")
         with pytest.raises(ValidationError, match="triangulated"):
             load_obj(path)
+
+    def test_negative_indices_count_back_from_the_last_vertex(self, tmp_path):
+        path = tmp_path / "m.obj"
+        path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf -1 1 -3\n")
+        assert load_obj(path).triangles.tolist() == [[0, 1, 2], [3, 0, 1]]
+
+    @pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 -4", "f -9 1 2"])
+    def test_index_naming_no_vertex_rejected(self, tmp_path, capsys, face):
+        # index 0 must not alias len(vertices), which is the next vertex
+        # the file defines (line 5)
+        path = tmp_path / "m.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\nv 0 0 1\nf 1 2 4\n")
+        with pytest.raises(ValidationError, match=rf"m\.obj:4: face index -?\d+ names no vertex"):
+            load_obj(path)
+        assert cli.main(["build", "--meshes", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestVoxelize:

@@ -66,6 +66,24 @@ class TestLoadVolume:
         with pytest.raises(IngestError, match="index 5"):
             load_volume(raw, header)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_non_finite_index_is_x_fastest_in_any_layout(self, order):
+        # x-fastest (F-order) flat index of [1, 0, 0] is 1 and of [0, 1, 0]
+        # is 3; in C memory order the inf at [0, 1, 0] comes first
+        scalars = np.zeros((3, 4, 5), np.float32, order=order)
+        scalars[0, 1, 0] = np.inf
+        scalars[1, 0, 0] = -np.inf
+        scalars[2, 3, 4] = np.nan
+        with pytest.raises(IngestError, match=r"non-finite intensity at flat index 1$"):
+            ScalarVolume((3, 4, 5), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), scalars)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_lone_non_finite_value_rejected(self, value):
+        scalars = np.ones((3, 4, 5), np.float32)
+        scalars[2, 3, 4] = value  # x-fastest flat index 2 + 3 * 3 + 4 * 12
+        with pytest.raises(IngestError, match=r"non-finite intensity at flat index 59$"):
+            ScalarVolume((3, 4, 5), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), scalars)
+
     def test_missing_file_is_io_failure(self, tmp_path):
         with pytest.raises(IOFailure):
             load_volume(tmp_path / "nope.raw", tmp_path / "nope.json")

@@ -1,0 +1,184 @@
+"""The bit-packed voxelizer against the per-mesh code it replaced.
+
+`voxelize_meshes_reference` votes, counts and labels one boolean grid per
+mesh. `voxelize_meshes` packs eight meshes into each byte of one grid per
+ray axis and reads every count off histograms of those bytes. Both must
+give the same scalar bytes, the same transfer function and the same
+warnings in the same order.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sliceforge.mesh import Mesh, MeshSet, _inside_by_parity, voxelize_meshes
+from sliceforge.synth import icosphere, nested_spheres, unit_cube
+
+from helpers import mesh_inside_grid_reference, voxelize_meshes_reference
+
+
+def run(voxelize, meshes: MeshSet, resolution):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        volume, tf = voxelize(meshes, resolution)
+    return volume, tf, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_matches_reference(meshes: MeshSet, resolution) -> list[str]:
+    """Assert equal outputs and return the warning messages."""
+    got, got_tf, got_warnings = run(voxelize_meshes, meshes, resolution)
+    want, want_tf, want_warnings = run(voxelize_meshes_reference, meshes, resolution)
+    assert got.scalars.dtype == want.scalars.dtype == np.float32
+    assert got.scalars.shape == want.scalars.shape == tuple(resolution)
+    assert got.scalars.flags.c_contiguous
+    assert got.scalars.tobytes() == want.scalars.tobytes()
+    assert (got.dims, got.spacing, got.origin) == (want.dims, want.spacing, want.origin)
+    assert got_tf == want_tf
+    assert got_warnings == want_warnings
+    return [message for _, message in got_warnings]
+
+
+def scattered_spheres(n: int, seed: int) -> MeshSet:
+    """n coarse icospheres of mixed sizes that overlap, nest and miss."""
+    rng = np.random.default_rng(seed)
+    return MeshSet(tuple(
+        icosphere(
+            radius=float(rng.uniform(0.15, 0.9)),
+            center=tuple(rng.uniform(-0.4, 0.4, 3)),
+            subdivisions=1,
+            name=f"m{i}",
+        )
+        for i in range(n)
+    ))
+
+
+def grid_centers(meshes: MeshSet, resolution):
+    """Voxel centers over the padded bounds, as `voxelize_meshes` builds them."""
+    lo, hi = meshes.bounds()
+    extent = hi - lo
+    lo, hi = lo - 0.08 * extent, hi + 0.08 * extent
+    spacing = (hi - lo) / np.asarray(resolution, float)
+    return tuple(lo[a] + (np.arange(resolution[a]) + 0.5) * spacing[a] for a in range(3))
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 9, 17])
+def test_word_boundaries(n):
+    # 8 meshes fill one byte; the 9th and the 17th open a second and a third
+    meshes = scattered_spheres(n, seed=n)
+    assert_matches_reference(meshes, (20, 18, 22))
+    got, _, _ = run(voxelize_meshes, meshes, (20, 18, 22))
+    assert np.unique(got.scalars).tolist() == list(range(n + 1))  # every mesh wins some voxel
+
+
+def test_word_boundaries_nested():
+    radii = tuple(0.95 - 0.05 * i for i in range(17))
+    assert_matches_reference(nested_spheres(radii, subdivisions=1), (24, 24, 24))
+
+
+def test_labels_past_a_byte():
+    # 256 disjoint spheres, each holding voxels: 1 + the top rank is 256,
+    # one more than a byte of the per-voxel best-rank grid holds
+    lattice = np.stack(np.meshgrid(np.arange(8), np.arange(8), np.arange(4), indexing="ij"), -1).reshape(-1, 3)
+    meshes = MeshSet(tuple(
+        icosphere(radius=0.35, center=tuple(map(float, c)), subdivisions=0, name=f"m{i}")
+        for i, c in enumerate(lattice)
+    ))
+    assert_matches_reference(meshes, (32, 32, 16))
+    got, _, _ = run(voxelize_meshes, meshes, (32, 32, 16))
+    assert np.unique(got.scalars).tolist() == list(range(257))
+
+
+def test_disjoint_meshes():
+    meshes = MeshSet((
+        unit_cube(name="a", center=(0.0, 0.0, 0.0)),
+        unit_cube(name="b", center=(3.0, 0.0, 0.0), scale=1.5),
+        icosphere(radius=0.6, center=(1.5, 2.0, 0.0), subdivisions=1, name="c"),
+    ))
+    assert_matches_reference(meshes, (32, 16, 16))
+
+
+@pytest.mark.parametrize("offset", [0.62, 0.628, 0.63, 0.635])
+def test_overlap_near_containment_threshold(offset):
+    # the inner sphere pokes out of the outer one by a few voxels; whether
+    # it counts as nested turns on `shared >= 0.995 * count`
+    meshes = MeshSet((
+        icosphere(radius=1.0, subdivisions=2, name="outer"),
+        icosphere(radius=0.4, center=(offset, 0.05, 0.0), subdivisions=2, name="inner"),
+    ))
+    assert_matches_reference(meshes, (36, 32, 40))
+
+
+def test_threshold_sweep_straddles_the_threshold():
+    ratios = []
+    for offset in (0.62, 0.628, 0.63, 0.635):
+        meshes = MeshSet((
+            icosphere(radius=1.0, subdivisions=2, name="outer"),
+            icosphere(radius=0.4, center=(offset, 0.05, 0.0), subdivisions=2, name="inner"),
+        ))
+        centers = grid_centers(meshes, (36, 32, 40))
+        outer, inner = (mesh_inside_grid_reference(m, centers) for m in meshes.meshes)
+        ratios.append((outer & inner).sum() / inner.sum())
+    assert min(ratios) > 0.98 and max(ratios) < 1.0
+    assert any(r >= 0.995 for r in ratios) and any(r < 0.995 for r in ratios)
+
+
+def open_cube(axis: int) -> Mesh:
+    """The unit cube with half of its face at the low end of `axis` missing."""
+    cube = unit_cube(name=f"open{axis}")
+    return Mesh(cube.name, cube.vertices, np.delete(cube.triangles, 4 * axis, axis=0))
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_open_mesh_decided_by_vote(axis):
+    # rays along `axis` through the hole cross the cube once, so that axis
+    # alone is wrong and the other two outvote it
+    mesh = open_cube(axis)
+    centers = grid_centers(MeshSet((mesh,)), (12, 10, 14))
+    per_axis = [_inside_by_parity(mesh, centers, a) for a in range(3)]
+    others = [g for a, g in enumerate(per_axis) if a != axis]
+    assert np.array_equal(*others) and not np.array_equal(per_axis[axis], others[0])
+    assert_matches_reference(MeshSet((mesh,)), (12, 10, 14))
+    # the open mesh again, in the second byte, between closed ones
+    many = MeshSet((*scattered_spheres(8, seed=5).meshes, mesh, unit_cube(name="c", scale=0.4)))
+    assert_matches_reference(many, (20, 20, 20))
+
+
+def test_mesh_holding_no_voxel_centre():
+    cube = unit_cube(name="big", center=(0.0, 0.0, 0.0), scale=2.0)
+    # far smaller than a voxel (~0.15) and away from every center
+    speck = icosphere(radius=0.004, center=(0.53, 0.61, 0.47), subdivisions=0, name="speck")
+    warned = assert_matches_reference(MeshSet((cube, speck)), (16, 16, 16))
+    assert warned == ["mesh 'speck' contains no voxel centers at this resolution"]
+    warned = assert_matches_reference(MeshSet((*scattered_spheres(9, seed=2).meshes, speck)), (16, 16, 16))
+    assert warned == ["mesh 'speck' contains no voxel centers at this resolution"]
+
+
+def test_degenerate_triangle():
+    cube = unit_cube()
+    vertices = np.vstack([cube.vertices, cube.vertices[0]])
+    triangles = np.vstack([cube.triangles, [[0, 0, 8]], [[0, 7, 7]]])
+    bad = Mesh(name="bad", vertices=vertices, triangles=triangles)
+    warned = assert_matches_reference(MeshSet((unit_cube(name="outer", scale=2.0), bad)), (10, 12, 9))
+    assert warned == ["mesh 'bad': skipped 2 degenerate (zero-area) triangles"]
+
+
+def test_non_cubic_resolution():
+    meshes = MeshSet((
+        icosphere(radius=0.8, center=(0.1, -0.05, 0.2), subdivisions=2, name="a"),
+        icosphere(radius=0.3, center=(0.2, 0.1, 0.1), subdivisions=2, name="b"),
+        unit_cube(name="c", center=(-0.2, 0.0, 0.3), scale=0.5),
+    ))
+    assert_matches_reference(meshes, (24, 16, 40))
+
+
+@given(
+    n=st.integers(1, 18),
+    seed=st.integers(0, 2**16),
+    resolution=st.tuples(*(st.integers(8, 20),) * 3),
+)
+@settings(max_examples=25, deadline=None)
+def test_random_sphere_sets(n, seed, resolution):
+    assert_matches_reference(scattered_spheres(n, seed), resolution)
