@@ -2,8 +2,9 @@
 
 `sliceforge build` runs the whole pipeline; `slice`, `hinge`, `order`,
 `pack`, and `export` run single stages on JSON artifacts so intermediate
-results can be inspected or golden-tested. Exit codes: 0 ok, 2 validation,
-3 infeasible, 4 I/O.
+results can be inspected or golden-tested. Each option takes the value of
+its flag, else of its key in the `--config` JSON file, else its default.
+Exit codes: 0 ok, 2 validation, 3 infeasible, 4 I/O.
 """
 
 from __future__ import annotations
@@ -23,15 +24,33 @@ from .octree import slices_from_json
 from .pipeline import GridInfo
 from .volume import quantize
 
+# the densest raster, in pixels per mm (2540 dpi); more only makes rasters too big to allocate
+MAX_PX_PER_MM = 100.0
 
-def _parse_page(text: str) -> str | tuple[float, float]:
-    if text in PAGE_SIZES_MM:
-        return text
+
+def _finite(value) -> bool:
+    """A float can hold it: not nan, not infinite, and no integer too large
+    to convert (Python compares an int with a float exactly)."""
+    return abs(value) <= sys.float_info.max
+
+
+def _positive(value) -> bool:
+    return _finite(value) and value > 0
+
+
+def _finite_non_negative(value) -> bool:
+    return _finite(value) and value >= 0
+
+
+def _parse_page(text: str) -> tuple[float, float]:
+    """A4, A3, or WxH, as a (width, height) in mm, both finite and > 0."""
     try:
-        w, h = text.lower().split("x")
-        return (float(w), float(h))
+        size = PAGE_SIZES_MM.get(text) or tuple(float(v) for v in text.lower().split("x"))
     except ValueError:
-        raise ValidationError(f"page must be A4, A3, or WxH in mm, got {text!r}")
+        size = ()
+    if len(size) != 2 or not all(_positive(v) for v in size):
+        raise argparse.ArgumentTypeError(f"page must be A4, A3, or WxH in mm, both finite and > 0, got {text!r}")
+    return size
 
 
 def _parse_orientations(text: str) -> tuple[str, str]:
@@ -39,7 +58,7 @@ def _parse_orientations(text: str) -> tuple[str, str]:
     if len(parts) == 1 and len(parts[0]) == 2:
         parts = (parts[0][0], parts[0][1])
     if len(parts) != 2 or any(p not in ("x", "y", "z") for p in parts) or parts[0] == parts[1]:
-        raise ValidationError(f"orientations must be two distinct axes from x,y,z, got {text!r}")
+        raise argparse.ArgumentTypeError(f"orientations must be two distinct axes from x,y,z, got {text!r}")
     return parts
 
 
@@ -63,7 +82,28 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", help="JSON config file; flags override its keys")
+    p.add_argument("--config", help="JSON object of option values by name, e.g. {\"sheets\": 2}; "
+                   "an option takes its flag, else its config key, else its default")
+
+
+def _add_slice_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--level", type=int, default=3, help="highest octree level L")
+    p.add_argument("--orientations", type=_parse_orientations, default="x,y",
+                   help="two slicing plane normals, e.g. x,y")
+
+
+def _add_pack_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--page", type=_parse_page, default="A4", help="A4, A3, or WxH in mm")
+    p.add_argument("--sheets", type=int, default=1)
+    p.add_argument("--slot-width", dest="slot_width", type=float, default=1.0, help="slot width in model mm")
+    p.add_argument("--k-max", dest="k_max", type=int, default=6)
+    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN_MM)
+    p.add_argument("--gutter", type=float, default=DEFAULT_GUTTER_MM)
+
+
+def _add_export_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--dpi", type=float, default=4.0, help=f"raster density in pixels per mm, <= {MAX_PX_PER_MM:g}")
+    p.add_argument("--perforate", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,23 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("build", help="run the full pipeline")
     _add_input_args(b)
     _add_common_args(b)
-    b.add_argument("--level", type=int, default=3, help="highest octree level L")
-    b.add_argument("--orientations", default="x,y", help="two slicing plane normals, e.g. x,y")
-    b.add_argument("--page", default="A4", help="A4, A3, or WxH in mm")
-    b.add_argument("--sheets", type=int, default=1)
-    b.add_argument("--slot-width", dest="slot_width", type=float, default=1.0, help="slot width in model mm")
-    b.add_argument("--dpi", type=float, default=4.0, help="raster density in px per mm")
-    b.add_argument("--k-max", dest="k_max", type=int, default=6)
-    b.add_argument("--margin", type=float, default=DEFAULT_MARGIN_MM)
-    b.add_argument("--gutter", type=float, default=DEFAULT_GUTTER_MM)
-    b.add_argument("--perforate", action="store_true")
+    _add_slice_args(b)
+    _add_pack_args(b)
+    _add_export_args(b)
     b.add_argument("--out", required=True, help="output directory")
 
     s = sub.add_parser("slice", help="octree partition + slice unification")
     _add_input_args(s)
     _add_common_args(s)
-    s.add_argument("--level", type=int, default=3)
-    s.add_argument("--orientations", default="x,y")
+    _add_slice_args(s)
     s.add_argument("--out", required=True, help="slices artifact path")
 
     h = sub.add_parser("hinge", help="classify slice intersections")
@@ -106,12 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--in", dest="inp", required=True, help="hinges artifact")
     k.add_argument("--plan", required=True, help="plan artifact")
     k.add_argument("--out", required=True, help="layout artifact path")
-    k.add_argument("--page", default="A4")
-    k.add_argument("--sheets", type=int, default=1)
-    k.add_argument("--slot-width", dest="slot_width", type=float, default=1.0)
-    k.add_argument("--k-max", dest="k_max", type=int, default=6)
-    k.add_argument("--margin", type=float, default=DEFAULT_MARGIN_MM)
-    k.add_argument("--gutter", type=float, default=DEFAULT_GUTTER_MM)
+    _add_pack_args(k)
     _add_common_args(k)
 
     e = sub.add_parser("export", help="emit print pages, instructions, manifest")
@@ -120,54 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--plan", required=True, help="plan artifact")
     _add_input_args(e)
     _add_common_args(e)
-    e.add_argument("--dpi", type=float, default=4.0, help="raster density in px per mm")
-    e.add_argument("--perforate", action="store_true")
+    _add_export_args(e)
     e.add_argument("--out", required=True, help="output directory")
     return parser
-
-
-def _subcommand_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
-
-
-def _apply_config_file(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Config file supplies values only where the flag kept its default."""
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    if not path.exists():
-        raise ValidationError(f"config file not found: {path}")
-    try:
-        cfg = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ValidationError("config file must hold a JSON object")
-    actions = _subcommand_actions(parser, args.command)
-    for key, value in cfg.items():
-        if key not in actions:
-            raise ValidationError(f"unknown config key {key!r} for command {args.command!r}")
-        if getattr(args, key) == actions[key].default:
-            setattr(args, key, value)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """A float can hold it: not nan, not infinite, and no integer too large
-    to convert (Python compares an int with a float exactly)."""
-    return abs(value) <= sys.float_info.max
-
-
-def _positive(value) -> bool:
-    return _finite(value) and value > 0
-
-
-def _finite_non_negative(value) -> bool:
-    return _finite(value) and value >= 0
 
 
 # options held to a range as well as a kind: the test and how a message names it.
@@ -175,35 +157,57 @@ def _finite_non_negative(value) -> bool:
 # Margins and gutters measure paper; the seed starts a random generator.
 _RANGES = {
     "slot_width": (_positive, "a positive number"),
-    "dpi": (_positive, "a positive number"),
+    "dpi": (lambda value: _positive(value) and value <= MAX_PX_PER_MM,
+            f"a positive number of pixels per mm, at most {MAX_PX_PER_MM:g}"),
     "margin": (_finite_non_negative, "a finite number >= 0"),
     "gutter": (_finite_non_negative, "a finite number >= 0"),
     "seed": (lambda value: value >= 0, "an integer >= 0"),
 }
 
 
-def _check_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Every option holds a value of its flag's kind, and of its range where
-    `_RANGES` names one. A --config value skips argparse's conversion, so a
-    wrong one is caught here."""
-    for key, action in _subcommand_actions(parser, args.command).items():
-        value = getattr(args, key)
-        if action.type is int:
-            ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-        elif action.type is float:
-            ok, kind = _is_number(value), "a number"
-        elif isinstance(action, argparse._StoreTrueAction):
-            ok, kind = isinstance(value, bool), "true or false"
-        elif action.nargs == "+":
-            ok = isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
-            kind = "a list of strings"
-        else:
-            ok, kind = isinstance(value, str), "a string"
-        if key in _RANGES:
-            in_range, kind = _RANGES[key]
-            ok = ok and in_range(value)
-        if not ok and not (value is None and action.default is None):
-            raise ValidationError(f"{action.option_strings[0]} must be {kind}, got {value!r}")
+def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace, argv) -> argparse.Namespace:
+    """Make the --config keys, each of its option's JSON kind, the defaults
+    and parse argv again, so a flag beats a config key and a config value
+    meets a flag's converter; then hold every value in `_RANGES` to its range."""
+    if args.config:
+        path = Path(args.config)
+        if not path.is_file():
+            raise ValidationError(f"config file not found: {path}")
+        try:
+            cfg = json.loads(path.read_text())
+        except ValueError as exc:  # also an integer of more digits than int() takes
+            raise ValidationError(f"config file is not valid JSON: {exc}")
+        if not isinstance(cfg, dict):
+            raise ValidationError("config file must hold a JSON object")
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
+        actions = {a.dest: a for a in sub._actions if a.dest != "help"}
+        for key, value in cfg.items():
+            if key not in actions:
+                raise ValidationError(f"unknown config key {key!r} for command {args.command!r}")
+            action = actions[key]
+            if action.type is int:
+                ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
+            elif action.type is float:
+                ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
+            elif isinstance(action, argparse._StoreTrueAction):
+                ok, kind = isinstance(value, bool), "true or false"
+            elif action.nargs == "+":
+                ok = isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+                kind = "a list of strings"
+            else:
+                ok, kind = isinstance(value, str), "a string"
+            if key in _RANGES:
+                kind = _RANGES[key][1]
+            if not ok and not (value is None and action.default is None):
+                raise ValidationError(f"{action.option_strings[0]} must be {kind}, got {value!r}")
+            if action.type in (int, float):
+                cfg[key] = str(value)  # argparse converts a string default with type=
+        sub.set_defaults(**cfg)
+        args = parser.parse_args(argv)
+    for key, (in_range, kind) in _RANGES.items():
+        if hasattr(args, key) and not in_range(getattr(args, key)):
+            raise ValidationError(f"--{key.replace('_', '-')} must be {kind}, got {getattr(args, key)!r}")
+    return args
 
 
 def _load_labels(args):
@@ -215,20 +219,18 @@ def _load_labels(args):
 
 
 def cmd_build(args) -> int:
-    orientations = _parse_orientations(args.orientations)
-    page = _parse_page(args.page)
     labels, tf = _load_labels(args)
-    grid = GridInfo(labels.dims, labels.spacing, labels.origin, orientations)
+    grid = GridInfo(labels.dims, labels.spacing, labels.origin, args.orientations)
 
     with _stage("octree"):
-        slices = pipeline.stage_slice(labels, args.level, orientations)
+        slices = pipeline.stage_slice(labels, args.level, args.orientations)
     with _stage("hinge"):
-        hinges = pipeline.stage_hinges(slices, orientations)
+        hinges = pipeline.stage_hinges(slices, args.orientations)
     with _stage("order"):
         plan, _report = pipeline.stage_order(hinges, slices, grid)
     with _stage("pack"):
         layout = pipeline.stage_pack(
-            slices, plan, grid, page, args.sheets, args.slot_width,
+            slices, plan, grid, args.page, args.sheets, args.slot_width,
             args.margin, args.gutter, args.k_max, args.seed,
         )
     with _stage("export"):
@@ -247,11 +249,10 @@ def cmd_build(args) -> int:
 
 
 def cmd_slice(args) -> int:
-    orientations = _parse_orientations(args.orientations)
     labels, _tf = _load_labels(args)
-    grid = GridInfo(labels.dims, labels.spacing, labels.origin, orientations)
+    grid = GridInfo(labels.dims, labels.spacing, labels.origin, args.orientations)
     with _stage("octree"):
-        slices = pipeline.stage_slice(labels, args.level, orientations)
+        slices = pipeline.stage_slice(labels, args.level, args.orientations)
     pipeline.write_artifact(args.out, encode({"grid": grid, "slices": slices}))
     print(f"{len(slices)} slices -> {args.out}")
     return 0
@@ -270,11 +271,15 @@ def cmd_hinge(args) -> int:
     return 0
 
 
-def cmd_order(args) -> int:
-    art = pipeline.read_artifact(args.inp)
+def _read_hinges(path: str):
+    """The grid, slices and hinges of a hinges artifact."""
+    art = pipeline.read_artifact(path)
     grid = GridInfo.from_json(art.get("grid"))
-    slices = slices_from_json(art.get("slices"))
-    hinges = hinges_from_json(art.get("hinges"))
+    return grid, slices_from_json(art.get("slices")), hinges_from_json(art.get("hinges"))
+
+
+def cmd_order(args) -> int:
+    grid, slices, hinges = _read_hinges(args.inp)
     with _stage("order"):
         plan, _report = pipeline.stage_order(hinges, slices, grid)
     pipeline.write_artifact(args.out, encode(plan))
@@ -293,16 +298,12 @@ def _check_same_run(hinges_path, slices, hinges, plan_path, plan, layout_path=No
 
 
 def cmd_pack(args) -> int:
-    page = _parse_page(args.page)
-    art = pipeline.read_artifact(args.inp)
-    grid = GridInfo.from_json(art.get("grid"))
-    slices = slices_from_json(art.get("slices"))
-    hinges = hinges_from_json(art.get("hinges"))
+    grid, slices, hinges = _read_hinges(args.inp)
     plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
     _check_same_run(args.inp, slices, hinges, args.plan, plan)
     with _stage("pack"):
         layout = pipeline.stage_pack(
-            slices, plan, grid, page, args.sheets, args.slot_width,
+            slices, plan, grid, args.page, args.sheets, args.slot_width,
             args.margin, args.gutter, args.k_max, args.seed,
         )
     pipeline.write_artifact(
@@ -314,10 +315,7 @@ def cmd_pack(args) -> int:
 
 def cmd_export(args) -> int:
     layout, slot_width, seed = pipeline.layout_from_json(pipeline.read_artifact(args.inp))
-    hinge_art = pipeline.read_artifact(args.hinges)
-    grid = GridInfo.from_json(hinge_art.get("grid"))
-    slices = slices_from_json(hinge_art.get("slices"))
-    hinges = hinges_from_json(hinge_art.get("hinges"))
+    grid, slices, hinges = _read_hinges(args.hinges)
     plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
     _check_same_run(args.hinges, slices, hinges, args.plan, plan, args.inp, layout)
     labels, tf = _load_labels(args)
@@ -353,13 +351,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        args = _resolve_options(parser, args, argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:  # argparse has printed the usage and why (or the help)
         return exc.code
-    try:
-        _apply_config_file(args, parser)
-        _check_options(args, parser)
-        return _COMMANDS[args.command](args)
-    except SliceforgeError as exc:
+    except SliceforgeError as exc:  # args is bound: only argparse raises before it is
         stage = getattr(exc, "stage", args.command)
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         if exc.hint:

@@ -382,7 +382,7 @@ def pack(
     clusters: ClusterModel,
     spacing: tuple[float, float, float],
     orientations: tuple[str, str] = ("x", "y"),
-    page: str | tuple[float, float] = "A4",
+    page_size: tuple[float, float] = PAGE_SIZES_MM["A4"],
     sheets: int = 1,
     margin: float = DEFAULT_MARGIN_MM,
     gutter: float = DEFAULT_GUTTER_MM,
@@ -397,9 +397,6 @@ def pack(
     """
     if sheets < 1:
         raise ValidationError(f"sheets must be >= 1, got {sheets}")
-    page_size = PAGE_SIZES_MM.get(page, page) if isinstance(page, str) else tuple(page)
-    if isinstance(page_size, str):
-        raise ValidationError(f"unknown page size {page!r}")
     page_w, page_h = (float(v) for v in page_size)
     if page_w - 2 * margin <= 0 or page_h - 2 * margin <= 0:
         raise ValidationError("margins leave no usable page area")
@@ -438,12 +435,13 @@ def pack(
         total_area = sum(
             (w * scale_min + gutter) * (h * scale_min + gutter) for w, h in sizes.values()
         )
-        need = math.ceil(total_area / (usable[2] * usable[3]))
-        # each cluster lands on one page, so sheets past k stay empty
-        if sheets >= clusters.k:
+        pages_of_area = total_area / (usable[2] * usable[3])
+        # each cluster lands on one page, so sheets past k stay empty; an
+        # area no float holds (a huge gutter) names no sheet count either
+        if sheets >= clusters.k or not math.isfinite(pages_of_area):
             hint = "try a larger page or a wider --slot-width"
         else:
-            hint = f"try --sheets {min(max(need, sheets + 1), clusters.k)} or a larger page"
+            hint = f"try --sheets {min(max(math.ceil(pages_of_area), sheets + 1), clusters.k)} or a larger page"
         raise InfeasibleError(
             "slices do not fit even at the minimum legible scale "
             f"(printed slot width below {MIN_PRINT_SLOT_MM} mm)",

@@ -12,6 +12,7 @@ one intensity value so nested anatomy stays distinct downstream.
 from __future__ import annotations
 
 import colorsys
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,24 +97,30 @@ def load_obj(path: str | Path) -> Mesh:
         parts = line.split()
         if not parts or parts[0] not in ("v", "f"):
             continue
-        if parts[0] == "v":
-            if len(parts) < 4:
-                raise ValidationError(f"{path}:{ln}: vertex needs 3 coordinates")
-            vertices.append(tuple(float(c) for c in parts[1:4]))
-        else:
-            if len(parts) != 4:
-                raise ValidationError(f"{path}:{ln}: only triangulated faces are supported")
-            idx = []
-            for tok in parts[1:4]:
-                tok = tok.split("/")[0]
-                i = int(tok)
-                if i == 0 or -i > len(vertices):
-                    raise ValidationError(
-                        f"{path}:{ln}: face index {i} names no vertex "
-                        "(OBJ counts from 1, and from -1 back from the last vertex read)"
-                    )
-                idx.append(i - 1 if i > 0 else len(vertices) + i)
-            triangles.append(tuple(idx))
+        try:
+            if parts[0] == "v":
+                if len(parts) < 4:
+                    raise ValidationError(f"{path}:{ln}: vertex needs 3 coordinates")
+                xyz = tuple(float(c) for c in parts[1:4])
+                if not all(map(math.isfinite, xyz)):
+                    raise ValidationError(f"{path}:{ln}: vertex coordinates must be finite, got {line.strip()!r}")
+                vertices.append(xyz)
+            else:
+                if len(parts) != 4:
+                    raise ValidationError(f"{path}:{ln}: only triangulated faces are supported")
+                idx = []
+                for tok in parts[1:4]:
+                    tok = tok.split("/")[0]
+                    i = int(tok)
+                    if i == 0 or -i > len(vertices):
+                        raise ValidationError(
+                            f"{path}:{ln}: face index {i} names no vertex "
+                            "(OBJ counts from 1, and from -1 back from the last vertex read)"
+                        )
+                    idx.append(i - 1 if i > 0 else len(vertices) + i)
+                triangles.append(tuple(idx))
+        except ValueError:  # float() or int() of a token that is no number
+            raise ValidationError(f"{path}:{ln}: {line.strip()!r} holds a token that is not a number") from None
     return Mesh(
         name=path.stem,
         vertices=np.asarray(vertices, dtype=np.float64),

@@ -43,10 +43,6 @@ class OctreeNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def extent(self, axis: int) -> int:
-        lo, hi = self.bounds[axis]
-        return hi - lo
-
 
 def _should_subdivide(distinct: frozenset[int], level: int, bounds: Bounds, max_level: int) -> bool:
     if len(distinct) < 2 or level >= max_level:

@@ -115,7 +115,7 @@ def stage_pack(
     slices: list[Slice],
     plan: AssemblyPlan,
     grid: GridInfo,
-    page: str | tuple[float, float],
+    page_size: tuple[float, float],
     sheets: int,
     slot_width_mm: float,
     margin: float,
@@ -130,7 +130,7 @@ def stage_pack(
         clusters,
         grid.spacing,
         orientations=grid.orientations,
-        page=page,
+        page_size=page_size,
         sheets=sheets,
         slot_width_mm=slot_width_mm,
         margin=margin,

@@ -1,5 +1,8 @@
 """Command-line validation: bad values exit 2 with a message, never a traceback."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import tempfile
@@ -202,9 +205,10 @@ def test_pack_rejects_a_plan_of_another_run(two_runs, hinges, plan, capsys, tmp_
     assert not (tmp_path / "layout.json").exists()
 
 
-# every numeric option of `build`, by its config key
-NUMERIC = ("resolution", "seed", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter")
-POOL = (-1, 0, math.nan, math.inf, "x")
+# every numeric option of `build` and the two it parses from a string, by config key
+KEYS = ("resolution", "seed", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter",
+        "page", "orientations")
+POOL = (-1, 0, math.nan, math.inf, 1e308, "x", "nanxnan", "x,x")
 
 
 @pytest.fixture(scope="module")
@@ -217,7 +221,7 @@ def volume16(tmp_path_factory):
 @settings(max_examples=60, deadline=None)
 @given(
     options=st.dictionaries(
-        st.sampled_from(NUMERIC), st.tuples(st.sampled_from(("flag", "config")), st.sampled_from(POOL))
+        st.sampled_from(KEYS), st.tuples(st.sampled_from(("flag", "config")), st.sampled_from(POOL))
     ),
     config_path=st.one_of(st.none(), st.sampled_from(POOL)),
 )
@@ -238,9 +242,11 @@ def test_any_bad_option_value_exits_with_a_code(volume16, options, config_path):
         argv += ["--config", str(work / "cfg.json")]
     else:
         argv += ["--config", str(work / str(config_path))]  # no such file
-    code = cli.main(argv)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
     event(f"exit {code}")
     assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("key", ["slot_width", "dpi", "margin", "gutter"])
@@ -250,3 +256,100 @@ def test_integer_too_large_for_a_float_rejected(key, capsys, tmp_path, monkeypat
     code, err = run(COMMANDS["build"] + ["--config", "cfg.json"], capsys)
     assert code == 2
     assert f"--{key.replace('_', '-')} must be a" in err
+
+
+def test_flag_equal_to_its_default_beats_the_config_key(volume_build, capsys, tmp_path):
+    # --level 3 and --sheets 1 are the defaults; the config file asks for 2 and 2
+    (tmp_path / "cfg.json").write_text(json.dumps({"level": 2, "sheets": 2}))
+    argv = volume_build[:-2]
+    assert run([*argv, "--out", "config"], capsys)[0] == 0
+    assert run([*argv, "--level", "3", "--sheets", "1", "--out", "flags"], capsys)[0] == 0
+    (tmp_path / "cfg.json").write_text("{}")
+    assert run([*argv, "--level", "3", "--sheets", "1", "--out", "plain"], capsys)[0] == 0
+    flags, plain = ((tmp_path / d / "manifest.json").read_bytes() for d in ("flags", "plain"))
+    assert flags == plain
+    assert (tmp_path / "config" / "manifest.json").read_bytes() != flags
+
+
+@pytest.mark.parametrize("command", ["build", "pack"])
+@pytest.mark.parametrize("page", ["nanxnan", "infx300", "0x300", "300x-1", "1e400x300", "A5", "300"])
+def test_page_that_is_no_finite_positive_size_rejected(command, page, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = run(COMMANDS[command] + ["--page", page], capsys)
+    assert code == 2
+    assert f"argument --page: page must be A4, A3, or WxH in mm, both finite and > 0, got {page!r}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key,value", [("page", "nanxnan"), ("orientations", "x,x")])
+def test_config_string_goes_through_the_flag_converter(key, value, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    flag_code, flag_err = run(COMMANDS["build"] + [f"--{key}", value], capsys)
+    (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+    code, err = run(COMMANDS["build"] + ["--config", "cfg.json"], capsys)
+    assert code == flag_code == 2
+    assert f"argument --{key}: " in err
+    assert err.splitlines()[-1] == flag_err.splitlines()[-1]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["build", "export"])
+@pytest.mark.parametrize("channel", ["flag", "config"])
+def test_dpi_above_its_bound_rejected(command, channel, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"dpi": 1e300}))
+    options = ["--dpi", "1e300"] if channel == "flag" else ["--config", "cfg.json"]
+    code, err = run(COMMANDS[command] + options, capsys)
+    assert code == 2
+    assert f"--dpi must be a positive number of pixels per mm, at most {cli.MAX_PX_PER_MM:g}" in err
+    assert "Traceback" not in err
+
+
+def test_dpi_at_its_bound_passes_validation(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = run(COMMANDS["build"] + ["--dpi", str(cli.MAX_PX_PER_MM)], capsys)
+    assert code == 4
+    assert "must be" not in err
+
+
+def test_gutter_that_fits_no_page_exits_3(volume_build, capsys):
+    code, err = run(volume_build + ["--gutter", "1e308"], capsys)
+    assert code == 3
+    assert "hint: try a larger page or a wider --slot-width" in err
+    assert "Traceback" not in err
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_options_shared_by_commands_agree():
+    # --in and --out name each command's own artifacts, so their help differs
+    seen = {}
+    for command, parser in subparsers().items():
+        for action in parser._actions:
+            if action.dest in ("help", "inp", "out"):
+                continue
+            spec = (tuple(action.option_strings), action.default, action.type, action.help, action.nargs, action.required)
+            seen.setdefault(action.dest, {})[command] = spec
+    shared = {dest: specs for dest, specs in seen.items() if len(specs) > 1}
+    assert {"page", "slot_width", "dpi", "level", "orientations", "seed", "config"} <= shared.keys()
+    for dest, specs in shared.items():
+        assert len(set(specs.values())) == 1, (dest, specs)
+
+
+@pytest.mark.parametrize("command", ["build", "slice", "hinge", "order", "pack", "export"])
+def test_help_exits_0(command, capsys):
+    assert cli.main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: sliceforge {command}")
+
+
+def test_config_integer_of_too_many_digits_rejected(capsys, tmp_path, monkeypatch):
+    # json.loads raises ValueError, not JSONDecodeError, past int()'s digit limit
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"seed": ' + "1" * 5000 + "}")
+    code, err = run(COMMANDS["build"] + ["--config", "cfg.json"], capsys)
+    assert code == 2
+    assert "config file is not valid JSON" in err
+    assert "Traceback" not in err

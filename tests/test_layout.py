@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from sliceforge.errors import InfeasibleError
 from sliceforge.layout import (
+    PAGE_SIZES_MM,
     MaxRects,
     _assign_clusters_to_sheets,
     build_vectors,
@@ -234,7 +235,7 @@ class TestPack:
         slices = grid_slices([(0, 0, 100, 50)])
         plan = plan_for(slices)
         clusters = cluster_slices(slices, plan, (128, 128, 128))
-        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4", margin=5.0)
+        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"], margin=5.0)
         (pl,) = layout.placements
         # placed at the partition origin
         assert (pl.x, pl.y) == (5.0, 5.0)
@@ -251,7 +252,7 @@ class TestPack:
         slices = grid_slices([(0, 0, 40, 30), (0, 0, 20, 60), (0, 0, 50, 50), (0, 0, 10, 10)])
         plan = plan_for(slices)
         clusters = cluster_slices(slices, plan, (128, 128, 128))
-        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4")
+        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"])
         for pl in layout.placements:
             s = next(s for s in slices if s.id == pl.slice_id)
             w, h = slice_print_size(s, (1.0, 1.0, 1.0), ("x", "y"))
@@ -264,8 +265,8 @@ class TestPack:
         slices = grid_slices([(0, 0, 40, 30), (0, 0, 20, 60), (0, 0, 50, 50)])
         plan = plan_for(slices)
         clusters = cluster_slices(slices, plan, (128, 128, 128))
-        a = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4")
-        b = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4")
+        a = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"])
+        b = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"])
         assert a == b
 
     def test_infeasible_suggests_more_sheets(self):
@@ -287,9 +288,9 @@ class TestPack:
             assignment=np.array([0, 0, 1, 1]),
         )
         with pytest.raises(InfeasibleError) as err:
-            pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4", sheets=1)
+            pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"], sheets=1)
         assert "sheets" in str(err.value.hint)
-        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4", sheets=2)
+        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"], sheets=2)
         assert layout.sheets == 2
         check_layout(layout, slices)
 
@@ -313,7 +314,7 @@ class TestPack:
             assignment=np.repeat(np.arange(k), per_cluster),
         )
         with pytest.raises(InfeasibleError) as err:
-            pack(slices, plan_for(slices), clusters, (1.0, 1.0, 1.0), page="A4", sheets=sheets)
+            pack(slices, plan_for(slices), clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"], sheets=sheets)
         hint = err.value.hint
         if sheets >= k:
             assert hint == "try a larger page or a wider --slot-width"
@@ -321,11 +322,26 @@ class TestPack:
             suggested = int(hint.split("--sheets ")[1].split()[0])
             assert sheets < suggested <= k
 
+    @pytest.mark.parametrize("sheets", [1, 2])
+    def test_infeasible_hint_when_no_float_holds_the_area(self, sheets):
+        # a 1e308 mm gutter makes the padded slice area infinite, which names
+        # no sheet count: below k too, the hint asks for a larger page
+        from sliceforge.layout import ClusterModel
+
+        slices = synthetic_slices([("x" if i % 2 == 0 else "y", 16 + i, (0, 0, 10, 10), (i,)) for i in range(4)])
+        clusters = ClusterModel(
+            k=2, centroids=np.array([[0.0, 0.0], [1.0, 0.0]]), assignment=np.array([0, 0, 1, 1])
+        )
+        with pytest.raises(InfeasibleError) as err:
+            pack(slices, plan_for(slices), clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"],
+                 sheets=sheets, gutter=1e308)
+        assert err.value.hint == "try a larger page or a wider --slot-width"
+
     def test_multi_sheet_partitions_disjoint_pages(self):
         slices = grid_slices([(0, 0, 90, 90), (0, 0, 90, 90), (0, 0, 90, 90), (0, 0, 90, 90)])
         plan = plan_for(slices)
         clusters = cluster_slices(slices, plan, (128, 128, 128))
-        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page="A4", sheets=2)
+        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"], sheets=2)
         check_layout(layout, slices)
         assert layout.sheets <= 2
 
@@ -333,7 +349,7 @@ class TestPack:
         slices = synthetic_slices([("x", 8, (0, 0, 10, 10), (0,))])
         plan = plan_for(slices)
         clusters = cluster_slices(slices, plan, (16, 16, 16))
-        layout = pack(slices, plan, clusters, (0.74, 0.74, 1.5), page="A4")
+        layout = pack(slices, plan, clusters, (0.74, 0.74, 1.5), page_size=PAGE_SIZES_MM["A4"])
         (pl,) = layout.placements
         w, h = slice_print_size(slices[0], (0.74, 0.74, 1.5), ("x", "y"))
         assert math.isclose(w, 7.4) and math.isclose(h, 15.0)

@@ -67,6 +67,18 @@ class TestObjIO:
         assert "Traceback" not in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("line", ["f 1 2 x", "v 1 0 nan", "v 0 0 1e400"])
+    def test_value_that_is_no_finite_number_names_its_line(self, tmp_path, capsys, line):
+        path = tmp_path / "m.obj"
+        path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\nf 1 2 3\n")
+        with pytest.raises(ValidationError, match=r"m\.obj:4: "):
+            load_obj(path)
+        assert cli.main(["build", "--meshes", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:4: " in err
+        assert "Traceback" not in err
+
+
 class TestVoxelize:
     def test_unit_cube_interior_labeled(self):
         meshes = MeshSet((unit_cube(),))

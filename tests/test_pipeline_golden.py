@@ -103,6 +103,27 @@ def test_rerun_with_fewer_pages_removes_stale_pages(meshes, tmp_path):
     assert sorted(p.name for p in (tmp_path / "pages").iterdir()) == ["page-1.svg"]
 
 
+def test_staged_options_from_a_config_file_equal_flags(meshes, tmp_path):
+    def staged(dest: Path, pack_options: list[str], export_options: list[str]) -> dict[str, bytes]:
+        dest.mkdir()
+        a = {name: str(dest / f"{name}.json") for name in ("slices", "hinges", "plan", "layout")}
+        run(["slice", "--meshes", *meshes, *GRID, "--level", "3", "--out", a["slices"]])
+        run(["hinge", "--in", a["slices"], "--out", a["hinges"]])
+        run(["order", "--in", a["hinges"], "--out", a["plan"]])
+        run(["pack", "--in", a["hinges"], "--plan", a["plan"], *pack_options, "--out", a["layout"]])
+        run(["export", "--in", a["layout"], "--hinges", a["hinges"], "--plan", a["plan"],
+             "--meshes", *meshes, *GRID, *export_options, "--out", str(dest / "print")])
+        return files_under(dest)
+
+    (tmp_path / "pack.json").write_text(json.dumps({"page": "A3", "sheets": 2}))
+    (tmp_path / "export.json").write_text(json.dumps({"dpi": 6}))
+    from_config = staged(tmp_path / "config", ["--config", str(tmp_path / "pack.json")],
+                         ["--config", str(tmp_path / "export.json")])
+    from_flags = staged(tmp_path / "flags", ["--page", "A3", "--sheets", "2"], ["--dpi", "6"])
+    assert "print/pages/page-2.svg" in from_flags
+    assert from_config == from_flags
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "build"
