@@ -2,15 +2,14 @@
 
 A node subdivides while it still contains two or more distinct visible
 structures, the level budget allows, and every axis is at least two voxels
-wide. Every node reached by the recursion emits one center slice per
-configured plane family; coplanar touching slices are then unified into
-minimal bounding rectangles, in one pass over each plane's rectangles.
-"""
+wide. Every node emits one center slice per configured plane family;
+coplanar touching slices are then unified into minimal bounding rectangles.
+All of it is array work, with no Python work per node or per rectangle."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,116 +32,109 @@ def up_axis(orientations: tuple[str, str]) -> str:
 
 @dataclass(frozen=True, eq=False)
 class OctreeNode:
-    id: int
-    bounds: Bounds  # inclusive lo, exclusive hi per axis, voxel units
-    level: int
-    distinct_labels: frozenset[int]
-    children: tuple["OctreeNode", ...] = ()
+    """Node `id` of a tree made by `build_octree`; row i holds node i, in preorder."""
+
+    box: np.ndarray  # (n, 3, 2) inclusive lo, exclusive hi per axis, voxel units
+    levels: np.ndarray  # (n,) 1 for the root
+    words: np.ndarray  # (n, w) label l sets bit (l - 1) % bits of word (l - 1) // bits
+    child_ids: np.ndarray  # (n, 8) x slowest; -1 for a leaf
+    id: int = 0
+
+    @property
+    def bounds(self) -> Bounds:
+        return tuple(map(tuple, self.box[self.id].tolist()))
+
+    @property
+    def level(self) -> int:
+        return int(self.levels[self.id])
+
+    @property
+    def distinct_labels(self) -> frozenset[int]:
+        words, bits = self.words[self.id].tolist(), self.words.itemsize * 8
+        return frozenset(w * bits + b + 1 for w, word in enumerate(words) for b in range(bits) if word >> b & 1)
+
+    @property
+    def children(self) -> tuple["OctreeNode", ...]:
+        return tuple(replace(self, id=c) for c in self.child_ids[self.id].tolist() if c >= 0)
 
     @property
     def is_leaf(self) -> bool:
-        return not self.children
+        return bool(self.child_ids[self.id, 0] < 0)
 
 
-def _should_subdivide(distinct: frozenset[int], level: int, bounds: Bounds, max_level: int) -> bool:
-    if len(distinct) < 2 or level >= max_level:
-        return False
-    return all(hi - lo >= 2 for lo, hi in bounds)
+def _finest_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.ndarray:
+    """(n, n, n, w) label-bit words OR-ed over every block between `edges`.
 
-
-def _halve(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Both halves of every interval, as a node splits; a one-voxel interval
-    gives an empty first half."""
-    return [half for lo, hi in intervals for half in ((lo, (lo + hi) // 2), ((lo + hi) // 2, hi))]
-
-
-def _block_masks(grid: np.ndarray, bits: np.ndarray, intervals) -> np.ndarray:
-    """OR of the label bits over every block of the tensor grid `intervals`
-    (one interval list per axis).
-
-    An empty interval ``(lo, lo)`` is the first half of a one-voxel one, so
-    it is never a node's; its block reads voxel ``lo``, which its sibling
-    holds too, so the blocks of every coarser grid still come out right.
-    """
-    masks = bits[grid]
-    # along the axis of smallest stride first: the fastest order on either layout
-    for axis in sorted(range(masks.ndim), key=lambda a: masks.strides[a]):
-        starts = np.array([lo for lo, _ in intervals[axis]])
-        masks = np.bitwise_or.reduceat(masks, starts, axis=axis)
-    return masks
+    With at most 7 labels, `1 << label` is a byte per voxel; a uint64 of 8
+    along the axis of smallest stride folds to one byte by ORing the halves
+    of its uint32, uint16 and uint8 views. No uint64 may straddle blocks, so
+    this needs equal blocks a multiple of 8 wide on that axis. Other grids
+    gather from a bit table and `reduceat` each axis whose blocks are not one
+    voxel; an empty block (never a node's) reads the voxel its sibling holds."""
+    n = len(edges[0]) - 1  # blocks per axis
+    order = np.argsort(grid.strides)[::-1]  # the axis of smallest stride last
+    if n_bits <= 7 and all(d % n == 0 for d in grid.shape) and grid.shape[order[-1]] // n % 8 == 0:
+        words = np.ascontiguousarray(np.left_shift(1, grid, dtype=np.uint8).transpose(order)).view(np.uint64)
+        for half in (np.uint32, np.uint16, np.uint8):
+            pair = words.view(half).reshape(*words.shape, 2)
+            words = pair[..., 0] | pair[..., 1]
+        words = np.bitwise_or.reduce(words.reshape(n, -1, n, words.shape[1] // n, n, words.shape[2] // n), axis=(1, 3, 5))
+        return (words.transpose(np.argsort(order)) >> 1)[..., None]  # label 0 held bit 0
+    bits = next((b for b in (8, 16, 32) if n_bits <= b), 64)
+    held = np.arange(n_bits)  # label - 1
+    table = np.zeros((max(1, -(-n_bits // bits)), n_bits + 1), dtype=f"uint{bits}")  # word, label
+    table[held // bits, held + 1] = np.left_shift(1, held % bits).astype(table.dtype)
+    out = []
+    for word in table:  # one word at a time bounds the gathered grid
+        masks = word[grid]
+        for axis in np.argsort(masks.strides):  # smallest stride first: the fastest order on either layout
+            if not (np.diff(edges[axis]) == 1).all():
+                masks = np.bitwise_or.reduceat(masks, edges[axis][:-1], axis=axis)
+        out.append(masks)
+    return np.stack(out, axis=-1)
 
 
 def build_octree(labels: LabelVolume, max_level: int) -> OctreeNode:
-    """Recursive octant subdivision driven by distinct visible labels.
+    """Octant subdivision driven by distinct visible labels, one depth at a time.
 
-    Every node at depth d spans one block of the tensor grid whose axes are
-    halved d times, so the labels of all nodes come from one pass over the
-    volume: label l sets bit l - 1 of a mask, the masks are OR-reduced per
-    block of the deepest grid a node can reach, and each coarser grid ORs
-    2 x 2 x 2 blocks of the one below.
-    """
+    A node at depth d is a block of the grid with axes halved d times, down
+    to where the level budget ends or some axis has no block two voxels wide.
+    Label masks OR over that finest grid's blocks, then 2 x 2 x 2 per depth.
+    A depth's nodes are the children of the splitting nodes above; a child's
+    preorder id is its parent's plus one plus its elder siblings' subtree sizes."""
     if max_level < 1:
         raise ValidationError(f"octree level must be >= 1, got {max_level}")
-    grid = labels.labels
-    n_bits = labels.n_labels
-    top = int(grid.max())
-    if top > n_bits:
+    grid, n_bits = labels.labels, labels.n_labels
+    if (top := int(grid.max())) > n_bits:
         raise ValidationError(f"label volume holds label {top} but has only {n_bits} labels")
-    # intervals[d][axis]: the node intervals along an axis at depth d
-    intervals = [[[(0, int(n))] for n in labels.dims]]
-    while len(intervals) < max_level and all(
-        max(hi - lo for lo, hi in ivs) >= 2 for ivs in intervals[-1]
-    ):
-        intervals.append([_halve(ivs) for ivs in intervals[-1]])
-
-    # label l sets bit (l - 1) % word_bits of word (l - 1) // word_bits
-    word_bits = next((b for b in (8, 16, 32) if n_bits <= b), 64)
-    dtype = np.dtype(f"uint{word_bits}")
-    # masks_by_depth[d]: per word, the OR of the label bits in every block at depth d
-    masks_by_depth: list[list[np.ndarray]] = [[] for _ in intervals]
-    for first in range(0, max(n_bits, 1), word_bits):
-        held = np.arange(first, min(n_bits, first + word_bits))  # label - 1
-        bits = np.zeros(n_bits + 1, dtype=dtype)
-        bits[held + 1] = np.left_shift(dtype.type(1), (held - first).astype(dtype))
-        masks = _block_masks(grid, bits, intervals[-1])
-        for depth in reversed(range(len(intervals))):
-            masks_by_depth[depth].append(masks)
-            if depth:  # the blocks at depth - 1 are 2 x 2 x 2 blocks of these
-                nx, ny, nz = (n // 2 for n in masks.shape)
-                masks = np.bitwise_or.reduce(masks.reshape(nx, 2, ny, 2, nz, 2), axis=(1, 3, 5))
-
-    label_sets: dict[tuple[int, ...], frozenset[int]] = {}
-
-    def distinct_at(depth: int, index: tuple[int, int, int]) -> frozenset[int]:
-        words = tuple(m.item(index) for m in masks_by_depth[depth])
-        if words not in label_sets:
-            label_sets[words] = frozenset(
-                w * word_bits + b + 1
-                for w, word in enumerate(words)
-                for b in range(word_bits)
-                if word >> b & 1
-            )
-        return label_sets[words]
-
-    counter = [0]
-
-    def build(depth: int, index: tuple[int, int, int]) -> OctreeNode:
-        node_id = counter[0]
-        counter[0] += 1
-        bounds = tuple(intervals[depth][axis][i] for axis, i in enumerate(index))
-        distinct = distinct_at(depth, index)
-        children: tuple[OctreeNode, ...] = ()
-        if _should_subdivide(distinct, depth + 1, bounds, max_level):
-            children = tuple(
-                build(depth + 1, (2 * index[0] + ix, 2 * index[1] + iy, 2 * index[2] + iz))
-                for ix in range(2)
-                for iy in range(2)
-                for iz in range(2)
-            )
-        return OctreeNode(id=node_id, bounds=bounds, level=depth + 1, distinct_labels=distinct, children=children)
-
-    root = build(0, (0, 0, 0))
-    if not root.distinct_labels:
+    edges = [[np.array([0, int(n)]) for n in labels.dims]]  # edges[d][axis]: block bounds at depth d
+    while len(edges) < max_level and all(np.diff(e).max() >= 2 for e in edges[-1]):
+        edges.append([np.insert(e, range(1, len(e)), (e[:-1] + e[1:]) // 2) for e in edges[-1]])
+    masks = [_finest_masks(grid, n_bits, edges[-1])]
+    while len(masks) < len(edges):  # each coarser grid ORs 2 x 2 x 2 blocks of the one below
+        masks.insert(0, np.bitwise_or.reduce(masks[0].reshape((len(masks[0]) // 2, 2) * 3 + (-1,)), axis=(1, 3, 5)))
+    depths, index = [], np.zeros((1, 3), dtype=np.intp)  # index: every node's block at this depth
+    for e, m in zip(edges, masks):
+        box = np.stack([e[a][index[:, a, None] + [0, 1]] for a in range(3)], axis=1)
+        words = m[tuple(index.T)]
+        split = (words & (words - 1)).any(axis=1) | ((words != 0).sum(axis=1) >= 2)  # two labels or more
+        split &= (np.diff(box)[..., 0] >= 2).all(axis=1) & (len(depths) + 1 < len(edges))
+        depths.append((box, words, split))
+        index = (2 * index[split, None, :] + np.indices((2, 2, 2)).reshape(3, -1).T).reshape(-1, 3)
+    sizes = [np.zeros(0, dtype=np.int64)]  # subtree sizes, deepest depth first
+    for *_, split in reversed(depths):
+        sizes.append(np.ones(len(split), dtype=np.int64))
+        sizes[-1][split] += sizes[-2].reshape(-1, 8).sum(axis=1)
+    n, ids = int(sizes[-1][0]), np.zeros(1, dtype=np.int64)
+    root = OctreeNode(np.empty((n, 3, 2), np.int64), np.empty(n, np.int64), np.empty((n, m.shape[-1]), m.dtype),
+                      np.full((n, 8), -1, np.int64))
+    for depth, (box, words, split) in enumerate(depths):
+        root.box[ids], root.levels[ids], root.words[ids] = box, depth + 1, words
+        if depth + 1 < len(depths):
+            size = sizes[-depth - 2].reshape(-1, 8)
+            root.child_ids[ids[split]] = ids[split, None] + 1 + np.cumsum(size, axis=1) - size
+            ids = root.child_ids[ids[split]].ravel()
+    if not root.words[0].any():
         warnings.warn("volume is entirely background: nothing to slice")
     return root
 
@@ -191,78 +183,86 @@ def slice_axes(orientation: str, orientations: tuple[str, str]) -> tuple[int, in
     return normal, AXES.index(other), AXES.index(up_axis(orientations))
 
 
-def extract_slices(root: OctreeNode, orientations: tuple[str, str] = ("x", "y")) -> list[Slice]:
+@dataclass(frozen=True, eq=False)
+class RawSlices:
+    """Unnumbered slices as arrays; iterating yields each as a `Slice`."""
+
+    rects: np.ndarray  # (n, 6): normal axis, plane, u0, v0, u1, v1
+    nodes: np.ndarray  # (m,) source node ids
+    owner: np.ndarray  # (m,) nondecreasing: the row of `rects` each source node belongs to
+
+    def __len__(self) -> int:
+        return len(self.rects)
+
+    def __iter__(self):
+        nodes = np.split(self.nodes, np.searchsorted(self.owner, np.arange(1, len(self))))
+        for (axis, plane, *extent), n in zip(self.rects.tolist(), nodes):
+            yield Slice(-1, AXES[axis], plane, tuple(extent), tuple(n.tolist()))
+
+
+def extract_slices(root: OctreeNode, orientations: tuple[str, str] = ("x", "y")) -> RawSlices:
     """One center slice per node and plane family, bounding planes excluded."""
     up_axis(orientations)  # validates the pair
-    raw: list[Slice] = []
-    for node in iter_nodes(root):
-        for orientation in orientations:
-            normal, u_ax, v_ax = slice_axes(orientation, orientations)
-            lo, hi = node.bounds[normal]
-            plane = (lo + hi) // 2
-            if plane == lo or plane == hi:
-                continue  # center fell on the node's own bounding plane
-            (u0, u1), (v0, v1) = node.bounds[u_ax], node.bounds[v_ax]
-            raw.append(
-                Slice(
-                    id=-1,
-                    orientation=orientation,
-                    plane_coord=plane,
-                    extent=(u0, v0, u1, v1),
-                    source_nodes=(node.id,),
-                )
-            )
-    return raw
+    box, families = root.box, []
+    for orientation in orientations:
+        normal, u, v = slice_axes(orientation, orientations)
+        plane = box[:, normal].sum(axis=1) // 2
+        keep = (plane != box[:, normal, 0]) & (plane != box[:, normal, 1])
+        (u0, u1), (v0, v1) = box[:, u].T, box[:, v].T
+        families.append(np.stack([keep, np.full_like(plane, normal), plane, u0, v0, u1, v1, np.arange(len(plane))], 1))
+    rows = np.stack(families, axis=1).reshape(-1, 8)
+    rows = rows[rows[:, 0] == 1]
+    return RawSlices(rows[:, 1:7], rows[:, 7], np.arange(len(rows)))
 
 
-def _rects_meet(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
-    """True when rectangles overlap or share an edge of positive length."""
-    du = min(a[2], b[2]) - max(a[0], b[0])
-    dv = min(a[3], b[3]) - max(a[1], b[1])
-    return (du > 0 and dv >= 0) or (du >= 0 and dv > 0)
-
-
-def _merge_group(rects: list[tuple[tuple[int, int, int, int], tuple[int, ...]]]):
-    """Least fixpoint of uniting touching rectangles into bounding rectangles.
-
-    The kept rectangles never meet one another. Each incoming rectangle
-    absorbs every kept one it meets and grows until it meets none. Meeting
-    only grows with the rectangles, so every fixpoint joins what a merge
-    joins, and the result does not depend on the input order.
-    """
-    kept: list[tuple[tuple[int, int, int, int], set[int]]] = []
-    for rect, nodes in rects:
-        nodes = set(nodes)
-        while hits := [k for k in kept if _rects_meet(rect, k[0])]:
-            kept = [k for k in kept if not _rects_meet(rect, k[0])]
-            u0, v0, u1, v1 = zip(rect, *(other for other, _ in hits))
-            rect = (min(u0), min(v0), max(u1), max(v1))
-            for _, more in hits:
-                # add the smaller set to the larger: one component can
-                # absorb hundreds of rectangles one at a time
-                if len(more) > len(nodes):
-                    nodes, more = more, nodes
-                nodes |= more
-        kept.append((rect, nodes))
-    return [(rect, tuple(sorted(nodes))) for rect, nodes in kept]
-
-
-def unify_slices(raw: list[Slice]) -> list[Slice]:
+def unify_slices(raw: RawSlices | list[Slice]) -> list[Slice]:
     """Coalesce coplanar touching slices into their bounding rectangles.
 
-    Idempotent; after unification slices sharing (orientation, plane) are
-    pairwise disjoint and non-adjacent. They are numbered in (orientation,
-    plane, extent) order, each with its source nodes sorted.
-    """
-    groups: dict[tuple[str, int], list] = {}
-    for s in raw:
-        groups.setdefault((s.orientation, s.plane_coord), []).append((s.extent, s.source_nodes))
-    unified = sorted(
-        (orientation, plane, extent, nodes)
-        for (orientation, plane), rects in groups.items()
-        for extent, nodes in _merge_group(rects)
-    )
-    return [Slice(i, *record) for i, record in enumerate(unified)]
+    Each round replaces every connected component of meeting boxes by its
+    bounding box, until no two meet. Meeting only grows with the boxes, so
+    every fixpoint joins what a round joins: this is the least fixpoint,
+    whatever the input order. Idempotent; coplanar slices end up pairwise
+    disjoint and non-adjacent, numbered in (orientation, plane, extent)
+    order, their source nodes sorted."""
+    if not isinstance(raw, RawSlices):
+        owner, nodes = np.array([(i, n) for i, s in enumerate(raw) for n in s.source_nodes], np.int64).reshape(-1, 2).T
+        rects = np.array([(AXES.index(s.orientation), s.plane_coord, *s.extent) for s in raw], np.int64)
+        raw = RawSlices(rects.reshape(-1, 6), nodes, owner)
+    boxes, box_of = raw.rects.copy(), np.arange(len(raw))  # box_of: the box each raw rectangle is in
+    while len(boxes) > 1:
+        # sorted by (axis, plane, u0), box i can only meet the next ones up to
+        # the last on its plane whose u0 is within its u1; step k tests the k-th
+        b = boxes[order := np.lexsort((boxes[:, 2], boxes[:, 1], boxes[:, 0]))]
+        group = np.cumsum(np.r_[True, (b[1:, :2] != b[:-1, :2]).any(axis=1)])
+        span = b[:, 4].max() - b[:, 2].min() + 1
+        last = np.searchsorted(group * span + b[:, 2], group * span + b[:, 4], side="right")
+        i, k, pairs = np.arange(len(b)), 1, [np.zeros((2, 0), dtype=np.intp)]
+        while len(i := i[i + k < last[i]]):
+            du = np.minimum(b[i, 4], b[i + k, 4]) - np.maximum(b[i, 2], b[i + k, 2])
+            dv = np.minimum(b[i, 5], b[i + k, 5]) - np.maximum(b[i, 3], b[i + k, 3])
+            meet = i[((du > 0) & (dv >= 0)) | ((du >= 0) & (dv > 0))]
+            pairs.append(order[np.stack([meet, meet + k])])
+            k += 1
+        if not (pairs := np.concatenate(pairs, axis=1)).size:
+            break
+        label = np.arange(len(boxes))
+        while not np.array_equal(*(ends := label[pairs])):  # hook the larger root onto the smaller
+            np.minimum.at(label, ends.max(axis=0), ends.min(axis=0))
+            while not np.array_equal(label[label], label):
+                label = label[label]
+        np.minimum.at(boxes[:, 2:4], label, boxes[:, 2:4])  # a root's row becomes its component's box
+        np.maximum.at(boxes[:, 4:], label, boxes[:, 4:])
+        roots = np.flatnonzero(label == np.arange(len(label)))
+        boxes, box_of = boxes[roots], np.searchsorted(roots, label)[box_of]
+    order = np.lexsort(boxes.T[::-1])  # by axis, plane, u0, v0, u1, v1
+    span = raw.nodes.max(initial=0) + 1  # node ids are preorder ids, >= 0
+    key = np.sort(np.argsort(order)[box_of[raw.owner]] * span + raw.nodes)  # (slice, node), sorted
+    key = key[np.diff(key, prepend=-1) != 0]  # once each; np.unique would import numpy.ma on first use
+    per_slice = np.split(key % span, np.searchsorted(key // span, np.arange(1, len(boxes))))
+    return [
+        Slice(i, AXES[axis], plane, tuple(extent), tuple(n.tolist()))
+        for i, ((axis, plane, *extent), n) in enumerate(zip(boxes[order].tolist(), per_slice))
+    ]
 
 
 def slices_from_json(items: list[dict]) -> list[Slice]:

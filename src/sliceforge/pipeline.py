@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .ordering import (
     solve_order,
     verify_plan,
 )
-from .render import rasterize_slice, stability_check
+from .render import MAX_RASTER_PIXELS, raster_size, rasterize_slice, stability_check
 from .volume import (
     LabelVolume,
     ScalarVolume,
@@ -153,6 +154,13 @@ def stage_export(
     perforate: bool = False,
 ) -> dict:
     """Write pages, instructions, manifest, and the stability report."""
+    pixels = sum(math.prod(raster_size(s, labels.spacing, layout.scale, px_per_mm, grid.orientations)) for s in slices)
+    if pixels > MAX_RASTER_PIXELS:
+        raise ValidationError(
+            f"the slices would render to {pixels:,} raster pixels at {px_per_mm:g} px/mm, "
+            f"more than the {MAX_RASTER_PIXELS:,} an export holds",
+            hint="lower --dpi",
+        )
     outdir = Path(outdir)
     (outdir / "pages").mkdir(parents=True, exist_ok=True)
     by_slice = hinges_by_slice(hinges)
@@ -241,7 +249,11 @@ def _dump(obj) -> str:
 
 
 def write_artifact(path: str | Path, obj: dict) -> None:
-    Path(path).write_text(_dump(obj))
+    p = Path(path)
+    try:
+        p.write_text(_dump(obj))
+    except OSError as exc:  # a missing directory, a directory in the way, no permission
+        raise IOFailure(f"cannot write artifact {p}: {exc.strerror}") from exc
 
 
 def read_artifact(path: str | Path) -> dict:
@@ -249,8 +261,12 @@ def read_artifact(path: str | Path) -> dict:
     if not p.exists():
         raise IOFailure(f"artifact not found: {p}")
     try:
-        obj = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        data = p.read_bytes()
+    except OSError as exc:  # a directory, no permission
+        raise IOFailure(f"cannot read artifact {p}: {exc.strerror}") from exc
+    try:
+        obj = json.loads(data)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"artifact {p} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"artifact {p} is not a JSON object")

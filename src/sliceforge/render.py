@@ -13,12 +13,23 @@ from .octree import Slice, slice_axes
 from .volume import LabelVolume, TransferFunction
 
 DEFAULT_PX_PER_MM = 4.0
+# the raster pixels one export may hold at once, 1 GiB of RGBA; an export
+# renders every slice before it writes a page
+MAX_RASTER_PIXELS = 1 << 28
 TORQUE_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True, eq=False)
 class SliceRaster:
     pixels: np.ndarray  # (rows, cols, 4) uint8, row 0 = top of the slice
+
+
+def raster_size(
+    s: Slice, spacing: tuple[float, float, float], scale: float, px_per_mm: float, orientations: tuple[str, str]
+) -> tuple[int, int]:
+    """(rows, cols) of the raster `rasterize_slice` makes of a slice."""
+    w_mm, h_mm = slice_print_size(s, spacing, orientations)
+    return max(1, math.ceil(h_mm * scale * px_per_mm)), max(1, math.ceil(w_mm * scale * px_per_mm))
 
 
 def rasterize_slice(
@@ -45,9 +56,7 @@ def rasterize_slice(
     # layer on the + side, clamped at the top face
     layer = min(s.plane_coord, dims[normal] - 1)
 
-    w_mm, h_mm = slice_print_size(s, labels.spacing, orientations)
-    cols = max(1, math.ceil(w_mm * scale * px_per_mm))
-    rows = max(1, math.ceil(h_mm * scale * px_per_mm))
+    rows, cols = raster_size(s, labels.spacing, scale, px_per_mm, orientations)
 
     u0, u1 = s.u_range
     v0, v1 = s.v_range

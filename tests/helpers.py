@@ -14,6 +14,7 @@ import math
 import struct
 import warnings
 import zlib
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from sliceforge.export import CutGeometry, SlotCut
 from sliceforge.hinges import Hinge, SlotKind
 from sliceforge.layout import slice_print_size
 from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _PAD_FRACTION, _inside_by_parity, golden_palette
-from sliceforge.octree import Bounds, OctreeNode, Slice, _rects_meet, _should_subdivide, iter_nodes, slice_axes
+from sliceforge.octree import Bounds, Slice, iter_nodes, slice_axes
 from sliceforge.render import SliceRaster
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, save_volume
 
@@ -307,9 +308,32 @@ def quantize_reference(volume: ScalarVolume, tf: TransferFunction) -> LabelVolum
     )
 
 
-def build_octree_reference(labels: LabelVolume, max_level: int) -> OctreeNode:
-    """Per-node `np.unique` octree: the recursion `sliceforge.octree.build_octree`
-    replaced, kept as the oracle for the block-mask version."""
+@dataclass(frozen=True, eq=False)
+class ReferenceNode:
+    """A node of `build_octree_reference`, with the attributes of
+    `sliceforge.octree.OctreeNode`."""
+
+    id: int
+    bounds: Bounds  # inclusive lo, exclusive hi per axis, voxel units
+    level: int
+    distinct_labels: frozenset[int]
+    children: tuple["ReferenceNode", ...] = ()
+
+    @property
+    def is_leaf(self) -> bool:
+        return not self.children
+
+
+def should_subdivide_reference(distinct: frozenset[int], level: int, bounds: Bounds, max_level: int) -> bool:
+    """The per-node split test the array build vectorises."""
+    if len(distinct) < 2 or level >= max_level:
+        return False
+    return all(hi - lo >= 2 for lo, hi in bounds)
+
+
+def build_octree_reference(labels: LabelVolume, max_level: int) -> ReferenceNode:
+    """Per-node `np.unique` octree, built by recursion: the oracle for the
+    depth-by-depth array build of `sliceforge.octree.build_octree`."""
     if max_level < 1:
         raise ValidationError(f"octree level must be >= 1, got {max_level}")
     grid = labels.labels
@@ -320,12 +344,12 @@ def build_octree_reference(labels: LabelVolume, max_level: int) -> OctreeNode:
         vals = np.unique(grid[x0:x1, y0:y1, z0:z1])
         return frozenset(int(v) for v in vals if v != 0)
 
-    def build(bounds: Bounds, level: int) -> OctreeNode:
+    def build(bounds: Bounds, level: int) -> ReferenceNode:
         node_id = counter[0]
         counter[0] += 1
         distinct = distinct_in(bounds)
-        children: tuple[OctreeNode, ...] = ()
-        if _should_subdivide(distinct, level, bounds, max_level):
+        children: tuple[ReferenceNode, ...] = ()
+        if should_subdivide_reference(distinct, level, bounds, max_level):
             mids = tuple((lo + hi) // 2 for lo, hi in bounds)
             kids = []
             for ix in range(2):
@@ -337,7 +361,7 @@ def build_octree_reference(labels: LabelVolume, max_level: int) -> OctreeNode:
                             halves.append((lo, mids[axis]) if pick == 0 else (mids[axis], hi))
                         kids.append(build(tuple(halves), level + 1))
             children = tuple(kids)
-        return OctreeNode(id=node_id, bounds=bounds, level=level, distinct_labels=distinct, children=children)
+        return ReferenceNode(id=node_id, bounds=bounds, level=level, distinct_labels=distinct, children=children)
 
     root_bounds = tuple((0, int(d)) for d in labels.dims)
     root = build(root_bounds, 1)
@@ -346,7 +370,23 @@ def build_octree_reference(labels: LabelVolume, max_level: int) -> OctreeNode:
     return root
 
 
-def octree_records(root: OctreeNode) -> list[tuple]:
+def extract_slices_reference(root, orientations: tuple[str, str] = ("x", "y")) -> list[Slice]:
+    """One center slice per node and plane family, node by node in preorder:
+    the loop the array `sliceforge.octree.extract_slices` replaced."""
+    raw = []
+    for node in iter_nodes(root):
+        for orientation in orientations:
+            normal, u_ax, v_ax = slice_axes(orientation, orientations)
+            lo, hi = node.bounds[normal]
+            plane = (lo + hi) // 2
+            if plane == lo or plane == hi:
+                continue  # center fell on the node's own bounding plane
+            (u0, u1), (v0, v1) = node.bounds[u_ax], node.bounds[v_ax]
+            raw.append(Slice(-1, orientation, plane, (u0, v0, u1, v1), (node.id,)))
+    return raw
+
+
+def octree_records(root) -> list[tuple]:
     """Every node as (id, bounds, level, distinct labels, child ids), in id order."""
     return [
         (n.id, n.bounds, n.level, n.distinct_labels, tuple(c.id for c in n.children))
@@ -355,6 +395,31 @@ def octree_records(root: OctreeNode) -> list[tuple]:
 
 
 # --- rescanning unification and per-slice hinge lists -----------------------
+
+
+def rects_meet_reference(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> bool:
+    """True when rectangles overlap or share an edge of positive length."""
+    du = min(a[2], b[2]) - max(a[0], b[0])
+    dv = min(a[3], b[3]) - max(a[1], b[1])
+    return (du > 0 and dv >= 0) or (du >= 0 and dv > 0)
+
+
+def merge_group_one_pass_reference(rects: list[tuple[tuple[int, int, int, int], tuple[int, ...]]]):
+    """Least fixpoint of uniting touching rectangles, in one pass: the kept
+    rectangles never meet one another, and each incoming one absorbs every
+    kept one it meets and grows until it meets none. The per-plane merge
+    that the array `sliceforge.octree.unify_slices` replaced."""
+    kept: list[tuple[tuple[int, int, int, int], set[int]]] = []
+    for rect, nodes in rects:
+        nodes = set(nodes)
+        while hits := [k for k in kept if rects_meet_reference(rect, k[0])]:
+            kept = [k for k in kept if not rects_meet_reference(rect, k[0])]
+            u0, v0, u1, v1 = zip(rect, *(other for other, _ in hits))
+            rect = (min(u0), min(v0), max(u1), max(v1))
+            for _, more in hits:
+                nodes |= more
+        kept.append((rect, nodes))
+    return [(rect, tuple(sorted(nodes))) for rect, nodes in kept]
 
 
 def _merge_group_reference(rects: list[tuple[tuple[int, int, int, int], tuple[int, ...]]]):
@@ -366,7 +431,7 @@ def _merge_group_reference(rects: list[tuple[tuple[int, int, int, int], tuple[in
         for rect, nodes in rects:
             hit = None
             for i, (mrect, _) in enumerate(merged):
-                if _rects_meet(rect, mrect):
+                if rects_meet_reference(rect, mrect):
                     hit = i
                     break
             if hit is None:
@@ -387,18 +452,18 @@ def _merge_group_reference(rects: list[tuple[tuple[int, int, int, int], tuple[in
     return rects
 
 
-def unify_slices_reference(raw: list[Slice]) -> list[Slice]:
+def unify_slices_reference(raw: list[Slice], merge_group=_merge_group_reference) -> list[Slice]:
     """Coalesce coplanar touching slices into their bounding rectangles by
-    rerunning a full pass until nothing changes. This and its helper are
-    the code the one-pass `sliceforge.octree.unify_slices` replaced, kept
-    as its oracle."""
+    rerunning a full pass until nothing changes (or with `merge_group` per
+    plane). This and its helper are the code the one-pass merge replaced,
+    kept as the oracle of `sliceforge.octree.unify_slices`."""
     groups: dict[tuple[str, int], list] = {}
     for s in raw:
         groups.setdefault((s.orientation, s.plane_coord), []).append((s.extent, s.source_nodes))
 
     unified: list[Slice] = []
     for (orientation, plane), rects in sorted(groups.items()):
-        for extent, nodes in _merge_group_reference(rects):
+        for extent, nodes in merge_group(rects):
             unified.append(
                 Slice(
                     id=-1,

@@ -5,14 +5,17 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from sliceforge import cli
+from sliceforge import cli, pipeline
+from sliceforge.render import MAX_RASTER_PIXELS
 from sliceforge.synth import checkerboard_volume
 
 from helpers import write_volume_files
@@ -353,3 +356,49 @@ def test_config_integer_of_too_many_digits_rejected(capsys, tmp_path, monkeypatc
     assert code == 2
     assert "config file is not valid JSON" in err
     assert "Traceback" not in err
+
+
+def test_artifact_into_a_missing_directory_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    raw, header, tf = write_volume_files(tmp_path, *checkerboard_volume(8))
+    code, err = run(["slice", "--input", str(raw), "--header", str(header), "--tf", str(tf),
+                     "--level", "2", "--out", "nodir/slices.json"], capsys)
+    assert code == 4
+    assert "cannot write artifact nodir/slices.json" in err
+    assert "Traceback" not in err
+
+
+def test_artifact_that_is_a_directory_exits_4(two_runs, capsys, tmp_path):
+    (tmp_path / "adir").mkdir()
+    code, err = run(["hinge", "--in", "adir", "--out", "hinges.json"], capsys)
+    assert code == 4
+    assert "cannot read artifact adir" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "hinges.json").exists()
+
+
+def test_artifact_that_is_not_utf8_exits_2(two_runs, capsys, tmp_path):
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00{")
+    code, err = run(["hinge", "--in", "binary.json", "--out", "hinges.json"], capsys)
+    assert code == 2
+    assert "artifact binary.json is not valid JSON" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["build", "export"])
+def test_rasters_over_the_pixel_budget_exit_2_before_rendering(command, two_runs, capsys, tmp_path):
+    # 100 px/mm passes the --dpi bound, but these layouts of the checkerboard
+    # slices would need more raster pixels than one export holds
+    if command == "build":
+        argv = ["build", *two_runs, "--level", "2", "--page", "A3"]
+    else:
+        argv = ["export", *two_runs, "--in", "layout3.json", "--hinges", "hinges3.json", "--plan", "plan3.json"]
+    with mock.patch.object(pipeline, "rasterize_slice", side_effect=AssertionError("rendered")) as render:
+        code, err = run(argv + ["--dpi", "100", "--out", "out"], capsys)
+    assert code == 2
+    assert re.search(rf"would render to [\d,]+ raster pixels at 100 px/mm, more than the {MAX_RASTER_PIXELS:,}", err)
+    assert "hint: lower --dpi" in err
+    assert "Traceback" not in err
+    render.assert_not_called()
+    assert not (tmp_path / "out").exists()
+    assert run(argv + ["--dpi", "12", "--out", "out"], capsys)[0] == 0

@@ -1,8 +1,9 @@
-"""The one-pass `unify_slices` and `hinges_by_slice` against the code they
+"""The array `unify_slices` and `hinges_by_slice` against the code they
 replaced (`helpers.unify_slices_reference`, which reruns a full merge pass
-until nothing changes, and `helpers.hinges_on_slice_reference`, which scans
-every hinge once per slice): the same slices, and the same hinges per slice
-in the same order."""
+until nothing changes or, with `helpers.merge_group_one_pass_reference`,
+merges each plane in one pass, and `helpers.hinges_on_slice_reference`,
+which scans every hinge once per slice): the same slices, and the same
+hinges per slice in the same order."""
 
 import itertools
 
@@ -13,7 +14,12 @@ from hypothesis import strategies as st
 from sliceforge.hinges import compute_hinges, hinges_by_slice
 from sliceforge.octree import Slice, build_octree, extract_slices, unify_slices
 
-from helpers import hinges_on_slice_reference, stopper_model, unify_slices_reference
+from helpers import (
+    hinges_on_slice_reference,
+    merge_group_one_pass_reference,
+    stopper_model,
+    unify_slices_reference,
+)
 
 # (u0, v0, u1, v1) rectangles on one plane, and the extents they unify into
 CONFIGURATIONS = {
@@ -44,6 +50,7 @@ def test_every_input_order_of_a_configuration(name):
         raw = raw_slices([rects[i] for i in order])
         unified = unify_slices(raw)
         assert unified == unify_slices_reference(raw)
+        assert unified == unify_slices_reference(raw, merge_group_one_pass_reference)
         assert [s.extent for s in unified] == extents
         assert sorted(n for s in unified for n in s.source_nodes) == list(range(len(rects)))
 
@@ -85,6 +92,7 @@ def raw_slice_sets(draw) -> list[Slice]:
 def test_matches_rescanning_fixpoint(raw):
     unified = unify_slices(raw)
     assert unified == unify_slices_reference(raw)
+    assert unified == unify_slices_reference(raw, merge_group_one_pass_reference)
     if len(unified) < _direct_components(raw):
         event("a grown box joins what no two rectangles join")
 

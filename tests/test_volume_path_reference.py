@@ -1,6 +1,7 @@
-"""The chunked quantizer and the block-mask octree against the code they
-replaced (`helpers.quantize_reference`, `helpers.build_octree_reference`):
-same labels, same nodes, on the inputs where the two methods differ most."""
+"""The chunked quantizer and the array octree against the code they
+replaced (`helpers.quantize_reference`, `helpers.build_octree_reference`,
+`helpers.extract_slices_reference`): same labels, same nodes, same slices,
+on the inputs where the methods differ most and down every mask path."""
 
 import warnings
 from unittest import mock
@@ -12,10 +13,16 @@ from hypothesis import strategies as st
 
 from sliceforge import volume
 from sliceforge.errors import ValidationError
-from sliceforge.octree import build_octree
+from sliceforge.octree import build_octree, extract_slices, iter_nodes, unify_slices
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, quantize
 
-from helpers import build_octree_reference, octree_records, quantize_reference
+from helpers import (
+    build_octree_reference,
+    extract_slices_reference,
+    octree_records,
+    quantize_reference,
+    unify_slices_reference,
+)
 
 # float64 edges, some exact in float32 (0.5, 2.0, 1e4) and some not (0.1, 1/3, 1 + 2^-40)
 EDGES = (-1e30, -3.5, -0.1, 0.0, 0.1, 1 / 3, 0.5, 1.0, 1.0 + 2.0**-40, 2.0, 1e4, 1e30)
@@ -294,3 +301,84 @@ def test_label_above_n_labels_is_a_validation_error(grid, short):
         return
     with pytest.raises(ValidationError, match="holds label"):
         build_octree(label_volume(grid, n_labels), 3)
+
+
+def takes_word_path(labels: LabelVolume, max_level: int) -> bool:
+    """Whether `build_octree` folded the masks through uint64 words: only that
+    path shifts the label grid with an explicit uint8 result type."""
+    with mock.patch.object(np, "left_shift", wraps=np.left_shift) as shift, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an all-background grid warns
+        build_octree(labels, max_level)
+    return any(c.kwargs.get("dtype") is np.uint8 for c in shift.call_args_list)
+
+
+@st.composite
+def aligned_grids(draw):
+    """Blocky grids whose finest blocks suit the word path: equal blocks that
+    are a multiple of 8 voxels wide along the axis of smallest stride, and
+    at most 7 labels. The level stops the halving at those blocks."""
+    layout = draw(st.sampled_from(LAYOUTS))
+    depth = draw(st.integers(0, 2))
+    widths = [draw(st.integers(1, 3)) for _ in range(3)]
+    widths[0 if layout == "F" else 2] = 8 * draw(st.integers(1, 2))
+    dims = tuple(w << depth for w in widths)
+    n_labels = draw(st.integers(0, 7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coarse = rng.integers(0, n_labels + 1, size=tuple(-(-d // 4) for d in dims))
+    grid = np.repeat(np.repeat(np.repeat(coarse, 4, 0), 4, 1), 4, 2)[: dims[0], : dims[1], : dims[2]]
+    spots = rng.random(dims) < draw(st.sampled_from((0.0, 0.01, 0.1)))
+    grid = np.where(spots, rng.integers(0, n_labels + 1, size=dims), grid).astype(np.uint16)
+    return _grid_in_layout(grid, layout), n_labels, depth + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=aligned_grids())
+def test_word_path_matches_reference(case):
+    grid, n_labels, max_level = case
+    assert takes_word_path(label_volume(grid, n_labels), max_level)
+    assert_same_tree(grid, n_labels, max_level)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize(
+    "dims,n_labels,max_level,word_path",
+    [
+        ((32, 32, 32), 7, 3, True),  # 8-voxel blocks, the most labels a byte holds
+        ((32, 32, 32), 8, 3, False),  # label 8 needs the table
+        ((32, 32, 32), 9, 3, False),  # two-byte words
+        ((32, 32, 32), 7, 4, False),  # 4-voxel blocks straddle a uint64
+        ((5, 12, 7), 3, 3, False),  # unequal blocks: reduceat
+        ((16, 16, 16), 3, 40, False),  # one-voxel finest blocks: no reduceat at all
+    ],
+)
+def test_mask_paths_match_reference(layout, dims, n_labels, max_level, word_path):
+    rng = np.random.default_rng(sum(dims) + n_labels + max_level)
+    coarse = rng.integers(0, n_labels + 1, size=tuple(-(-d // 2) for d in dims))
+    grid = np.repeat(np.repeat(np.repeat(coarse, 2, 0), 2, 1), 2, 2)[: dims[0], : dims[1], : dims[2]]
+    grid = _grid_in_layout(grid.astype(np.uint16), layout)
+    grid.flat[rng.integers(0, grid.size, 12)] = n_labels  # the top label occurs
+    assert takes_word_path(label_volume(grid, n_labels), max_level) == word_path
+    assert_same_tree(grid, n_labels, max_level)
+
+
+def test_level_past_the_grid_depth_matches_reference():
+    # at level 40 a 32^3 grid halves down to one-voxel blocks and no further
+    rng = np.random.default_rng(40)
+    grid = np.where(rng.random((32, 32, 32)) < 0.3, rng.integers(1, 4, (32, 32, 32)), 0).astype(np.uint16)
+    assert_same_tree(grid, 3, 40)
+    assert_same_tree(np.asfortranarray(grid), 3, 40)
+    got = build_octree(label_volume(grid, 3), 40)
+    assert max(node.level for node in iter_nodes(got)) == 6  # 32 -> 1 voxel in five halvings
+
+
+@pytest.mark.filterwarnings("ignore:volume is entirely background")
+@pytest.mark.parametrize("orientations", [("x", "y"), ("z", "x"), ("y", "z")])
+@settings(max_examples=40, deadline=None)
+@given(grid=label_grids(label_pool=(0, 1, 2, 3, 9)), max_level=st.integers(1, 6))
+def test_slices_match_reference(orientations, grid, max_level):
+    labels = label_volume(grid, 9)
+    raw = extract_slices(build_octree(labels, max_level), orientations)
+    want_raw = extract_slices_reference(build_octree_reference(labels, max_level), orientations)
+    assert list(raw) == want_raw
+    assert len(raw) == len(want_raw)
+    assert unify_slices(raw) == unify_slices_reference(want_raw)
