@@ -162,7 +162,10 @@ def stage_export(
             hint="lower --dpi",
         )
     outdir = Path(outdir)
-    (outdir / "pages").mkdir(parents=True, exist_ok=True)
+    try:
+        (outdir / "pages").mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission
+        raise IOFailure(f"cannot make output directory {outdir / 'pages'}: {exc.strerror}") from exc
     by_slice = hinges_by_slice(hinges)
     geometries = {
         s.id: slice_cut_geometry(
@@ -178,7 +181,7 @@ def stage_export(
     page_names = []
     for i, svg in enumerate(pages, start=1):
         name = f"page-{i}.svg"
-        (outdir / "pages" / name).write_text(svg)
+        _write(outdir / "pages" / name, svg, "page")
         page_names.append(f"pages/{name}")
     for old in (outdir / "pages").glob("page-*.svg"):
         if f"pages/{old.name}" not in page_names:
@@ -186,7 +189,7 @@ def stage_export(
     instructions = emit_instructions(
         plan, hinges, slices, grid.dims, grid.orientations, page_size=layout.page_size
     )
-    (outdir / "instructions.svg").write_text(instructions)
+    _write(outdir / "instructions.svg", instructions, "instructions")
 
     stopper_count = sum(1 for h in hinges if h.stopper_on is not None)
     stability = stability_check(
@@ -198,7 +201,7 @@ def stage_export(
         slot_width_mm=slot_width_mm,
         orientations=grid.orientations,
     )
-    (outdir / "stability.json").write_text(_dump(encode(stability)))
+    _write(outdir / "stability.json", _dump(encode(stability)), "stability report")
 
     manifest = encode({
         "version": __version__,
@@ -230,7 +233,7 @@ def stage_export(
             "balanced": stability.balanced,
         },
     })
-    (outdir / "manifest.json").write_text(_dump(manifest))
+    _write(outdir / "manifest.json", _dump(manifest), "manifest")
     return manifest
 
 
@@ -248,12 +251,15 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_artifact(path: str | Path, obj: dict) -> None:
-    p = Path(path)
+def _write(path: Path, text: str, what: str) -> None:
     try:
-        p.write_text(_dump(obj))
+        path.write_text(text)
     except OSError as exc:  # a missing directory, a directory in the way, no permission
-        raise IOFailure(f"cannot write artifact {p}: {exc.strerror}") from exc
+        raise IOFailure(f"cannot write {what} {path}: {exc.strerror}") from exc
+
+
+def write_artifact(path: str | Path, obj: dict) -> None:
+    _write(Path(path), _dump(obj), "artifact")
 
 
 def read_artifact(path: str | Path) -> dict:

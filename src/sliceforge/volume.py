@@ -1,7 +1,9 @@
 """Scalar volumes, transfer functions, and label quantization.
 
 Voxel data is indexed ``scalars[x, y, z]`` and stored x-fastest on disk
-(little-endian raw array next to a JSON sidecar header).
+(little-endian raw array next to a JSON sidecar header). A loaded grid keeps
+the file's dtype (uint8, uint16 or float32), and `quantize` labels it from
+those raw values.
 """
 
 from __future__ import annotations
@@ -35,17 +37,21 @@ def _check_grid(dims, spacing, origin) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ScalarVolume:
-    """Dense intensity grid with physical spacing (mm per voxel)."""
+    """Dense intensity grid with physical spacing (mm per voxel).
+
+    The scalars are uint8, uint16 or float32 in native byte order, as a raw
+    file of that dtype holds them; float32 values must be finite.
+    """
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     origin: tuple[float, float, float]
-    scalars: np.ndarray  # float32, shape == dims
+    scalars: np.ndarray  # uint8, uint16 or float32, shape == dims
 
     def __post_init__(self):
         _check_grid(self.dims, self.spacing, self.origin)
-        if self.scalars.dtype != np.float32:
-            raise ValidationError(f"scalars must be float32, got {self.scalars.dtype}")
+        if self.scalars.dtype not in (np.float32, np.uint8, np.uint16):
+            raise ValidationError(f"scalars must be float32, uint8 or uint16 in native byte order, got {self.scalars.dtype}")
         if tuple(self.scalars.shape) != tuple(self.dims):
             raise ValidationError(
                 f"scalar grid shape {self.scalars.shape} does not match dims {self.dims}"
@@ -53,7 +59,7 @@ class ScalarVolume:
         # NaN propagates through min and max, so both are finite exactly when
         # every value is; the grid is scanned for the first bad index only
         # when one of them is not
-        if not (np.isfinite(self.scalars.min()) and np.isfinite(self.scalars.max())):
+        if self.scalars.dtype == np.float32 and not (np.isfinite(self.scalars.min()) and np.isfinite(self.scalars.max())):
             bad = np.flatnonzero(~np.isfinite(self.scalars.ravel(order="F")))
             raise IngestError(f"non-finite intensity at flat index {int(bad[0])}")
 
@@ -133,10 +139,17 @@ def load_transfer_function(path: str | Path) -> TransferFunction:
     if not path.exists():
         raise IOFailure(f"transfer function file not found: {path}")
     try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        obj = json.loads(_read(path, "transfer function"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"transfer function is not valid JSON: {exc}") from exc
     return decode(TransferFunction, obj, "transfer function")
+
+
+def _read(path: Path, what: str) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as exc:  # a directory, no permission
+        raise IOFailure(f"cannot read {what} {path}: {exc.strerror}") from exc
 
 
 def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
@@ -147,13 +160,13 @@ def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
         if not p.exists():
             raise IOFailure(f"file not found: {p}")
     try:
-        meta = json.loads(header.read_text())
-    except json.JSONDecodeError as exc:
+        meta = json.loads(_read(header, "header"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"header is not valid JSON: {exc}") from exc
     head = decode(_VolumeHeader, meta, "header")
     dims = head.dims
     dtype = np.dtype(_DTYPES[head.dtype]).newbyteorder("<")
-    raw = path.read_bytes()
+    raw = _read(path, "volume")
     expected = int(np.prod(dims))
     actual = len(raw) // dtype.itemsize
     if len(raw) != expected * dtype.itemsize:
@@ -161,8 +174,9 @@ def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
             f"expected {expected} scalars ({expected * dtype.itemsize} bytes), "
             f"file holds {actual} ({len(raw)} bytes)"
         )
-    # ScalarVolume rejects non-finite values, reporting the same F-order index
-    scalars = np.frombuffer(raw, dtype=dtype).astype(np.float32).reshape(dims, order="F")
+    # the file's own values, no copy on a little-endian host; ScalarVolume
+    # rejects non-finite float32 values, reporting the same F-order index
+    scalars = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="), copy=False).reshape(dims, order="F")
     return ScalarVolume(dims=dims, spacing=head.spacing, origin=head.origin, scalars=scalars)
 
 
@@ -192,14 +206,19 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
     exactly when it lies in bin i; any even count is background. Breaks are
     compared as float64, so a break between two float32 values splits them.
 
-    Most voxels are labelled through a table of the 2^16 buckets of float32
-    bit patterns that share their top 16 bits. Each bucket is one interval of
+    A uint8 or uint16 grid is labelled through a table of all 2^8 or 2^16
+    raw values: each is exact in float64, so its break count is its label.
+
+    A float32 grid is labelled through a table of the 2^16 buckets of bit
+    patterns that share their top 16 bits. Each bucket is one interval of
     values (ordered in reverse for negative ones), and the break count only
     grows with the value, so when the bucket's two end patterns have the same
     count, every value in it has that count and the table holds its label.
     A bucket whose ends differ is mixed: the table holds `_MIXED`, and its
-    voxels take the float64 break search. The scalars are walked in memory
-    order, `_QUANTIZE_CHUNK` at a time, so no full-size temporary is made.
+    voxels take the float64 break search.
+
+    Either way the scalars are walked in memory order, `_QUANTIZE_CHUNK` at a
+    time, so no full-size temporary is made.
     """
     breaks = np.array([edge for b in tf.bins for edge in (b.lo, b.hi)], dtype=np.float64)
     # break count -> label: visible bins count 1..K in bin order, opacity-0 bins are 0
@@ -211,21 +230,28 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
             if k >= _MIXED:
                 raise ValidationError(f"transfer function has more than {_MIXED - 1} visible bins")
             table[2 * i + 1] = k
-    first = np.arange(1 << 16, dtype=np.uint32) << 16
-    # the buckets of exponent 0xFF hold inf and NaN, which no ScalarVolume holds
-    with np.errstate(invalid="ignore"):
-        ends = [np.searchsorted(breaks, p.view(np.float32).astype(np.float64), side="right")
-                for p in (first, first | 0xFFFF)]
-    buckets = np.where(ends[0] == ends[1], table[ends[0]], _MIXED).astype(np.uint16)
     order = "F" if volume.scalars.flags.f_contiguous else "C"
     scalars = volume.scalars.reshape(-1, order=order)  # a view unless the grid is strided
-    bits = scalars.view(np.uint32)
+    direct = scalars.dtype != np.float32
+    if direct:
+        lookup = table[np.searchsorted(breaks, np.arange(1 << 8 * scalars.itemsize, dtype=np.float64), side="right")]
+    else:
+        first = np.arange(1 << 16, dtype=np.uint32) << 16
+        # the buckets of exponent 0xFF hold inf and NaN, which no ScalarVolume holds
+        with np.errstate(invalid="ignore"):
+            ends = [np.searchsorted(breaks, p.view(np.float32).astype(np.float64), side="right")
+                    for p in (first, first | 0xFFFF)]
+        lookup = np.where(ends[0] == ends[1], table[ends[0]], _MIXED).astype(np.uint16)
     labels = np.empty(volume.dims, dtype=np.uint16, order=order)
     flat = labels.reshape(-1, order=order)
     for start in range(0, flat.size, _QUANTIZE_CHUNK):
         part = slice(start, start + _QUANTIZE_CHUNK)
         out = flat[part]
-        np.take(buckets, bits[part] >> 16, out=out)
+        # every key is an index of the table: "clip" only skips the bounds check
+        if direct:
+            np.take(lookup, scalars[part], out=out, mode="clip")
+            continue
+        np.take(lookup, scalars[part].view(np.uint32) >> 16, out=out, mode="clip")
         mixed = np.flatnonzero(out == _MIXED)
         if mixed.size:
             values = scalars[part][mixed].astype(np.float64)

@@ -385,6 +385,48 @@ def test_artifact_that_is_not_utf8_exits_2(two_runs, capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def _volume_command(command: str, inputs: list[str], out: str) -> list[str]:
+    """`command` on the level 2 artifacts of `two_runs` and the volume `inputs`."""
+    if command == "export":
+        return ["export", *inputs, "--in", "layout2.json", "--hinges", "hinges2.json", "--plan", "plan2.json",
+                "--out", out]
+    return [command, *inputs, "--level", "2", "--out", out]
+
+
+@pytest.mark.parametrize("command", ["build", "slice", "export"])
+@pytest.mark.parametrize("flag,what", [("--input", "volume"), ("--header", "header"), ("--tf", "transfer function")],
+                         ids=["input", "header", "tf"])
+def test_input_file_that_is_a_directory_exits_4(command, flag, what, two_runs, capsys, tmp_path):
+    (tmp_path / "adir").mkdir()
+    inputs = list(two_runs)
+    inputs[inputs.index(flag) + 1] = "adir"
+    code, err = run(_volume_command(command, inputs, "out.json" if command == "slice" else "out"), capsys)
+    assert code == 4
+    assert f"cannot read {what} adir: Is a directory" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("command", ["build", "export"])
+@pytest.mark.parametrize("blocker,message", [
+    pytest.param("afile", "cannot make output directory afile/pages: Not a directory", id="out"),
+    pytest.param("afile/manifest.json", "cannot write manifest afile/manifest.json: Is a directory", id="manifest"),
+    pytest.param("afile/pages/page-1.svg", "cannot write page afile/pages/page-1.svg: Is a directory", id="page"),
+])
+def test_output_path_in_the_way_exits_4(command, blocker, message, two_runs, capsys, tmp_path):
+    # a regular file named by --out, or a directory where an output file goes
+    if blocker == "afile":
+        (tmp_path / "afile").write_text("kept")
+    else:
+        (tmp_path / blocker).mkdir(parents=True)
+    code, err = run(_volume_command(command, two_runs, "afile"), capsys)
+    assert code == 4
+    assert message in err
+    assert "Traceback" not in err
+    if blocker == "afile":
+        assert (tmp_path / "afile").read_text() == "kept"
+
+
 @pytest.mark.parametrize("command", ["build", "export"])
 def test_rasters_over_the_pixel_budget_exit_2_before_rendering(command, two_runs, capsys, tmp_path):
     # 100 px/mm passes the --dpi bound, but these layouts of the checkerboard

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sliceforge import volume
 from sliceforge.errors import IngestError, IOFailure, ValidationError
 from sliceforge.volume import (
     ScalarVolume,
@@ -105,9 +107,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             ScalarVolume((2, 2, 2), (1.0, -1.0, 1.0), (0, 0, 0), np.zeros((2, 2, 2), np.float32))
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.uint16, np.dtype(">f4")])
-    def test_scalars_other_than_float32_rejected(self, dtype):
-        # quantize reads the float32 bit patterns of the grid in native byte order
+    @pytest.mark.parametrize(
+        "dtype", [np.float64, np.float16, np.int16, np.dtype(">u2"), np.dtype(">f4")], ids=lambda d: np.dtype(d).str
+    )
+    def test_unsupported_scalar_dtype_rejected(self, dtype):
+        # quantize indexes its tables by the raw values or float32 bit patterns
+        # of the grid in native byte order
         with pytest.raises(ValidationError, match="scalars must be float32"):
             ScalarVolume((2, 2, 2), (1.0, 1.0, 1.0), (0, 0, 0), np.zeros((2, 2, 2), dtype))
 
@@ -176,3 +181,27 @@ class TestQuantize:
         a = quantize(load_volume(raw, header), TF_TWO)
         b = quantize(load_volume(raw, header), TF_TWO)
         assert np.array_equal(a.labels, b.labels)
+
+
+def test_u16_file_is_labelled_without_a_float32_grid(tmp_path):
+    # the traced peak of loading and labelling a 64^3 u16 file: the raw bytes
+    # (2 B per voxel), the labels (2 B), one chunk's int64 indices and the
+    # 2^16-entry value table, with room for small objects; a float32 copy of
+    # the grid (4 B per voxel) next to the raw bytes and labels exceeds it
+    n = 64
+    voxels = n**3
+    values = np.random.default_rng(9).integers(0, 1 << 16, size=(n, n, n)).astype("<u2")
+    raw, header = tmp_path / "v.raw", tmp_path / "v.json"
+    raw.write_bytes(values.tobytes(order="F"))
+    header.write_text(json.dumps({"dims": [n] * 3, "spacing_mm": [1, 1, 1], "dtype": "u16"}))
+    bound = 2 * voxels + 2 * voxels + 8 * volume._QUANTIZE_CHUNK + 2 * (1 << 16) + (64 << 10)
+    assert bound < 2 * voxels + 2 * voxels + 4 * voxels
+    quantize(load_volume(raw, header), TF_TWO)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        labels = quantize(load_volume(raw, header), TF_TWO)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.labels.any()
+    assert peak < bound, f"peak {peak} B, bound {bound} B"

@@ -3,6 +3,7 @@ replaced (`helpers.quantize_reference`, `helpers.build_octree_reference`,
 `helpers.extract_slices_reference`): same labels, same nodes, same slices,
 on the inputs where the methods differ most and down every mask path."""
 
+import json
 import warnings
 from unittest import mock
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from sliceforge import volume
 from sliceforge.errors import ValidationError
 from sliceforge.octree import build_octree, extract_slices, iter_nodes, unify_slices
-from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, quantize
+from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, load_volume, quantize
 
 from helpers import (
     build_octree_reference,
@@ -41,10 +42,10 @@ def _grid_in_layout(values: np.ndarray, layout: str) -> np.ndarray:
 
 
 @st.composite
-def transfer_functions(draw):
-    """Bins over consecutive edges; a skipped pair is a gap, so bins sharing
-    an edge (hi == lo) are common. Some bins have opacity 0."""
-    edges = sorted(draw(st.sets(st.sampled_from(EDGES), min_size=2)))
+def transfer_functions(draw, pool=EDGES):
+    """Bins over consecutive edges of `pool`; a skipped pair is a gap, so bins
+    sharing an edge (hi == lo) are common. Some bins have opacity 0."""
+    edges = sorted(draw(st.sets(st.sampled_from(pool), min_size=2)))
     pairs = list(zip(edges, edges[1:]))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).filter(any))
     opacities = draw(st.lists(st.sampled_from((0.0, 0.25, 1.0)), min_size=len(pairs), max_size=len(pairs)))
@@ -236,6 +237,93 @@ def test_quantize_rejects_a_label_that_is_the_mixed_marker():
     vol = ScalarVolume((1, 1, 1), (1.0,) * 3, (0.0,) * 3, np.zeros((1, 1, 1), np.float32))
     with pytest.raises(ValidationError, match="visible bins"):
         quantize(vol, tf)
+
+
+# u8 and u16 values around the ends of both ranges and the u8/u16 border
+INT_VALUES = (0, 1, 2, 99, 100, 101, 127, 128, 254, 255, 256, 257, 1000, 32767, 32768, 65534, 65535)
+
+
+def _int_edges() -> list[float]:
+    """Each of `INT_VALUES` as a break and its float64 neighbours, half-way
+    breaks on both sides, negative breaks and breaks above 65535."""
+    out = [-1e30, -3.5, -1.0, 65535.5, 65536.0, 70000.25, 1e30]
+    for v in map(float, INT_VALUES):
+        out += [v, np.nextafter(v, -np.inf), np.nextafter(v, np.inf), v - 0.5, v + 0.5]
+    return sorted(set(out))
+
+
+INT_EDGES = tuple(_int_edges())
+
+
+def _assert_integer_quantize_matches_reference(values: np.ndarray, tf: TransferFunction, layout: str, chunk: int):
+    """The labels of an integer grid equal the reference's labels of that grid
+    and of the float32 grid `load_volume` used to widen it to."""
+    vol = ScalarVolume(values.shape, (1.0,) * 3, (0.0,) * 3, _grid_in_layout(values, layout))
+    widened = ScalarVolume(values.shape, (1.0,) * 3, (0.0,) * 3, values.astype(np.float32))
+    with mock.patch.object(volume, "_QUANTIZE_CHUNK", chunk):
+        got = quantize(vol, tf)
+    assert got.labels.dtype == np.uint16
+    for want in (quantize_reference(vol, tf), quantize_reference(widened, tf)):
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert got.n_labels == want.n_labels
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tf=transfer_functions(INT_EDGES),
+    dims=dims_st,
+    dtype=st.sampled_from((np.uint8, np.uint16)),
+    picks=st.lists(st.one_of(st.sampled_from(INT_VALUES), st.integers(0, 65535)), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(LAYOUTS),
+    chunk=st.integers(1, 40),
+)
+def test_integer_quantize_matches_reference(tf, dims, dtype, picks, seed, layout, chunk):
+    # breaks on, just below and just above integers; u16 picks past 255 are
+    # clipped to the u8 maximum
+    pool = np.minimum(picks, np.iinfo(dtype).max).astype(dtype)
+    values = np.random.default_rng(seed).choice(pool, size=dims)
+    assert values.dtype == dtype
+    _assert_integer_quantize_matches_reference(values, tf, layout, chunk)
+
+
+# bins on, between and around integers, with gaps and an opacity-0 bin
+INT_TF = TransferFunction(bins=(
+    TransferBin(-3.5, 0.0, (1.0, 0.0, 0.0), 0.5),
+    TransferBin(0.5, 1.0, (0.0, 1.0, 0.0), 1.0),
+    TransferBin(1.0, float(np.nextafter(255.0, np.inf)), (0.0, 0.0, 1.0), 0.25),
+    TransferBin(256.0, 1000.5, (1.0, 1.0, 0.0), 0.0),
+    TransferBin(1000.5, float(np.nextafter(32768.0, -np.inf)), (0.0, 1.0, 1.0), 1.0),
+    TransferBin(32768.0, 65535.0, (1.0, 0.0, 1.0), 0.75),
+    TransferBin(65535.0, 1e30, (0.5, 0.5, 0.5), 1.0),
+))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+def test_every_integer_value_matches_reference(dtype):
+    values = np.arange(np.iinfo(dtype).max + 1, dtype=dtype).reshape(16, -1, 1)
+    for layout in LAYOUTS:
+        _assert_integer_quantize_matches_reference(values, INT_TF, layout, chunk=1000)
+
+
+@pytest.mark.parametrize("dtype,file_dtype", [("u8", "<u1"), ("u16", "<u2"), ("f32", "<f4")])
+def test_load_volume_keeps_the_file_dtype(dtype, file_dtype, tmp_path):
+    dims = (5, 6, 7)
+    ints = np.random.default_rng(8).integers(0, 1 << 16, size=dims)
+    values = {"u8": ints % 256, "u16": ints, "f32": ints - 0.25}[dtype].astype(file_dtype)
+    raw, header = tmp_path / "v.raw", tmp_path / "v.json"
+    raw.write_bytes(values.tobytes(order="F"))
+    header.write_text(json.dumps({"dims": list(dims), "spacing_mm": [1, 1, 1], "dtype": dtype}))
+    loaded = load_volume(raw, header)
+    assert loaded.scalars.dtype == np.dtype(file_dtype)
+    np.testing.assert_array_equal(loaded.scalars, values)
+    # the float32 grid load_volume used to return for every dtype
+    widened = np.frombuffer(raw.read_bytes(), file_dtype).astype(np.float32).reshape(dims, order="F")
+    got = quantize(loaded, INT_TF)
+    want = quantize_reference(ScalarVolume(dims, (1.0,) * 3, (0.0,) * 3, widened), INT_TF)
+    assert got.labels.flags.f_contiguous
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert len(np.unique(got.labels)) >= 2
 
 
 def label_volume(grid: np.ndarray, n_labels: int) -> LabelVolume:
