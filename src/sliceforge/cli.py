@@ -4,19 +4,21 @@
 `pack`, and `export` run single stages on JSON artifacts so intermediate
 results can be inspected or golden-tested. Each option takes the value of
 its flag, else of its key in the `--config` JSON file, else its default.
-Exit codes: 0 ok, 2 validation, 3 infeasible, 4 I/O.
+Exit codes: 0 ok; 2 validation, which includes an input file that is no
+UTF-8 or JSON text; 3 infeasible; 4 I/O: any input file (OBJ, raw volume,
+header, transfer function, `--config` or stage artifact) missing or
+unreadable, or an output that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import pipeline
-from .codec import encode
+from .codec import encode, read_json
 from .errors import SliceforgeError, ValidationError
 from .hinges import hinges_from_json
 from .layout import DEFAULT_GUTTER_MM, DEFAULT_MARGIN_MM, PAGE_SIZES_MM
@@ -170,15 +172,9 @@ def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace, 
     and parse argv again, so a flag beats a config key and a config value
     meets a flag's converter; then hold every value in `_RANGES` to its range."""
     if args.config:
-        path = Path(args.config)
-        if not path.is_file():
-            raise ValidationError(f"config file not found: {path}")
-        try:
-            cfg = json.loads(path.read_text())
-        except ValueError as exc:  # also an integer of more digits than int() takes
-            raise ValidationError(f"config file is not valid JSON: {exc}")
+        cfg = read_json(args.config, "config file")
         if not isinstance(cfg, dict):
-            raise ValidationError("config file must hold a JSON object")
+            raise ValidationError(f"config file {args.config} must hold a JSON object")
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
         actions = {a.dest: a for a in sub._actions if a.dest != "help"}
         for key, value in cfg.items():

@@ -1,4 +1,5 @@
-"""The JSON form of every pipeline artifact, derived from the dataclasses.
+"""The JSON form of every pipeline artifact, derived from the dataclasses,
+and the one reader of every input file.
 
 `encode` turns a dataclass into a dict of its fields, an enum into its
 value, a tuple into a list and dict keys into strings; ints, floats, strings,
@@ -9,6 +10,12 @@ for int, any number but a boolean for float, a string for str. A field whose
 JSON key differs from its name names the key in ``field(metadata={"json": key})``.
 
 The converters are built once per type, not by reflecting on every value.
+
+`read_bytes` and `read_json` are the only readers of input files, so every
+file the CLI reads fails the same way: a missing file raises IOFailure
+"{what} not found", any other OS error IOFailure "cannot read {what}" (exit
+4), and bytes that are no JSON text raise ValidationError "{what} {path} is
+not valid JSON" (exit 2).
 """
 
 from __future__ import annotations
@@ -16,11 +23,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import json
 import operator
 import types
 import typing
+from pathlib import Path
 
-from .errors import ValidationError
+from .errors import IOFailure, ValidationError
 
 
 def encode(obj):
@@ -35,6 +44,27 @@ def decode(tp, data, what: str):
         return _decoder(tp)(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{what} malformed: {type(exc).__name__}: {exc}") from exc
+
+
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The contents of the file at `path`, which a message calls `what`."""
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise IOFailure(f"{what} not found: {path}") from exc
+    except OSError as exc:  # a directory, no permission
+        raise IOFailure(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON value in the file at `path`. Bytes in no Unicode encoding, a
+    syntax error, an integer of more digits than int() takes and nesting
+    deeper than the parser recurses all raise ValidationError."""
+    data = read_bytes(path, what)
+    try:
+        return json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _same(value):

@@ -11,7 +11,7 @@ contact line sits on the shorter slice's boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .codec import decode
@@ -97,7 +97,7 @@ def compute_hinges(slices: list[Slice], orientations: tuple[str, str] = ("x", "y
     """One hinge per perpendicular slice pair whose rectangles cross."""
     family_a = [s for s in slices if s.orientation == orientations[0]]
     family_b = [s for s in slices if s.orientation == orientations[1]]
-    hinges: list[Hinge] = []
+    found = []
     for a in family_a:
         for b in family_b:
             # the crossing line sits at (a.plane, b.plane); u on a slice runs
@@ -122,23 +122,11 @@ def compute_hinges(slices: list[Slice], orientations: tuple[str, str] = ("x", "y
                 small_u = u_on_b if window_on_a else u_on_a
                 if small_u == small.u_range[0] or small_u == small.u_range[1]:
                     stopper = small.id  # none slot on the boundary: needs a tab
-            hinges.append(
-                Hinge(
-                    id=-1,
-                    slice_a=a.id,
-                    slice_b=b.id,
-                    u_a=u_on_a,
-                    u_b=u_on_b,
-                    v0=v0,
-                    v1=v1,
-                    kind=kind,
-                    slot_a=slot_a,
-                    slot_b=slot_b,
-                    stopper_on=stopper,
-                )
-            )
-    hinges.sort(key=lambda h: (h.u_b, h.u_a, h.v0, h.v1))
-    return [replace(h, id=i) for i, h in enumerate(hinges)]
+            found.append((a.id, b.id, u_on_a, u_on_b, v0, v1, kind, slot_a, slot_b, stopper))
+    # each crossing holds the fields of a Hinge after its id; ids follow
+    # (u_b, u_a, v0, v1), and a stable sort keeps equal keys in loop order
+    found.sort(key=lambda f: (f[3], f[2], f[4], f[5]))
+    return [Hinge(i, *f) for i, f in enumerate(found)]
 
 
 def find_backbone(hinges: list[Hinge], slices: list[Slice]) -> int:

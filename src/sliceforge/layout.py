@@ -401,7 +401,8 @@ def pack(
     if page_w - 2 * margin <= 0 or page_h - 2 * margin <= 0:
         raise ValidationError("margins leave no usable page area")
 
-    order = sorted(slices, key=lambda s: plan.slice_order.index(s.id))
+    position = {sid: i for i, sid in enumerate(plan.slice_order)}
+    order = sorted(slices, key=lambda s: position[s.id])
     sizes = {s.id: slice_print_size(s, spacing, orientations) for s in slices}
     cluster_of = {fvid: int(c) for fvid, c in zip((s.id for s in slices), clusters.assignment)}
 
@@ -447,23 +448,24 @@ def pack(
             f"(printed slot width below {MIN_PRINT_SLOT_MM} mm)",
             hint=hint,
         )
-    lo = scale_min
+    # `placements` is always the packing at `lo`, the largest feasible scale probed
+    lo, placements = scale_min, base
     hi = scale_min * 2
     for _ in range(64):
-        if feasible(hi) is None:
+        probe = feasible(hi)
+        if probe is None:
             break
-        lo = hi
+        lo, placements = hi, probe
         hi *= 2
     else:
         raise ValidationError("packing feasibility did not bound; check slice sizes")
     while hi - lo > SCALE_TOLERANCE * lo:
         mid = (lo + hi) / 2.0
-        if feasible(mid) is None:
+        probe = feasible(mid)
+        if probe is None:
             hi = mid
         else:
-            lo = mid
-    placements = feasible(lo)
-    assert placements is not None
+            lo, placements = mid, probe
     return PageLayout(
         page_size=(page_w, page_h),
         margin=margin,

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IOFailure, ValidationError
+from .codec import read_bytes
+from .errors import ValidationError
 from .volume import ScalarVolume, TransferBin, TransferFunction
 
 # fraction of the bounding box added per side so the outermost voxel layer
@@ -87,13 +88,21 @@ class MeshSet:
 
 
 def load_obj(path: str | Path) -> Mesh:
-    """Parse the v/f subset of ASCII OBJ (triangulated faces only)."""
+    """Parse the v/f subset of OBJ text in UTF-8 (triangulated faces only).
+
+    Bytes that are no UTF-8, a token that is no number and a face index that
+    names no vertex raise ValidationError naming the file and line."""
     path = Path(path)
-    if not path.exists():
-        raise IOFailure(f"mesh file not found: {path}")
+    data = read_bytes(path, "mesh file")
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; the line after it holds the byte
+        ln = len((data[:exc.start].decode() + "?").splitlines())
+        raise ValidationError(f"{path}:{ln}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
     vertices: list[tuple[float, float, float]] = []
     triangles: list[tuple[int, int, int]] = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
+    for ln, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0] not in ("v", "f"):
             continue

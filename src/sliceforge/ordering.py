@@ -191,17 +191,12 @@ def _objective(order: list[int] | tuple[int, ...], w: dict[int, float]) -> float
 def derive_slice_order(plan: AssemblyPlan, hinges: list[Hinge], slices: list[Slice]) -> tuple[int, ...]:
     """Slices in first-hinge-appearance order; hingeless slices go last."""
     by_id = {h.id: h for h in hinges}
-    seen: list[int] = []
-    for hid in plan.hinge_order:
-        h = by_id[hid]
-        for sid in (h.slice_a, h.slice_b):
-            if sid not in seen:
-                seen.append(sid)
+    # a dict keeps each slice once, at its first appearance
+    seen = dict.fromkeys(sid for hid in plan.hinge_order for sid in (by_id[hid].slice_a, by_id[hid].slice_b))
     floating = [s.id for s in slices if s.id not in seen]
     if floating:
         warnings.warn(f"slices {floating} touch no hinge; appended at the end")
-        seen.extend(floating)
-    return tuple(seen)
+    return (*seen, *floating)
 
 
 @dataclass

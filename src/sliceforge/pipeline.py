@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .codec import decode, encode
+from .codec import decode, encode, read_json
 from .errors import IOFailure, ValidationError
 from .export import emit_instructions, emit_pages, slice_cut_geometry
 from .hinges import Hinge, collect_triples, compute_hinges, find_backbone, hinges_by_slice
@@ -263,17 +263,7 @@ def write_artifact(path: str | Path, obj: dict) -> None:
 
 
 def read_artifact(path: str | Path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise IOFailure(f"artifact not found: {p}")
-    try:
-        data = p.read_bytes()
-    except OSError as exc:  # a directory, no permission
-        raise IOFailure(f"cannot read artifact {p}: {exc.strerror}") from exc
-    try:
-        obj = json.loads(data)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"artifact {p} is not valid JSON: {exc}") from exc
+    obj = read_json(path, "artifact")
     if not isinstance(obj, dict):
-        raise ValidationError(f"artifact {p} is not a JSON object")
+        raise ValidationError(f"artifact {path} is not a JSON object")
     return obj

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import decode
-from .errors import IngestError, IOFailure, ValidationError
+from .codec import decode, read_bytes, read_json
+from .errors import IngestError, ValidationError
 
 _DTYPES = {"u8": np.uint8, "u16": np.uint16, "f32": np.float32}
 # voxels labelled per step of `quantize`; bounds its float64 and index temporaries
@@ -135,38 +135,15 @@ class LabelVolume:
 
 
 def load_transfer_function(path: str | Path) -> TransferFunction:
-    path = Path(path)
-    if not path.exists():
-        raise IOFailure(f"transfer function file not found: {path}")
-    try:
-        obj = json.loads(_read(path, "transfer function"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"transfer function is not valid JSON: {exc}") from exc
-    return decode(TransferFunction, obj, "transfer function")
-
-
-def _read(path: Path, what: str) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as exc:  # a directory, no permission
-        raise IOFailure(f"cannot read {what} {path}: {exc.strerror}") from exc
+    return decode(TransferFunction, read_json(path, "transfer function"), "transfer function")
 
 
 def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
     """Read a raw little-endian scalar array described by a JSON header."""
-    header = Path(header)
-    path = Path(path)
-    for p in (header, path):
-        if not p.exists():
-            raise IOFailure(f"file not found: {p}")
-    try:
-        meta = json.loads(_read(header, "header"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"header is not valid JSON: {exc}") from exc
-    head = decode(_VolumeHeader, meta, "header")
+    head = decode(_VolumeHeader, read_json(header, "header"), "header")
     dims = head.dims
     dtype = np.dtype(_DTYPES[head.dtype]).newbyteorder("<")
-    raw = _read(path, "volume")
+    raw = read_bytes(path, "volume")
     expected = int(np.prod(dims))
     actual = len(raw) // dtype.itemsize
     if len(raw) != expected * dtype.itemsize:

@@ -76,7 +76,7 @@ def volume_build(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     raw, header, tf = write_volume_files(tmp_path, *checkerboard_volume(8))
     (tmp_path / "cfg.json").write_text("{}")
-    return ["build", "--input", str(raw), "--header", str(header), "--tf", str(tf),
+    return ["build", "--input", raw.name, "--header", header.name, "--tf", tf.name,
             "--level", "2", "--config", "cfg.json", "--out", "out"]
 
 
@@ -85,16 +85,27 @@ def test_volume_build_succeeds(volume_build, capsys):
 
 
 BAD_BIN = {"bins": [{"lo": "abc", "hi": 1.0, "rgb": [1, 0, 0], "opacity": 0.5}]}
+# a byte that UTF-8 never holds, and an integer of more digits than int() takes
+NOT_UTF8 = b'{"bins": "\xff"}'
+TOO_MANY_DIGITS = '{"bins": ' + "1" * 5000 + "}"
 
 
 @pytest.mark.parametrize("name,text,message", [
     ("vol_tf.json", json.dumps(BAD_BIN), "transfer function malformed"),
-    ("vol_tf.json", "{bins: ", "transfer function is not valid JSON"),
+    ("vol_tf.json", "{bins: ", "transfer function vol_tf.json is not valid JSON"),
     ("cfg.json", json.dumps({"sheets": "2"}), "--sheets must be an integer"),
+    pytest.param("vol_tf.json", NOT_UTF8, "transfer function vol_tf.json is not valid JSON", id="tf-not-utf8"),
+    pytest.param("vol_tf.json", TOO_MANY_DIGITS, "transfer function vol_tf.json is not valid JSON", id="tf-digits"),
+    pytest.param("vol_tf.json", "[" * 5000, "transfer function vol_tf.json is not valid JSON", id="tf-nesting"),
+    pytest.param("vol.json", NOT_UTF8, "header vol.json is not valid JSON", id="header-not-utf8"),
+    pytest.param("vol.json", TOO_MANY_DIGITS, "header vol.json is not valid JSON", id="header-digits"),
+    pytest.param("cfg.json", NOT_UTF8, "config file cfg.json is not valid JSON", id="config-not-utf8"),
+    pytest.param("mesh.obj", b"v 0 0 0\nv 1 0 \xff\n", "mesh.obj:2: byte 0xff is not UTF-8 text", id="mesh-not-utf8"),
 ])
 def test_malformed_input_exits_2_with_a_message(volume_build, name, text, message, capsys, tmp_path):
-    (tmp_path / name).write_text(text)
-    code, err = run(volume_build, capsys)
+    (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
+    meshes = ["--meshes", name] if name.endswith(".obj") else []  # meshes take the place of the volume
+    code, err = run(volume_build + meshes, capsys)
     assert code == 2
     assert message in err
     assert "Traceback" not in err
@@ -354,7 +365,7 @@ def test_config_integer_of_too_many_digits_rejected(capsys, tmp_path, monkeypatc
     (tmp_path / "cfg.json").write_text('{"seed": ' + "1" * 5000 + "}")
     code, err = run(COMMANDS["build"] + ["--config", "cfg.json"], capsys)
     assert code == 2
-    assert "config file is not valid JSON" in err
+    assert "config file cfg.json is not valid JSON" in err
     assert "Traceback" not in err
 
 
@@ -378,11 +389,14 @@ def test_artifact_that_is_a_directory_exits_4(two_runs, capsys, tmp_path):
 
 
 def test_artifact_that_is_not_utf8_exits_2(two_runs, capsys, tmp_path):
-    (tmp_path / "binary.json").write_bytes(b"\xff\xfe\x00{")
-    code, err = run(["hinge", "--in", "binary.json", "--out", "hinges.json"], capsys)
-    assert code == 2
-    assert "artifact binary.json is not valid JSON" in err
-    assert "Traceback" not in err
+    # every artifact flag of every command, also with an integer of more digits than int() takes
+    for text in (b"\xff\xfe\x00{", NOT_UTF8, TOO_MANY_DIGITS.encode()):
+        (tmp_path / "binary.json").write_bytes(text)
+        for flag, command in ARTIFACT_CASES:
+            code, err = run(_with_input(command, two_runs, flag, "binary.json"), capsys)
+            assert code == 2, (flag, command, text[:20])
+            assert "artifact binary.json is not valid JSON" in err
+            assert "Traceback" not in err
 
 
 def _volume_command(command: str, inputs: list[str], out: str) -> list[str]:
@@ -393,18 +407,51 @@ def _volume_command(command: str, inputs: list[str], out: str) -> list[str]:
     return [command, *inputs, "--level", "2", "--out", out]
 
 
-@pytest.mark.parametrize("command", ["build", "slice", "export"])
-@pytest.mark.parametrize("flag,what", [("--input", "volume"), ("--header", "header"), ("--tf", "transfer function")],
-                         ids=["input", "header", "tf"])
-def test_input_file_that_is_a_directory_exits_4(command, flag, what, two_runs, capsys, tmp_path):
+# every file the CLI reads: what its messages call it, by flag; and the
+# commands that read it, as (flag, command)
+INPUT_FILES = {
+    "--input": "volume", "--header": "header", "--tf": "transfer function", "--meshes": "mesh file",
+    "--config": "config file", "--in": "artifact", "--plan": "artifact", "--hinges": "artifact",
+}
+VOLUME_COMMANDS = ("build", "slice", "export")
+INPUT_CASES = [
+    *[(flag, command) for flag in ("--input", "--header", "--tf", "--meshes", "--config") for command in VOLUME_COMMANDS],
+    ("--config", "hinge"), ("--config", "order"), ("--config", "pack"),
+]
+ARTIFACT_CASES = [
+    ("--in", "hinge"), ("--in", "order"), ("--in", "pack"), ("--plan", "pack"),
+    ("--in", "export"), ("--hinges", "export"), ("--plan", "export"),
+]
+
+
+def _with_input(command: str, inputs: list[str], flag: str, value: str) -> list[str]:
+    """`command` on the level 2 files of `two_runs`, with `flag` naming `value`."""
+    out = "out" if command in ("build", "export") else "out.json"
+    argv = {
+        "hinge": ["hinge", "--in", "slices2.json", "--out", out],
+        "order": ["order", "--in", "hinges2.json", "--out", out],
+        "pack": ["pack", "--in", "hinges2.json", "--plan", "plan2.json", "--out", out],
+    }.get(command) or _volume_command(command, inputs, out)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:  # --meshes (which take the place of the volume) and --config
+        argv += [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("flag,command", INPUT_CASES + ARTIFACT_CASES,
+                         ids=[f"{flag[2:]}-{command}" for flag, command in INPUT_CASES + ARTIFACT_CASES])
+def test_input_file_that_is_a_directory_exits_4(flag, command, two_runs, capsys, tmp_path):
+    # a missing file exits 4 too
     (tmp_path / "adir").mkdir()
-    inputs = list(two_runs)
-    inputs[inputs.index(flag) + 1] = "adir"
-    code, err = run(_volume_command(command, inputs, "out.json" if command == "slice" else "out"), capsys)
-    assert code == 4
-    assert f"cannot read {what} adir: Is a directory" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
+    what = INPUT_FILES[flag]
+    for value, message in (("adir", f"cannot read {what} adir: Is a directory"),
+                           ("missing", f"{what} not found: missing")):
+        code, err = run(_with_input(command, two_runs, flag, value), capsys)
+        assert code == 4
+        assert message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize("command", ["build", "export"])

@@ -1,6 +1,6 @@
 """Every name a package module imports at top level is used in that module,
-every function, class and method the package defines is referenced, and
-every parameter is read.
+every function, class and method the package defines is referenced, every
+parameter is read, and only `codec.py` reads files.
 
 `__init__.py` re-exports names on purpose and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -81,6 +81,37 @@ def test_checker_flags_unread_parameters():
     )
     # `b` is only written; a closure reading `x` counts as reading it
     assert unread_parameters(source) == ["f:b", "f:args", "f:kw", "m:y", "lambda:w"]
+
+
+def file_reads(source: str) -> list[int]:
+    """The lines that call `open`, or a method named `open`, `read_bytes`
+    or `read_text`: the ways a module reads a file by itself."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call)
+        and (isinstance(n.func, ast.Name) and n.func.id == "open"
+             or isinstance(n.func, ast.Attribute) and n.func.attr in ("open", "read_bytes", "read_text"))
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "codec.py"], ids=lambda p: p.name)
+def test_only_codec_reads_files(path):
+    # codec.read_bytes and codec.read_json hold the one error policy for input files
+    assert file_reads(path.read_text()) == []
+
+
+def test_checker_flags_file_reads():
+    source = (
+        "open(p)\n"
+        "Path(p).read_text()\n"
+        "data = x.read_bytes()\n"
+        "read_bytes(p, 'mesh file')\n"
+        "with p.open() as f: pass\n"
+        "Path(p).write_text(t); opener(p)\n"
+    )
+    # a bare read_bytes is codec's reader; writers are not reads
+    assert file_reads(source) == [1, 2, 3, 5]
 
 
 def _mentions(tree: ast.Module) -> list[tuple[str, int, bool]]:
