@@ -256,8 +256,8 @@ def cmd_slice(args) -> int:
 
 def cmd_hinge(args) -> int:
     art = pipeline.read_artifact(args.inp)
-    grid = GridInfo.from_json(art.get("grid"))
-    slices = slices_from_json(art.get("slices"))
+    grid = GridInfo.from_json(art.get("grid"), args.inp)
+    slices = slices_from_json(art.get("slices"), args.inp)
     with _stage("hinge"):
         hinges = pipeline.stage_hinges(slices, grid.orientations)
     pipeline.write_artifact(
@@ -270,8 +270,8 @@ def cmd_hinge(args) -> int:
 def _read_hinges(path: str):
     """The grid, slices and hinges of a hinges artifact."""
     art = pipeline.read_artifact(path)
-    grid = GridInfo.from_json(art.get("grid"))
-    return grid, slices_from_json(art.get("slices")), hinges_from_json(art.get("hinges"))
+    grid = GridInfo.from_json(art.get("grid"), path)
+    return grid, slices_from_json(art.get("slices"), path), hinges_from_json(art.get("hinges"), path)
 
 
 def cmd_order(args) -> int:
@@ -295,7 +295,7 @@ def _check_same_run(hinges_path, slices, hinges, plan_path, plan, layout_path=No
 
 def cmd_pack(args) -> int:
     grid, slices, hinges = _read_hinges(args.inp)
-    plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
+    plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan), args.plan)
     _check_same_run(args.inp, slices, hinges, args.plan, plan)
     with _stage("pack"):
         layout = pipeline.stage_pack(
@@ -310,9 +310,9 @@ def cmd_pack(args) -> int:
 
 
 def cmd_export(args) -> int:
-    layout, slot_width, seed = pipeline.layout_from_json(pipeline.read_artifact(args.inp))
+    layout, slot_width, seed = pipeline.layout_from_json(pipeline.read_artifact(args.inp), args.inp)
     grid, slices, hinges = _read_hinges(args.hinges)
-    plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan))
+    plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan), args.plan)
     _check_same_run(args.hinges, slices, hinges, args.plan, plan, args.inp, layout)
     labels, tf = _load_labels(args)
     if labels.dims != grid.dims:

@@ -1,6 +1,10 @@
 """Vector print output: per-page SVG with cut paths, slots, stoppers,
 labels, and embedded slice art, plus the instruction sheet.
 
+Slice art is embedded as indexed-colour PNG: every pixel is one of the
+transfer function's visible colours or the transparent background, so a
+pixel takes 1, 2, 4 or 8 bits, not the 32 of RGBA.
+
 Cut geometry is computed from a slice and its own hinges in its local frame
 (origin bottom-left, x along the slice's horizontal axis, y up) as integers
 over one power of two, rounded once: mating slot positions on the two
@@ -142,24 +146,62 @@ def _outline_polygon(width: int, height: int, sw: int, flanges) -> list[tuple[in
 # --- minimal deterministic PNG encoding -----------------------------------
 
 
-def encode_png(rgba: np.ndarray) -> bytes:
-    """RGBA8 PNG, filter 0, fixed zlib level: byte-stable across runs."""
-    rows, cols = rgba.shape[:2]
-    # one scanline per row: filter byte 0, then the row's RGBA bytes
-    raw = np.zeros((rows, 4 * cols + 1), dtype=np.uint8)
-    raw[:, 1:] = rgba.reshape(rows, 4 * cols)
+def encode_png(index: np.ndarray, palette: np.ndarray) -> bytes:
+    """The image `palette[index]` as a PNG: filter 0 on every scanline and a
+    fixed zlib level, so the bytes are stable across runs.
 
-    def chunk(tag: bytes, payload: bytes) -> bytes:
-        crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
-        return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
-
-    ihdr = struct.pack(">IIBBBBB", cols, rows, 8, 6, 0, 0, 0)
+    Up to 256 colours it is an indexed-colour PNG (colour type 3) of the
+    smallest bit depth of 1, 2, 4 or 8 that holds the palette, with the
+    palette's RGB in PLTE and its alpha in tRNS; the unused low bits of a
+    scanline's last byte are zero. A larger palette is written as RGBA8
+    (colour type 6).
+    """
+    rows, cols = index.shape
+    if len(palette) > 256:
+        ihdr = struct.pack(">IIBBBBB", cols, rows, 8, 6, 0, 0, 0)
+        palette_chunks = b""
+        # one scanline per row: filter byte 0, then the row's RGBA bytes
+        raw = np.zeros((rows, 4 * cols + 1), dtype=np.uint8)
+        raw[:, 1:] = palette[index].reshape(rows, 4 * cols)
+    else:
+        depth = next(d for d in (1, 2, 4, 8) if len(palette) <= 1 << d)
+        ihdr = struct.pack(">IIBBBBB", cols, rows, depth, 3, 0, 0, 0)
+        palette_chunks = _chunk(b"PLTE", palette[:, :3].tobytes()) + _chunk(b"tRNS", palette[:, 3].tobytes())
+        raw = _index_scanlines(index, depth)
     return (
         b"\x89PNG\r\n\x1a\n"
-        + chunk(b"IHDR", ihdr)
-        + chunk(b"IDAT", zlib.compress(raw, 6))
-        + chunk(b"IEND", b"")
+        + _chunk(b"IHDR", ihdr)
+        + palette_chunks
+        + _chunk(b"IDAT", zlib.compress(raw, 6))
+        + _chunk(b"IEND", b"")
     )
+
+
+def _index_scanlines(index: np.ndarray, depth: int) -> np.ndarray:
+    """One scanline per row: filter byte 0, then the row's indices packed
+    `8 // depth` to a byte, the first in the high bits, zero bits after the
+    last index. Each index must be below `1 << depth`."""
+    g = 8 // depth
+    rows, cols = index.shape
+    width = -(-cols // g)
+    group = np.zeros((rows, g * width), dtype=np.uint8)
+    group[:, :cols] = index
+    # Read each byte's g indices as one little-endian integer: index j at
+    # bit 8j. Multiplying by the sum over j of 2^(8g - 8j - depth(j+1))
+    # carries index j to bit 8g - depth(j+1), so the top byte holds the
+    # indices in order from its high end. Every other product lands at bit
+    # 8g or above, which the integer drops, or so low that together they
+    # stay below the top byte.
+    word = np.dtype(f"<u{g}")
+    magic = sum(1 << (8 * g - 8 * j - depth * (j + 1)) for j in range(g))
+    raw = np.zeros((rows, width + 1), dtype=np.uint8)
+    raw[:, 1:] = (group.view(word) * word.type(magic)) >> word.type(8 * (g - 1))
+    return raw
+
+
+def _chunk(tag: bytes, payload: bytes) -> bytes:
+    crc = zlib.crc32(tag + payload) & 0xFFFFFFFF
+    return struct.pack(">I", len(payload)) + tag + payload + struct.pack(">I", crc)
 
 
 # --- SVG assembly ----------------------------------------------------------
@@ -286,7 +328,7 @@ def emit_pages(
             frame = _Frame(pl)
             raster = rasters.get(pl.slice_id)
             if raster is not None:
-                data = base64.b64encode(encode_png(raster.pixels)).decode("ascii")
+                data = base64.b64encode(encode_png(raster.pixels, raster.palette)).decode("ascii")
                 doc.add(
                     "art",
                     f'<image {frame.image_transform()} preserveAspectRatio="none" '

@@ -182,5 +182,6 @@ def collect_triples(hinges: list[Hinge], slices: list[Slice]) -> list[Precedence
     return triples
 
 
-def hinges_from_json(items: list[dict]) -> list[Hinge]:
-    return decode(list[Hinge], items, "hinges")
+def hinges_from_json(items: list[dict], path: str) -> list[Hinge]:
+    """The hinges of the artifact read from `path`."""
+    return decode(list[Hinge], items, f"hinges {path}")

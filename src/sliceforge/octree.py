@@ -265,5 +265,6 @@ def unify_slices(raw: RawSlices | list[Slice]) -> list[Slice]:
     ]
 
 
-def slices_from_json(items: list[dict]) -> list[Slice]:
-    return decode(list[Slice], items, "slices")
+def slices_from_json(items: list[dict], path: str) -> list[Slice]:
+    """The slices of the artifact read from `path`."""
+    return decode(list[Slice], items, f"slices {path}")

@@ -53,8 +53,9 @@ class GridInfo:
     orientations: tuple[str, str]
 
     @staticmethod
-    def from_json(obj: dict) -> "GridInfo":
-        return decode(GridInfo, obj, "grid")
+    def from_json(obj: dict, path: str) -> "GridInfo":
+        """The grid of the artifact read from `path`."""
+        return decode(GridInfo, obj, f"grid {path}")
 
     @property
     def axes(self) -> tuple[int, int, int]:
@@ -237,14 +238,15 @@ def stage_export(
     return manifest
 
 
-def plan_from_json(obj: dict) -> AssemblyPlan:
-    return decode(AssemblyPlan, obj, "plan artifact")
+def plan_from_json(obj: dict, path: str) -> AssemblyPlan:
+    """The plan artifact read from `path`."""
+    return decode(AssemblyPlan, obj, f"plan artifact {path}")
 
 
-def layout_from_json(obj: dict) -> tuple[PageLayout, float, int]:
-    """Returns (layout, slot_width_mm, seed) from a pack artifact."""
+def layout_from_json(obj: dict, path: str) -> tuple[PageLayout, float, int]:
+    """Returns (layout, slot_width_mm, seed) from the pack artifact read from `path`."""
     record = (obj, obj.get("slot_width_mm"), obj.get("seed"))
-    return decode(tuple[PageLayout, float, int], record, "layout artifact")
+    return decode(tuple[PageLayout, float, int], record, f"layout artifact {path}")
 
 
 def _dump(obj) -> str:

@@ -13,15 +13,19 @@ from .octree import Slice, slice_axes
 from .volume import LabelVolume, TransferFunction
 
 DEFAULT_PX_PER_MM = 4.0
-# the raster pixels one export may hold at once, 1 GiB of RGBA; an export
-# renders every slice before it writes a page
+# the raster pixels one export may hold at once, 256 MiB of one-byte palette
+# indices (512 MiB above 256 colours); an export renders every slice before
+# it writes a page
 MAX_RASTER_PIXELS = 1 << 28
 TORQUE_TOLERANCE = 0.05
 
 
 @dataclass(frozen=True, eq=False)
 class SliceRaster:
-    pixels: np.ndarray  # (rows, cols, 4) uint8, row 0 = top of the slice
+    """A palette image: `palette[pixels]` is the slice's RGBA art."""
+
+    pixels: np.ndarray  # (rows, cols) palette indices, row 0 = top of the slice; uint8 up to 256 colours
+    palette: np.ndarray  # (colours, 4) uint8 RGBA; entry 0 is the transparent background
 
 
 def raster_size(
@@ -40,13 +44,15 @@ def rasterize_slice(
     px_per_mm: float = DEFAULT_PX_PER_MM,
     orientations: tuple[str, str] = ("x", "y"),
 ) -> SliceRaster:
-    """Nearest-neighbor resampling of the label plane into an RGBA image.
+    """Nearest-neighbor resampling of the label plane into a palette image.
 
-    Nearest-neighbor sampling only repeats voxels, so each voxel of the
-    slice's rectangle is colored once, as one uint32 RGBA word, and the
-    colored plane is then expanded to the pixel grid by repeating columns
-    and rows. Alpha equals the transfer-function opacity of the sampled
-    voxel, so background stays fully transparent on film.
+    The palette holds one RGBA colour per visible transfer-function bin,
+    after the background at index 0, so a voxel's label is its palette
+    index. Nearest-neighbor sampling only repeats voxels, so the slice's
+    rectangle of labels (one byte each when the palette has at most 256
+    colours) is expanded to the pixel grid by repeating columns and rows.
+    Alpha equals the transfer-function opacity of the sampled voxel, so
+    background stays fully transparent on film.
     """
     normal, u_ax, v_ax = slice_axes(s.orientation, orientations)
     dims = labels.dims
@@ -77,9 +83,10 @@ def rasterize_slice(
     lut = np.zeros((len(visible) + 1, 4), dtype=np.uint8)
     for k, b in enumerate(visible, start=1):
         lut[k] = [round(c * 255) for c in b.rgb] + [round(b.opacity * 255)]
-    colors = lut.view(np.uint32)[:, 0][plane]
-    pixels = colors.take(vs - v_lo, axis=1).T.take(us - u_lo, axis=1)
-    return SliceRaster(pixels=pixels.view(np.uint8).reshape(rows, cols, 4))
+    if len(lut) <= 256:
+        plane = plane.astype(np.uint8)
+    pixels = plane.take(vs - v_lo, axis=1).T.take(us - u_lo, axis=1)
+    return SliceRaster(pixels=pixels, palette=lut)
 
 
 @dataclass(frozen=True)

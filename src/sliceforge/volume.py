@@ -135,12 +135,12 @@ class LabelVolume:
 
 
 def load_transfer_function(path: str | Path) -> TransferFunction:
-    return decode(TransferFunction, read_json(path, "transfer function"), "transfer function")
+    return decode(TransferFunction, read_json(path, "transfer function"), f"transfer function {path}")
 
 
 def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
     """Read a raw little-endian scalar array described by a JSON header."""
-    head = decode(_VolumeHeader, read_json(header, "header"), "header")
+    head = decode(_VolumeHeader, read_json(header, "header"), f"header {header}")
     dims = head.dims
     dtype = np.dtype(_DTYPES[head.dtype]).newbyteorder("<")
     raw = read_bytes(path, "volume")

@@ -27,7 +27,6 @@ from sliceforge.hinges import Hinge, SlotKind
 from sliceforge.layout import slice_print_size
 from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _PAD_FRACTION, _inside_by_parity, golden_palette
 from sliceforge.octree import Bounds, Slice, iter_nodes, slice_axes
-from sliceforge.render import SliceRaster
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, save_volume
 
 
@@ -494,7 +493,7 @@ def hinges_on_slice_reference(hinges: list[Hinge], slice_id: int) -> list[Hinge]
     return mine
 
 
-# --- per-pixel rasterizer and row-joined PNG scanlines ---------------------
+# --- per-pixel rasterizer, row-joined PNG scanlines and a PNG decoder -------
 
 
 def rasterize_slice_reference(
@@ -504,10 +503,10 @@ def rasterize_slice_reference(
     scale: float,
     px_per_mm: float = 4.0,
     orientations: tuple[str, str] = ("x", "y"),
-) -> SliceRaster:
-    """Per-pixel gather of labels and then of colors: the code
-    `sliceforge.render.rasterize_slice` replaced, kept as the oracle for the
-    per-voxel version."""
+) -> np.ndarray:
+    """(rows, cols, 4) RGBA from a per-pixel gather of labels and then of
+    colors: the code `sliceforge.render.rasterize_slice` replaced, kept as
+    the oracle for the per-voxel palette version."""
     normal, u_ax, v_ax = slice_axes(s.orientation, orientations)
     dims = labels.dims
     if not (0 <= s.plane_coord <= dims[normal]):
@@ -536,7 +535,7 @@ def rasterize_slice_reference(
     lut = np.zeros((len(visible) + 1, 4), dtype=np.uint8)
     for k, b in enumerate(visible, start=1):
         lut[k] = [round(c * 255) for c in b.rgb] + [round(b.opacity * 255)]
-    return SliceRaster(pixels=lut[plane])
+    return lut[plane]
 
 
 def encode_png_reference(rgba: np.ndarray) -> bytes:
@@ -556,6 +555,54 @@ def encode_png_reference(rgba: np.ndarray) -> bytes:
         + chunk(b"IDAT", zlib.compress(raw, 6))
         + chunk(b"IEND", b"")
     )
+
+
+def png_chunks(png: bytes) -> list[tuple[bytes, bytes]]:
+    """(tag, payload) of each chunk in file order; every CRC checked."""
+    assert png[:8] == b"\x89PNG\r\n\x1a\n"
+    out, at = [], 8
+    while at < len(png):
+        (length,) = struct.unpack(">I", png[at : at + 4])
+        tag, payload = png[at + 4 : at + 8], png[at + 8 : at + 8 + length]
+        (crc,) = struct.unpack(">I", png[at + 8 + length : at + 12 + length])
+        assert crc == zlib.crc32(tag + payload) & 0xFFFFFFFF
+        out.append((tag, payload))
+        at += 12 + length
+    return out
+
+
+def decode_png(png: bytes) -> np.ndarray:
+    """(rows, cols, 4) RGBA of a non-interlaced PNG of colour type 3 (bit
+    depth 1, 2, 4 or 8) or 6 (bit depth 8) with filter 0 on every scanline,
+    decoded from the PNG specification: the first pixel of a byte in its
+    high bits, unused bits at the end of a scanline zero, and palette
+    entries past the end of tRNS opaque."""
+    chunks = png_chunks(png)
+    tags = [tag for tag, _ in chunks]
+    assert tags[0] == b"IHDR" and tags[-1] == b"IEND" and chunks[-1][1] == b""
+    cols, rows, depth, colour_type, compression, filtering, interlace = struct.unpack(">IIBBBBB", chunks[0][1])
+    assert (compression, filtering, interlace) == (0, 0, 0)
+    data = zlib.decompress(b"".join(payload for tag, payload in chunks if tag == b"IDAT"))
+    if colour_type == 6:
+        assert depth == 8 and tags == [b"IHDR", b"IDAT", b"IEND"]
+        raw = np.frombuffer(data, np.uint8).reshape(rows, 4 * cols + 1)
+        assert not raw[:, 0].any()
+        return raw[:, 1:].reshape(rows, cols, 4)
+    assert colour_type == 3 and depth in (1, 2, 4, 8)
+    assert tags == [b"IHDR", b"PLTE", b"tRNS", b"IDAT", b"IEND"]
+    plte, trns = chunks[1][1], chunks[2][1]
+    assert len(plte) % 3 == 0 and 1 <= len(plte) // 3 <= 1 << depth
+    entries = len(plte) // 3
+    assert len(trns) <= entries
+    rgba = [(*plte[3 * i : 3 * i + 3], trns[i] if i < len(trns) else 255) for i in range(entries)]
+    stride = (cols * depth + 7) // 8 + 1
+    raw = np.frombuffer(data, np.uint8).reshape(rows, stride)
+    assert not raw[:, 0].any()  # filter type 0 on every scanline
+    bits = np.unpackbits(raw[:, 1:], axis=1)
+    assert not bits[:, cols * depth :].any(), "padding bits must be zero"
+    index = bits[:, : cols * depth].reshape(rows, cols, depth).astype(np.int64) @ (1 << np.arange(depth)[::-1])
+    assert index.max() < entries
+    return np.array(rgba, dtype=np.uint8)[index]
 
 
 # --- exact rational cut geometry --------------------------------------------

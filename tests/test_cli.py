@@ -91,7 +91,7 @@ TOO_MANY_DIGITS = '{"bins": ' + "1" * 5000 + "}"
 
 
 @pytest.mark.parametrize("name,text,message", [
-    ("vol_tf.json", json.dumps(BAD_BIN), "transfer function malformed"),
+    ("vol_tf.json", json.dumps(BAD_BIN), "transfer function vol_tf.json malformed"),
     ("vol_tf.json", "{bins: ", "transfer function vol_tf.json is not valid JSON"),
     ("cfg.json", json.dumps({"sheets": "2"}), "--sheets must be an integer"),
     pytest.param("vol_tf.json", NOT_UTF8, "transfer function vol_tf.json is not valid JSON", id="tf-not-utf8"),
@@ -114,9 +114,9 @@ def test_malformed_input_exits_2_with_a_message(volume_build, name, text, messag
 @pytest.mark.parametrize("key,value,message", [
     ("spacing_mm", [math.nan, 1, 1], "spacing must be three finite numbers > 0"),
     ("spacing_mm", [math.inf, 1, 1], "spacing must be three finite numbers > 0"),
-    ("spacing_mm", [1, 1], "header malformed: ValueError: expected 3 items"),
-    ("dtype", ["f32"], "header malformed: TypeError: expected a JSON string"),
-    ("dims", "888", "header malformed: TypeError: expected a JSON array"),
+    ("spacing_mm", [1, 1], "header vol.json malformed: ValueError: expected 3 items"),
+    ("dtype", ["f32"], "header vol.json malformed: TypeError: expected a JSON string"),
+    ("dims", "888", "header vol.json malformed: TypeError: expected a JSON array"),
     ("origin_mm", [math.nan, 0, 0], "origin must be three finite numbers"),
 ])
 def test_malformed_volume_header_exits_2(volume_build, key, value, message, capsys, tmp_path):
@@ -396,6 +396,21 @@ def test_artifact_that_is_not_utf8_exits_2(two_runs, capsys, tmp_path):
             code, err = run(_with_input(command, two_runs, flag, "binary.json"), capsys)
             assert code == 2, (flag, command, text[:20])
             assert "artifact binary.json is not valid JSON" in err
+            assert "Traceback" not in err
+
+
+def test_malformed_artifact_field_exits_2_naming_the_file(two_runs, capsys, tmp_path):
+    # every artifact flag of every command, each top-level field broken in turn
+    for flag, command in ARTIFACT_CASES:
+        source = {"--plan": "plan2.json", "--hinges": "hinges2.json"}.get(flag) or {
+            "hinge": "slices2.json", "export": "layout2.json"}.get(command, "hinges2.json")
+        good = json.loads((tmp_path / source).read_text())
+        argv = _with_input(command, two_runs, flag, "broken.json")
+        for key in good:
+            (tmp_path / "broken.json").write_text(json.dumps({**good, key: "x"}))
+            code, err = run(argv, capsys)
+            assert code == 2, (flag, command, key)
+            assert "broken.json malformed: " in err, (flag, command, key)
             assert "Traceback" not in err
 
 

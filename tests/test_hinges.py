@@ -88,7 +88,7 @@ class TestComputeHinges:
 
     def test_json_round_trip(self):
         hinges = compute_hinges(stopper_model())
-        assert hinges_from_json(encode(hinges)) == hinges
+        assert hinges_from_json(encode(hinges), "hinges.json") == hinges
 
 
 class TestBackbone:

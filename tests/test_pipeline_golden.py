@@ -12,15 +12,23 @@ After an intended change of the output, rewrite the golden files with
 
 from __future__ import annotations
 
+import base64
 import json
+import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sliceforge import cli
+from sliceforge import cli, pipeline
+from sliceforge.codec import decode
 from sliceforge.mesh import save_obj
+from sliceforge.octree import Slice
 from sliceforge.synth import nested_spheres
+from sliceforge.volume import quantize
+
+from helpers import decode_png, rasterize_slice_reference
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "spheres32_manifest.json"
@@ -92,6 +100,27 @@ def test_manifest_matches_golden(built):
 def test_output_files_match_goldens(built):
     for name, golden in GOLDEN_FILES.items():
         assert (built / name).read_bytes() == (GOLDEN_DIR / golden).read_bytes(), name
+
+
+def test_page_images_are_the_reference_rasters(meshes, built):
+    # every image embedded in the pages decodes to the per-pixel reference
+    # raster of the slice placed there, at the manifest's scale and density
+    manifest = json.loads((built / "manifest.json").read_text())
+    slices = {s.id: s for s in decode(list[Slice], manifest["slices"], "slices")}
+    volume, tf = pipeline.load_input(None, None, None, meshes, int(GRID[1]))
+    labels = quantize(volume, tf)
+    scale, px_per_mm = manifest["layout"]["scale"], manifest["options"]["px_per_mm"]
+    orientations = tuple(manifest["grid"]["orientations"])
+    images = 0
+    for page, name in enumerate(manifest["pages"]):
+        hrefs = re.findall(r'xlink:href="data:image/png;base64,([^"]*)"', (built / name).read_text())
+        placed = [p["slice"] for p in manifest["layout"]["placements"] if p["page"] == page]
+        assert len(hrefs) == len(placed)
+        for sid, data in zip(placed, hrefs):
+            want = rasterize_slice_reference(labels, tf, slices[sid], scale, px_per_mm, orientations)
+            assert np.array_equal(decode_png(base64.b64decode(data)), want), (name, sid)
+        images += len(hrefs)
+    assert images == len(slices)
 
 
 def test_rerun_with_fewer_pages_removes_stale_pages(meshes, tmp_path):
