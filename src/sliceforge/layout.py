@@ -271,12 +271,18 @@ class MaxRects:
         return fx, fy, rotated
 
     def _place(self, used: Rect) -> None:
+        """Split each free rectangle `used` overlaps into its maximal
+        leftovers, then drop every rectangle another one contains (of two
+        equal ones, the later). The unsplit ones survived the last prune, so
+        none contains another: each is tested against the new pieces only."""
         ux, uy, uw, uh = used
         new_free: list[Rect] = []
+        pieces: list[int] = []  # indices of the leftovers in new_free
         for fx, fy, fw, fh in self.free:
             if ux >= fx + fw or ux + uw <= fx or uy >= fy + fh or uy + uh <= fy:
                 new_free.append((fx, fy, fw, fh))
                 continue
+            first = len(new_free)
             # subtract: up to four maximal leftovers
             if ux > fx:
                 new_free.append((fx, fy, ux - fx, fh))
@@ -286,28 +292,24 @@ class MaxRects:
                 new_free.append((fx, fy, fw, uy - fy))
             if uy + uh < fy + fh:
                 new_free.append((fx, uy + uh, fw, fy + fh - (uy + uh)))
-        self.free = _prune_contained(new_free)
-
-
-def _prune_contained(rects: list[Rect]) -> list[Rect]:
-    keep: list[Rect] = []
-    for i, a in enumerate(rects):
-        contained = False
-        for j, b in enumerate(rects):
-            if i == j:
-                continue
-            if (
-                a[0] >= b[0]
-                and a[1] >= b[1]
-                and a[0] + a[2] <= b[0] + b[2]
-                and a[1] + a[3] <= b[1] + b[3]
-                and (a != b or i > j)
-            ):
-                contained = True
-                break
-        if not contained:
-            keep.append(a)
-    return keep
+            pieces.extend(range(first, len(new_free)))
+        split, everything = set(pieces), range(len(new_free))
+        keep: list[Rect] = []
+        for i, a in enumerate(new_free):
+            for j in everything if i in split else pieces:
+                b = new_free[j]
+                if (
+                    i != j
+                    and a[0] >= b[0]
+                    and a[1] >= b[1]
+                    and a[0] + a[2] <= b[0] + b[2]
+                    and a[1] + a[3] <= b[1] + b[3]
+                    and (a != b or i > j)
+                ):
+                    break
+            else:
+                keep.append(a)
+        self.free = keep
 
 
 def slice_print_size(s: Slice, spacing: tuple[float, float, float], orientations: tuple[str, str]) -> tuple[float, float]:

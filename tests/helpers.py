@@ -24,8 +24,8 @@ from sliceforge.codec import encode
 from sliceforge.errors import ValidationError
 from sliceforge.export import CutGeometry, SlotCut
 from sliceforge.hinges import Hinge, SlotKind
-from sliceforge.layout import slice_print_size
-from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _PAD_FRACTION, _inside_by_parity, golden_palette
+from sliceforge.layout import Rect, slice_print_size
+from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _PAD_FRACTION, _parity_words, golden_palette
 from sliceforge.octree import Bounds, Slice, iter_nodes, slice_axes
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, save_volume
 
@@ -126,6 +126,13 @@ def _components(mask: np.ndarray) -> list[list[tuple[int, int]]]:
 
 
 # --- per-triangle parity oracle -------------------------------------------
+
+
+def _inside_by_parity(mesh: Mesh, centers: tuple[np.ndarray, np.ndarray, np.ndarray], axis: int) -> np.ndarray:
+    """Boolean inside-grid for one mesh using rays along one axis: the
+    packed kernel `_parity_words` with a single mesh, whose one bit is the
+    whole word."""
+    return _parity_words((mesh,), centers, axis)[0].view(bool)
 
 
 def inside_by_parity_reference(mesh: Mesh, centers: tuple[np.ndarray, np.ndarray, np.ndarray], axis: int) -> np.ndarray:
@@ -694,6 +701,53 @@ def _outline_polygon_reference(width: Fraction, height: Fraction, sw: Fraction, 
     if out[-1] == out[0]:
         out.pop()
     return tuple(out)
+
+
+# --- whole-list free-rectangle prune ----------------------------------------
+
+
+def prune_contained_reference(rects: list[Rect]) -> list[Rect]:
+    """The prune `MaxRects._place` ran over its whole free list after every
+    placement, kept verbatim: drop every rectangle another one contains (of
+    two equal ones, the later)."""
+    keep: list[Rect] = []
+    for i, a in enumerate(rects):
+        contained = False
+        for j, b in enumerate(rects):
+            if i == j:
+                continue
+            if (
+                a[0] >= b[0]
+                and a[1] >= b[1]
+                and a[0] + a[2] <= b[0] + b[2]
+                and a[1] + a[3] <= b[1] + b[3]
+                and (a != b or i > j)
+            ):
+                contained = True
+                break
+        if not contained:
+            keep.append(a)
+    return keep
+
+
+def place_reference(free: list[Rect], used: Rect) -> list[Rect]:
+    """The free list after placing `used`: every overlapped rectangle split
+    into its maximal leftovers, then the whole list pruned."""
+    ux, uy, uw, uh = used
+    new_free: list[Rect] = []
+    for fx, fy, fw, fh in free:
+        if ux >= fx + fw or ux + uw <= fx or uy >= fy + fh or uy + uh <= fy:
+            new_free.append((fx, fy, fw, fh))
+            continue
+        if ux > fx:
+            new_free.append((fx, fy, ux - fx, fh))
+        if ux + uw < fx + fw:
+            new_free.append((ux + uw, fy, fx + fw - (ux + uw), fh))
+        if uy > fy:
+            new_free.append((fx, fy, fw, uy - fy))
+        if uy + uh < fy + fh:
+            new_free.append((fx, uy + uh, fw, fy + fh - (uy + uh)))
+    return prune_contained_reference(new_free)
 
 
 # --- exhaustive order oracle ------------------------------------------------

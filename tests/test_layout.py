@@ -21,7 +21,7 @@ from sliceforge.layout import (
 )
 from sliceforge.ordering import AssemblyPlan
 
-from helpers import synthetic_slices
+from helpers import place_reference, prune_contained_reference, synthetic_slices
 
 
 def plan_for(slices):
@@ -209,6 +209,38 @@ class TestMaxRects:
         packer = MaxRects(2.0, 2.0)
         assert packer.insert(3.0, 3.0) is None
 
+
+    @given(
+        bin_size=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        # halves and repeated sizes make equal rectangles and shared edges
+        sizes=st.lists(st.tuples(st.integers(1, 8), st.integers(1, 8)).map(lambda s: (s[0] / 2, s[1] / 2)), max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_free_list_equals_whole_list_prune(self, bin_size, sizes):
+        # pruning only the split pieces keeps the free list, and its order,
+        # of pruning the whole list after every placement
+        packer = MaxRects(*bin_size)
+        free = list(packer.free)
+        for w, h in sizes:
+            placed = packer.insert(w, h)
+            if placed is not None:
+                x, y, rotated = placed
+                free = place_reference(free, (x, y, h, w) if rotated else (x, y, w, h))
+            assert packer.free == free
+
+    @given(
+        rects=st.lists(st.tuples(*(st.integers(0, 6),) * 2, *(st.integers(1, 6),) * 2), min_size=1, max_size=12),
+        used=st.tuples(*(st.integers(-1, 6),) * 2, *(st.integers(1, 5),) * 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_place_equals_whole_list_prune_on_any_pruned_list(self, rects, used):
+        # any free list the prune leaves, and any used rectangle, including
+        # ones that split two rectangles into equal pieces
+        packer = MaxRects(1.0, 1.0)
+        packer.free = prune_contained_reference(rects)
+        free = place_reference(packer.free, used)
+        packer._place(used)
+        assert packer.free == free
 
 def check_layout(layout, slices, spacing=(1.0, 1.0, 1.0)):
     """Exact rectangle arithmetic: in-partition and pairwise disjoint."""

@@ -1,9 +1,14 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sliceforge import cli
+from sliceforge import mesh as mesh_mod
 from sliceforge.errors import ValidationError
 from sliceforge.mesh import (
     Mesh,
@@ -55,10 +60,11 @@ class TestObjIO:
         path.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf -3 -2 -1\nv 0 0 1\nf -1 1 -3\n")
         assert load_obj(path).triangles.tolist() == [[0, 1, 2], [3, 0, 1]]
 
-    @pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 -4", "f -9 1 2"])
+    @pytest.mark.parametrize("face", ["f 0 1 2", "f 1 2 -4", "f -9 1 2", "f 1 2 9", "f 1 2 99999999999999999999"])
     def test_index_naming_no_vertex_rejected(self, tmp_path, capsys, face):
         # index 0 must not alias len(vertices), which is the next vertex
-        # the file defines (line 5)
+        # the file defines (line 5); a forward index may name that vertex,
+        # but none past the file's last one
         path = tmp_path / "m.obj"
         path.write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{face}\nv 0 0 1\nf 1 2 4\n")
         with pytest.raises(ValidationError, match=rf"m\.obj:4: face index -?\d+ names no vertex"):
@@ -77,6 +83,73 @@ class TestObjIO:
         err = capsys.readouterr().err
         assert f"{path}:4: " in err
         assert "Traceback" not in err
+
+
+# number spellings float() and int() read differently or not at all
+SPELLINGS = ["+1", "1_0", "\u0661", "0x10", "1e400", "-1e400", "nan", "inf", "-0", ".5e1", "99999999999999999999", "/2", "1/"]
+
+
+@st.composite
+def obj_texts(draw):
+    """OBJ text whose faces name vertices, then mutated: number spellings,
+    bad and extra tokens, i/j/k tails, comments, blank lines and tabs."""
+    n = draw(st.integers(1, 6))
+    rows, read = [], 0
+    for kind in draw(st.permutations(["v"] * n + ["f"] * draw(st.integers(1, 5)))):
+        if kind == "v":
+            read += 1
+            coords = [repr(c) for c in draw(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3))]
+            rows.append(["v", *coords, *draw(st.lists(st.sampled_from(["1.0", "0.5", "x"]), max_size=2))])
+        else:
+            index = st.one_of(st.integers(1, n), st.integers(-read, -1)) if read else st.integers(1, n)
+            tail = draw(st.sampled_from(["", "/1", "/2/3", "//4"]))
+            rows.append(["f", *(f"{i}{tail}" for i in draw(st.lists(index, min_size=3, max_size=3)))])
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from(rows))
+        bad = st.one_of(st.sampled_from(SPELLINGS), st.integers(-read - 2, n + 2).map(str))
+        if draw(st.booleans()):
+            row[draw(st.integers(1, len(row) - 1))] = draw(bad)
+        elif draw(st.booleans()):
+            row.insert(draw(st.integers(1, len(row))), draw(bad))
+        else:
+            del row[draw(st.integers(1, len(row) - 1))]
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from([["#", "v", "1"], [], ["vn", "0", "0", "1"], ["vt", "0.5"]])))
+    sep, lead = draw(st.sampled_from([" ", "\t", "  ", " \t"])), draw(st.sampled_from(["", " ", "\t"]))
+    return "".join(lead + sep.join(row) + "\n" for row in rows)
+
+
+def parse_outcome(parse, path):
+    try:
+        mesh = parse()
+    except ValidationError as exc:
+        return str(exc).replace(str(path), "PATH")
+    return mesh.vertices.dtype, mesh.vertices.tobytes(), mesh.triangles.dtype, mesh.triangles.tobytes()
+
+
+class TestObjArrayParse:
+    @given(text=obj_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_line_loop(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.obj"
+            path.write_text(text)
+            got = parse_outcome(lambda: load_obj(path), path)
+            want = parse_outcome(lambda: mesh_mod._parse_obj_lines(path, text.splitlines()), path)
+        assert got == want
+
+    def test_valid_file_never_parses_line_by_line(self, tmp_path, monkeypatch):
+        def line_loop(*_args):
+            raise AssertionError("a valid file fell back to the line loop")
+
+        monkeypatch.setattr(mesh_mod, "_parse_obj_lines", line_loop)
+        sphere = icosphere(radius=0.7, subdivisions=2)
+        save_obj(sphere, tmp_path / "s.obj")
+        loaded = load_obj(tmp_path / "s.obj")
+        np.testing.assert_allclose(loaded.vertices, sphere.vertices, rtol=1e-8)
+        np.testing.assert_array_equal(loaded.triangles, sphere.triangles)
+        (tmp_path / "m.obj").write_text("# c\n\tv 0 0 0 1\nf 1/1 2//2 3/3/3\nv 1 0 0\n\nv 0 1 0\nf -3 -2 -1\n")
+        assert load_obj(tmp_path / "m.obj").triangles.tolist() == [[0, 1, 2], [0, 1, 2]]
 
 
 class TestVoxelize:

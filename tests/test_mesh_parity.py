@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceforge import mesh as mesh_mod
-from sliceforge.mesh import Mesh, _inside_by_parity
+from sliceforge.mesh import Mesh
 from sliceforge.synth import icosphere, unit_cube
 
-from helpers import inside_by_parity_reference
+from helpers import _inside_by_parity, inside_by_parity_reference
 
 
 def padded_centers(mesh: Mesh, resolution):
@@ -111,6 +111,43 @@ def test_offset_icospheres(radius, offset, subdivisions, resolution):
     spacing = (hi - lo) / np.asarray(resolution, float)
     centers = tuple(lo[a] + (np.arange(resolution[a]) + 0.5) * spacing[a] for a in range(3))
     assert_matches_reference(mesh, centers)
+
+
+@st.composite
+def triangle_soups(draw):
+    """Triangles on a grid of n^3 centers (k + 0.5) / n: free ones, with
+    vertices on centers and cell faces among them; slivers inside one x
+    column; triangles holding a z ray direction (parallel to z rays), or
+    holding it up to rounding; and triangles between two x columns."""
+    n = draw(st.integers(8, 12))
+    on_grid = st.integers(-1, 2 * n + 1).map(lambda k: k / (2 * n))
+    coord = st.one_of(st.floats(-0.1, 1.1), on_grid)
+    point = st.tuples(coord, coord, coord).map(np.array)
+    tris = []
+    for kind in draw(st.lists(st.sampled_from(["free", "sliver", "parallel", "between"]), min_size=1, max_size=10)):
+        p, q, r = (draw(point) for _ in range(3))
+        if kind == "sliver":  # all three x within half a column of center k
+            k = draw(st.integers(0, n - 1))
+            for v in (p, q, r):
+                v[0] = (k + 0.5 + draw(st.floats(-0.49, 0.49))) / n
+        elif kind == "parallel":
+            t = draw(st.sampled_from([0.0, 0.3, 1.0]))
+            r[:2] = p[:2] + t * (q[:2] - p[:2])
+        elif kind == "between":  # strictly between the centers of x columns k and k + 1
+            k = draw(st.integers(0, n - 2))
+            for v in (p, q, r):
+                v[0] = (k + 0.5 + draw(st.floats(0.01, 0.99))) / n
+        tris.append([p, q, r])
+    vertices = np.array(tris, dtype=np.float64).reshape(-1, 3)
+    mesh = Mesh("soup", vertices, np.arange(len(vertices)).reshape(-1, 3))
+    return mesh, tuple((np.arange(n) + 0.5) / n for _ in range(3))
+
+
+@given(soup=triangle_soups())
+@settings(max_examples=150, deadline=None)
+def test_triangle_soups(soup):
+    # the per-column candidates hold every ray the per-triangle loop counts
+    assert_matches_reference(*soup)
 
 
 @pytest.mark.parametrize("cap", [1, 7, 100])

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceforge.mesh import Mesh, MeshSet, _inside_by_parity, voxelize_meshes
+from sliceforge.mesh import Mesh, MeshSet, voxelize_meshes
 from sliceforge.synth import icosphere, nested_spheres, unit_cube
 
-from helpers import mesh_inside_grid_reference, voxelize_meshes_reference
+from helpers import _inside_by_parity, mesh_inside_grid_reference, voxelize_meshes_reference
 
 
 def run(voxelize, meshes: MeshSet, resolution):
