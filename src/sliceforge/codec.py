@@ -15,7 +15,7 @@ The converters are built once per type, not by reflecting on every value.
 file the CLI reads fails the same way: a missing file raises IOFailure
 "{what} not found", any other OS error IOFailure "cannot read {what}" (exit
 4), and bytes that are no JSON text raise ValidationError "{what} {path} is
-not valid JSON" (exit 2).
+not valid JSON" (exit 2). `json_text` is the one JSON writer.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import operator
 import types
@@ -65,6 +66,39 @@ def read_json(path: str | Path, what: str):
         return json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def json_text(obj, depth: int = 0) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, of a value
+    nested `depth` deep. json's C encoder writes each container of scalars and
+    each list of such non-empty objects in one call (`indent` alone encodes
+    token by token in Python). An encoded string holds no raw newline, so
+    each newline of the C encoder's separators is structural."""
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    if isinstance(obj, dict) and not all(map(isinstance, obj, itertools.repeat(str))):
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", outer)  # json converts the keys
+    if not isinstance(obj, (list, tuple, dict)) or not obj:
+        return _flat_encoder(depth)(obj)
+    if _flat(obj.values() if isinstance(obj, dict) else obj):
+        text = _flat_encoder(depth)(obj)
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(obj, dict):
+        items = [f"{_flat_encoder(depth)(k)}: {json_text(v, depth + 1)}" for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    if all(isinstance(v, dict) and v and _flat(v.values()) for v in obj):
+        # '[{a,\n<deeper>b},\n<deeper>{c}]' with each object opened onto its own lines
+        deeper = inner + "  "
+        text = _flat_encoder(depth + 1)(obj)[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return "[" + inner + "{" + deeper + text + inner + "}" + outer + "]"
+    return "[" + inner + ("," + inner).join([json_text(v, depth + 1) for v in obj]) + outer + "]"
+
+
+# json's C encoder, writing the items of a container at `depth` one per line
+_flat_encoder = functools.cache(lambda depth: json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode)
+
+
+def _flat(values) -> bool:
+    return not any(map(isinstance, values, itertools.repeat((list, tuple, dict))))
 
 
 def _same(value):
@@ -180,7 +214,15 @@ def _decoder(tp):
 
         return dec
     if _is_enum(tp):
-        return tp
+        members = {m.value: m for m in tp}
+
+        def dec_enum(data):
+            try:
+                return members[data]
+            except (KeyError, TypeError):  # no member, or unhashable: the enum's own error
+                return tp(data)
+
+        return dec_enum
     cls, args = _parts(tp)
     if cls is typing.Optional:
         inner = _decoder(args[0])

@@ -390,7 +390,9 @@ def pack(
     gutter: float = DEFAULT_GUTTER_MM,
     slot_width_mm: float = 1.0,
 ) -> PageLayout:
-    """Pack every slice at the largest feasible single global scale.
+    """Pack every slice at one global scale: the returned scale packs, and a
+    probe within SCALE_TOLERANCE above it did not. It need not be the
+    largest scale that packs, since feasibility is not monotone in scale.
 
     The minimum acceptable scale keeps printed slots at least 1 mm wide;
     if even that does not fit, packing is infeasible. Each cluster lands on

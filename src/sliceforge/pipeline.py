@@ -7,13 +7,12 @@ full build equals the composition of single-stage runs on the same inputs.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .codec import decode, encode, read_json
+from .codec import decode, encode, json_text, read_json
 from .errors import IOFailure, ValidationError
 from .export import emit_instructions, emit_pages, slice_cut_geometry
 from .hinges import Hinge, collect_triples, compute_hinges, find_backbone, hinges_by_slice
@@ -250,7 +249,7 @@ def layout_from_json(obj: dict, path: str) -> tuple[PageLayout, float, int]:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json_text(obj) + "\n"
 
 
 def _write(path: Path, text: str, what: str) -> None:

@@ -70,22 +70,24 @@ def rasterize_slice(
     # row 0 is the top of the printed slice = highest v
     vs = np.clip((v1 - (np.arange(rows) + 0.5) * (v1 - v0) / rows).astype(int), 0, dims[v_ax] - 1)
 
-    # the sampled voxels of the slice: a 2-D view, (u, v) once transposed
+    # the sampled voxels of the slice: a 2-D view, (v, u) once transposed
     u_lo, v_lo = int(us.min()), int(vs.min())
     index: list = [layer, layer, layer]
     index[u_ax] = slice(u_lo, int(us.max()) + 1)
     index[v_ax] = slice(v_lo, int(vs.max()) + 1)
     plane = labels.labels[tuple(index)]
-    if u_ax > v_ax:
+    if u_ax < v_ax:
         plane = plane.T
 
     visible = tf.visible_bins
     lut = np.zeros((len(visible) + 1, 4), dtype=np.uint8)
     for k, b in enumerate(visible, start=1):
         lut[k] = [round(c * 255) for c in b.rgb] + [round(b.opacity * 255)]
+    # sample the columns, then repeat whole pixel rows
+    plane = plane.take(us - u_lo, axis=1)
     if len(lut) <= 256:
-        plane = plane.astype(np.uint8)
-    pixels = plane.take(vs - v_lo, axis=1).T.take(us - u_lo, axis=1)
+        plane = plane.astype(np.uint8, copy=False)
+    pixels = plane.take(vs - v_lo, axis=0)
     return SliceRaster(pixels=pixels, palette=lut)
 
 

@@ -8,14 +8,13 @@ those raw values.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .codec import decode, read_bytes, read_json
+from .codec import decode, encode, json_text, read_bytes, read_json
 from .errors import IngestError, ValidationError
 
 _DTYPES = {"u8": np.uint8, "u16": np.uint16, "f32": np.float32}
@@ -161,19 +160,7 @@ def save_volume(volume: ScalarVolume, path: str | Path, header: str | Path, dtyp
     """Write the raw array + sidecar header (test fixtures and presets)."""
     np_dtype = np.dtype(_DTYPES[dtype]).newbyteorder("<")
     Path(path).write_bytes(volume.scalars.astype(np_dtype).tobytes(order="F"))
-    Path(header).write_text(
-        json.dumps(
-            {
-                "dims": list(volume.dims),
-                "spacing_mm": list(volume.spacing),
-                "origin_mm": list(volume.origin),
-                "dtype": dtype,
-                "endianness": "little",
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    Path(header).write_text(json_text(encode(_VolumeHeader(volume.dims, volume.spacing, dtype, volume.origin))))
 
 
 def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:

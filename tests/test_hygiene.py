@@ -1,6 +1,6 @@
 """Every name a package module imports at top level is used in that module,
 every function, class and method the package defines is referenced, every
-parameter is read, and only `codec.py` reads files.
+parameter is read, and only `codec.py` reads files or writes JSON.
 
 `__init__.py` re-exports names on purpose and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -112,6 +112,51 @@ def test_checker_flags_file_reads():
     )
     # a bare read_bytes is codec's reader; writers are not reads
     assert file_reads(source) == [1, 2, 3, 5]
+
+
+def json_writes(source: str) -> list[int]:
+    """The lines that call `json.dump` or `json.dumps`, under whatever name
+    the module imports the module or the function by."""
+    tree = ast.parse(source)
+    modules = {
+        a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "json"
+    }
+    functions = {
+        a.asname or a.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == "json"
+        for a in n.names
+        if a.name in ("dump", "dumps")
+    }
+    return sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Call)
+        and (isinstance(n.func, ast.Name) and n.func.id in functions
+             or isinstance(n.func, ast.Attribute) and n.func.attr in ("dump", "dumps")
+             and isinstance(n.func.value, ast.Name) and n.func.value.id in modules)
+    )
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "codec.py"], ids=lambda p: p.name)
+def test_only_codec_writes_json(path):
+    # codec.json_text is the one writer, so every JSON file has one layout
+    assert json_writes(path.read_text()) == []
+
+
+def test_checker_flags_json_writes():
+    source = (
+        "import json\n"
+        "import json as j, pickle\n"
+        "from json import dumps as d, loads\n"
+        "json.dumps(x)\n"
+        "j.dump(x, f)\n"
+        "print(d(x)); json.loads(s); loads(s)\n"
+        "pickle.dumps(x); dumps(x); json_text(x)\n"
+        "json.dump(x, f)\n"
+    )
+    # pickle's dumps and a `dumps` not imported from json are not JSON writes
+    assert json_writes(source) == [4, 5, 6, 8]
 
 
 def _mentions(tree: ast.Module) -> list[tuple[str, int, bool]]:
