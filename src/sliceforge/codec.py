@@ -11,11 +11,12 @@ JSON key differs from its name names the key in ``field(metadata={"json": key})`
 
 The converters are built once per type, not by reflecting on every value.
 
-`read_bytes` and `read_json` are the only readers of input files, so every
-file the CLI reads fails the same way: a missing file raises IOFailure
-"{what} not found", any other OS error IOFailure "cannot read {what}" (exit
-4), and bytes that are no JSON text raise ValidationError "{what} {path} is
-not valid JSON" (exit 2). `json_text` is the one JSON writer.
+`read_bytes`, `read_json` and `read_array` are the only readers of input
+files, so every file the CLI reads fails the same way: a missing file raises
+IOFailure "{what} not found", any other OS error IOFailure "cannot read
+{what}" (exit 4), bytes that are no JSON text raise ValidationError "{what}
+{path} is not valid JSON", and a raw array file of the wrong size raises
+IngestError (both exit 2). `json_text` is the one JSON writer.
 """
 
 from __future__ import annotations
@@ -26,11 +27,15 @@ import functools
 import itertools
 import json
 import operator
+import os
+import stat
 import types
 import typing
 from pathlib import Path
 
-from .errors import IOFailure, ValidationError
+import numpy as np
+
+from .errors import IngestError, IOFailure, ValidationError
 
 
 def encode(obj):
@@ -55,6 +60,31 @@ def read_bytes(path: str | Path, what: str) -> bytes:
         raise IOFailure(f"{what} not found: {path}") from exc
     except OSError as exc:  # a directory, no permission
         raise IOFailure(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
+def read_array(path: str | Path, what: str, dtype: np.dtype, count: int) -> np.ndarray:
+    """The `count` values of `dtype` that the file at `path` holds, read
+    straight into a new array. A regular file's size is checked first, so a
+    file of any other size is rejected without reading it; a pipe, which
+    has no size, is read whole."""
+    expected = count * dtype.itemsize
+    try:
+        with open(path, "rb") as f:
+            info = os.fstat(f.fileno())
+            size = info.st_size
+            if not stat.S_ISREG(info.st_mode):
+                data = np.frombuffer(f.read(), dtype=np.uint8)
+                size = data.size
+            elif size == expected:
+                data = np.fromfile(f, dtype=np.uint8, count=expected)
+                size = data.size  # less if the file shrank since fstat
+    except FileNotFoundError as exc:
+        raise IOFailure(f"{what} not found: {path}") from exc
+    except OSError as exc:  # a directory, no permission
+        raise IOFailure(f"cannot read {what} {path}: {exc.strerror}") from exc
+    if size != expected:
+        raise IngestError(f"expected {count} scalars ({expected} bytes), file holds {size // dtype.itemsize} ({size} bytes)")
+    return data.view(dtype)
 
 
 def read_json(path: str | Path, what: str):

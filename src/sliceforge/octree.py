@@ -65,21 +65,22 @@ class OctreeNode:
 def _finest_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.ndarray:
     """(n, n, n, w) label-bit words OR-ed over every block between `edges`.
 
-    With at most 7 labels, `1 << label` is a byte per voxel; a uint64 of 8
-    along the axis of smallest stride folds to one byte by ORing the halves
-    of its uint32, uint16 and uint8 views. No uint64 may straddle blocks, so
-    this needs equal blocks a multiple of 8 wide on that axis. Other grids
-    gather from a bit table and `reduceat` each axis whose blocks are not one
-    voxel; an empty block (never a node's) reads the voxel its sibling holds."""
+    With at most 7 labels and equal blocks, `1 << label` is a byte per
+    voxel, and its blocks are OR-ed one axis at a time in memory order:
+    whole planes of the slowest axis first, so each step shrinks the grid
+    by its block width with long contiguous ORs, and runs of the fastest
+    axis last, on the smallest grid. Other grids gather from a bit table and
+    `reduceat` each axis whose blocks are not one voxel; an empty block
+    (never a node's) reads the voxel its sibling holds."""
     n = len(edges[0]) - 1  # blocks per axis
-    order = np.argsort(grid.strides)[::-1]  # the axis of smallest stride last
-    if n_bits <= 7 and all(d % n == 0 for d in grid.shape) and grid.shape[order[-1]] // n % 8 == 0:
-        words = np.ascontiguousarray(np.left_shift(1, grid, dtype=np.uint8).transpose(order)).view(np.uint64)
-        for half in (np.uint32, np.uint16, np.uint8):
-            pair = words.view(half).reshape(*words.shape, 2)
-            words = pair[..., 0] | pair[..., 1]
-        words = np.bitwise_or.reduce(words.reshape(n, -1, n, words.shape[1] // n, n, words.shape[2] // n), axis=(1, 3, 5))
-        return (words.transpose(np.argsort(order)) >> 1)[..., None]  # label 0 held bit 0
+    if n_bits <= 7 and all(d % n == 0 for d in grid.shape):
+        bits = np.left_shift(1, grid, dtype=np.uint8)
+        order = np.argsort(bits.strides)[::-1]  # the axis of smallest stride last
+        bits = bits.transpose(order)
+        for axis in range(3):
+            shape = bits.shape
+            bits = np.bitwise_or.reduce(bits.reshape(*shape[:axis], n, shape[axis] // n, *shape[axis + 1:]), axis=axis + 1)
+        return (bits.transpose(np.argsort(order)) >> 1)[..., None]  # label 0 held bit 0
     bits = next((b for b in (8, 16, 32) if n_bits <= b), 64)
     held = np.arange(n_bits)  # label - 1
     table = np.zeros((max(1, -(-n_bits // bits)), n_bits + 1), dtype=f"uint{bits}")  # word, label

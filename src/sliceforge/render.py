@@ -85,7 +85,7 @@ def rasterize_slice(
         lut[k] = [round(c * 255) for c in b.rgb] + [round(b.opacity * 255)]
     # sample the columns, then repeat whole pixel rows
     plane = plane.take(us - u_lo, axis=1)
-    if len(lut) <= 256:
+    if len(lut) <= 256:  # one byte per pixel; quantize gives uint8 labels unless there are 255
         plane = plane.astype(np.uint8, copy=False)
     pixels = plane.take(vs - v_lo, axis=0)
     return SliceRaster(pixels=pixels, palette=lut)

@@ -1,9 +1,10 @@
 """Scalar volumes, transfer functions, and label quantization.
 
 Voxel data is indexed ``scalars[x, y, z]`` and stored x-fastest on disk
-(little-endian raw array next to a JSON sidecar header). A loaded grid keeps
-the file's dtype (uint8, uint16 or float32), and `quantize` labels it from
-those raw values.
+(little-endian raw array next to a JSON sidecar header). A loaded grid is the
+file's bytes read straight into an array of the file's dtype (uint8, uint16
+or float32), and `quantize` labels it from those raw values, one byte per
+voxel unless the transfer function has 255 visible bins or more.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import decode, encode, json_text, read_bytes, read_json
+from .codec import decode, encode, json_text, read_array, read_json
 from .errors import IngestError, ValidationError
 
 _DTYPES = {"u8": np.uint8, "u16": np.uint16, "f32": np.float32}
 # voxels labelled per step of `quantize`; bounds its float64 and index temporaries
 _QUANTIZE_CHUNK = 1 << 16
-# `quantize`'s table entry for a bucket of float32 values that straddles a bin
-# break; never a label, since a transfer function has fewer visible bins
+# the widest label dtype's maximum; a transfer function has fewer visible bins,
+# so `quantize`'s marker of a mixed float32 bucket, its dtype's maximum, is
+# never a label
 _MIXED = 0xFFFF
 
 
@@ -124,12 +126,15 @@ class TransferFunction:
 
 @dataclass(frozen=True, eq=False)
 class LabelVolume:
-    """Per-voxel visible-structure index; 0 is background (opacity 0)."""
+    """Per-voxel visible-structure index; 0 is background (opacity 0).
+
+    `quantize` writes uint8 labels when there are fewer than 255 labels and
+    uint16 otherwise; the octree and render accept any unsigned dtype."""
 
     dims: tuple[int, int, int]
     spacing: tuple[float, float, float]
     origin: tuple[float, float, float]
-    labels: np.ndarray  # uint16, shape == dims
+    labels: np.ndarray  # uint8 below 255 labels, else uint16; shape == dims
     n_labels: int  # number of visible transfer-function bins
 
 
@@ -142,17 +147,10 @@ def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
     head = decode(_VolumeHeader, read_json(header, "header"), f"header {header}")
     dims = head.dims
     dtype = np.dtype(_DTYPES[head.dtype]).newbyteorder("<")
-    raw = read_bytes(path, "volume")
-    expected = int(np.prod(dims))
-    actual = len(raw) // dtype.itemsize
-    if len(raw) != expected * dtype.itemsize:
-        raise IngestError(
-            f"expected {expected} scalars ({expected * dtype.itemsize} bytes), "
-            f"file holds {actual} ({len(raw)} bytes)"
-        )
+    raw = read_array(path, "volume", dtype, math.prod(dims))
     # the file's own values, no copy on a little-endian host; ScalarVolume
     # rejects non-finite float32 values, reporting the same F-order index
-    scalars = np.frombuffer(raw, dtype=dtype).astype(dtype.newbyteorder("="), copy=False).reshape(dims, order="F")
+    scalars = raw.astype(dtype.newbyteorder("="), copy=False).reshape(dims, order="F")
     return ScalarVolume(dims=dims, spacing=head.spacing, origin=head.origin, scalars=scalars)
 
 
@@ -169,44 +167,50 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
     A value's count of bin breaks ``lo, hi`` at or below it is ``2i + 1``
     exactly when it lies in bin i; any even count is background. Breaks are
     compared as float64, so a break between two float32 values splits them.
+    The labels are uint8 when there are fewer than 255 visible bins, else
+    uint16, so the dtype's maximum is never a label.
 
     A uint8 or uint16 grid is labelled through a table of all 2^8 or 2^16
-    raw values: each is exact in float64, so its break count is its label.
+    raw values. An integer is at or above a break exactly when it is at or
+    above the break's ceiling, so the table is runs of equal break count
+    that start at those ceilings.
 
     A float32 grid is labelled through a table of the 2^16 buckets of bit
     patterns that share their top 16 bits. Each bucket is one interval of
     values (ordered in reverse for negative ones), and the break count only
     grows with the value, so when the bucket's two end patterns have the same
     count, every value in it has that count and the table holds its label.
-    A bucket whose ends differ is mixed: the table holds `_MIXED`, and its
-    voxels take the float64 break search.
+    A bucket whose ends differ is mixed: the table holds the label dtype's
+    maximum, and its voxels take the float64 break search.
 
     Either way the scalars are walked in memory order, `_QUANTIZE_CHUNK` at a
     time, so no full-size temporary is made.
     """
     breaks = np.array([edge for b in tf.bins for edge in (b.lo, b.hi)], dtype=np.float64)
+    visible = [i for i, b in enumerate(tf.bins) if b.opacity > 0.0]
+    k = len(visible)
+    if k >= _MIXED:
+        raise ValidationError(f"transfer function has more than {_MIXED - 1} visible bins")
+    dtype = np.uint8 if k < 0xFF else np.uint16
+    mixed = np.iinfo(dtype).max
     # break count -> label: visible bins count 1..K in bin order, opacity-0 bins are 0
-    table = np.zeros(len(breaks) + 1, dtype=np.uint16)
-    k = 0
-    for i, b in enumerate(tf.bins):
-        if b.opacity > 0.0:
-            k += 1
-            if k >= _MIXED:
-                raise ValidationError(f"transfer function has more than {_MIXED - 1} visible bins")
-            table[2 * i + 1] = k
+    table = np.zeros(len(breaks) + 1, dtype=dtype)
+    table[2 * np.array(visible, dtype=np.intp) + 1] = np.arange(1, k + 1)
     order = "F" if volume.scalars.flags.f_contiguous else "C"
     scalars = volume.scalars.reshape(-1, order=order)  # a view unless the grid is strided
     direct = scalars.dtype != np.float32
     if direct:
-        lookup = table[np.searchsorted(breaks, np.arange(1 << 8 * scalars.itemsize, dtype=np.float64), side="right")]
+        n = 1 << 8 * scalars.itemsize
+        starts = np.clip(np.ceil(breaks), 0, n).astype(np.intp)
+        lookup = np.repeat(table, np.diff(starts, prepend=0, append=n))
     else:
         first = np.arange(1 << 16, dtype=np.uint32) << 16
         # the buckets of exponent 0xFF hold inf and NaN, which no ScalarVolume holds
         with np.errstate(invalid="ignore"):
             ends = [np.searchsorted(breaks, p.view(np.float32).astype(np.float64), side="right")
                     for p in (first, first | 0xFFFF)]
-        lookup = np.where(ends[0] == ends[1], table[ends[0]], _MIXED).astype(np.uint16)
-    labels = np.empty(volume.dims, dtype=np.uint16, order=order)
+        lookup = np.where(ends[0] == ends[1], table[ends[0]], mixed).astype(dtype)
+    labels = np.empty(volume.dims, dtype=dtype, order=order)
     flat = labels.reshape(-1, order=order)
     for start in range(0, flat.size, _QUANTIZE_CHUNK):
         part = slice(start, start + _QUANTIZE_CHUNK)
@@ -216,10 +220,10 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
             np.take(lookup, scalars[part], out=out, mode="clip")
             continue
         np.take(lookup, scalars[part].view(np.uint32) >> 16, out=out, mode="clip")
-        mixed = np.flatnonzero(out == _MIXED)
-        if mixed.size:
-            values = scalars[part][mixed].astype(np.float64)
-            out[mixed] = table[np.searchsorted(breaks, values, side="right")]
+        straddling = np.flatnonzero(out == mixed)
+        if straddling.size:
+            values = scalars[part][straddling].astype(np.float64)
+            out[straddling] = table[np.searchsorted(breaks, values, side="right")]
     return LabelVolume(
         dims=volume.dims,
         spacing=volume.spacing,

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -108,6 +109,15 @@ def test_malformed_input_exits_2_with_a_message(volume_build, name, text, messag
     code, err = run(volume_build + meshes, capsys)
     assert code == 2
     assert message in err
+    assert "Traceback" not in err
+
+
+def test_oversized_volume_exits_2_before_it_is_read(volume_build, capsys, tmp_path):
+    # a sparse 1 GiB file takes no disk, and its size is checked first
+    os.truncate(tmp_path / "vol.raw", 1 << 30)
+    code, err = run(volume_build, capsys)
+    assert code == 2
+    assert "expected 512 scalars (2048 bytes), file holds 268435456 (1073741824 bytes)" in err
     assert "Traceback" not in err
 
 

@@ -83,21 +83,47 @@ def test_checker_flags_unread_parameters():
     assert unread_parameters(source) == ["f:b", "f:args", "f:kw", "m:y", "lambda:w"]
 
 
-def file_reads(source: str) -> list[int]:
-    """The lines that call `open`, or a method named `open`, `read_bytes`
-    or `read_text`: the ways a module reads a file by itself."""
+def calls_into(tree: ast.Module, module: str, functions: tuple[str, ...]) -> list[int]:
+    """The lines that call one of `functions` of `module`, under whatever
+    name the source imports the module or the function by."""
+    modules = {
+        a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == module
+    }
+    names = {
+        a.asname or a.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and n.module == module
+        for a in n.names
+        if a.name in functions
+    }
     return [
         n.lineno
-        for n in ast.walk(ast.parse(source))
+        for n in ast.walk(tree)
         if isinstance(n, ast.Call)
-        and (isinstance(n.func, ast.Name) and n.func.id == "open"
-             or isinstance(n.func, ast.Attribute) and n.func.attr in ("open", "read_bytes", "read_text"))
+        and (isinstance(n.func, ast.Name) and n.func.id in names
+             or isinstance(n.func, ast.Attribute) and n.func.attr in functions
+             and isinstance(n.func.value, ast.Name) and n.func.value.id in modules)
     ]
+
+
+def file_reads(source: str) -> list[int]:
+    """The lines that call `open`, a method named `open`, `read_bytes`,
+    `read_text` or `readinto`, or numpy's `fromfile`, `memmap` or `load`:
+    the ways a module reads a file by itself."""
+    tree = ast.parse(source)
+    return sorted({
+        *(n.lineno
+          for n in ast.walk(tree)
+          if isinstance(n, ast.Call)
+          and (isinstance(n.func, ast.Name) and n.func.id == "open"
+               or isinstance(n.func, ast.Attribute) and n.func.attr in ("open", "read_bytes", "read_text", "readinto"))),
+        *calls_into(tree, "numpy", ("fromfile", "memmap", "load")),
+    })
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "codec.py"], ids=lambda p: p.name)
 def test_only_codec_reads_files(path):
-    # codec.read_bytes and codec.read_json hold the one error policy for input files
+    # codec's readers hold the one error policy for input files
     assert file_reads(path.read_text()) == []
 
 
@@ -109,33 +135,23 @@ def test_checker_flags_file_reads():
         "read_bytes(p, 'mesh file')\n"
         "with p.open() as f: pass\n"
         "Path(p).write_text(t); opener(p)\n"
+        "import numpy as np, json\n"
+        "from numpy import memmap as mm, load\n"
+        "a = np.fromfile(f, np.uint8)\n"
+        "a = mm(p)\n"
+        "f.readinto(buf)\n"
+        "a = load(p)\n"
+        "json.load(f); np.frombuffer(b); read_array(p, 'volume', d, n); fromfile(f)\n"
     )
-    # a bare read_bytes is codec's reader; writers are not reads
-    assert file_reads(source) == [1, 2, 3, 5]
+    # a bare read_bytes or read_array is codec's reader; writers are not
+    # reads, nor are a json load and a fromfile not imported from numpy
+    assert file_reads(source) == [1, 2, 3, 5, 9, 10, 11, 12]
 
 
 def json_writes(source: str) -> list[int]:
     """The lines that call `json.dump` or `json.dumps`, under whatever name
     the module imports the module or the function by."""
-    tree = ast.parse(source)
-    modules = {
-        a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "json"
-    }
-    functions = {
-        a.asname or a.name
-        for n in ast.walk(tree)
-        if isinstance(n, ast.ImportFrom) and n.module == "json"
-        for a in n.names
-        if a.name in ("dump", "dumps")
-    }
-    return sorted(
-        n.lineno
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Call)
-        and (isinstance(n.func, ast.Name) and n.func.id in functions
-             or isinstance(n.func, ast.Attribute) and n.func.attr in ("dump", "dumps")
-             and isinstance(n.func.value, ast.Name) and n.func.value.id in modules)
-    )
+    return sorted(calls_into(ast.parse(source), "json", ("dump", "dumps")))
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "codec.py"], ids=lambda p: p.name)

@@ -1,10 +1,13 @@
 import json
+import os
+import stat
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from sliceforge import volume
+from sliceforge import codec, volume
 from sliceforge.errors import IngestError, IOFailure, ValidationError
 from sliceforge.volume import (
     ScalarVolume,
@@ -44,6 +47,53 @@ class TestLoadVolume:
         raw.write_bytes(bytes(63))
         with pytest.raises(IngestError, match="expected 64 scalars"):
             load_volume(raw, header)
+
+    def test_oversized_file_is_rejected_without_reading_it(self, tmp_path):
+        # a sparse 1 GiB file takes no disk; the reader checks its size
+        # before reading a byte, so the traced peak stays far below it
+        header = tmp_path / "h.json"
+        header.write_text(json.dumps({"dims": [4, 4, 4], "spacing_mm": [1, 1, 1], "dtype": "u16"}))
+        raw = tmp_path / "v.raw"
+        raw.touch()
+        os.truncate(raw, 1 << 30)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IngestError) as exc:
+                load_volume(raw, header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "expected 64 scalars (128 bytes), file holds 536870912 (1073741824 bytes)"
+        assert peak < 1 << 20, f"peak {peak} B"
+
+    def test_file_that_shrinks_after_its_size_is_read(self, tmp_path):
+        # fewer bytes than the size checked: the count of those read is reported
+        header = tmp_path / "h.json"
+        header.write_text(json.dumps({"dims": [4, 4, 4], "spacing_mm": [1, 1, 1], "dtype": "u16"}))
+        raw = tmp_path / "v.raw"
+        raw.write_bytes(bytes(100))
+        regular = os.stat_result((stat.S_IFREG | 0o644,) + (0,) * 5 + (128,) + (0,) * 3)
+        with mock.patch.object(codec.os, "fstat", return_value=regular):
+            with pytest.raises(IngestError, match=r"^expected 64 scalars \(128 bytes\), file holds 50 \(100 bytes\)$"):
+                load_volume(raw, header)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_pipe_is_read_whole(self, tmp_path, extra):
+        # a pipe has no size to check first, so its bytes are counted once read
+        header = tmp_path / "h.json"
+        header.write_text(json.dumps({"dims": [2, 2, 2], "spacing_mm": [1, 1, 1], "dtype": "u16"}))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, np.arange(8, dtype="<u2").tobytes() + bytes(extra))
+            os.close(write_end)
+            if extra:
+                with pytest.raises(IngestError, match=r"^expected 8 scalars \(16 bytes\), file holds 8 \(17 bytes\)$"):
+                    load_volume(f"/dev/fd/{read_end}", header)
+            else:
+                loaded = load_volume(f"/dev/fd/{read_end}", header)
+                np.testing.assert_array_equal(loaded.scalars, np.arange(8).reshape((2, 2, 2), order="F"))
+        finally:
+            os.close(read_end)
 
     def test_aneurysm_dataset_shape(self, tmp_path):
         # CT lower-torso dataset dimensions: 256 x 257 x 119 at 0.74/0.74/1.5 mm
@@ -205,3 +255,30 @@ def test_u16_file_is_labelled_without_a_float32_grid(tmp_path):
         tracemalloc.stop()
     assert labels.labels.any()
     assert peak < bound, f"peak {peak} B, bound {bound} B"
+
+
+def test_labels_hold_one_byte_per_voxel():
+    # the traced peak of labelling a 64^3 u16 grid with three bins: the
+    # labels at one byte per voxel (1.1 with room for small objects), one
+    # chunk's int64 indices and the 2^16-entry value table; two-byte labels
+    # exceed it
+    n = 64
+    voxels = n**3
+    grid = np.random.default_rng(10).integers(0, 1 << 16, size=(n, n, n), dtype=np.uint16)
+    vol = ScalarVolume((n, n, n), (1, 1, 1), (0, 0, 0), grid)
+    tf = make_tf(
+        (1000.0, 20000.0, (1, 0, 0), 0.5),
+        (20000.0, 40000.0, (0, 1, 0), 0.0),
+        (40000.0, 60000.5, (0, 0, 1), 1.0),
+    )
+    bound = 1.1 * voxels + 8 * volume._QUANTIZE_CHUNK + (1 << 16)
+    quantize(vol, tf)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        labels = quantize(vol, tf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.labels.dtype == np.uint8
+    assert set(np.unique(labels.labels).tolist()) == {0, 1, 2}
+    assert peak <= bound, f"peak {peak} B, bound {bound} B"

@@ -4,6 +4,7 @@ replaced (`helpers.quantize_reference`, `helpers.build_octree_reference`,
 on the inputs where the methods differ most and down every mask path."""
 
 import json
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceforge import volume
+from sliceforge import octree, volume
 from sliceforge.errors import ValidationError
 from sliceforge.octree import build_octree, extract_slices, iter_nodes, unify_slices
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, load_volume, quantize
@@ -29,6 +30,12 @@ from helpers import (
 EDGES = (-1e30, -3.5, -0.1, 0.0, 0.1, 1 / 3, 0.5, 1.0, 1.0 + 2.0**-40, 2.0, 1e4, 1e30)
 LAYOUTS = ("C", "F", "strided")
 dims_st = st.tuples(*[st.integers(1, 7)] * 3)
+
+
+def label_dtype(n_labels: int) -> type:
+    """The dtype `quantize` writes: one byte while the byte's maximum is
+    no label (fewer than 255 labels), else two."""
+    return np.uint8 if n_labels < 255 else np.uint16
 
 
 def _grid_in_layout(values: np.ndarray, layout: str) -> np.ndarray:
@@ -83,7 +90,7 @@ def test_quantize_matches_reference(tf, dims, picks, seed, layout, chunk):
     with mock.patch.object(volume, "_QUANTIZE_CHUNK", chunk):
         got = quantize(vol, tf)
     want = quantize_reference(vol, tf)
-    assert got.labels.dtype == np.uint16
+    assert got.labels.dtype == label_dtype(got.n_labels)
     assert got.labels.shape == want.labels.shape
     np.testing.assert_array_equal(got.labels, want.labels)
     assert got.n_labels == want.n_labels
@@ -262,7 +269,7 @@ def _assert_integer_quantize_matches_reference(values: np.ndarray, tf: TransferF
     widened = ScalarVolume(values.shape, (1.0,) * 3, (0.0,) * 3, values.astype(np.float32))
     with mock.patch.object(volume, "_QUANTIZE_CHUNK", chunk):
         got = quantize(vol, tf)
-    assert got.labels.dtype == np.uint16
+    assert got.labels.dtype == label_dtype(got.n_labels)
     for want in (quantize_reference(vol, tf), quantize_reference(widened, tf)):
         np.testing.assert_array_equal(got.labels, want.labels)
         assert got.n_labels == want.n_labels
@@ -304,6 +311,31 @@ def test_every_integer_value_matches_reference(dtype):
     values = np.arange(np.iinfo(dtype).max + 1, dtype=dtype).reshape(16, -1, 1)
     for layout in LAYOUTS:
         _assert_integer_quantize_matches_reference(values, INT_TF, layout, chunk=1000)
+
+
+@pytest.mark.parametrize("k", [254, 255])
+@pytest.mark.parametrize("grid_dtype", [np.uint8, np.uint16, np.float32])
+def test_label_dtype_turns_two_bytes_at_255_visible_bins(k, grid_dtype):
+    # bins [i + 0.5, i + 1.5) give integer v label v up to k; the float32
+    # bucket [254, 255) holds the break 254.5 between label 254 and label
+    # 255 (or background), so its voxels take the break search
+    tf = TransferFunction(bins=tuple(TransferBin(i + 0.5, i + 1.5, (0.5, 0.5, 0.5), 1.0) for i in range(k)))
+    values = np.arange(np.iinfo(np.uint8).max + 1)
+    if grid_dtype is not np.uint8:
+        values = np.concatenate([values, [256, 299, 1000, 65535]])
+    if grid_dtype is np.float32:
+        near = np.float32([254.5, np.nextafter(np.float32(254.5), np.float32(0)), np.nextafter(np.float32(254.5), np.float32(300))])
+        inside = np.random.default_rng(k).uniform(254.0, 255.0, 200).astype(np.float32)
+        values = np.concatenate([values.astype(np.float32), near, inside])
+        assert _in_mixed_bucket(values[-203:], tf).all()
+    values = values.astype(grid_dtype).reshape(-1, 1, 1)
+    for layout in LAYOUTS:
+        vol = ScalarVolume(values.shape, (1.0,) * 3, (0.0,) * 3, _grid_in_layout(values, layout))
+        with mock.patch.object(volume, "_QUANTIZE_CHUNK", 97):
+            got = quantize(vol, tf)
+        assert got.labels.dtype == (np.uint8 if k == 254 else np.uint16)
+        assert int(got.labels.max()) == k
+        np.testing.assert_array_equal(got.labels, quantize_reference(vol, tf).labels)
 
 
 @pytest.mark.parametrize("dtype,file_dtype", [("u8", "<u1"), ("u16", "<u2"), ("f32", "<f4")])
@@ -392,7 +424,7 @@ def test_label_above_n_labels_is_a_validation_error(grid, short):
 
 
 def takes_word_path(labels: LabelVolume, max_level: int) -> bool:
-    """Whether `build_octree` folded the masks through uint64 words: only that
+    """Whether `build_octree` ORed the masks as one byte per voxel: only that
     path shifts the label grid with an explicit uint8 result type."""
     with mock.patch.object(np, "left_shift", wraps=np.left_shift) as shift, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an all-background grid warns
@@ -402,20 +434,19 @@ def takes_word_path(labels: LabelVolume, max_level: int) -> bool:
 
 @st.composite
 def aligned_grids(draw):
-    """Blocky grids whose finest blocks suit the word path: equal blocks that
-    are a multiple of 8 voxels wide along the axis of smallest stride, and
-    at most 7 labels. The level stops the halving at those blocks."""
+    """Blocky grids whose finest blocks suit the byte path: equal blocks of
+    any width, and at most 7 labels. The level stops the halving at those
+    blocks."""
     layout = draw(st.sampled_from(LAYOUTS))
     depth = draw(st.integers(0, 2))
-    widths = [draw(st.integers(1, 3)) for _ in range(3)]
-    widths[0 if layout == "F" else 2] = 8 * draw(st.integers(1, 2))
+    widths = [draw(st.integers(1, 6)) for _ in range(3)]
     dims = tuple(w << depth for w in widths)
     n_labels = draw(st.integers(0, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     coarse = rng.integers(0, n_labels + 1, size=tuple(-(-d // 4) for d in dims))
     grid = np.repeat(np.repeat(np.repeat(coarse, 4, 0), 4, 1), 4, 2)[: dims[0], : dims[1], : dims[2]]
     spots = rng.random(dims) < draw(st.sampled_from((0.0, 0.01, 0.1)))
-    grid = np.where(spots, rng.integers(0, n_labels + 1, size=dims), grid).astype(np.uint16)
+    grid = np.where(spots, rng.integers(0, n_labels + 1, size=dims), grid).astype(draw(st.sampled_from((np.uint8, np.uint16))))
     return _grid_in_layout(grid, layout), n_labels, depth + 1
 
 
@@ -434,9 +465,10 @@ def test_word_path_matches_reference(case):
         ((32, 32, 32), 7, 3, True),  # 8-voxel blocks, the most labels a byte holds
         ((32, 32, 32), 8, 3, False),  # label 8 needs the table
         ((32, 32, 32), 9, 3, False),  # two-byte words
-        ((32, 32, 32), 7, 4, False),  # 4-voxel blocks straddle a uint64
+        ((32, 32, 32), 7, 4, True),  # 4-voxel blocks: equal blocks of any width
         ((5, 12, 7), 3, 3, False),  # unequal blocks: reduceat
-        ((16, 16, 16), 3, 40, False),  # one-voxel finest blocks: no reduceat at all
+        ((16, 16, 16), 3, 40, True),  # one-voxel finest blocks: equal blocks too
+        ((16, 16, 16), 9, 40, False),  # one-voxel blocks past 7 labels: the table, no reduceat at all
     ],
 )
 def test_mask_paths_match_reference(layout, dims, n_labels, max_level, word_path):
@@ -447,6 +479,26 @@ def test_mask_paths_match_reference(layout, dims, n_labels, max_level, word_path
     grid.flat[rng.integers(0, grid.size, 12)] = n_labels  # the top label occurs
     assert takes_word_path(label_volume(grid, n_labels), max_level) == word_path
     assert_same_tree(grid, n_labels, max_level)
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_byte_path_masks_hold_one_byte_per_voxel(layout):
+    # the traced peak of the finest masks of a 64^3, 7-label uint8 grid in
+    # 8-voxel blocks: the shifted grid (one byte per voxel), its first
+    # plane-wise OR (an eighth of that) and small objects; folding uint64
+    # views of the shifted grid holds half of it again
+    n = 64
+    grid = _grid_in_layout(np.random.default_rng(11).integers(0, 8, size=(n, n, n), dtype=np.uint8), layout)
+    edges = [np.arange(0, n + 1, 8)] * 3
+    octree._finest_masks(grid, 7, edges)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        masks = octree._finest_masks(grid, 7, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (8, 8, 8, 1)
+    assert peak <= 1.3 * grid.size, f"peak {peak} B for {grid.size} voxels"
 
 
 def test_level_past_the_grid_depth_matches_reference():
