@@ -83,7 +83,8 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="picks the first k-means centre when packing; the same seed gives the same layout")
     p.add_argument("--config", help="JSON object of option values by name, e.g. {\"sheets\": 2}; "
                    "an option takes its flag, else its config key, else its default")
 
@@ -156,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # options held to a range as well as a kind: the test and how a message names it.
 # Slot width and raster density scale the print; only positive values make one.
-# Margins and gutters measure paper; the seed starts a random generator.
+# Margins and gutters measure paper; the seed picks the first k-means centre.
 _RANGES = {
     "slot_width": (_positive, "a positive number"),
     "dpi": (lambda value: _positive(value) and value <= MAX_PX_PER_MM,
@@ -256,8 +257,7 @@ def cmd_slice(args) -> int:
 
 def cmd_hinge(args) -> int:
     art = pipeline.read_artifact(args.inp)
-    grid = GridInfo.from_json(art.get("grid"), args.inp)
-    slices = slices_from_json(art.get("slices"), args.inp)
+    grid, slices = _read_slices(art, args.inp)
     with _stage("hinge"):
         hinges = pipeline.stage_hinges(slices, grid.orientations)
     pipeline.write_artifact(
@@ -267,11 +267,28 @@ def cmd_hinge(args) -> int:
     return 0
 
 
-def _read_hinges(path: str):
-    """The grid, slices and hinges of a hinges artifact."""
-    art = pipeline.read_artifact(path)
+def _read_slices(art: dict, path: str):
+    """The grid and slices of the artifact `art` read from `path`; no two
+    slices share an id."""
     grid = GridInfo.from_json(art.get("grid"), path)
-    return grid, slices_from_json(art.get("slices"), path), hinges_from_json(art.get("hinges"), path)
+    slices = slices_from_json(art.get("slices"), path)
+    ids = sorted(s.id for s in slices)
+    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+    if repeated:
+        raise ValidationError(f"slices {path} hold the ids {repeated} more than once")
+    return grid, slices
+
+
+def _read_hinges(path: str):
+    """The grid, slices and hinges of a hinges artifact; every hinge joins
+    two of its slices."""
+    art = pipeline.read_artifact(path)
+    grid, slices = _read_slices(art, path)
+    hinges = hinges_from_json(art.get("hinges"), path)
+    unknown = sorted(({h.slice_a for h in hinges} | {h.slice_b for h in hinges}) - {s.id for s in slices})
+    if unknown:
+        raise ValidationError(f"hinges {path} join slices {unknown} that the artifact does not hold")
+    return grid, slices, hinges
 
 
 def cmd_order(args) -> int:

@@ -39,6 +39,7 @@ from .volume import (
     LabelVolume,
     ScalarVolume,
     TransferFunction,
+    check_grid,
     load_transfer_function,
     load_volume,
 )
@@ -53,8 +54,14 @@ class GridInfo:
 
     @staticmethod
     def from_json(obj: dict, path: str) -> "GridInfo":
-        """The grid of the artifact read from `path`."""
-        return decode(GridInfo, obj, f"grid {path}")
+        """The grid of the artifact read from `path`, held to a volume's rules:
+        dims of at least 1, positive finite spacing, a finite origin."""
+        grid = decode(GridInfo, obj, f"grid {path}")
+        try:
+            check_grid(grid.dims, grid.spacing, grid.origin)
+        except ValidationError as exc:
+            raise ValidationError(f"grid {path}: {exc}") from None
+        return grid
 
     @property
     def axes(self) -> tuple[int, int, int]:

@@ -27,7 +27,7 @@ _QUANTIZE_CHUNK = 1 << 16
 _MIXED = 0xFFFF
 
 
-def _check_grid(dims, spacing, origin) -> None:
+def check_grid(dims, spacing, origin) -> None:
     if len(dims) != 3 or any(int(d) < 1 for d in dims):
         raise ValidationError(f"dims must be three integers >= 1, got {dims}")
     if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
@@ -50,7 +50,7 @@ class ScalarVolume:
     scalars: np.ndarray  # uint8, uint16 or float32, shape == dims
 
     def __post_init__(self):
-        _check_grid(self.dims, self.spacing, self.origin)
+        check_grid(self.dims, self.spacing, self.origin)
         if self.scalars.dtype not in (np.float32, np.uint8, np.uint16):
             raise ValidationError(f"scalars must be float32, uint8 or uint16 in native byte order, got {self.scalars.dtype}")
         if tuple(self.scalars.shape) != tuple(self.dims):
@@ -80,7 +80,7 @@ class _VolumeHeader:
     endianness: str = "little"
 
     def __post_init__(self):
-        _check_grid(self.dims, self.spacing, self.origin)
+        check_grid(self.dims, self.spacing, self.origin)
         if self.dtype not in _DTYPES:
             raise ValidationError(f"unsupported dtype {self.dtype!r}, expected one of {sorted(_DTYPES)}")
         if self.endianness != "little":

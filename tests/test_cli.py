@@ -424,6 +424,41 @@ def test_malformed_artifact_field_exits_2_naming_the_file(two_runs, capsys, tmp_
             assert "Traceback" not in err
 
 
+# an artifact whose parts do not refer to each other as one run writes them,
+# or whose grid no volume has: each case is an edit and the message it draws
+BROKEN_ARTIFACTS = {
+    "unknown-slice-a": (lambda art: art["hinges"][0].update(slice_a=99999),
+                        "broken.json join slices [99999] that the artifact does not hold"),
+    "unknown-slice-b": (lambda art: art["hinges"][-1].update(slice_b=99999),
+                        "broken.json join slices [99999] that the artifact does not hold"),
+    "repeated-slice-id": (lambda art: art["slices"][1].update(id=art["slices"][0]["id"]),
+                          "broken.json hold the ids [0] more than once"),
+    "zero-dims": (lambda art: art["grid"].update(dims=[0, 0, 0]),
+                  "broken.json: dims must be three integers >= 1, got (0, 0, 0)"),
+    "negative-spacing": (lambda art: art["grid"].update(spacing_mm=[-1.0, 1.0, 1.0]),
+                         "broken.json: spacing must be three finite numbers > 0, got (-1.0, 1.0, 1.0)"),
+}
+# every command that reads a hinges artifact, and `hinge`, which reads the slices
+BROKEN_CASES = [
+    *[(case, command) for case in BROKEN_ARTIFACTS for command in ("order", "pack", "export")],
+    ("repeated-slice-id", "hinge"), ("zero-dims", "hinge"),
+]
+
+
+@pytest.mark.parametrize("case,command", BROKEN_CASES, ids=[f"{case}-{command}" for case, command in BROKEN_CASES])
+def test_artifact_with_broken_references_exits_2(case, command, two_runs, capsys, tmp_path):
+    edit, message = BROKEN_ARTIFACTS[case]
+    art = json.loads((tmp_path / ("slices2.json" if command == "hinge" else "hinges2.json")).read_text())
+    edit(art)
+    (tmp_path / "broken.json").write_text(json.dumps(art))
+    flag = "--hinges" if command == "export" else "--in"
+    code, err = run(_with_input(command, two_runs, flag, "broken.json"), capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
+
+
 def _volume_command(command: str, inputs: list[str], out: str) -> list[str]:
     """`command` on the level 2 artifacts of `two_runs` and the volume `inputs`."""
     if command == "export":

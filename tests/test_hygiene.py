@@ -1,15 +1,22 @@
 """Every name a package module imports at top level is used in that module,
 every function, class and method the package defines is referenced, every
-parameter is read, and only `codec.py` reads files or writes JSON.
+parameter is read, only `codec.py` reads files or writes JSON, and no
+module imports numpy.random, whose import alone costs a build ~12 ms.
 
 `__init__.py` re-exports names on purpose and `from __future__` imports
 are directives, so both are exempt from the import check.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from sliceforge.mesh import save_obj
+from sliceforge.synth import nested_spheres
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sliceforge"
@@ -276,3 +283,70 @@ def test_checker_flags_unreferenced_definitions():
     assert unreferenced_definitions(package, others) == [
         "m.py:recursive", "m.py:exported", "m.py:C.dead", "m.py:C.n", "m.py:C.keyed", "m.py:C.indexed",
     ]
+
+
+def numpy_random_uses(source: str) -> list[int]:
+    """The lines that import numpy.random, name it as an attribute of numpy
+    under whatever name the module imports numpy by, or name it in a string
+    (as `importlib.import_module` takes it)."""
+    tree = ast.parse(source)
+    numpy = {"np", "numpy"} | {
+        a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names if a.name == "numpy"
+    }
+    lines = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "random"] for a in n.names)
+        elif isinstance(n, ast.ImportFrom):
+            module = (n.module or "").split(".")
+            hit = module[:2] == ["numpy", "random"] or module == ["numpy"] and any(a.name == "random" for a in n.names)
+        elif isinstance(n, ast.Attribute):
+            hit = n.attr == "random" and isinstance(n.value, ast.Name) and n.value.id in numpy
+        else:
+            hit = isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value.split(".")[:2] == ["numpy", "random"]
+        if hit:
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_uses_numpy_random(path):
+    # layout._first_centre computes the one draw the pipeline makes
+    assert numpy_random_uses(path.read_text()) == []
+
+
+def test_checker_flags_numpy_random():
+    source = (
+        "import numpy as xp\n"
+        "import numpy.random\n"
+        "from numpy.random import default_rng\n"
+        "from numpy import random as r, float64\n"
+        "xp.random.default_rng(0)\n"
+        "np.random.seed(1)\n"
+        "importlib.import_module('numpy.random')\n"
+        '"""np.random.default_rng(seed).integers(n)"""\n'
+        "import random; random.random(); rng.random(); xp.linalg.norm(v); from numpy import linalg\n"
+    )
+    # a docstring may name the numpy call; the random module and a
+    # generator's method named `random` are no numpy.random
+    assert numpy_random_uses(source) == [2, 3, 4, 5, 6, 7]
+
+
+def test_build_does_not_load_numpy_random(tmp_path):
+    # in a fresh interpreter, which no earlier test has made import it
+    meshes = []
+    for i, mesh in enumerate(nested_spheres(subdivisions=2).meshes):
+        save_obj(mesh, tmp_path / f"sphere{i}.obj")
+        meshes.append(str(tmp_path / f"sphere{i}.obj"))
+    argv = ["build", "--meshes", *meshes, "--resolution", "32", "--level", "3", "--sheets", "2",
+            "--out", str(tmp_path / "out")]
+    script = (
+        "import sys\n"
+        "from sliceforge import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "print('numpy.random' in sys.modules, 'numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False True"

@@ -11,6 +11,7 @@ from sliceforge.layout import (
     PAGE_SIZES_MM,
     MaxRects,
     _assign_clusters_to_sheets,
+    _first_centre,
     build_vectors,
     cluster_slices,
     kmeans_elbow,
@@ -145,6 +146,30 @@ class TestKmeansElbow:
         b = kmeans_elbow(pts, k_max=5, seed=42)
         assert a[0] == b[0]
         assert np.array_equal(a[2], b[2])
+
+
+class TestFirstCentre:
+    """`_first_centre` is numpy's draw, computed without importing
+    numpy.random; the tests import it to compare."""
+
+    @given(seed=st.integers(0, 2**128 - 1), n=st.integers(1, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpys_draw(self, seed, n):
+        assert _first_centre(seed, n) == int(np.random.default_rng(seed).integers(n))
+
+    def test_fixed_cases(self):
+        # n = 1 draws nothing in numpy; n = 2**32 takes the raw 32-bit word;
+        # above 2**128 the seed has more words than the pool; at n = 3 * 2**30
+        # a quarter of the first words are rejected and drawn again
+        for seed in (*range(64), 2**32 - 1, 2**63, 2**64, 2**64 + 5, 10**30, 2**128, 2**200 + 7):
+            for n in (1, 2, 3, 14, 108, 2**31 + 3, 3 * 2**30, 2**32 - 1, 2**32):
+                assert _first_centre(seed, n) == int(np.random.default_rng(seed).integers(n)), (seed, n)
+
+    def test_negative_seed_raises_as_numpy_does(self):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            _first_centre(-1, 5)
 
 
 class TestPartitionPage:
