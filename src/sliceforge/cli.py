@@ -267,27 +267,38 @@ def cmd_hinge(args) -> int:
     return 0
 
 
+def _check_unique_ids(what: str, path: str, ids) -> None:
+    ids = sorted(ids)
+    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+    if repeated:
+        raise ValidationError(f"{what} {path} hold the ids {repeated} more than once")
+
+
 def _read_slices(art: dict, path: str):
     """The grid and slices of the artifact `art` read from `path`; no two
     slices share an id."""
     grid = GridInfo.from_json(art.get("grid"), path)
     slices = slices_from_json(art.get("slices"), path)
-    ids = sorted(s.id for s in slices)
-    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
-    if repeated:
-        raise ValidationError(f"slices {path} hold the ids {repeated} more than once")
+    _check_unique_ids("slices", path, (s.id for s in slices))
     return grid, slices
 
 
 def _read_hinges(path: str):
-    """The grid, slices and hinges of a hinges artifact; every hinge joins
-    two of its slices."""
+    """The grid, slices and hinges of a hinges artifact; no two hinges share
+    an id, and every hinge joins a slice of the first orientation (slice_a)
+    to one of the second (slice_b)."""
     art = pipeline.read_artifact(path)
     grid, slices = _read_slices(art, path)
     hinges = hinges_from_json(art.get("hinges"), path)
+    _check_unique_ids("hinges", path, (h.id for h in hinges))
     unknown = sorted(({h.slice_a for h in hinges} | {h.slice_b for h in hinges}) - {s.id for s in slices})
     if unknown:
         raise ValidationError(f"hinges {path} join slices {unknown} that the artifact does not hold")
+    family = {s.id: s.orientation for s in slices}
+    for h in hinges:
+        if (family[h.slice_a], family[h.slice_b]) != tuple(grid.orientations):
+            raise ValidationError(f"hinges {path}: hinge {h.id} joins slices {h.slice_a} and {h.slice_b}; slice_a must "
+                                  f"be of orientation {grid.orientations[0]} and slice_b of {grid.orientations[1]}")
     return grid, slices, hinges
 
 

@@ -1,20 +1,23 @@
 """Triangle-mesh ingestion and conversion to a labeled volume.
 
-OBJ text is parsed with one array conversion for all coordinates and one for
-all face indices. Meshes are voxelized by parity counting of axis-aligned ray crossings at
+OBJ text is parsed from its bytes: each line is classified by its first
+token, and one `np.fromstring` call converts all coordinates and one all face
+indices. Meshes are voxelized by parity counting of axis-aligned ray crossings at
 voxel centers; non-watertight input is resolved by majority vote over the
 three axis directions. All meshes are voxelized at once, one bit each in a
 grid of bytes (eight meshes per byte): one parity pass per ray axis, a
 bitwise majority of the three grids, and histograms of the resulting
 membership bytes for every count the nesting order needs. A ray is tested
 against a triangle only where the ray's column crosses the triangle. Each
-mesh becomes one intensity value so nested anatomy stays distinct downstream.
+mesh becomes one integer intensity, so nested anatomy stays distinct
+downstream and the grid is one byte per voxel up to 255 meshes.
 """
 
 from __future__ import annotations
 
 import colorsys
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +37,10 @@ _PAD_FRACTION = 0.08
 # longest side prints at this physical size at scale 1
 REFERENCE_EXTENT_MM = 100.0
 
+# the voxels one voxelization may hold, as render.MAX_RASTER_PIXELS bounds an
+# export: 512^3 fits; each of three parity grids takes a byte per voxel per 8 meshes
+MAX_GRID_VOXELS = 1 << 28
+
 # (triangle, ray) candidate pairs the voxelizer evaluates at once; bounds its
 # temporaries to about 1 MB, which keeps them in a core's L2 cache (on four nested
 # spheres, 2^14 ran 4-8 % slower at 128^3 and 256^3, 2^15 12-40 %, 2^12 ~12 % at 256^3)
@@ -48,6 +55,10 @@ _LOOKUP_CHUNK = 1 << 16
 # _BITS[p, j] is bit j of the byte p: which of a word's 8 meshes a
 # membership pattern holds
 _BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
+
+# the characters past ASCII that str.split() splits on; str.splitlines() ends
+# lines at three of them
+_WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
 _HUE_STEP = 0.618  # golden-ratio conjugate, truncated per palette convention
 _PALETTE_S = 0.65
@@ -94,7 +105,9 @@ def load_obj(path: str | Path) -> Mesh:
 
     Bytes that are no UTF-8, a token that is no number and a face index that
     names no vertex raise ValidationError naming the file and line. A file
-    that fails the array parse is parsed again line by line to name it."""
+    whose only whitespace is ASCII is parsed from its bytes
+    (`_parse_obj_bytes`); any other file, and one that fails that parse, is
+    parsed line by line."""
     path = Path(path)
     data = read_bytes(path, "mesh file")
     try:
@@ -103,29 +116,56 @@ def load_obj(path: str | Path) -> Mesh:
         # the text before the bad byte decodes; the line after it holds the byte
         ln = len((data[:exc.start].decode() + "?").splitlines())
         raise ValidationError(f"{path}:{ln}: byte {data[exc.start]:#04x} is not UTF-8 text") from None
-    lines = text.splitlines()
-    v_ln, v_tok, f_ln, f_tok = [], [], [], []
-    for ln, parts in enumerate(map(str.split, lines)):
-        if parts and parts[0] == "v":
-            v_ln.append(ln)
-            v_tok.append(parts[1:4])
-        elif parts and parts[0] == "f":
-            f_ln.append(ln)
-            f_tok.append(parts[1:])
-    if "/" in text:  # i/j/k tokens name the vertex by their first field
-        f_tok = [[tok.split("/")[0] for tok in row] for row in f_tok]
+    if text.isascii() or not _WIDE_SPACE.search(text):
+        parsed = _parse_obj_bytes(data)
+        if parsed is not None:
+            return Mesh(path.stem, *parsed)
+    return _parse_obj_lines(path, text.splitlines())
+
+
+def _parse_obj_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The vertices and triangles of a valid OBJ file whose only whitespace is
+    ASCII, or None where `_parse_obj_lines` must decide. Lines are classified
+    by their first token; the rest of the v lines and of the f lines (i/j/k
+    tails cut) go to one `np.fromstring` call each, which raises on a token
+    that is no number."""
+    b = np.frombuffer(bytearray(b"\n" + data + b"\n\n"), np.uint8)
+    space = b <= 32  # tab, line breaks and space; a file with other control bytes goes line by line
+    ends = np.flatnonzero((b == 10) | (b == 13))  # line i is b[ends[i] + 1:ends[i + 1] + 1]
+    if np.count_nonzero(b < 32) != len(ends) + np.count_nonzero(b == 9):
+        return None
+    # where each token starts, then a stop on the last break for lines past the last token
+    tokens = np.append(np.flatnonzero(space[:-1] > space[1:]) + 1, len(b) - 2)
+    first = np.searchsorted(tokens, ends)
+    count, head = np.diff(first), tokens[first[:-1]]  # per line: its tokens, where its first starts
+    kind = np.where(space[head + 1] & (count > 0), b[head], 0)  # the byte of a one-byte first token
+    is_v, is_f = kind == ord("v"), kind == ord("f")
+    if not (is_v.any() and is_f.any() and (count[is_v] >= 4).all() and (count[is_f] == 4).all()):
+        return None
+    b[head[is_v | is_f]] = 32  # blank the first token, so every byte of a line is its value text
+    part = np.repeat(kind, np.diff(ends))  # the kind of the line of each byte of b[1:]
+    coords, indices = b[1:][part == ord("v")].tobytes(), b[1:][part == ord("f")].tobytes()
+    if coords.translate(None, b"0123456789+-.eE \t\n\r"):  # plain decimals, which float() and numpy read alike
+        return None
+    if b"/" in indices:  # the first field of an i/j/k token names the vertex
+        indices = re.sub(rb"/\S*", b"", indices)
     try:
-        vertices = np.array(v_tok, dtype=np.float64)
-        faces = np.array(f_tok, dtype=np.int64)
-    except (ValueError, OverflowError):  # ragged rows, or a token that is no number or too large
-        return _parse_obj_lines(path, lines)
-    if vertices.shape == (len(v_ln), 3) and faces.shape == (len(f_ln), 3) and v_ln and f_ln:
-        # a negative index counts back from the `v` lines before its face
-        triangles = np.where(faces > 0, faces - 1, faces + np.searchsorted(v_ln, f_ln)[:, None])
-        named = (faces != 0) & (triangles >= 0) & (triangles < len(vertices))
-        if named.all() and np.isfinite(vertices).all():
-            return Mesh(name=path.stem, vertices=vertices, triangles=triangles)
-    return _parse_obj_lines(path, lines)
+        values = np.fromstring(coords, sep=" ")
+        faces = np.fromstring(indices, np.int64, sep=" ").reshape(-1, 3)
+    except ValueError:
+        return None
+    per_line = count[is_v] - 1  # coordinates of each v line: its first three are the vertex
+    # a face token cut to nothing, or a numpy that stops at a bad token with a
+    # warning instead of raising, leaves fewer numbers than tokens
+    if values.size != per_line.sum() or len(faces) != np.count_nonzero(is_f):
+        return None
+    vertices = values[(np.cumsum(per_line) - per_line)[:, None] + np.arange(3)]
+    # a negative index counts back from the `v` lines before its face
+    before = np.searchsorted(np.flatnonzero(is_v), np.flatnonzero(is_f))
+    triangles = np.where(faces > 0, faces - 1, faces + before[:, None])
+    if ((faces != 0) & (triangles >= 0) & (triangles < len(vertices))).all() and np.isfinite(vertices).all():
+        return vertices, triangles
+    return None
 
 
 def _parse_obj_lines(path: Path, lines: list[str]) -> Mesh:
@@ -331,14 +371,21 @@ def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[
     """Convert a mesh set to a labeled volume plus an automatic transfer function.
 
     Voxel intensity is 1 + the index of the innermost containing mesh
-    (0 where no mesh contains the voxel center). The transfer function gets
+    (0 where no mesh contains the voxel center), as ``np.min_scalar_type(n)``
+    of n meshes: uint8 up to 255, else uint16. The transfer function gets
     one bin per mesh; deeper-nested meshes receive higher opacity so inner
     structures stay visible through the assembled film stack. Coordinates
     are normalized so the longest padded side measures REFERENCE_EXTENT_MM.
+    More than MAX_GRID_VOXELS voxels or 65 534 meshes raise ValidationError.
     """
     if any(int(r) < 8 for r in resolution):
         raise ValidationError(f"resolution must be >= 8 per axis, got {resolution}")
     resolution = tuple(int(r) for r in resolution)
+    if math.prod(resolution) > MAX_GRID_VOXELS:
+        raise ValidationError(f"a {'x'.join(map(str, resolution))} grid holds {math.prod(resolution):,} voxels, "
+                              f"more than the {MAX_GRID_VOXELS:,} a voxelization holds", hint="lower --resolution")
+    if len(meshes.meshes) >= 0xFFFF:
+        raise ValidationError(f"{len(meshes.meshes)} meshes are more than the 65 534 labels a volume holds")
     for m in meshes.meshes:
         tri = m.vertices[m.triangles]
         areas = np.linalg.norm(np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]), axis=1)
@@ -395,7 +442,7 @@ def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[
     ranks[:n] = depth_rank
     # the narrowest type that holds n keeps `best` a byte per voxel up to 255 meshes
     tables = (np.where(_BITS == 1, ranks.reshape(-1, 1, 8), -1).max(axis=2) + 1).astype(np.min_scalar_type(n))
-    label_of_rank = np.array([0, *(i + 1 for i in rank_order)], dtype=np.float32)
+    label_of_rank = np.array([0, *(i + 1 for i in rank_order)], dtype=tables.dtype)
     if len(pattern) == 1:  # one word: one look-up from pattern to label
         scalars = _lookup(label_of_rank[tables[0]], pattern[0])
     else:

@@ -3,8 +3,9 @@
 Voxel data is indexed ``scalars[x, y, z]`` and stored x-fastest on disk
 (little-endian raw array next to a JSON sidecar header). A loaded grid is the
 file's bytes read straight into an array of the file's dtype (uint8, uint16
-or float32), and `quantize` labels it from those raw values, one byte per
-voxel unless the transfer function has 255 visible bins or more.
+or float32); the mesh voxelizer writes uint8 or uint16 mesh indices. `quantize`
+labels either from those raw values, one byte per voxel unless the transfer
+function has 255 visible bins or more.
 """
 
 from __future__ import annotations

@@ -16,8 +16,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sliceforge import cli, pipeline
+from sliceforge import mesh
+from sliceforge.mesh import save_obj
 from sliceforge.render import MAX_RASTER_PIXELS
 from sliceforge.synth import checkerboard_volume
+from sliceforge.synth import icosphere
 
 from helpers import write_volume_files
 
@@ -437,6 +440,17 @@ BROKEN_ARTIFACTS = {
                   "broken.json: dims must be three integers >= 1, got (0, 0, 0)"),
     "negative-spacing": (lambda art: art["grid"].update(spacing_mm=[-1.0, 1.0, 1.0]),
                          "broken.json: spacing must be three finite numbers > 0, got (-1.0, 1.0, 1.0)"),
+    # a hinge joins an x slice (slice_a) to a y slice (slice_b): not a slice to
+    # itself, not two of one family, not the two families swapped
+    "hinge-joins-itself": (lambda art: art["hinges"][0].update(slice_b=art["hinges"][0]["slice_a"]),
+                           "broken.json: hinge 0 joins slices 0 and 0; slice_a must be of orientation x and slice_b of y"),
+    "hinge-joins-one-family": (lambda art: art["hinges"][1].update(slice_b=1),
+                               "broken.json: hinge 1 joins slices 0 and 1; slice_a must be of orientation x"),
+    "hinge-swaps-families": (lambda art: art["hinges"][-1].update(slice_a=art["hinges"][-1]["slice_b"],
+                                                                  slice_b=art["hinges"][-1]["slice_a"]),
+                             "broken.json: hinge 8 joins slices 5 and 2; slice_a must be of orientation x"),
+    "repeated-hinge-id": (lambda art: art["hinges"][1].update(id=art["hinges"][0]["id"]),
+                          "hinges broken.json hold the ids [0] more than once"),
 }
 # every command that reads a hinges artifact, and `hinge`, which reads the slices
 BROKEN_CASES = [
@@ -532,6 +546,24 @@ def test_output_path_in_the_way_exits_4(command, blocker, message, two_runs, cap
     assert "Traceback" not in err
     if blocker == "afile":
         assert (tmp_path / "afile").read_text() == "kept"
+
+
+def test_resolution_over_the_voxel_budget_exits_2(capsys, tmp_path, monkeypatch):
+    # 100 000^3 voxels would need a grid of petabytes; the budget stops the
+    # build before any grid is allocated
+    monkeypatch.chdir(tmp_path)
+    save_obj(icosphere(radius=0.7, subdivisions=1), tmp_path / "sphere0.obj")
+    code, err = run(["build", "--meshes", "sphere0.obj", "--resolution", "100000", "--out", "out"], capsys)
+    assert code == 2
+    assert (f"a 100000x100000x100000 grid holds 1,000,000,000,000,000 voxels, more than the "
+            f"{mesh.MAX_GRID_VOXELS:,} a voxelization holds") in err
+    assert "hint: lower --resolution" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    # the budget is inclusive: a grid of exactly MAX_GRID_VOXELS voxels builds
+    monkeypatch.setattr(mesh, "MAX_GRID_VOXELS", 16**3)
+    assert run(["build", "--meshes", "sphere0.obj", "--resolution", "17", "--out", "out"], capsys)[0] == 2
+    assert run(["build", "--meshes", "sphere0.obj", "--resolution", "16", "--level", "2", "--out", "out"], capsys)[0] == 0
 
 
 @pytest.mark.parametrize("command", ["build", "export"])

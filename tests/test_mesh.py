@@ -1,4 +1,6 @@
 import math
+import re
+import sys
 import tempfile
 from pathlib import Path
 
@@ -150,6 +152,51 @@ class TestObjArrayParse:
         np.testing.assert_array_equal(loaded.triangles, sphere.triangles)
         (tmp_path / "m.obj").write_text("# c\n\tv 0 0 0 1\nf 1/1 2//2 3/3/3\nv 1 0 0\n\nv 0 1 0\nf -3 -2 -1\n")
         assert load_obj(tmp_path / "m.obj").triangles.tolist() == [[0, 1, 2], [0, 1, 2]]
+        # as exporters write them: CRLF line ends, comments, object, group,
+        # smoothing and material lines, normals, texture coordinates, i/j/k faces
+        exported = "\r\n".join([
+            "# exporter v2.9 OBJ file \u2014 \u201cunits: m\u201d", "mtllib sphere.mtl", "o Sph\u00e8re", "",
+            *(f"v {x:.6f} {y:.6f} {z:.6f}" for x, y, z in sphere.vertices),
+            *(f"vt {u:.6f} {u / 2:.6f}" for u in np.linspace(0, 1, len(sphere.vertices))),
+            *(f"vn {x:.4f} {y:.4f} {z:.4f}" for x, y, z in sphere.vertices / 0.7),
+            "g sphere_body", "usemtl Material.001", "s 1",
+            *(" ".join(["f", *(f"{i + 1}/{i + 1}/{i + 1}" for i in t)]) for t in sphere.triangles[:40]),
+            "s off", "# back half",
+            *(" ".join(["f", *(f"{i + 1}/{i + 1}/{i + 1}" for i in t)]) for t in sphere.triangles[40:]),
+        ]) + "\r\n"
+        (tmp_path / "exported.obj").write_bytes(exported.encode())
+        loaded = load_obj(tmp_path / "exported.obj")
+        np.testing.assert_allclose(loaded.vertices, sphere.vertices, atol=1e-6)
+        np.testing.assert_array_equal(loaded.triangles, sphere.triangles)
+
+    def test_wide_space_is_every_space_past_ascii(self):
+        spaces = [c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isspace()]
+        assert mesh_mod._WIDE_SPACE.findall("".join(spaces) + "\xe9\u2026\u201c\u00b7") == spaces
+
+    @pytest.mark.parametrize("text,message", [
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\nf 1 2 3 1\n", "m.obj:4: only triangulated faces are supported"),
+        ("v 0 0\nv 1 0 0 5\nv 0 1 0\nf 1 2 3\n", "m.obj:1: vertex needs 3 coordinates"),
+        ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf /1 /2 /3\nf 1 2 3\n", "m.obj:4: 'f /1 /2 /3' holds a token"),
+    ])
+    def test_token_counts_are_checked_per_line(self, tmp_path, text, message):
+        # the file's totals are right (six face tokens on two lines, nine
+        # coordinates on three, nine leading fields on three face lines);
+        # one line is not
+        (tmp_path / "m.obj").write_text(text)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            load_obj(tmp_path / "m.obj")
+
+    @pytest.mark.parametrize("line", [
+        *(f"# c{brk}v 0 0 1" for brk in ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]),
+        *(f"{space}v 0 0 1" for space in ["\x1f", "\xa0", "\u2003", "\u3000"]),
+    ])
+    def test_every_line_break_and_space_of_str_counts(self, tmp_path, line):
+        # the last vertex follows a line break inside a comment, or a leading
+        # space: every one that str.splitlines() or str.split() sees counts
+        (tmp_path / "m.obj").write_text(f"v 0 0 0\nv 1 0 0\nv 0 1 0\n{line}\nf 1 2 3\n", encoding="utf-8")
+        loaded = load_obj(tmp_path / "m.obj")
+        assert loaded.vertices.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert loaded.triangles.tolist() == [[0, 1, 2]]
 
 
 class TestVoxelize:
@@ -237,6 +284,11 @@ class TestVoxelize:
         bad = Mesh(name="bad", vertices=vertices, triangles=triangles)
         with pytest.warns(UserWarning, match="degenerate"):
             voxelize_meshes(MeshSet((bad,)), (8, 8, 8))
+
+    def test_mesh_count_past_the_labels_of_a_volume(self):
+        # 65 535 meshes would need the label 65 535, which quantize reserves
+        with pytest.raises(ValidationError, match="65535 meshes are more than the 65 534 labels a volume holds"):
+            voxelize_meshes(MeshSet((unit_cube(),) * 0xFFFF), (8, 8, 8))
 
     def test_resolution_floor(self):
         with pytest.raises(ValidationError, match="resolution"):

@@ -338,6 +338,37 @@ def test_label_dtype_turns_two_bytes_at_255_visible_bins(k, grid_dtype):
         np.testing.assert_array_equal(got.labels, quantize_reference(vol, tf).labels)
 
 
+@st.composite
+def mesh_transfer_functions(draw, n: int):
+    """The voxelizer's own transfer function for n meshes (bin i is [i, i + 1)),
+    or one a --tf file could hold: edges fractional, negative, past n and past
+    the u16 range, and infinite."""
+    if draw(st.booleans()):
+        return TransferFunction(bins=tuple(TransferBin(float(i), float(i + 1), (0.5, 0.5, 0.5), 1.0)
+                                           for i in range(1, n + 1)))
+    edge = st.one_of(
+        st.integers(-2, n + 2).map(float),
+        st.integers(-2, n + 2).map(lambda i: i + 0.5),
+        st.floats(-3.0, n + 3.0),
+        st.sampled_from([-np.inf, -1e30, -0.0, 65535.0, 65535.5, 70000.0, 1e30, np.inf]),
+    )
+    return draw(transfer_functions(tuple(draw(st.sets(edge, min_size=2, max_size=12)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dims=dims_st, dtype=st.sampled_from((np.uint8, np.uint16)), seed=st.integers(0, 2**32 - 1))
+def test_mesh_grid_labels_equal_its_float32_copy(data, dims, dtype, seed):
+    # the voxelizer writes mesh indices 0..n as u8 (n <= 255) or u16; the
+    # float32 grid it wrote before labels every value the same way
+    n = data.draw(st.integers(1, 255 if dtype is np.uint8 else 300), label="n")
+    tf = data.draw(mesh_transfer_functions(n), label="tf")
+    values = np.random.default_rng(seed).integers(0, n + 1, dims).astype(dtype)
+    got, want = (quantize(ScalarVolume(dims, (1.0,) * 3, (0.0,) * 3, grid), tf) for grid in (values, values.astype(np.float32)))
+    assert got.labels.dtype == want.labels.dtype
+    assert got.labels.tobytes() == want.labels.tobytes()
+    assert got.n_labels == want.n_labels
+
+
 @pytest.mark.parametrize("dtype,file_dtype", [("u8", "<u1"), ("u16", "<u2"), ("f32", "<f4")])
 def test_load_volume_keeps_the_file_dtype(dtype, file_dtype, tmp_path):
     dims = (5, 6, 7)

@@ -31,10 +31,10 @@ def assert_matches_reference(meshes: MeshSet, resolution) -> list[str]:
     """Assert equal outputs and return the warning messages."""
     got, got_tf, got_warnings = run(voxelize_meshes, meshes, resolution)
     want, want_tf, want_warnings = run(voxelize_meshes_reference, meshes, resolution)
-    assert got.scalars.dtype == want.scalars.dtype == np.float32
+    assert got.scalars.dtype == np.min_scalar_type(len(meshes.meshes)) and want.scalars.dtype == np.float32
     assert got.scalars.shape == want.scalars.shape == tuple(resolution)
     assert got.scalars.flags.c_contiguous
-    assert got.scalars.tobytes() == want.scalars.tobytes()
+    assert np.array_equal(got.scalars, want.scalars)
     assert (got.dims, got.spacing, got.origin) == (want.dims, want.spacing, want.origin)
     assert got_tf == want_tf
     assert got_warnings == want_warnings
