@@ -2,8 +2,10 @@
 
 `sliceforge build` runs the whole pipeline; `slice`, `hinge`, `order`,
 `pack`, and `export` run single stages on JSON artifacts so intermediate
-results can be inspected or golden-tested. Each option takes the value of
-its flag, else of its key in the `--config` JSON file, else its default.
+results can be inspected or golden-tested. A command takes only the
+options it reads: any other flag, or any other key in its `--config` JSON
+file, exits 2. Each option takes the value of its flag, else of its config
+key, else its default.
 Exit codes: 0 ok; 2 validation, which includes an input file that is no
 UTF-8 or JSON text; 3 infeasible; 4 I/O: any input file (OBJ, raw volume,
 header, transfer function, `--config` or stage artifact) missing or
@@ -16,6 +18,7 @@ import argparse
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NamedTuple
 
 from . import pipeline
 from .codec import encode, read_json
@@ -38,10 +41,6 @@ def _finite(value) -> bool:
 
 def _positive(value) -> bool:
     return _finite(value) and value > 0
-
-
-def _finite_non_negative(value) -> bool:
-    return _finite(value) and value >= 0
 
 
 def _parse_page(text: str) -> tuple[float, float]:
@@ -74,136 +73,108 @@ def _stage(name: str):
         raise
 
 
-def _add_input_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", help="raw volume file")
-    p.add_argument("--header", help="JSON sidecar header for --input")
-    p.add_argument("--tf", help="transfer-function JSON, or 'auto' with meshes")
-    p.add_argument("--meshes", nargs="+", help="OBJ files (one intensity per mesh)")
-    p.add_argument("--resolution", type=int, default=128, help="voxelization grid per axis for meshes")
+_VOLUME = ("build", "slice", "export")  # the commands that read a volume or meshes
+_PACK = ("build", "pack")
+_EXPORT = ("build", "export")
+_PAPER = (lambda value: _finite(value) and value >= 0, "a finite number >= 0")
 
 
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0,
-                   help="picks the first k-means centre when packing; the same seed gives the same layout")
-    p.add_argument("--config", help="JSON object of option values by name, e.g. {\"sheets\": 2}; "
-                   "an option takes its flag, else its config key, else its default")
+class _Option(NamedTuple):
+    flag: str
+    commands: tuple[str, ...] | dict[str, str]  # a dict gives each command its own help
+    kwargs: dict  # argparse keywords
+    range: tuple | None = None  # (test, what a message says the value must be)
 
 
-def _add_slice_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--level", type=int, default=3, help="highest octree level L")
-    p.add_argument("--orientations", type=_parse_orientations, default="x,y",
-                   help="two slicing plane normals, e.g. x,y")
+# Every option once, by the name it sets, on only the commands that read it.
+# Slot width and raster density scale the print; only positive values make one.
+# Margins and gutters measure paper; the seed picks the first k-means centre.
+_OPTIONS = {
+    "inp": _Option("--in", {"hinge": "slices artifact", "order": "hinges artifact", "pack": "hinges artifact",
+                            "export": "layout artifact"}, dict(required=True)),
+    "hinges": _Option("--hinges", ("export",), dict(required=True, help="hinges artifact")),
+    "plan": _Option("--plan", ("pack", "export"), dict(required=True, help="plan artifact")),
+    "input": _Option("--input", _VOLUME, dict(help="raw volume file")),
+    "header": _Option("--header", _VOLUME, dict(help="JSON sidecar header for --input")),
+    "tf": _Option("--tf", _VOLUME, dict(help="transfer-function JSON, or 'auto' with meshes")),
+    "meshes": _Option("--meshes", _VOLUME, dict(nargs="+", help="OBJ files (one intensity per mesh)")),
+    "resolution": _Option("--resolution", _VOLUME,
+                          dict(type=int, default=128, help="voxelization grid per axis for meshes")),
+    "level": _Option("--level", ("build", "slice"), dict(type=int, default=3, help="highest octree level L")),
+    "orientations": _Option("--orientations", ("build", "slice"),
+                            dict(type=_parse_orientations, default="x,y", help="two slicing plane normals, e.g. x,y")),
+    "page": _Option("--page", _PACK, dict(type=_parse_page, default="A4", help="A4, A3, or WxH in mm")),
+    "sheets": _Option("--sheets", _PACK, dict(type=int, default=1)),
+    "slot_width": _Option("--slot-width", _PACK, dict(type=float, default=1.0, help="slot width in model mm"),
+                          (_positive, "a positive number")),
+    "k_max": _Option("--k-max", _PACK, dict(type=int, default=6)),
+    "margin": _Option("--margin", _PACK, dict(type=float, default=DEFAULT_MARGIN_MM), _PAPER),
+    "gutter": _Option("--gutter", _PACK, dict(type=float, default=DEFAULT_GUTTER_MM), _PAPER),
+    "seed": _Option("--seed", _PACK, dict(type=int, default=0, help="picks the first k-means centre when packing; "
+                                          "the same seed gives the same layout"),
+                    (lambda value: value >= 0, "an integer >= 0")),
+    "dpi": _Option("--dpi", _EXPORT,
+                   dict(type=float, default=4.0, help=f"raster density in pixels per mm, <= {MAX_PX_PER_MM:g}"),
+                   (lambda value: _positive(value) and value <= MAX_PX_PER_MM,
+                    f"a positive number of pixels per mm, at most {MAX_PX_PER_MM:g}")),
+    "perforate": _Option("--perforate", _EXPORT, dict(action="store_true")),
+    "config": _Option("--config", ("build", "slice", "hinge", "order", "pack", "export"), dict(
+        help="JSON object of option values by name, e.g. {\"sheets\": 2}; "
+        "an option takes its flag, else its config key, else its default")),
+    "out": _Option("--out", {"build": "output directory", "slice": "slices artifact path",
+                             "hinge": "hinges artifact path", "order": "plan artifact path",
+                             "pack": "layout artifact path", "export": "output directory"}, dict(required=True)),
+}
 
-
-def _add_pack_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--page", type=_parse_page, default="A4", help="A4, A3, or WxH in mm")
-    p.add_argument("--sheets", type=int, default=1)
-    p.add_argument("--slot-width", dest="slot_width", type=float, default=1.0, help="slot width in model mm")
-    p.add_argument("--k-max", dest="k_max", type=int, default=6)
-    p.add_argument("--margin", type=float, default=DEFAULT_MARGIN_MM)
-    p.add_argument("--gutter", type=float, default=DEFAULT_GUTTER_MM)
-
-
-def _add_export_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dpi", type=float, default=4.0, help=f"raster density in pixels per mm, <= {MAX_PX_PER_MM:g}")
-    p.add_argument("--perforate", action="store_true")
+# the JSON kind of a config value, by its option's argparse type, action or
+# nargs, and what a message calls it; any other option takes a string
+_KINDS = {
+    int: (lambda value: type(value) is int, "an integer"),
+    float: (lambda value: type(value) in (int, float), "a number"),
+    "store_true": (lambda value: type(value) is bool, "true or false"),
+    "+": (lambda value: type(value) is list and value and all(type(v) is str for v in value), "a list of strings"),
+    None: (lambda value: type(value) is str, "a string"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sliceforge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="run the full pipeline")
-    _add_input_args(b)
-    _add_common_args(b)
-    _add_slice_args(b)
-    _add_pack_args(b)
-    _add_export_args(b)
-    b.add_argument("--out", required=True, help="output directory")
-
-    s = sub.add_parser("slice", help="octree partition + slice unification")
-    _add_input_args(s)
-    _add_common_args(s)
-    _add_slice_args(s)
-    s.add_argument("--out", required=True, help="slices artifact path")
-
-    h = sub.add_parser("hinge", help="classify slice intersections")
-    h.add_argument("--in", dest="inp", required=True, help="slices artifact")
-    h.add_argument("--out", required=True, help="hinges artifact path")
-    _add_common_args(h)
-
-    o = sub.add_parser("order", help="solve the assembly order")
-    o.add_argument("--in", dest="inp", required=True, help="hinges artifact")
-    o.add_argument("--out", required=True, help="plan artifact path")
-    _add_common_args(o)
-
-    k = sub.add_parser("pack", help="cluster, partition pages, and pack slices")
-    k.add_argument("--in", dest="inp", required=True, help="hinges artifact")
-    k.add_argument("--plan", required=True, help="plan artifact")
-    k.add_argument("--out", required=True, help="layout artifact path")
-    _add_pack_args(k)
-    _add_common_args(k)
-
-    e = sub.add_parser("export", help="emit print pages, instructions, manifest")
-    e.add_argument("--in", dest="inp", required=True, help="layout artifact")
-    e.add_argument("--hinges", required=True, help="hinges artifact")
-    e.add_argument("--plan", required=True, help="plan artifact")
-    _add_input_args(e)
-    _add_common_args(e)
-    _add_export_args(e)
-    e.add_argument("--out", required=True, help="output directory")
+    for command, (_run, about) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        p.set_defaults(parser=p)  # where _resolve_options puts the config values
+        for dest, (flag, commands, kwargs, _range) in _OPTIONS.items():
+            if command in commands:
+                if isinstance(commands, dict):
+                    kwargs = {**kwargs, "help": commands[command]}
+                p.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 
-# options held to a range as well as a kind: the test and how a message names it.
-# Slot width and raster density scale the print; only positive values make one.
-# Margins and gutters measure paper; the seed picks the first k-means centre.
-_RANGES = {
-    "slot_width": (_positive, "a positive number"),
-    "dpi": (lambda value: _positive(value) and value <= MAX_PX_PER_MM,
-            f"a positive number of pixels per mm, at most {MAX_PX_PER_MM:g}"),
-    "margin": (_finite_non_negative, "a finite number >= 0"),
-    "gutter": (_finite_non_negative, "a finite number >= 0"),
-    "seed": (lambda value: value >= 0, "an integer >= 0"),
-}
-
-
 def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace, argv) -> argparse.Namespace:
-    """Make the --config keys, each of its option's JSON kind, the defaults
-    and parse argv again, so a flag beats a config key and a config value
-    meets a flag's converter; then hold every value in `_RANGES` to its range."""
+    """Make each --config key, once it has its option's JSON kind, the
+    option's default and parse argv again, so a flag beats a config key and
+    a config value meets a flag's converter; then hold every option that has
+    a range to it."""
+    options = {dest: option for dest, option in _OPTIONS.items() if args.command in option.commands}
     if args.config:
         cfg = read_json(args.config, "config file")
         if not isinstance(cfg, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[args.command]
-        actions = {a.dest: a for a in sub._actions if a.dest != "help"}
         for key, value in cfg.items():
-            if key not in actions:
+            if key not in options:
                 raise ValidationError(f"unknown config key {key!r} for command {args.command!r}")
-            action = actions[key]
-            if action.type is int:
-                ok, kind = isinstance(value, int) and not isinstance(value, bool), "an integer"
-            elif action.type is float:
-                ok, kind = isinstance(value, (int, float)) and not isinstance(value, bool), "a number"
-            elif isinstance(action, argparse._StoreTrueAction):
-                ok, kind = isinstance(value, bool), "true or false"
-            elif action.nargs == "+":
-                ok = isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
-                kind = "a list of strings"
-            else:
-                ok, kind = isinstance(value, str), "a string"
-            if key in _RANGES:
-                kind = _RANGES[key][1]
-            if not ok and not (value is None and action.default is None):
-                raise ValidationError(f"{action.option_strings[0]} must be {kind}, got {value!r}")
-            if action.type in (int, float):
+            flag, _commands, kwargs, limit = options[key]
+            is_kind, kind = _KINDS.get(kwargs.get("type") or kwargs.get("action") or kwargs.get("nargs"), _KINDS[None])
+            if not is_kind(value) and not (value is None and kwargs.get("default") is None):
+                raise ValidationError(f"{flag} must be {limit[1] if limit else kind}, got {value!r}")
+            if kwargs.get("type") in (int, float):
                 cfg[key] = str(value)  # argparse converts a string default with type=
-        sub.set_defaults(**cfg)
+        args.parser.set_defaults(**cfg)
         args = parser.parse_args(argv)
-    for key, (in_range, kind) in _RANGES.items():
-        if hasattr(args, key) and not in_range(getattr(args, key)):
-            raise ValidationError(f"--{key.replace('_', '-')} must be {kind}, got {getattr(args, key)!r}")
+    for dest, (flag, _commands, _kwargs, limit) in options.items():
+        if limit and not limit[0](getattr(args, dest)):
+            raise ValidationError(f"{flag} must be {limit[1]}, got {getattr(args, dest)!r}")
     return args
 
 
@@ -280,6 +251,7 @@ def _read_slices(art: dict, path: str):
     grid = GridInfo.from_json(art.get("grid"), path)
     slices = slices_from_json(art.get("slices"), path)
     _check_unique_ids("slices", path, (s.id for s in slices))
+    grid.check_inside(path, slices)
     return grid, slices
 
 
@@ -291,6 +263,7 @@ def _read_hinges(path: str):
     grid, slices = _read_slices(art, path)
     hinges = hinges_from_json(art.get("hinges"), path)
     _check_unique_ids("hinges", path, (h.id for h in hinges))
+    grid.check_inside(path, hinges=hinges)
     unknown = sorted(({h.slice_a for h in hinges} | {h.slice_b for h in hinges}) - {s.id for s in slices})
     if unknown:
         raise ValidationError(f"hinges {path} join slices {unknown} that the artifact does not hold")
@@ -361,13 +334,14 @@ def cmd_export(args) -> int:
     return 0
 
 
+# each command: the function that runs it, and its help
 _COMMANDS = {
-    "build": cmd_build,
-    "slice": cmd_slice,
-    "hinge": cmd_hinge,
-    "order": cmd_order,
-    "pack": cmd_pack,
-    "export": cmd_export,
+    "build": (cmd_build, "run the full pipeline"),
+    "slice": (cmd_slice, "octree partition + slice unification"),
+    "hinge": (cmd_hinge, "classify slice intersections"),
+    "order": (cmd_order, "solve the assembly order"),
+    "pack": (cmd_pack, "cluster, partition pages, and pack slices"),
+    "export": (cmd_export, "emit print pages, instructions, manifest"),
 }
 
 
@@ -376,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         args = _resolve_options(parser, args, argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except SystemExit as exc:  # argparse has printed the usage and why (or the help)
         return exc.code
     except SliceforgeError as exc:  # args is bound: only argparse raises before it is

@@ -45,11 +45,15 @@ def encode(obj):
 
 def decode(tp, data, what: str):
     """A value of annotated type `tp` from its JSON form; any malformed or
-    missing part raises one ValidationError that names `what`."""
+    missing part raises one ValidationError that names `what`, and a type's
+    own check in `__post_init__` names `what` before its message and keeps
+    its hint."""
     try:
         return _decoder(tp)(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"{what} malformed: {type(exc).__name__}: {exc}") from exc
+    except ValidationError as exc:
+        raise type(exc)(f"{what}: {exc}", exc.hint) from exc
 
 
 def read_bytes(path: str | Path, what: str) -> bytes:

@@ -358,8 +358,8 @@ def emit_instructions(
     hinges: list[Hinge],
     slices: list[Slice],
     dims: tuple[int, int, int],
-    orientations: tuple[str, str] = ("x", "y"),
-    page_size: tuple[float, float] = (210.0, 297.0),
+    orientations: tuple[str, str],
+    page_size: tuple[float, float],
 ) -> str:
     """Assembly steps plus a top-view schematic of the slice planes."""
     by_id = {h.id: h for h in hinges}

@@ -52,16 +52,15 @@ class GridInfo:
     origin: tuple[float, float, float] = field(metadata={"json": "origin_mm"})
     orientations: tuple[str, str]
 
+    def __post_init__(self):
+        """A volume's grid rules, and two distinct axes of x, y and z."""
+        check_grid(self.dims, self.spacing, self.origin)
+        up_axis(self.orientations)
+
     @staticmethod
     def from_json(obj: dict, path: str) -> "GridInfo":
-        """The grid of the artifact read from `path`, held to a volume's rules:
-        dims of at least 1, positive finite spacing, a finite origin."""
-        grid = decode(GridInfo, obj, f"grid {path}")
-        try:
-            check_grid(grid.dims, grid.spacing, grid.origin)
-        except ValidationError as exc:
-            raise ValidationError(f"grid {path}: {exc}") from None
-        return grid
+        """The grid of the artifact read from `path`."""
+        return decode(GridInfo, obj, f"grid {path}")
 
     @property
     def axes(self) -> tuple[int, int, int]:
@@ -71,13 +70,32 @@ class GridInfo:
             AXES.index(up_axis(self.orientations)),
         )
 
+    def check_inside(self, path: str, slices: list[Slice] = (), hinges: list[Hinge] = ()) -> None:
+        """Every slice of the artifact read from `path` lies in one of the
+        grid's orientations, with a non-empty extent, and on a plane, inside
+        the grid; every hinge spans a non-empty interval of its up axis."""
+        a, b, up = (self.dims[i] for i in self.axes)
+        limits = {self.orientations[0]: (a, b, up), self.orientations[1]: (b, a, up)}
+        for s in slices:
+            if s.orientation not in limits:
+                raise ValidationError(f"slices {path}: slice {s.id} has orientation {s.orientation!r}, "
+                                      f"not one of the grid's {self.orientations}")
+            (u0, v0, u1, v1), (n, nu, nv) = s.extent, limits[s.orientation]
+            if not (0 <= s.plane_coord <= n and 0 <= u0 < u1 <= nu and 0 <= v0 < v1 <= nv):
+                raise ValidationError(f"slices {path}: slice {s.id} on plane {s.plane_coord} with extent "
+                                      f"{s.extent} is empty or leaves the {self.dims} grid")
+        for h in hinges:
+            if not 0 <= h.v0 < h.v1 <= up:
+                raise ValidationError(f"hinges {path}: hinge {h.id} spans [{h.v0}, {h.v1}) of the up axis, "
+                                      f"which is empty or leaves [0, {up}]")
+
 
 def load_input(
     input_path: str | None,
     header: str | None,
     tf_path: str | None,
     meshes: list[str] | None,
-    resolution: int = 128,
+    resolution: int,
 ) -> tuple[ScalarVolume, TransferFunction]:
     """Either a raw volume + header + explicit transfer function, or OBJ
     meshes, voxelized, with the automatic transfer function unless
@@ -157,8 +175,8 @@ def stage_export(
     grid: GridInfo,
     slot_width_mm: float,
     seed: int,
-    px_per_mm: float = 4.0,
-    perforate: bool = False,
+    px_per_mm: float,
+    perforate: bool,
 ) -> dict:
     """Write pages, instructions, manifest, and the stability report."""
     pixels = sum(math.prod(raster_size(s, labels.spacing, layout.scale, px_per_mm, grid.orientations)) for s in slices)

@@ -107,8 +107,8 @@ def stability_check(
     dims: tuple[int, int, int],
     spacing: tuple[float, float, float],
     stopper_count: int,
-    slot_width_mm: float = 1.0,
-    orientations: tuple[str, str] = ("x", "y"),
+    slot_width_mm: float,
+    orientations: tuple[str, str],
 ) -> StabilityReport:
     """Gravitational torque balance about the vertical center axis plus the
     printed slot-width check; report-only."""

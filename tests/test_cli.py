@@ -1,6 +1,7 @@
 """Command-line validation: bad values exit 2 with a message, never a traceback."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
@@ -145,7 +146,7 @@ def test_malformed_volume_header_exits_2(volume_build, key, value, message, caps
 # --margin and --gutter measure paper, --seed starts a random generator
 RANGE_CASES = [
     ("build", "margin"), ("build", "gutter"), ("build", "seed"),
-    ("pack", "margin"), ("pack", "gutter"), ("pack", "seed"), ("export", "seed"),
+    ("pack", "margin"), ("pack", "gutter"), ("pack", "seed"),
 ]
 RANGE_MESSAGES = {"margin": "a finite number >= 0", "gutter": "a finite number >= 0", "seed": "an integer >= 0"}
 
@@ -366,6 +367,34 @@ def test_options_shared_by_commands_agree():
         assert len(set(specs.values())) == 1, (dest, specs)
 
 
+def args_read(command: str) -> set[str]:
+    """The `args.<name>` reads in cli.py that `main` and `cmd_<command>` make,
+    themselves or through the functions of cli.py that they name."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    todo, seen, read = ["main", f"cmd_{command}"], set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in functions:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args":
+                read.add(node.attr)
+            elif isinstance(node, ast.Name):
+                todo.append(node.id)
+    return read
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    # an option a command accepts but never reads is ignored without a word
+    parsers = subparsers()
+    dests = {command: {a.dest for a in p._actions} - {"help"} for command, p in parsers.items()}
+    every = set().union(*dests.values())
+    for command in parsers:
+        assert dests[command] == args_read(command) & every, command
+
+
 @pytest.mark.parametrize("command", ["build", "slice", "hinge", "order", "pack", "export"])
 def test_help_exits_0(command, capsys):
     assert cli.main([command, "--help"]) == 0
@@ -451,11 +480,31 @@ BROKEN_ARTIFACTS = {
                              "broken.json: hinge 8 joins slices 5 and 2; slice_a must be of orientation x"),
     "repeated-hinge-id": (lambda art: art["hinges"][1].update(id=art["hinges"][0]["id"]),
                           "hinges broken.json hold the ids [0] more than once"),
+    # a grid slices along two distinct axes of x, y and z, and its slices and
+    # hinges lie inside it
+    "grid-repeats-an-axis": (lambda art: art["grid"].update(orientations=["x", "x"]),
+                             "grid broken.json: orientations must be two distinct axes, got ('x', 'x')"),
+    "grid-unknown-axis": (lambda art: art["grid"].update(orientations=["x", "q"]),
+                          "grid broken.json: orientations must be two distinct axes, got ('x', 'q')"),
+    "slice-unknown-orientation": (lambda art: art["slices"].append({**art["slices"][0], "id": 6, "orientation": "q"}),
+                                  "slices broken.json: slice 6 has orientation 'q', not one of the grid's ('x', 'y')"),
+    "slice-plane-outside": (lambda art: art["slices"][0].update(plane_coord=10**400),
+                            f"slice 0 on plane {10**400} with extent (0, 0, 8, 8) is empty or leaves the (8, 8, 8) grid"),
+    "slice-extent-empty": (lambda art: art["slices"][1].update(extent=[3, 0, 3, 8]),
+                           "slice 1 on plane 4 with extent (3, 0, 3, 8) is empty or leaves the (8, 8, 8) grid"),
+    "slice-extent-outside": (lambda art: art["slices"][2].update(extent=[0, 0, 8, 9]),
+                             "slice 2 on plane 6 with extent (0, 0, 8, 9) is empty or leaves the (8, 8, 8) grid"),
+    "hinge-interval-reversed": (lambda art: art["hinges"][0].update(v0=8, v1=0),
+                                "hinges broken.json: hinge 0 spans [8, 0) of the up axis, which is empty or leaves [0, 8]"),
+    "hinge-interval-outside": (lambda art: art["hinges"][1].update(v1=10**400),
+                               f"hinges broken.json: hinge 1 spans [0, {10**400}) of the up axis"),
 }
 # every command that reads a hinges artifact, and `hinge`, which reads the slices
 BROKEN_CASES = [
     *[(case, command) for case in BROKEN_ARTIFACTS for command in ("order", "pack", "export")],
     ("repeated-slice-id", "hinge"), ("zero-dims", "hinge"),
+    ("grid-repeats-an-axis", "hinge"), ("grid-unknown-axis", "hinge"), ("slice-unknown-orientation", "hinge"),
+    ("slice-plane-outside", "hinge"), ("slice-extent-empty", "hinge"), ("slice-extent-outside", "hinge"),
 ]
 
 
