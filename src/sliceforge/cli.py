@@ -2,7 +2,8 @@
 
 `sliceforge build` runs the whole pipeline; `slice`, `hinge`, `order`,
 `pack`, and `export` run single stages on JSON artifacts so intermediate
-results can be inspected or golden-tested. A command takes only the
+results can be inspected or golden-tested. Each JSON file is written on one
+line; `python -m json.tool FILE` prints it indented. A command takes only the
 options it reads: any other flag, or any other key in its `--config` JSON
 file, exits 2. Each option takes the value of its flag, else of its config
 key, else its default.
@@ -25,8 +26,9 @@ from .codec import encode, read_json
 from .errors import SliceforgeError, ValidationError
 from .hinges import hinges_from_json
 from .layout import DEFAULT_GUTTER_MM, DEFAULT_MARGIN_MM, PAGE_SIZES_MM
-from .octree import slices_from_json
+from .octree import slices_from_json, up_axis
 from .pipeline import GridInfo
+from .render import DEFAULT_PX_PER_MM
 from .volume import quantize
 
 # the densest raster, in pixels per mm (2540 dpi); more only makes rasters too big to allocate
@@ -55,11 +57,13 @@ def _parse_page(text: str) -> tuple[float, float]:
 
 
 def _parse_orientations(text: str) -> tuple[str, str]:
-    parts = tuple(p.strip() for p in text.replace(",", " ").split())
-    if len(parts) == 1 and len(parts[0]) == 2:
-        parts = (parts[0][0], parts[0][1])
-    if len(parts) != 2 or any(p not in ("x", "y", "z") for p in parts) or parts[0] == parts[1]:
-        raise argparse.ArgumentTypeError(f"orientations must be two distinct axes from x,y,z, got {text!r}")
+    """x,y, x y or xy, held to `up_axis`'s rule."""
+    parts = tuple(text.replace(",", " ").split())
+    parts = tuple(parts[0]) if len(parts) == 1 and len(parts[0]) == 2 else parts
+    try:
+        up_axis(parts)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return parts
 
 
@@ -114,7 +118,7 @@ _OPTIONS = {
                                           "the same seed gives the same layout"),
                     (lambda value: value >= 0, "an integer >= 0")),
     "dpi": _Option("--dpi", _EXPORT,
-                   dict(type=float, default=4.0, help=f"raster density in pixels per mm, <= {MAX_PX_PER_MM:g}"),
+                   dict(type=float, default=DEFAULT_PX_PER_MM, help=f"raster density in pixels per mm, <= {MAX_PX_PER_MM:g}"),
                    (lambda value: _positive(value) and value <= MAX_PX_PER_MM,
                     f"a positive number of pixels per mm, at most {MAX_PX_PER_MM:g}")),
     "perforate": _Option("--perforate", _EXPORT, dict(action="store_true")),

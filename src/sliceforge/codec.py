@@ -16,7 +16,8 @@ files, so every file the CLI reads fails the same way: a missing file raises
 IOFailure "{what} not found", any other OS error IOFailure "cannot read
 {what}" (exit 4), bytes that are no JSON text raise ValidationError "{what}
 {path} is not valid JSON", and a raw array file of the wrong size raises
-IngestError (both exit 2). `json_text` is the one JSON writer.
+IngestError (both exit 2). `json_text` is the one JSON writer, of json's
+compact form: one line, keys sorted (`python -m json.tool FILE` indents it).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import functools
-import itertools
 import json
 import operator
 import os
@@ -102,37 +102,9 @@ def read_json(path: str | Path, what: str):
         raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def json_text(obj, depth: int = 0) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)`, byte for byte, of a value
-    nested `depth` deep. json's C encoder writes each container of scalars and
-    each list of such non-empty objects in one call (`indent` alone encodes
-    token by token in Python). An encoded string holds no raw newline, so
-    each newline of the C encoder's separators is structural."""
-    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
-    if isinstance(obj, dict) and not all(map(isinstance, obj, itertools.repeat(str))):
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", outer)  # json converts the keys
-    if not isinstance(obj, (list, tuple, dict)) or not obj:
-        return _flat_encoder(depth)(obj)
-    if _flat(obj.values() if isinstance(obj, dict) else obj):
-        text = _flat_encoder(depth)(obj)
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if isinstance(obj, dict):
-        items = [f"{_flat_encoder(depth)(k)}: {json_text(v, depth + 1)}" for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + outer + "}"
-    if all(isinstance(v, dict) and v and _flat(v.values()) for v in obj):
-        # '[{a,\n<deeper>b},\n<deeper>{c}]' with each object opened onto its own lines
-        deeper = inner + "  "
-        text = _flat_encoder(depth + 1)(obj)[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        return "[" + inner + "{" + deeper + text + inner + "}" + outer + "]"
-    return "[" + inner + ("," + inner).join([json_text(v, depth + 1) for v in obj]) + outer + "]"
-
-
-# json's C encoder, writing the items of a container at `depth` one per line
-_flat_encoder = functools.cache(lambda depth: json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode)
-
-
-def _flat(values) -> bool:
-    return not any(map(isinstance, values, itertools.repeat((list, tuple, dict))))
+def json_text(obj) -> str:
+    """The whole text of a JSON file: `obj` compact, keys sorted, one line."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _same(value):

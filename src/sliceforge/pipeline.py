@@ -99,9 +99,11 @@ def load_input(
 ) -> tuple[ScalarVolume, TransferFunction]:
     """Either a raw volume + header + explicit transfer function, or OBJ
     meshes, voxelized, with the automatic transfer function unless
-    `tf_path` names a file."""
+    `tf_path` names a file. Meshes exclude `--input` and `--header`."""
     if meshes:
         mesh_set = MeshSet(meshes=tuple(load_obj(p) for p in meshes))
+        if input_path or header:
+            raise ValidationError("--meshes excludes --input and --header: give meshes or a volume, not both")
         volume, tf = voxelize_meshes(mesh_set, (resolution,) * 3)
         if tf_path and tf_path != "auto":
             tf = load_transfer_function(tf_path)
@@ -226,7 +228,7 @@ def stage_export(
         slot_width_mm=slot_width_mm,
         orientations=grid.orientations,
     )
-    _write(outdir / "stability.json", _dump(encode(stability)), "stability report")
+    _write(outdir / "stability.json", json_text(encode(stability)), "stability report")
 
     manifest = encode({
         "version": __version__,
@@ -258,7 +260,7 @@ def stage_export(
             "balanced": stability.balanced,
         },
     })
-    _write(outdir / "manifest.json", _dump(manifest), "manifest")
+    _write(outdir / "manifest.json", json_text(manifest), "manifest")
     return manifest
 
 
@@ -273,10 +275,6 @@ def layout_from_json(obj: dict, path: str) -> tuple[PageLayout, float, int]:
     return decode(tuple[PageLayout, float, int], record, f"layout artifact {path}")
 
 
-def _dump(obj) -> str:
-    return json_text(obj) + "\n"
-
-
 def _write(path: Path, text: str, what: str) -> None:
     try:
         path.write_text(text)
@@ -285,7 +283,7 @@ def _write(path: Path, text: str, what: str) -> None:
 
 
 def write_artifact(path: str | Path, obj: dict) -> None:
-    _write(Path(path), _dump(obj), "artifact")
+    _write(Path(path), json_text(obj), "artifact")
 
 
 def read_artifact(path: str | Path) -> dict:

@@ -632,3 +632,15 @@ def test_rasters_over_the_pixel_budget_exit_2_before_rendering(command, two_runs
     render.assert_not_called()
     assert not (tmp_path / "out").exists()
     assert run(argv + ["--dpi", "12", "--out", "out"], capsys)[0] == 0
+
+
+def test_meshes_with_a_volume_input_exit_2(capsys, tmp_path, monkeypatch):
+    # neither named volume file exists: the two kinds of input exclude each other
+    monkeypatch.chdir(tmp_path)
+    save_obj(icosphere(radius=0.7, subdivisions=1), tmp_path / "sphere0.obj")
+    code, err = run(["build", "--meshes", "sphere0.obj", "--resolution", "16", "--level", "2",
+                     "--input", "x", "--header", "y", "--out", "out"], capsys)
+    assert code == 2
+    assert "--meshes excludes --input and --header" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from sliceforge import cli, pipeline
-from sliceforge.codec import decode
+from sliceforge.codec import decode, json_text
 from sliceforge.mesh import save_obj
 from sliceforge.octree import Slice
 from sliceforge.synth import nested_spheres
@@ -91,6 +91,24 @@ def test_build_equals_staged_commands(meshes, built, tmp_path):
         "instructions.svg", "manifest.json", "pages/page-1.svg", "pages/page-2.svg", "stability.json",
     ]
     assert files_under(staged) == expected
+
+
+def test_every_json_file_is_written_by_json_text(meshes, built, tmp_path):
+    # the goldens pin only the manifest and the stability report; this also
+    # holds the four stage artifacts to the one compact layout
+    a = {name: tmp_path / f"{name}.json" for name in ("slices", "hinges", "plan", "layout")}
+    run(["slice", "--meshes", *meshes, *GRID, "--level", "3", "--out", str(a["slices"])])
+    run(["hinge", "--in", str(a["slices"]), "--out", str(a["hinges"])])
+    run(["order", "--in", str(a["hinges"]), "--out", str(a["plan"])])
+    run(["pack", "--in", str(a["hinges"]), "--plan", str(a["plan"]), "--sheets", "2",
+         "--out", str(a["layout"])])
+    run(["export", "--in", str(a["layout"]), "--hinges", str(a["hinges"]), "--plan", str(a["plan"]),
+         "--meshes", *meshes, *GRID, "--out", str(tmp_path / "print")])
+    written = sorted(built.rglob("*.json")) + sorted(tmp_path.rglob("*.json"))
+    assert len(written) == 8
+    for path in written:
+        text = path.read_text()
+        assert text == json_text(json.loads(text)), path
 
 
 def test_manifest_matches_golden(built):
