@@ -102,8 +102,8 @@ _OPTIONS = {
     "header": _Option("--header", _VOLUME, dict(help="JSON sidecar header for --input")),
     "tf": _Option("--tf", _VOLUME, dict(help="transfer-function JSON, or 'auto' with meshes")),
     "meshes": _Option("--meshes", _VOLUME, dict(nargs="+", help="OBJ files (one intensity per mesh)")),
-    "resolution": _Option("--resolution", _VOLUME,
-                          dict(type=int, default=128, help="voxelization grid per axis for meshes")),
+    "resolution": _Option("--resolution", _VOLUME, dict(
+        type=int, help=f"voxelization grid per axis for meshes (default {pipeline.DEFAULT_RESOLUTION})")),
     "level": _Option("--level", ("build", "slice"), dict(type=int, default=3, help="highest octree level L")),
     "orientations": _Option("--orientations", ("build", "slice"),
                             dict(type=_parse_orientations, default="x,y", help="two slicing plane normals, e.g. x,y")),

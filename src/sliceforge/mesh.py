@@ -3,14 +3,16 @@
 OBJ text is parsed from its bytes: each line is classified by its first
 token, and one `np.fromstring` call converts all coordinates and one all face
 indices. Meshes are voxelized by parity counting of axis-aligned ray crossings at
-voxel centers; non-watertight input is resolved by majority vote over the
-three axis directions. All meshes are voxelized at once, one bit each in a
-grid of bytes (eight meshes per byte): one parity pass per ray axis, a
-bitwise majority of the three grids, and histograms of the resulting
-membership bytes for every count the nesting order needs. A ray is tested
-against a triangle only where the ray's column crosses the triangle. Each
-mesh becomes one integer intensity, so nested anatomy stays distinct
-downstream and the grid is one byte per voxel up to 255 meshes.
+voxel centers, all meshes at once, one bit each in a grid of bytes (eight
+meshes per byte). A generic ray from inside a closed mesh (every edge shared
+by an even number of triangles) crosses it an odd number of times, so a set
+of closed meshes takes one parity pass; a set with an open mesh takes one per
+ray axis and their bitwise majority, the repair rule of Nooruddin & Turk
+(IEEE TVCG 2003) for meshes with holes. Histograms of the membership bytes
+give every count the nesting order needs. A ray is tested against a triangle
+only where the ray's column crosses the triangle. Each mesh becomes one
+integer intensity, so nested anatomy stays distinct downstream and the grid
+is one byte per voxel up to 255 meshes.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ _PAD_FRACTION = 0.08
 REFERENCE_EXTENT_MM = 100.0
 
 # the voxels one voxelization may hold, as render.MAX_RASTER_PIXELS bounds an
-# export: 512^3 fits; each of three parity grids takes a byte per voxel per 8 meshes
+# export: 512^3 fits; each parity grid, one or three, takes a byte per voxel per 8 meshes
 MAX_GRID_VOXELS = 1 << 28
 
 # (triangle, ray) candidate pairs the voxelizer evaluates at once; bounds its
@@ -323,6 +325,17 @@ def _parity_words(meshes: tuple[Mesh, ...], centers: tuple[np.ndarray, np.ndarra
     return np.moveaxis(toggles[:n_r], (3, 0, 1, 2), (0, axis + 1, u_axis + 1, v_axis + 1))
 
 
+def _is_closed(mesh: Mesh) -> bool:
+    """Every edge is shared by an even number of triangles once vertices with
+    bitwise equal coordinates are welded, so the mesh is a mod-2 cycle."""
+    rows = np.ascontiguousarray(mesh.vertices, dtype=np.float64).view(np.dtype((np.void, 24))).ravel()
+    _, weld = np.unique(rows, return_inverse=True)
+    corners = weld[mesh.triangles]
+    ends = np.sort(np.stack([corners, np.roll(corners, -1, axis=1)]), axis=0)  # edges 0-1, 1-2, 2-0
+    _, counts = np.unique(ends[0] * len(rows) + ends[1], return_counts=True)
+    return not (counts % 2).any()
+
+
 def _expand(counts: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat arrays of i and first[i] + k for each i and each k < counts[i]."""
     owner = np.repeat(np.arange(len(counts)), counts)
@@ -377,6 +390,8 @@ def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[
     structures stay visible through the assembled film stack. Coordinates
     are normalized so the longest padded side measures REFERENCE_EXTENT_MM.
     More than MAX_GRID_VOXELS voxels or 65 534 meshes raise ValidationError.
+    One parity pass along x decides a set whose every mesh `_is_closed`;
+    an open mesh makes every mesh hold what two of the three axis passes say.
     """
     if any(int(r) < 8 for r in resolution):
         raise ValidationError(f"resolution must be >= 8 per axis, got {resolution}")
@@ -402,12 +417,16 @@ def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[
         lo[a] + (np.arange(resolution[a]) + 0.5) * spacing[a] for a in range(3)
     )
 
-    # bitwise majority of the three ray directions: mesh i holds a voxel when
-    # bit i % 8 of word i // 8 is set in two of the three parity grids
-    a, b, c = (_parity_words(meshes.meshes, centers, axis) for axis in range(3))
-    pattern = np.bitwise_and(a, b, out=np.empty(a.shape, dtype=np.uint8))
-    pattern |= c & (a | b)
-    del a, b, c  # frees the toggle grids before the look-ups
+    # mesh i holds a voxel when bit i % 8 of word i // 8 is set: in the one
+    # parity grid of a closed set (axis 0, whose grid of one word is
+    # C-contiguous for the look-ups), else in two of the three
+    if all(_is_closed(m) for m in meshes.meshes):
+        pattern = _parity_words(meshes.meshes, centers, 0)
+    else:
+        a, b, c = (_parity_words(meshes.meshes, centers, axis) for axis in range(3))
+        pattern = np.bitwise_and(a, b, out=np.empty(a.shape, dtype=np.uint8))
+        pattern |= c & (a | b)
+        del a, b, c  # frees the toggle grids before the look-ups
 
     n = len(meshes.meshes)
     both = _pair_counts(pattern, n).tolist()

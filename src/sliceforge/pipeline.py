@@ -45,6 +45,9 @@ from .volume import (
 )
 
 
+DEFAULT_RESOLUTION = 128  # voxels per axis of a mesh build given no resolution
+
+
 @dataclass
 class GridInfo:
     dims: tuple[int, int, int]
@@ -95,15 +98,17 @@ def load_input(
     header: str | None,
     tf_path: str | None,
     meshes: list[str] | None,
-    resolution: int,
+    resolution: int | None,
 ) -> tuple[ScalarVolume, TransferFunction]:
     """Either a raw volume + header + explicit transfer function, or OBJ
-    meshes, voxelized, with the automatic transfer function unless
-    `tf_path` names a file. Meshes exclude `--input` and `--header`."""
+    meshes, voxelized at `resolution` (None: DEFAULT_RESOLUTION) per axis,
+    with the automatic transfer function unless `tf_path` names a file.
+    Meshes exclude `--input` and `--header`; a volume excludes a resolution."""
     if meshes:
         mesh_set = MeshSet(meshes=tuple(load_obj(p) for p in meshes))
         if input_path or header:
             raise ValidationError("--meshes excludes --input and --header: give meshes or a volume, not both")
+        resolution = DEFAULT_RESOLUTION if resolution is None else resolution
         volume, tf = voxelize_meshes(mesh_set, (resolution,) * 3)
         if tf_path and tf_path != "auto":
             tf = load_transfer_function(tf_path)
@@ -112,6 +117,8 @@ def load_input(
         raise ValidationError("volume input requires --input and --header")
     if not tf_path or tf_path == "auto":
         raise ValidationError("volume input requires an explicit --tf (auto is meshes-only)")
+    if resolution is not None:
+        raise ValidationError(f"--resolution {resolution} voxelizes meshes; a volume keeps its own grid")
     return load_volume(input_path, header), load_transfer_function(tf_path)
 
 

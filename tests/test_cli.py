@@ -644,3 +644,28 @@ def test_meshes_with_a_volume_input_exit_2(capsys, tmp_path, monkeypatch):
     assert "--meshes excludes --input and --header" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_resolution_flag_on_a_volume_build_exits_2(volume_build, capsys, tmp_path):
+    # a volume keeps its own grid; the flag used to be ignored without a word
+    code, err = run([*volume_build, "--resolution", "5"], capsys)
+    assert code == 2
+    assert "--resolution 5 voxelizes meshes; a volume keeps its own grid" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_resolution_config_key_on_a_volume_build_exits_2(volume_build, capsys, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"resolution": 5}))
+    code, err = run(volume_build, capsys)
+    assert code == 2
+    assert "--resolution 5 voxelizes meshes; a volume keeps its own grid" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mesh_build_without_resolution_takes_the_default(capsys, tmp_path):
+    save_obj(icosphere(radius=0.7, subdivisions=1), tmp_path / "sphere0.obj")
+    volume, _tf = pipeline.load_input(None, None, None, [str(tmp_path / "sphere0.obj")], None)
+    assert volume.dims == (pipeline.DEFAULT_RESOLUTION,) * 3 == (128,) * 3
+    assert cli.main(["build", "--help"]) == 0
+    assert re.search(r"\(default\s+128\)", capsys.readouterr().out)

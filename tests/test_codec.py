@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from sliceforge.codec import decode, encode
+from sliceforge.codec import decode, encode, json_text
 from sliceforge.errors import ValidationError
 from sliceforge.hinges import Hinge, HingeKind, SlotKind, hinges_from_json
 from sliceforge.layout import PageLayout, Partition, Placement
@@ -36,7 +36,7 @@ VALUES = [
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: type(v).__name__)
 def test_round_trip_through_json_text(value):
-    assert decode(type(value), json.loads(json.dumps(encode(value))), "value") == value
+    assert decode(type(value), json.loads(json_text(encode(value))), "value") == value
 
 
 def test_json_keys_follow_field_metadata():

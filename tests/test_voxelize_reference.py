@@ -1,8 +1,9 @@
 """The bit-packed voxelizer against the per-mesh code it replaced.
 
 `voxelize_meshes_reference` votes, counts and labels one boolean grid per
-mesh. `voxelize_meshes` packs eight meshes into each byte of one grid per
-ray axis and reads every count off histograms of those bytes. Both must
+mesh. `voxelize_meshes` packs eight meshes into each byte of one grid, one
+grid per ray axis when a mesh is open and a single one when every mesh is
+closed, and reads every count off histograms of those bytes. Both must
 give the same scalar bytes, the same transfer function and the same
 warnings in the same order.
 """
@@ -11,10 +12,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sliceforge.mesh import Mesh, MeshSet, voxelize_meshes
+from sliceforge import mesh as mesh_mod
+from sliceforge.mesh import Mesh, MeshSet, _is_closed, voxelize_meshes
 from sliceforge.synth import icosphere, nested_spheres, unit_cube
 
 from helpers import _inside_by_parity, mesh_inside_grid_reference, voxelize_meshes_reference
@@ -182,3 +184,80 @@ def test_non_cubic_resolution():
 @settings(max_examples=25, deadline=None)
 def test_random_sphere_sets(n, seed, resolution):
     assert_matches_reference(scattered_spheres(n, seed), resolution)
+
+
+# two tetrahedra, one above and one below z = 0, that share only the edge 0-1
+BOWTIE = Mesh(
+    "bowtie",
+    np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 1], [0.5, -1, 1], [0.5, 1, -1], [0.5, -1, -1]], dtype=np.float64),
+    np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2], [0, 4, 1], [0, 1, 5], [0, 5, 4], [1, 4, 5]]),
+)
+
+
+def test_closed_meshes():
+    sphere = icosphere(subdivisions=2)
+    assert _is_closed(sphere)
+    assert not _is_closed(Mesh("holed", sphere.vertices, sphere.triangles[1:]))
+    # each triangle with its own copies of its corners: welding closes it
+    cube = unit_cube()
+    assert _is_closed(Mesh("soup", cube.vertices[cube.triangles].reshape(-1, 3), np.arange(36).reshape(12, 3)))
+    assert np.count_nonzero((np.sort(BOWTIE.triangles, axis=1)[:, :2] == [0, 1]).all(axis=1)) == 4
+    assert _is_closed(BOWTIE)
+    assert_matches_reference(MeshSet((BOWTIE,)), (12, 14, 10))
+
+
+@pytest.mark.parametrize("holed,axes", [(False, [0]), (True, [0, 1, 2])])
+def test_one_pass_only_when_every_mesh_is_closed(monkeypatch, holed, axes):
+    meshes = MeshSet((*scattered_spheres(9, seed=3).meshes, open_cube(1) if holed else unit_cube(scale=0.4)))
+    seen, parity_words = [], mesh_mod._parity_words
+    monkeypatch.setattr(mesh_mod, "_parity_words", lambda m, c, axis: seen.append(axis) or parity_words(m, c, axis))
+    assert_matches_reference(meshes, (20, 18, 16))
+    assert seen == axes
+
+
+def torus(major: float, minor: float, rotation: np.ndarray, center, name: str, n: int = 16) -> Mesh:
+    """A closed torus of 2 n^2 triangles around its own z axis, turned by
+    `rotation` and moved to `center`."""
+    i, j = (g.ravel() for g in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    theta, phi = 2 * np.pi * i / n, 2 * np.pi * j / n
+    ring = major + minor * np.cos(phi)
+    vertices = np.column_stack([ring * np.cos(theta), ring * np.sin(theta), minor * np.sin(phi)])
+    a, b = i * n + j, (i + 1) % n * n + j
+    c, d = (i + 1) % n * n + (j + 1) % n, i * n + (j + 1) % n
+    triangles = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+    return Mesh(name, vertices @ rotation.T + center, triangles)
+
+
+def closed_meshes(spheres: int, cubes: int, tori: int, seed: int) -> MeshSet:
+    """Icospheres with jittered vertices that overlap, nest and miss in
+    [-1, 1]^3; disjoint cubes in a row above them; tori of any orientation
+    in a row below them."""
+    rng = np.random.default_rng(seed)
+    meshes = []
+    for k in range(spheres):
+        s = icosphere(radius=float(rng.uniform(0.2, 0.9)), center=tuple(rng.uniform(-0.4, 0.4, 3)),
+                      subdivisions=int(rng.integers(1, 3)), name=f"s{k}")
+        meshes.append(Mesh(s.name, s.vertices + rng.normal(0.0, 0.01, s.vertices.shape), s.triangles))
+    for k in range(cubes):
+        centre = (-1.5 + 1.2 * k + rng.uniform(-0.05, 0.05), 2.0 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+        meshes.append(unit_cube(name=f"c{k}", scale=float(rng.uniform(0.3, 1.0)), center=centre))
+    for k in range(tori):
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        meshes.append(torus(float(rng.uniform(0.4, 0.6)), float(rng.uniform(0.15, 0.3)), rotation,
+                            (-1.5 + 1.8 * k, -2.2, 0.0), f"t{k}"))
+    return MeshSet(tuple(meshes))
+
+
+@given(
+    spheres=st.integers(0, 9),
+    cubes=st.integers(0, 4),
+    tori=st.integers(0, 2),
+    seed=st.integers(0, 2**16),
+    resolution=st.tuples(*(st.integers(8, 24),) * 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_sets_equal_the_majority(spheres, cubes, tori, seed, resolution):
+    assume(spheres + cubes + tori > 0)
+    meshes = closed_meshes(spheres, cubes, tori, seed)
+    assert all(_is_closed(m) for m in meshes.meshes)
+    assert_matches_reference(meshes, resolution)
