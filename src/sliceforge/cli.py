@@ -290,10 +290,15 @@ def cmd_order(args) -> int:
 
 def _check_same_run(hinges_path, slices, hinges, plan_path, plan, layout_path=None, layout=None) -> None:
     """The plan, and the layout if given, come from the run that wrote the
-    hinges artifact: they hold exactly its hinges and slices."""
+    hinges artifact: they hold exactly its hinges and slices, and the layout
+    clusters exactly the slices it places."""
     hint = "use the hinges, plan and layout artifacts of one run"
-    if layout is not None and sorted(p.slice_id for p in layout.placements) != sorted(s.id for s in slices):
-        raise ValidationError(f"layout {layout_path} does not place exactly the slices of {hinges_path}", hint=hint)
+    if layout is not None:
+        placed = sorted(p.slice_id for p in layout.placements)
+        if placed != sorted(s.id for s in slices):
+            raise ValidationError(f"layout {layout_path} does not place exactly the slices of {hinges_path}", hint=hint)
+        if sorted(layout.cluster_of) != placed:  # the manifest counts the clusters of this map
+            raise ValidationError(f"layout {layout_path} does not cluster exactly the slices it places", hint=hint)
     if sorted(plan.hinge_order) != sorted(h.id for h in hinges):
         raise ValidationError(f"plan {plan_path} does not order exactly the hinges of {hinges_path}", hint=hint)
 

@@ -190,6 +190,16 @@ def _scalar(name: str, *types):
     return check
 
 
+def _int_key(key: str) -> int:
+    """An int dict key from the digits `encode` writes for it. int() also
+    takes "01", " 1", "1_0" and non-ASCII digits, which would let two keys
+    of one object name one int and one of their values be lost."""
+    value = int(key)
+    if str(value) != key:
+        raise ValueError(f"object key {key!r} is not an integer in canonical digits")
+    return value
+
+
 _as_object = _checked(dict, "object")
 _as_array = _checked((list, tuple), "array")
 # a JSON value decodes only to the type that its own JSON type stands for
@@ -249,8 +259,7 @@ def _decoder(tp):
 
         return dec_fixed
     if cls is dict:
-        # JSON object keys are strings; an int key is written as its digits
-        key = int if args[0] is int else _decoder(args[0])
+        key = _int_key if args[0] is int else _decoder(args[0])
         value = _decoder(args[1])
         return lambda data: {key(k): value(v) for k, v in _as_object(data).items()}
     if cls in _SCALARS:

@@ -8,11 +8,13 @@ meshes per byte). A generic ray from inside a closed mesh (every edge shared
 by an even number of triangles) crosses it an odd number of times, so a set
 of closed meshes takes one parity pass; a set with an open mesh takes one per
 ray axis and their bitwise majority, the repair rule of Nooruddin & Turk
-(IEEE TVCG 2003) for meshes with holes. Histograms of the membership bytes
-give every count the nesting order needs. A ray is tested against a triangle
-only where the ray's column crosses the triangle. Each mesh becomes one
-integer intensity, so nested anatomy stays distinct downstream and the grid
-is one byte per voxel up to 255 meshes.
+(IEEE TVCG 2003) for meshes with holes. A ray is tested against a triangle
+only where the ray's column crosses the triangle. Membership changes along a
+ray only at a crossing, so every count the nesting order needs and every
+label are read off those changes, not off the voxels (the column XOR of
+Schwarz & Seidel, SIGGRAPH Asia 2010). Each mesh becomes one integer
+intensity, so nested anatomy stays distinct downstream and the grid is one
+byte per voxel up to 255 meshes.
 """
 
 from __future__ import annotations
@@ -40,19 +42,14 @@ _PAD_FRACTION = 0.08
 REFERENCE_EXTENT_MM = 100.0
 
 # the voxels one voxelization may hold, as render.MAX_RASTER_PIXELS bounds an
-# export: 512^3 fits; each parity grid, one or three, takes a byte per voxel per 8 meshes
+# export: 512^3 fits; each parity grid (one or three, a byte per voxel per 8 meshes),
+# the flags of its membership changes and the label grid take a byte per voxel
 MAX_GRID_VOXELS = 1 << 28
 
 # (triangle, ray) candidate pairs the voxelizer evaluates at once; bounds its
 # temporaries to about 1 MB, which keeps them in a core's L2 cache (on four nested
 # spheres, 2^14 ran 4-8 % slower at 128^3 and 256^3, 2^15 12-40 %, 2^12 ~12 % at 256^3)
 _MAX_CANDIDATES = 1 << 13
-
-# voxels per step of the table look-ups and histograms over whole grids;
-# bounds the int index copy numpy makes of each step (whole-grid np.take and
-# np.bincount took the seed-3 mesh-spheres voxelization's traced peak from
-# 13 to 28 MB, and its process peak above the per-mesh voxelizer's)
-_LOOKUP_CHUNK = 1 << 16
 
 # _BITS[p, j] is bit j of the byte p: which of a word's 8 meshes a
 # membership pattern holds
@@ -343,41 +340,59 @@ def _expand(counts: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return owner, np.arange(len(owner)) - (ends - counts - first)[owner]
 
 
-def _lookup(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]`` for a small table, _LOOKUP_CHUNK entries at a time so
-    the int conversion of the index stays a few hundred KB."""
-    out = np.empty(index.shape, dtype=table.dtype)
-    flat, src = out.reshape(-1), index.reshape(-1)
-    for start in range(0, src.size, _LOOKUP_CHUNK):
-        flat[start:start + _LOOKUP_CHUNK] = np.take(table, src[start:start + _LOOKUP_CHUNK])
-    return out
+def _changes(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a ray along axis 0 changes membership: the flat index of each
+    such voxel in the C-ordered grid, and the membership words of the voxel
+    before it (zeros at depth 0) and of itself, each (changes, words)."""
+    n_words, n_r = pattern.shape[:2]
+    grid = np.moveaxis(pattern, 0, -1).reshape(n_r, -1, n_words)  # a view of the toggles or the majority
+    moved = grid[1:, :, 0] != grid[:-1, :, 0]
+    for w in range(1, n_words):  # a byte per voxel for any number of words
+        moved |= grid[1:, :, w] != grid[:-1, :, w]
+    at = np.concatenate([np.flatnonzero(grid[0].any(axis=1)), np.flatnonzero(moved) + grid.shape[1]])
+    depth, ray = np.divmod(at, grid.shape[1])
+    return at, np.where((depth > 0)[:, None], grid[depth - 1, ray], 0), grid[depth, ray]
 
 
-def _histogram(index: np.ndarray, bins: int) -> np.ndarray:
-    """Occurrences of each value of a small-integer grid, in chunks as `_lookup`."""
-    src = index.reshape(-1)
-    hist = np.zeros(bins, dtype=np.int64)
-    for start in range(0, src.size, _LOOKUP_CHUNK):
-        hist += np.bincount(src[start:start + _LOOKUP_CHUNK], minlength=bins)
-    return hist
-
-
-def _pair_counts(pattern: np.ndarray, n: int) -> np.ndarray:
+def _pair_counts(changes: tuple[np.ndarray, ...], shape: tuple[int, int, int], n: int) -> np.ndarray:
     """(n, n) voxel counts held by both mesh i and mesh j; the diagonal is
-    each mesh's own count. Every count is read off a histogram of the
-    membership words: 256 bins for a word with itself, 65 536 for the joint
-    values of two words."""
-    both = np.zeros((pattern.shape[0] * 8,) * 2, dtype=np.int64)
-    for a, word_a in enumerate(pattern):
-        for b in range(a, len(pattern)):
+    each mesh's own count. A change moves the voxels from it to its ray's end
+    from its words before to its words after, so histograms of the words
+    weighted +run after and -run before each change (exact in float64) count
+    each value: 256 bins for a word with itself, 65 536 for two words."""
+    at, before, after = changes
+    run = shape[0] - at // (shape[1] * shape[2])
+    words, signed = np.concatenate([after, before]), np.concatenate([run, -run])
+    both = np.zeros((words.shape[1] * 8,) * 2, dtype=np.int64)
+    for a in range(words.shape[1]):
+        for b in range(a, words.shape[1]):
             if a == b:
-                block = _BITS.T @ (_histogram(word_a, 256)[:, None] * _BITS)
+                block = _BITS.T @ (np.bincount(words[:, a], signed, minlength=256)[:, None] * _BITS)
             else:
-                joint = _histogram((word_a.astype(np.uint16) << 8) | pattern[b], 1 << 16).reshape(256, 256)
-                block = _BITS.T @ joint @ _BITS
+                joint = np.bincount((words[:, a].astype(np.intp) << 8) | words[:, b], signed, minlength=1 << 16)
+                block = _BITS.T @ joint.reshape(256, 256) @ _BITS
             both[8 * a:8 * a + 8, 8 * b:8 * b + 8] = block
             both[8 * b:8 * b + 8, 8 * a:8 * a + 8] = block.T
     return both[:n, :n]
+
+
+def _label_grid(changes: tuple[np.ndarray, ...], shape: tuple[int, int, int], rank_order: list[int]) -> np.ndarray:
+    """Each voxel's label: 1 + the mesh of the highest rank that holds it (rank
+    r is mesh rank_order[r]; 0 for none), as ``np.min_scalar_type(n)``: each
+    `_changes` voxel gets the XOR of its label and the one before it, and the
+    running XOR along axis 0 fills in the rest."""
+    at, before, after = changes
+    ranks = np.full(after.shape[1] * 8, -1)
+    ranks[rank_order] = np.arange(len(rank_order))
+    # per word, membership pattern -> 1 + best rank (0 for none)
+    tables = np.where(_BITS == 1, ranks.reshape(-1, 1, 8), -1).max(axis=2) + 1
+    label_of_rank = np.array([0, *(i + 1 for i in rank_order)], dtype=np.min_scalar_type(len(rank_order)))
+    new, old = (label_of_rank[tables[np.arange(len(tables)), words].max(axis=1)] for words in (after, before))
+    labels = np.zeros(shape, dtype=label_of_rank.dtype)
+    labels.reshape(-1)[at] = new ^ old
+    for k in range(1, shape[0]):
+        np.bitwise_xor(labels[k], labels[k - 1], out=labels[k])
+    return labels
 
 
 def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[ScalarVolume, TransferFunction]:
@@ -390,8 +405,9 @@ def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[
     structures stay visible through the assembled film stack. Coordinates
     are normalized so the longest padded side measures REFERENCE_EXTENT_MM.
     More than MAX_GRID_VOXELS voxels or 65 534 meshes raise ValidationError.
-    One parity pass along x decides a set whose every mesh `_is_closed`;
-    an open mesh makes every mesh hold what two of the three axis passes say.
+    One parity pass along x decides a set whose every mesh `_is_closed`, an
+    open mesh the majority of three axis passes; counts and labels are read
+    off the voxels where a ray along x changes membership (`_changes`).
     """
     if any(int(r) < 8 for r in resolution):
         raise ValidationError(f"resolution must be >= 8 per axis, got {resolution}")
@@ -418,18 +434,19 @@ def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[
     )
 
     # mesh i holds a voxel when bit i % 8 of word i // 8 is set: in the one
-    # parity grid of a closed set (axis 0, whose grid of one word is
-    # C-contiguous for the look-ups), else in two of the three
+    # parity grid of a closed set (axis 0), else in two of the three
     if all(_is_closed(m) for m in meshes.meshes):
         pattern = _parity_words(meshes.meshes, centers, 0)
     else:
         a, b, c = (_parity_words(meshes.meshes, centers, axis) for axis in range(3))
         pattern = np.bitwise_and(a, b, out=np.empty(a.shape, dtype=np.uint8))
         pattern |= c & (a | b)
-        del a, b, c  # frees the toggle grids before the look-ups
+        del a, b, c  # frees the toggle grids before the compare of `_changes`
+    changes = _changes(pattern)
+    del pattern  # frees the toggle grid before the label grid
 
     n = len(meshes.meshes)
-    both = _pair_counts(pattern, n).tolist()
+    both = _pair_counts(changes, resolution, n).tolist()
     counts = [both[i][i] for i in range(n)]
     for m, count in zip(meshes.meshes, counts):
         if count == 0:
@@ -450,25 +467,8 @@ def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[
     center_dist = np.array([np.linalg.norm(m.centroid - volume_center) for m in meshes.meshes])
     # innermost = deepest nesting, ties broken toward the volume center
     rank_order = sorted(range(n), key=lambda i: (depth[i], -center_dist[i], i))
-    depth_rank = np.empty(n, dtype=int)
-    for r, i in enumerate(rank_order):
-        depth_rank[i] = r
-
-    # each voxel takes the label of the highest-ranked mesh that holds it:
-    # per word, membership pattern -> 1 + best rank (0 for none); the max
-    # over words -> label (rank r is mesh rank_order[r]; 0 for none)
-    ranks = np.full(len(pattern) * 8, -1, dtype=np.int32)
-    ranks[:n] = depth_rank
-    # the narrowest type that holds n keeps `best` a byte per voxel up to 255 meshes
-    tables = (np.where(_BITS == 1, ranks.reshape(-1, 1, 8), -1).max(axis=2) + 1).astype(np.min_scalar_type(n))
-    label_of_rank = np.array([0, *(i + 1 for i in rank_order)], dtype=tables.dtype)
-    if len(pattern) == 1:  # one word: one look-up from pattern to label
-        scalars = _lookup(label_of_rank[tables[0]], pattern[0])
-    else:
-        best = _lookup(tables[0], pattern[0])
-        for table, word in zip(tables[1:], pattern[1:]):
-            np.maximum(best, _lookup(table, word), out=best)
-        scalars = _lookup(label_of_rank, best)
+    depth_rank = np.argsort(rank_order)
+    scalars = _label_grid(changes, resolution, rank_order)
 
     palette = golden_palette(n)
     bins = tuple(

@@ -25,7 +25,7 @@ from sliceforge.errors import ValidationError
 from sliceforge.export import CutGeometry, SlotCut
 from sliceforge.hinges import Hinge, SlotKind
 from sliceforge.layout import Rect, slice_print_size
-from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _PAD_FRACTION, _parity_words, golden_palette
+from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _BITS, _PAD_FRACTION, _parity_words, golden_palette
 from sliceforge.octree import Bounds, Slice, iter_nodes, slice_axes
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, save_volume
 
@@ -283,6 +283,82 @@ def voxelize_meshes_reference(meshes: MeshSet, resolution: tuple[int, int, int])
         scalars=scalars,
     )
     return volume, TransferFunction(bins)
+
+
+# --- whole-grid counts and labels of membership words --------------------
+
+# voxels per step of the table look-ups and histograms over whole grids;
+# bounds the int index copy numpy makes of each step (whole-grid np.take and
+# np.bincount took the seed-3 mesh-spheres voxelization's traced peak from
+# 13 to 28 MB, and its process peak above the per-mesh voxelizer's)
+_LOOKUP_CHUNK = 1 << 16
+
+
+def lookup_reference(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]`` for a small table, _LOOKUP_CHUNK entries at a time so
+    the int conversion of the index stays a few hundred KB."""
+    out = np.empty(index.shape, dtype=table.dtype)
+    flat, src = out.reshape(-1), index.reshape(-1)
+    for start in range(0, src.size, _LOOKUP_CHUNK):
+        flat[start:start + _LOOKUP_CHUNK] = np.take(table, src[start:start + _LOOKUP_CHUNK])
+    return out
+
+
+def histogram_reference(index: np.ndarray, bins: int) -> np.ndarray:
+    """Occurrences of each value of a small-integer grid, in chunks as `lookup_reference`."""
+    src = index.reshape(-1)
+    hist = np.zeros(bins, dtype=np.int64)
+    for start in range(0, src.size, _LOOKUP_CHUNK):
+        hist += np.bincount(src[start:start + _LOOKUP_CHUNK], minlength=bins)
+    return hist
+
+
+def pair_counts_reference(pattern: np.ndarray, n: int) -> np.ndarray:
+    """Whole-grid pair counts: the `sliceforge.mesh._pair_counts` that the
+    counts at membership changes replaced, kept verbatim as their oracle.
+
+    (n, n) voxel counts held by both mesh i and mesh j; the diagonal is
+    each mesh's own count. Every count is read off a histogram of the
+    membership words: 256 bins for a word with itself, 65 536 for the joint
+    values of two words."""
+    both = np.zeros((pattern.shape[0] * 8,) * 2, dtype=np.int64)
+    for a, word_a in enumerate(pattern):
+        for b in range(a, len(pattern)):
+            if a == b:
+                block = _BITS.T @ (histogram_reference(word_a, 256)[:, None] * _BITS)
+            else:
+                joint = histogram_reference((word_a.astype(np.uint16) << 8) | pattern[b], 1 << 16).reshape(256, 256)
+                block = _BITS.T @ joint @ _BITS
+            both[8 * a:8 * a + 8, 8 * b:8 * b + 8] = block
+            both[8 * b:8 * b + 8, 8 * a:8 * a + 8] = block.T
+    return both[:n, :n]
+
+
+def label_grid_reference(pattern: np.ndarray, rank_order: list[int]) -> np.ndarray:
+    """Whole-grid labels: the table look-ups of every voxel that
+    `sliceforge.mesh._label_grid` replaced in `voxelize_meshes`, kept
+    verbatim as its oracle. Rank r is mesh rank_order[r]."""
+    n = len(rank_order)
+    depth_rank = np.empty(n, dtype=int)
+    for r, i in enumerate(rank_order):
+        depth_rank[i] = r
+
+    # each voxel takes the label of the highest-ranked mesh that holds it:
+    # per word, membership pattern -> 1 + best rank (0 for none); the max
+    # over words -> label (rank r is mesh rank_order[r]; 0 for none)
+    ranks = np.full(len(pattern) * 8, -1, dtype=np.int32)
+    ranks[:n] = depth_rank
+    # the narrowest type that holds n keeps `best` a byte per voxel up to 255 meshes
+    tables = (np.where(_BITS == 1, ranks.reshape(-1, 1, 8), -1).max(axis=2) + 1).astype(np.min_scalar_type(n))
+    label_of_rank = np.array([0, *(i + 1 for i in rank_order)], dtype=tables.dtype)
+    if len(pattern) == 1:  # one word: one look-up from pattern to label
+        scalars = lookup_reference(label_of_rank[tables[0]], pattern[0])
+    else:
+        best = lookup_reference(tables[0], pattern[0])
+        for table, word in zip(tables[1:], pattern[1:]):
+            np.maximum(best, lookup_reference(table, word), out=best)
+        scalars = lookup_reference(label_of_rank, best)
+    return scalars
 
 
 # --- whole-grid quantizer and per-node octree -----------------------------

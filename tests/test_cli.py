@@ -213,6 +213,36 @@ def test_export_rejects_artifacts_of_another_slice_set(two_runs, capsys):
     assert export("layout2.json", "hinges2.json", "plan2.json")[0] == 0
 
 
+def edit_clusters(path: Path, edit) -> None:
+    record = json.loads(path.read_text())
+    record["clusters"] = edit(record["clusters"])
+    path.write_text(json.dumps(record))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda c: {**c, "999": 0},  # a cluster for a slice the layout does not place
+    lambda c: dict(list(c.items())[1:]),  # a placed slice in no cluster
+    lambda c: {**c, "999": max(c.values()) + 1},  # a cluster that holds no placed slice
+], ids=["extra", "missing", "phantom-cluster"])
+def test_export_rejects_clusters_of_other_slices(two_runs, capsys, tmp_path, edit):
+    edit_clusters(tmp_path / "layout2.json", edit)
+    code, err = run(["export", *two_runs, "--in", "layout2.json", "--hinges", "hinges2.json",
+                     "--plan", "plan2.json", "--out", "out"], capsys)
+    assert code == 2
+    assert "layout layout2.json does not cluster exactly the slices it places" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_export_rejects_a_cluster_key_in_other_digits(two_runs, capsys, tmp_path):
+    edit_clusters(tmp_path / "layout2.json", lambda c: {("0" + k if k == min(c, key=int) else k): v for k, v in c.items()})
+    code, err = run(["export", *two_runs, "--in", "layout2.json", "--hinges", "hinges2.json",
+                     "--plan", "plan2.json", "--out", "out"], capsys)
+    assert code == 2
+    assert "layout artifact layout2.json malformed: ValueError: object key '0" in err
+    assert "Traceback" not in err
+
+
 def test_export_rejects_a_volume_of_another_spacing(two_runs, capsys, tmp_path):
     header = tmp_path / "vol.json"
     header.write_text(json.dumps({**json.loads(header.read_text()), "spacing_mm": [0.5, 0.5, 0.5]}))

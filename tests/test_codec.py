@@ -130,3 +130,24 @@ def test_enum_decodes_to_the_enums_own_members():
     assert hinges[0].kind is HingeKind.CUT_THROUGH and hinges[1].kind is HingeKind.UP_DOWN
     assert hinges[0].slot_a is SlotKind.WINDOW and hinges[1].slot_a is SlotKind.TOP
     assert all(h.slot_b is SlotKind.NONE for h in hinges)
+
+
+@pytest.mark.parametrize("key", ["01", "1_0", " 3", "3 ", "+3", "-0", "٥", "1.0", "0x1", ""])
+def test_int_key_must_be_canonical_digits(key):
+    # int() takes every one of these but the last three; "01" and "1" would name one key
+    with pytest.raises(ValidationError, match="^layout l.json malformed: ValueError: "):
+        decode(dict[int, int], {"1": 6, key: 5}, "layout l.json")
+
+
+def test_int_keys_that_collapse_under_int_are_rejected():
+    with pytest.raises(ValidationError, match="^x malformed: ValueError: object key '1_0' is not an integer"):
+        decode(dict[int, int], {"1_0": 2, " 3": 1, "٥": 7, "01": 5, "1": 6}, "x")
+
+
+def test_canonical_int_keys_decode():
+    assert decode(dict[int, int], {"0": 1, "-4": 2, "10": 3, "1" + "0" * 30: 4}, "x") == {0: 1, -4: 2, 10: 3, 10**30: 4}
+    record = json.loads(json_text(encode(LAYOUT)))
+    assert decode(PageLayout, record, "layout").cluster_of == {3: 0, 11: 0}
+    record["clusters"] = {"03": 0, "11": 0}
+    with pytest.raises(ValidationError, match="^layout malformed: ValueError: object key '03'"):
+        decode(PageLayout, record, "layout")

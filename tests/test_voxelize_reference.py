@@ -3,11 +3,14 @@
 `voxelize_meshes_reference` votes, counts and labels one boolean grid per
 mesh. `voxelize_meshes` packs eight meshes into each byte of one grid, one
 grid per ray axis when a mesh is open and a single one when every mesh is
-closed, and reads every count off histograms of those bytes. Both must
-give the same scalar bytes, the same transfer function and the same
-warnings in the same order.
+closed, and reads every count and label off the voxels where those bytes
+change along a ray. Both must give the same scalar bytes, the same transfer
+function and the same warnings in the same order. The counts and labels at
+changes are also checked against the whole-grid histograms and look-ups
+they replaced, on random membership grids.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +22,13 @@ from sliceforge import mesh as mesh_mod
 from sliceforge.mesh import Mesh, MeshSet, _is_closed, voxelize_meshes
 from sliceforge.synth import icosphere, nested_spheres, unit_cube
 
-from helpers import _inside_by_parity, mesh_inside_grid_reference, voxelize_meshes_reference
+from helpers import (
+    _inside_by_parity,
+    label_grid_reference,
+    mesh_inside_grid_reference,
+    pair_counts_reference,
+    voxelize_meshes_reference,
+)
 
 
 def run(voxelize, meshes: MeshSet, resolution):
@@ -261,3 +270,57 @@ def test_closed_sets_equal_the_majority(spheres, cubes, tori, seed, resolution):
     meshes = closed_meshes(spheres, cubes, tori, seed)
     assert all(_is_closed(m) for m in meshes.meshes)
     assert_matches_reference(meshes, resolution)
+
+
+@st.composite
+def membership_grids(draw):
+    """A (words, nx, ny, nz) grid of membership bytes made of runs along x,
+    in the contiguous layout of the majority or as the view of (nx, ny, nz,
+    words) toggles that one parity pass returns, and a rank order of
+    8 * words - 7 to 8 * words meshes.
+    A voxel starts a run of a random word of a small palette with chance
+    `start`: 0 leaves the grid all zero, 1 starts every ray inside at voxel
+    0; every ray's last run reaches its last voxel, and one voxel may hold a
+    word that occurs nowhere else."""
+    words = draw(st.integers(1, 3))
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 6), st.integers(1, 6)))
+    start = draw(st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_r, rays = shape[0], shape[1] * shape[2]
+    palette = rng.integers(0, 256, (draw(st.integers(1, 5)), words), dtype=np.uint8)
+    palette[rng.random(palette.shape) < 0.4] = 0  # words that hold no mesh beside ones that do
+    starts = rng.random((n_r, rays)) < start
+    last = np.maximum.accumulate(np.where(starts, np.arange(n_r)[:, None], -1), axis=0)
+    pick = rng.integers(0, len(palette), (n_r, rays))
+    grid = np.where((last >= 0)[..., None], palette[pick[last, np.arange(rays)]], 0).astype(np.uint8)
+    if draw(st.booleans()):
+        grid[rng.integers(n_r), rng.integers(rays)] = rng.integers(0, 256, words)
+    toggles = grid.reshape(*shape, words)
+    pattern = np.moveaxis(toggles, -1, 0)
+    if draw(st.booleans()):
+        pattern = np.ascontiguousarray(pattern)
+    return pattern, draw(st.permutations(range(draw(st.integers(8 * words - 7, 8 * words)))))
+
+
+@given(membership_grids())
+@settings(max_examples=200, deadline=None)
+def test_changes_give_the_whole_grid_counts_and_labels(case):
+    pattern, rank_order = case
+    shape, n = pattern.shape[1:], len(rank_order)
+    changes = mesh_mod._changes(pattern)
+    assert np.array_equal(mesh_mod._pair_counts(changes, shape, n), pair_counts_reference(pattern, n))
+    got, want = mesh_mod._label_grid(changes, shape, rank_order), label_grid_reference(pattern, rank_order)
+    assert got.dtype == want.dtype and got.shape == want.shape == shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_voxelizing_128_cubed_peaks_below_five_grids():
+    # 10 MiB; a whole-grid int index (8 bytes a voxel, 16 MiB) exceeds it on its own
+    meshes = nested_spheres(subdivisions=3)
+    tracemalloc.start()
+    try:
+        voxelize_meshes(meshes, (128, 128, 128))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 128**3
