@@ -6,7 +6,8 @@ results can be inspected or golden-tested. Each JSON file is written on one
 line; `python -m json.tool FILE` prints it indented. A command takes only the
 options it reads: any other flag, or any other key in its `--config` JSON
 file, exits 2. Each option takes the value of its flag, else of its config
-key, else its default.
+key, else its default; an artifact path (--in, --hinges, --plan, --out) has
+no default, and without flag or key the command exits 2.
 Exit codes: 0 ok; 2 validation, which includes an input file that is no
 UTF-8 or JSON text; 3 infeasible; 4 I/O: any input file (OBJ, raw volume,
 header, transfer function, `--config` or stage artifact) missing or
@@ -151,22 +152,22 @@ def build_parser() -> argparse.ArgumentParser:
             if command in commands:
                 if isinstance(commands, dict):
                     kwargs = {**kwargs, "help": commands[command]}
-                p.add_argument(flag, dest=dest, **kwargs)
+                p.add_argument(flag, dest=dest, **{**kwargs, "required": False})  # a config key may give it
     return parser
 
 
 def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace, argv) -> argparse.Namespace:
     """Make each --config key, once it has its option's JSON kind, the
     option's default and parse argv again, so a flag beats a config key and
-    a config value meets a flag's converter; then hold every option that has
-    a range to it."""
+    a config value meets a flag's converter; then require every required
+    option and hold every option that has a range to it."""
     options = {dest: option for dest, option in _OPTIONS.items() if args.command in option.commands}
     if args.config:
         cfg = read_json(args.config, "config file")
         if not isinstance(cfg, dict):
             raise ValidationError(f"config file {args.config} must hold a JSON object")
         for key, value in cfg.items():
-            if key not in options:
+            if key not in options or key == "config":
                 raise ValidationError(f"unknown config key {key!r} for command {args.command!r}")
             flag, _commands, kwargs, limit = options[key]
             is_kind, kind = _KINDS.get(kwargs.get("type") or kwargs.get("action") or kwargs.get("nargs"), _KINDS[None])
@@ -176,7 +177,9 @@ def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace, 
                 cfg[key] = str(value)  # argparse converts a string default with type=
         args.parser.set_defaults(**cfg)
         args = parser.parse_args(argv)
-    for dest, (flag, _commands, _kwargs, limit) in options.items():
+    for dest, (flag, _commands, kwargs, limit) in options.items():
+        if kwargs.get("required") and getattr(args, dest) is None:
+            raise ValidationError(f"{flag} is required: give the flag or the config key {dest!r}")
         if limit and not limit[0](getattr(args, dest)):
             raise ValidationError(f"{flag} must be {limit[1]}, got {getattr(args, dest)!r}")
     return args

@@ -36,7 +36,7 @@ class OctreeNode:
 
     box: np.ndarray  # (n, 3, 2) inclusive lo, exclusive hi per axis, voxel units
     levels: np.ndarray  # (n,) 1 for the root
-    words: np.ndarray  # (n, w) label l sets bit (l - 1) % bits of word (l - 1) // bits
+    words: np.ndarray  # (n, w) label l > 0 sets bit l % bits of word l // bits
     child_ids: np.ndarray  # (n, 8) x slowest; -1 for a leaf
     id: int = 0
 
@@ -51,7 +51,7 @@ class OctreeNode:
     @property
     def distinct_labels(self) -> frozenset[int]:
         words, bits = self.words[self.id].tolist(), self.words.itemsize * 8
-        return frozenset(w * bits + b + 1 for w, word in enumerate(words) for b in range(bits) if word >> b & 1)
+        return frozenset(w * bits + b for w, word in enumerate(words) for b in range(bits) if word >> b & 1)
 
     @property
     def children(self) -> tuple["OctreeNode", ...]:
@@ -65,33 +65,32 @@ class OctreeNode:
 def _finest_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.ndarray:
     """(n, n, n, w) label-bit words OR-ed over every block between `edges`.
 
-    With at most 7 labels and equal blocks, `1 << label` is a byte per
-    voxel, and its blocks are OR-ed one axis at a time in memory order:
-    whole planes of the slowest axis first, so each step shrinks the grid
-    by its block width with long contiguous ORs, and runs of the fastest
-    axis last, on the smallest grid. Other grids gather from a bit table and
-    `reduceat` each axis whose blocks are not one voxel; an empty block
-    (never a node's) reads the voxel its sibling holds."""
+    Word w is `1 << (label - w * bits)`, 0 past the word's width, in words
+    as wide as `n_bits` labels need. Axes that split into equal blocks fold
+    by reshape in memory order: whole planes of the slowest axis first, so
+    each step shrinks the word grid by its block width with long contiguous
+    ORs. The other axes then `reduceat` what is left; an empty block (never
+    a node's) reads the voxel its sibling holds. Bit 0 of word 0 is the
+    background, cleared at the end."""
     n = len(edges[0]) - 1  # blocks per axis
-    if n_bits <= 7 and all(d % n == 0 for d in grid.shape):
-        bits = np.left_shift(1, grid, dtype=np.uint8)
-        order = np.argsort(bits.strides)[::-1]  # the axis of smallest stride last
-        bits = bits.transpose(order)
-        for axis in range(3):
-            shape = bits.shape
-            bits = np.bitwise_or.reduce(bits.reshape(*shape[:axis], n, shape[axis] // n, *shape[axis + 1:]), axis=axis + 1)
-        return (bits.transpose(np.argsort(order)) >> 1)[..., None]  # label 0 held bit 0
-    bits = next((b for b in (8, 16, 32) if n_bits <= b), 64)
-    held = np.arange(n_bits)  # label - 1
-    table = np.zeros((max(1, -(-n_bits // bits)), n_bits + 1), dtype=f"uint{bits}")  # word, label
-    table[held // bits, held + 1] = np.left_shift(1, held % bits).astype(table.dtype)
+    dtype = np.dtype(f"uint{next((b for b in (8, 16, 32) if n_bits <= b), 64)}")
+    bits, order = dtype.itemsize * 8, np.argsort(grid.strides)[::-1]  # the axis of smallest stride last
     out = []
-    for word in table:  # one word at a time bounds the gathered grid
-        masks = word[grid]
-        for axis in np.argsort(masks.strides):  # smallest stride first: the fastest order on either layout
-            if not (np.diff(edges[axis]) == 1).all():
-                masks = np.bitwise_or.reduceat(masks, edges[axis][:-1], axis=axis)
-        out.append(masks)
+    for w in range(n_bits // bits + 1):
+        if w:
+            masks = np.subtract(grid, bits * w, dtype=dtype)  # a label below the word wraps past its width
+            np.left_shift(1, masks, out=masks)
+        else:
+            masks = np.left_shift(1, grid, dtype=dtype)
+        masks = masks.transpose(order)
+        for axis in range(3):
+            if (shape := masks.shape)[axis] % n == 0:
+                masks = np.bitwise_or.reduce(masks.reshape(*shape[:axis], n, -1, *shape[axis + 1:]), axis=axis + 1)
+        for axis in reversed(range(3)):  # the axes that did not fold
+            if masks.shape[axis] != n:
+                masks = np.bitwise_or.reduceat(masks, edges[order[axis]][:-1], axis=axis)
+        out.append(masks.transpose(np.argsort(order)))
+    out[0] &= ~dtype.type(1)
     return np.stack(out, axis=-1)
 
 

@@ -89,6 +89,57 @@ def test_volume_build_succeeds(volume_build, capsys):
     assert run(volume_build, capsys)[0] == 0
 
 
+def test_config_key_gives_the_output_directory(volume_build, capsys, tmp_path):
+    (tmp_path / "cfg.json").write_text(json.dumps({"out": "from_config"}))
+    assert run(volume_build[:-2], capsys)[0] == 0
+    assert (tmp_path / "from_config" / "manifest.json").is_file()
+    assert run(volume_build, capsys)[0] == 0  # the flag beats the key
+    assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+def test_config_keys_give_every_stage_its_paths(tmp_path, monkeypatch, capsys):
+    # each path a stage requires (--in, --hinges, --plan, --out) by its config key alone
+    monkeypatch.chdir(tmp_path)
+    raw, header, tf = write_volume_files(tmp_path, *checkerboard_volume(8))
+    volume = ["--input", raw.name, "--header", header.name, "--tf", tf.name]
+    stages = [
+        ("slice", [*volume, "--level", "2"], {"out": "slices.json"}),
+        ("hinge", [], {"inp": "slices.json", "out": "hinges.json"}),
+        ("order", [], {"inp": "hinges.json", "out": "plan.json"}),
+        ("pack", [], {"inp": "hinges.json", "plan": "plan.json", "out": "layout.json"}),
+        ("export", volume, {"inp": "layout.json", "hinges": "hinges.json", "plan": "plan.json", "out": "print"}),
+    ]
+    for command, flags, paths in stages:
+        (tmp_path / "cfg.json").write_text(json.dumps(paths))
+        assert run([command, *flags, "--config", "cfg.json"], capsys) == (0, ""), command
+    assert (tmp_path / "print" / "manifest.json").is_file()
+
+
+@pytest.mark.parametrize("command,flag,key", [
+    ("build", "--out", "out"), ("pack", "--in", "inp"), ("pack", "--plan", "plan"),
+    ("export", "--hinges", "hinges"), ("export", "--out", "out"),
+])
+@pytest.mark.parametrize("config", [None, {}, "null"], ids=["no-config", "no-key", "null-key"])
+def test_missing_required_path_names_its_flag_and_config_key(command, flag, key, config, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    at = COMMANDS[command].index(flag)
+    argv = COMMANDS[command][:at] + COMMANDS[command][at + 2:]
+    if config is not None:  # no key, or the key set to null
+        (tmp_path / "cfg.json").write_text(json.dumps({key: None} if config == "null" else config))
+        argv += ["--config", "cfg.json"]
+    code, err = run(argv, capsys)
+    assert code == 2
+    assert f"{flag} is required: give the flag or the config key {key!r}" in err
+
+
+def test_config_key_inside_a_config_file_is_unknown(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"config": "cfg.json"}))
+    code, err = run(COMMANDS["build"] + ["--config", "cfg.json"], capsys)
+    assert code == 2
+    assert "unknown config key 'config' for command 'build'" in err
+
+
 BAD_BIN = {"bins": [{"lo": "abc", "hi": 1.0, "rgb": [1, 0, 0], "opacity": 0.5}]}
 # a byte that UTF-8 never holds, and an integer of more digits than int() takes
 NOT_UTF8 = b'{"bins": "\xff"}'

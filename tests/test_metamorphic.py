@@ -8,6 +8,12 @@ its opacity; a bin's range and colour belong to its index, and spacing and
 origin come from the set's bounds, so all of them stay equal. The nesting
 rank breaks ties by mesh index only when two meshes nest equally deep at
 an equal distance from the centre, which distinct centres rule out.
+
+Transpose. Swapping x and y in a label volume, with its spacing, and slicing
+it with orientations y,x instead of x,y renames the axes and nothing else:
+each plane family holds the same (plane, extent) rectangles, the hinges the
+same (kind, slots, positions), and the assembly order the same objective.
+Slice and hinge ids, and the order of an octree node's children, may differ.
 """
 
 import itertools
@@ -17,8 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceforge import pipeline
 from sliceforge.mesh import Mesh, MeshSet, voxelize_meshes
+from sliceforge.pipeline import GridInfo
 from sliceforge.synth import icosphere, unit_cube
+from sliceforge.volume import LabelVolume
 
 
 def assert_mesh_order_permutes_labels(meshes: MeshSet, perm, resolution) -> None:
@@ -72,3 +81,39 @@ def mesh_sets(draw):
 def test_any_order_of_a_mesh_set(meshes, data, resolution):
     perm = data.draw(st.permutations(range(len(meshes.meshes))))
     assert_mesh_order_permutes_labels(meshes, perm, resolution)
+
+
+def slice_to_order(labels: LabelVolume, orientations: tuple[str, str], level: int):
+    """Per family, the sorted (plane, extent) of its slices; the sorted hinges
+    without ids; and the assembly order's objective."""
+    slices = pipeline.stage_slice(labels, level, orientations)
+    hinges = pipeline.stage_hinges(slices, orientations)
+    plan, _ = pipeline.stage_order(hinges, slices, GridInfo(labels.dims, labels.spacing, labels.origin, orientations))
+    families = [sorted((s.plane_coord, s.extent) for s in slices if s.orientation == o) for o in orientations]
+    kept = sorted((h.kind, h.slot_a, h.slot_b, h.u_a, h.u_b, h.v0, h.v1) for h in hinges)
+    return families, kept, plan.objective
+
+
+@st.composite
+def label_volumes(draw):
+    """Boxes of 1 to 11 labels, later ones over earlier ones, in volumes of
+    10 to 40 voxels per axis, most of which do not halve evenly down to
+    level 4, with uneven spacing."""
+    dims = draw(st.tuples(*(st.integers(10, 40),) * 3))
+    n_labels = draw(st.integers(1, 11))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.zeros(dims, np.uint8)
+    for label in rng.permutation(1 + np.arange(draw(st.integers(2, 6))) % n_labels):  # each label once, if it can
+        lo = rng.integers(0, np.array(dims) - 1)
+        hi = lo + 1 + rng.integers(0, np.array(dims) - lo)
+        grid[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]] = label
+    spacing = tuple(draw(st.sampled_from((0.5, 1.0, 1.25))) for _ in range(3))
+    return LabelVolume(dims, spacing, (0.0, 0.0, 0.0), grid, n_labels)
+
+
+@given(labels=label_volumes())
+@settings(max_examples=40, deadline=None)
+def test_swapping_x_and_y_renames_the_axes(labels):
+    (nx, ny, nz), (sx, sy, sz) = labels.dims, labels.spacing
+    swapped = LabelVolume((ny, nx, nz), (sy, sx, sz), labels.origin, labels.labels.transpose(1, 0, 2), labels.n_labels)
+    assert slice_to_order(swapped, ("y", "x"), 4) == slice_to_order(labels, ("x", "y"), 4)

@@ -454,13 +454,13 @@ def test_label_above_n_labels_is_a_validation_error(grid, short):
         build_octree(label_volume(grid, n_labels), 3)
 
 
-def takes_word_path(labels: LabelVolume, max_level: int) -> bool:
-    """Whether `build_octree` ORed the masks as one byte per voxel: only that
-    path shifts the label grid with an explicit uint8 result type."""
-    with mock.patch.object(np, "left_shift", wraps=np.left_shift) as shift, warnings.catch_warnings():
+def folds_bytes_by_reshape(labels: LabelVolume, max_level: int) -> bool:
+    """Whether `build_octree` folded the masks as one byte per voxel by
+    reshapes alone: a single uint8 word, and no `reduceat` on any axis."""
+    with mock.patch.object(np, "bitwise_or", wraps=np.bitwise_or) as fold, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an all-background grid warns
-        build_octree(labels, max_level)
-    return any(c.kwargs.get("dtype") is np.uint8 for c in shift.call_args_list)
+        root = build_octree(labels, max_level)
+    return root.words.dtype == np.uint8 and root.words.shape[1] == 1 and not fold.reduceat.called
 
 
 @st.composite
@@ -485,30 +485,30 @@ def aligned_grids(draw):
 @given(case=aligned_grids())
 def test_word_path_matches_reference(case):
     grid, n_labels, max_level = case
-    assert takes_word_path(label_volume(grid, n_labels), max_level)
+    assert folds_bytes_by_reshape(label_volume(grid, n_labels), max_level)
     assert_same_tree(grid, n_labels, max_level)
 
 
 @pytest.mark.parametrize("layout", ["C", "F"])
 @pytest.mark.parametrize(
-    "dims,n_labels,max_level,word_path",
+    "dims,n_labels,max_level,byte_fold",
     [
         ((32, 32, 32), 7, 3, True),  # 8-voxel blocks, the most labels a byte holds
-        ((32, 32, 32), 8, 3, False),  # label 8 needs the table
+        ((32, 32, 32), 8, 3, False),  # label 8 needs a second word
         ((32, 32, 32), 9, 3, False),  # two-byte words
         ((32, 32, 32), 7, 4, True),  # 4-voxel blocks: equal blocks of any width
         ((5, 12, 7), 3, 3, False),  # unequal blocks: reduceat
         ((16, 16, 16), 3, 40, True),  # one-voxel finest blocks: equal blocks too
-        ((16, 16, 16), 9, 40, False),  # one-voxel blocks past 7 labels: the table, no reduceat at all
+        ((16, 16, 16), 9, 40, False),  # one-voxel blocks past 7 labels: two-byte words, no reduceat at all
     ],
 )
-def test_mask_paths_match_reference(layout, dims, n_labels, max_level, word_path):
+def test_mask_paths_match_reference(layout, dims, n_labels, max_level, byte_fold):
     rng = np.random.default_rng(sum(dims) + n_labels + max_level)
     coarse = rng.integers(0, n_labels + 1, size=tuple(-(-d // 2) for d in dims))
     grid = np.repeat(np.repeat(np.repeat(coarse, 2, 0), 2, 1), 2, 2)[: dims[0], : dims[1], : dims[2]]
     grid = _grid_in_layout(grid.astype(np.uint16), layout)
     grid.flat[rng.integers(0, grid.size, 12)] = n_labels  # the top label occurs
-    assert takes_word_path(label_volume(grid, n_labels), max_level) == word_path
+    assert folds_bytes_by_reshape(label_volume(grid, n_labels), max_level) == byte_fold
     assert_same_tree(grid, n_labels, max_level)
 
 
@@ -530,6 +530,26 @@ def test_byte_path_masks_hold_one_byte_per_voxel(layout):
         tracemalloc.stop()
     assert masks.shape == (8, 8, 8, 1)
     assert peak <= 1.3 * grid.size, f"peak {peak} B for {grid.size} voxels"
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("n_labels,dtype,per_voxel", [(9, np.uint16, 2.27), (20, np.uint32, 4.51)])
+def test_wider_masks_hold_one_word_per_voxel(layout, n_labels, dtype, per_voxel):
+    # past 7 labels a word per voxel is two or four bytes: the shifted grid,
+    # its first plane-wise OR (an eighth of that) and small objects. The
+    # bounds are the traced peaks of the gathered-word fold this one replaced.
+    n = 64
+    grid = _grid_in_layout(np.random.default_rng(11).integers(0, n_labels + 1, size=(n, n, n), dtype=np.uint8), layout)
+    edges = [np.arange(0, n + 1, 8)] * 3
+    octree._finest_masks(grid, n_labels, edges)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        masks = octree._finest_masks(grid, n_labels, edges)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks.shape == (8, 8, 8, 1) and masks.dtype == dtype
+    assert peak <= per_voxel * grid.size, f"peak {peak} B for {grid.size} voxels"
 
 
 def test_level_past_the_grid_depth_matches_reference():
