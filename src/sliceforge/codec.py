@@ -16,8 +16,9 @@ files, so every file the CLI reads fails the same way: a missing file raises
 IOFailure "{what} not found", any other OS error IOFailure "cannot read
 {what}" (exit 4), bytes that are no JSON text raise ValidationError "{what}
 {path} is not valid JSON", and a raw array file of the wrong size raises
-IngestError (both exit 2). `json_text` is the one JSON writer, of json's
-compact form: one line, keys sorted (`python -m json.tool FILE` indents it).
+IngestError (both exit 2); `read_array` maps a file rather than copying it.
+`json_text` is the one JSON writer, of json's compact form: one line, keys
+sorted (`python -m json.tool FILE` indents it).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import dataclasses
 import enum
 import functools
 import json
+import mmap
 import operator
 import os
 import stat
@@ -67,21 +69,27 @@ def read_bytes(path: str | Path, what: str) -> bytes:
 
 
 def read_array(path: str | Path, what: str, dtype: np.dtype, count: int) -> np.ndarray:
-    """The `count` values of `dtype` that the file at `path` holds, read
-    straight into a new array. A regular file's size is checked first, so a
-    file of any other size is rejected without reading it; a pipe, which
-    has no size, is read whole."""
+    """The `count` values of `dtype` that the file at `path` holds. A regular
+    file's size is checked first, so a file of any other size is rejected
+    unread; one of the right size is mapped read-only, its pages the array,
+    and truncating it while mapped raises SIGBUS, as with `numpy.memmap`. A
+    pipe, which has no size, and a file that refuses the mapping are read whole."""
     expected = count * dtype.itemsize
     try:
         with open(path, "rb") as f:
             info = os.fstat(f.fileno())
             size = info.st_size
-            if not stat.S_ISREG(info.st_mode):
+            whole = not stat.S_ISREG(info.st_mode)  # a pipe has no size: read it whole
+            if not whole and size == expected:
+                try:
+                    data = np.frombuffer(mmap.mmap(f.fileno(), expected, access=mmap.ACCESS_READ), np.uint8)
+                except ValueError:  # the file shrank since fstat
+                    size = f.seek(0, os.SEEK_END)
+                except OSError:  # a file system that cannot map it
+                    whole = True
+            if whole:
                 data = np.frombuffer(f.read(), dtype=np.uint8)
                 size = data.size
-            elif size == expected:
-                data = np.fromfile(f, dtype=np.uint8, count=expected)
-                size = data.size  # less if the file shrank since fstat
     except FileNotFoundError as exc:
         raise IOFailure(f"{what} not found: {path}") from exc
     except OSError as exc:  # a directory, no permission

@@ -62,8 +62,34 @@ class OctreeNode:
         return bool(self.child_ids[self.id, 0] < 0)
 
 
+_SLAB_VOXELS = 1 << 21  # the most voxels a slab of `_finest_masks` holds, unless one block layer holds more
+
+
 def _finest_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.ndarray:
     """(n, n, n, w) label-bit words OR-ed over every block between `edges`.
+
+    Slabs of whole blocks along the slowest-stride axis are folded one by
+    one and joined, so no word grid outgrows a slab. Along one-voxel blocks
+    a slab holds an even number: an empty block, the first half of a halved
+    voxel, reads the voxel its sibling holds, so it never ends a slab."""
+    axis = max(range(3), key=grid.strides.__getitem__)  # the slowest-stride axis
+    e, size = edges[axis], grid.shape[axis]
+    width = -(-size // (len(e) - 1))  # the widest block: halving keeps widths within one
+    k = max(_SLAB_VOXELS * size // (grid.size * width), 1)  # blocks per slab
+    if width == 1:
+        k = max(k - k % 2, 2)
+    if k >= len(e) - 1:
+        return _fold_masks(grid, n_bits, edges)
+    parts = []
+    for first in range(0, len(e) - 1, k):
+        slab = e[first:first + k + 1]
+        part = grid[(slice(None),) * axis + (slice(slab[0], slab[-1]),)]
+        parts.append(_fold_masks(part, n_bits, [*edges[:axis], slab - slab[0], *edges[axis + 1:]]))
+    return np.concatenate(parts, axis=axis)
+
+
+def _fold_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.ndarray:
+    """The words of `_finest_masks` over one slab, or the whole grid.
 
     Word w is `1 << (label - w * bits)`, 0 past the word's width, in words
     as wide as `n_bits` labels need. Axes that split into equal blocks fold
@@ -72,7 +98,6 @@ def _finest_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.
     ORs. The other axes then `reduceat` what is left; an empty block (never
     a node's) reads the voxel its sibling holds. Bit 0 of word 0 is the
     background, cleared at the end."""
-    n = len(edges[0]) - 1  # blocks per axis
     dtype = np.dtype(f"uint{next((b for b in (8, 16, 32) if n_bits <= b), 64)}")
     bits, order = dtype.itemsize * 8, np.argsort(grid.strides)[::-1]  # the axis of smallest stride last
     out = []
@@ -84,10 +109,10 @@ def _finest_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.
             masks = np.left_shift(1, grid, dtype=dtype)
         masks = masks.transpose(order)
         for axis in range(3):
-            if (shape := masks.shape)[axis] % n == 0:
+            if (shape := masks.shape)[axis] % (n := len(edges[order[axis]]) - 1) == 0:
                 masks = np.bitwise_or.reduce(masks.reshape(*shape[:axis], n, -1, *shape[axis + 1:]), axis=axis + 1)
         for axis in reversed(range(3)):  # the axes that did not fold
-            if masks.shape[axis] != n:
+            if masks.shape[axis] != len(edges[order[axis]]) - 1:
                 masks = np.bitwise_or.reduceat(masks, edges[order[axis]][:-1], axis=axis)
         out.append(masks.transpose(np.argsort(order)))
     out[0] &= ~dtype.type(1)

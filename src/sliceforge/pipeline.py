@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -123,7 +124,9 @@ def load_input(
 
 
 def stage_slice(labels: LabelVolume, level: int, orientations: tuple[str, str]) -> list[Slice]:
-    root = build_octree(labels, level)
+    with warnings.catch_warnings():  # the error below reports an all-background volume once
+        warnings.filterwarnings("ignore", "volume is entirely background", UserWarning)
+        root = build_octree(labels, level)
     if not root.distinct_labels:
         raise ValidationError(
             "volume is entirely background", hint="nothing to slice: every voxel has opacity 0"

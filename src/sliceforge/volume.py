@@ -2,10 +2,10 @@
 
 Voxel data is indexed ``scalars[x, y, z]`` and stored x-fastest on disk
 (little-endian raw array next to a JSON sidecar header). A loaded grid is the
-file's bytes read straight into an array of the file's dtype (uint8, uint16
-or float32); the mesh voxelizer writes uint8 or uint16 mesh indices. `quantize`
-labels either from those raw values, one byte per voxel unless the transfer
-function has 255 visible bins or more.
+file's pages, mapped read-only as an array of the file's dtype (uint8, uint16
+or float32), not copied into memory; the mesh voxelizer writes uint8 or uint16
+mesh indices. `quantize` labels either from those raw values, one byte per
+voxel unless the transfer function has 255 visible bins or more.
 """
 
 from __future__ import annotations
@@ -174,7 +174,8 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
     A uint8 or uint16 grid is labelled through a table of all 2^8 or 2^16
     raw values. An integer is at or above a break exactly when it is at or
     above the break's ceiling, so the table is runs of equal break count
-    that start at those ceilings.
+    that start at those ceilings. A grid of the label dtype whose values up to
+    its maximum label themselves, as the mesh voxelizer's do, is returned as is.
 
     A float32 grid is labelled through a table of the 2^16 buckets of bit
     patterns that share their top 16 bits. Each bucket is one interval of
@@ -204,6 +205,11 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
         n = 1 << 8 * scalars.itemsize
         starts = np.clip(np.ceil(breaks), 0, n).astype(np.intp)
         lookup = np.repeat(table, np.diff(starts, prepend=0, append=n))
+        if scalars.dtype == dtype:
+            # the values below the first that maps elsewhere (the dtype's maximum, a non-label, does)
+            prefix = int(np.argmin(lookup == np.arange(n)))
+            if prefix and int(volume.scalars.max()) < prefix:
+                return LabelVolume(volume.dims, volume.spacing, volume.origin, volume.scalars, k)
     else:
         first = np.arange(1 << 16, dtype=np.uint32) << 16
         # the buckets of exponent 0xFF hold inf and NaN, which no ScalarVolume holds

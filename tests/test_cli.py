@@ -3,15 +3,19 @@
 import argparse
 import ast
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -87,6 +91,23 @@ def volume_build(tmp_path, monkeypatch):
 
 def test_volume_build_succeeds(volume_build, capsys):
     assert run(volume_build, capsys)[0] == 0
+
+
+def test_all_background_volume_is_reported_once(tmp_path):
+    # in a fresh interpreter, whose stderr shows any warning as Python prints it
+    volume, tf = checkerboard_volume(8)
+    zeros = dataclasses.replace(volume, scalars=np.zeros_like(volume.scalars))
+    raw, header, tf_path = write_volume_files(tmp_path, zeros, tf)
+    argv = ["build", "--input", str(raw), "--header", str(header), "--tf", str(tf_path),
+            "--level", "2", "--out", str(tmp_path / "out")]
+    done = subprocess.run([sys.executable, "-m", "sliceforge.cli", *argv], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error [octree]: volume is entirely background",
+        "hint: nothing to slice: every voxel has opacity 0",
+    ]
+    assert "UserWarning" not in done.stderr and str(Path(cli.__file__).parent) not in done.stderr
 
 
 def test_config_key_gives_the_output_directory(volume_build, capsys, tmp_path):

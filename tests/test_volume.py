@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import stat
@@ -94,6 +95,37 @@ class TestLoadVolume:
                 np.testing.assert_array_equal(loaded.scalars, np.arange(8).reshape((2, 2, 2), order="F"))
         finally:
             os.close(read_end)
+
+    def test_regular_file_is_mapped_not_copied(self, tmp_path):
+        # a 4 MiB u16 file: the array is the file's mapped pages, which no
+        # allocator traces, so the traced peak stays far below the file
+        dims = (128, 128, 128)
+        values = np.random.default_rng(12).integers(0, 1 << 16, size=dims).astype("<u2")
+        raw, header = tmp_path / "v.raw", tmp_path / "v.json"
+        raw.write_bytes(values.tobytes(order="F"))
+        header.write_text(json.dumps({"dims": list(dims), "spacing_mm": [1, 1, 1], "dtype": "u16"}))
+        load_volume(raw, header)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            loaded = load_volume(raw, header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak} B"
+        assert not loaded.scalars.flags.writeable
+        np.testing.assert_array_equal(loaded.scalars, values)
+
+    def test_file_that_cannot_be_mapped_is_read_whole(self, tmp_path):
+        # a file system that refuses the mapping: the file is read as a pipe is
+        values = np.arange(60, dtype="<u2").reshape((3, 4, 5), order="F")
+        raw, header = tmp_path / "v.raw", tmp_path / "v.json"
+        raw.write_bytes(values.tobytes(order="F"))
+        header.write_text(json.dumps({"dims": [3, 4, 5], "spacing_mm": [1, 1, 1], "dtype": "u16"}))
+        refused = OSError(errno.ENODEV, "No such device")
+        with mock.patch.object(codec.mmap, "mmap", side_effect=refused) as mapping:
+            loaded = load_volume(raw, header)
+        assert mapping.called
+        np.testing.assert_array_equal(loaded.scalars, values)
 
     def test_aneurysm_dataset_shape(self, tmp_path):
         # CT lower-torso dataset dimensions: 256 x 257 x 119 at 0.74/0.74/1.5 mm

@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 
 from sliceforge import octree, volume
 from sliceforge.errors import ValidationError
+from sliceforge.mesh import voxelize_meshes
 from sliceforge.octree import build_octree, extract_slices, iter_nodes, unify_slices
+from sliceforge.synth import nested_spheres
 from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, load_volume, quantize
 
 from helpers import (
@@ -306,6 +308,54 @@ INT_TF = TransferFunction(bins=(
 ))
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    tf=transfer_functions((-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5, 300.0, 1e30)),
+    dims=dims_st,
+    dtype=st.sampled_from((np.uint8, np.uint16)),
+    picks=st.lists(st.integers(0, 5), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    layout=st.sampled_from(LAYOUTS),
+)
+def test_grid_of_its_own_labels_is_returned_not_copied(tf, dims, dtype, picks, seed, layout):
+    # small values under bins that often map them to themselves: the grid is
+    # returned exactly when it has the label dtype and every value up to its
+    # maximum, 0 included, maps to itself; else the labels are new
+    values = np.random.default_rng(seed).choice(np.array(picks, dtype), size=dims)
+    vol = ScalarVolume(dims, (1.0,) * 3, (0.0,) * 3, _grid_in_layout(values, layout))
+    got = quantize(vol, tf)
+    np.testing.assert_array_equal(got.labels, quantize_reference(vol, tf).labels)
+    span = np.arange(int(values.max()) + 1, dtype=dtype).reshape(-1, 1, 1)
+    below_max = quantize_reference(ScalarVolume(span.shape, (1.0,) * 3, (0.0,) * 3, span), tf).labels
+    own = got.labels.dtype == dtype and np.array_equal(below_max, span)
+    assert np.shares_memory(got.labels, vol.scalars) == own
+
+
+@pytest.mark.parametrize("first", [(-1.0, 0.5), (3.5, 4.5)])
+def test_grid_with_a_value_that_maps_elsewhere_is_copied(first):
+    # 1 and 2 label themselves; the third bin makes 0 label 1 (and 1 and 2
+    # labels 2 and 3), or labels 4 as 3 and leaves the 3 present background
+    tf = TransferFunction(bins=tuple(sorted(
+        (TransferBin(lo, hi, (0.5, 0.5, 0.5), 1.0) for lo, hi in (first, (0.5, 1.5), (1.5, 2.5))),
+        key=lambda b: b.lo,
+    )))
+    values = np.array([0, 1, 2, 3, 1, 0], np.uint8).reshape(1, 2, 3)
+    vol = ScalarVolume(values.shape, (1.0,) * 3, (0.0,) * 3, values)
+    got = quantize(vol, tf)
+    want = quantize_reference(vol, tf).labels
+    assert not np.array_equal(want, values)
+    assert not np.shares_memory(got.labels, vol.scalars)
+    np.testing.assert_array_equal(got.labels, want)
+
+
+def test_mesh_labels_are_the_voxelizer_grid():
+    # the automatic transfer function maps each mesh index to itself
+    volume_, tf = voxelize_meshes(nested_spheres(subdivisions=1), (24, 24, 24))
+    labels = quantize(volume_, tf)
+    assert np.shares_memory(labels.labels, volume_.scalars)
+    np.testing.assert_array_equal(labels.labels, quantize_reference(volume_, tf).labels)
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
 def test_every_integer_value_matches_reference(dtype):
     values = np.arange(np.iinfo(dtype).max + 1, dtype=dtype).reshape(16, -1, 1)
@@ -550,6 +600,52 @@ def test_wider_masks_hold_one_word_per_voxel(layout, n_labels, dtype, per_voxel)
         tracemalloc.stop()
     assert masks.shape == (8, 8, 8, 1) and masks.dtype == dtype
     assert peak <= per_voxel * grid.size, f"peak {peak} B for {grid.size} voxels"
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("dims", [(16, 16, 16), (13, 9, 21), (32, 4, 8), (5, 11, 3)])
+@pytest.mark.parametrize("n_labels", [1, 7, 9, 20, 64, 100])
+@pytest.mark.parametrize("max_level", [2, 3, 40])
+@pytest.mark.parametrize("planes", [1, 3])
+def test_slab_fold_matches_reference(layout, dims, n_labels, max_level, planes):
+    # slabs of at most one or three planes of the slowest-stride axis, or
+    # one block layer where that holds more, cut every grid into two or
+    # more; at level 40 the finest blocks are one voxel wide, and some slab
+    # axes have empty ones: (13, 9, 21) in C order, (5, 11, 3) in F order
+    rng = np.random.default_rng(sum(dims) * n_labels + max_level)
+    coarse = rng.integers(0, n_labels + 1, size=tuple(-(-d // 2) for d in dims))
+    grid = np.repeat(np.repeat(np.repeat(coarse, 2, 0), 2, 1), 2, 2)[: dims[0], : dims[1], : dims[2]]
+    grid = _grid_in_layout(grid.astype(np.uint8), layout)
+    grid.flat[rng.integers(0, grid.size, 12)] = n_labels  # the top label occurs
+    plane = grid.size // dims[0 if layout == "C" else 2]
+    with mock.patch.object(octree, "_SLAB_VOXELS", planes * plane), \
+            mock.patch.object(octree, "_fold_masks", wraps=octree._fold_masks) as fold:
+        assert_same_tree(grid, n_labels, max_level)
+    assert fold.call_count >= 2
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+@pytest.mark.parametrize("n_labels,word_bytes", [(20, 4), (100, 8)])
+def test_slab_fold_peak_is_one_slab(layout, n_labels, word_bytes):
+    # a 256^3 grid in 8-voxel blocks, folded in 32 slabs of one block layer
+    # each: the traced peak holds one slab's words (a 32nd of the grid's 4
+    # or 8 B per voxel and word), their first fold, and the blocks' words
+    # twice while the slabs' are joined; a whole-grid fold holds 4.5 or 9
+    n = 256
+    grid = _grid_in_layout(np.random.default_rng(n_labels).integers(0, n_labels + 1, size=(n,) * 3, dtype=np.uint8), layout)
+    edges = [np.arange(0, n + 1, 8)] * 3
+    with mock.patch.object(octree, "_SLAB_VOXELS", 8 * n * n):
+        with mock.patch.object(octree, "_fold_masks", wraps=octree._fold_masks) as fold:
+            octree._finest_masks(grid, n_labels, edges)  # also imports and caches outside the trace
+        assert fold.call_count == 32
+        tracemalloc.start()
+        try:
+            masks = octree._finest_masks(grid, n_labels, edges)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert masks.shape == (32, 32, 32, n_labels // (8 * word_bytes) + 1)
+    assert peak < 0.5 * grid.size, f"peak {peak} B for {grid.size} voxels"
 
 
 def test_level_past_the_grid_depth_matches_reference():
