@@ -1,8 +1,16 @@
 """Command-line interface.
 
-`sliceforge build` runs the whole pipeline; `slice`, `hinge`, `order`,
-`pack`, and `export` run single stages on JSON artifacts so intermediate
-results can be inspected or golden-tested. Each JSON file is written on one
+`sliceforge build` runs the whole pipeline in memory; the staged commands
+run one stage each through JSON artifacts, so intermediate results can be
+inspected or golden-tested, and together write what `build` writes. `slice`
+reads the volume or meshes and writes the slices artifact (grid and slices);
+`hinge` reads it and writes the hinges artifact (grid, slices and hinges);
+`order` reads that and writes the plan artifact; `pack` reads the hinges and
+plan artifacts and writes the layout artifact, with its slot width and
+seed; `export` reads the layout, hinges and plan artifacts and the volume or
+meshes, and writes the print. One reader per artifact kind decodes it and
+checks it: against itself, against the hinges artifact of its run, and, for
+the volume, against the artifact grid. Each JSON file is written on one
 line; `python -m json.tool FILE` prints it indented. A command takes only the
 options it reads: any other flag, or any other key in its `--config` JSON
 file, exits 2. Each option takes the value of its flag, else of its config
@@ -185,64 +193,17 @@ def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace, 
     return args
 
 
-def _load_labels(args):
+def _load_labels(args, grid: GridInfo | None = None):
+    """The labels and transfer function of the volume or meshes the flags
+    name; with `grid`, the volume must lie on that artifact grid."""
     with _stage("ingest"):
-        volume, tf = pipeline.load_input(
-            args.input, args.header, args.tf, args.meshes, args.resolution
-        )
+        volume, tf = pipeline.load_input(args.input, args.header, args.tf, args.meshes, args.resolution)
+    for what, verb in (("dims", "do"), ("spacing", "does"), ("origin", "does")) if grid is not None else ():
+        if getattr(volume, what) != getattr(grid, what):  # before quantize: a volume of another run is not labelled
+            raise ValidationError(f"volume {what} {getattr(volume, what)} {verb} not match "
+                                  f"the artifact grid {getattr(grid, what)}")
+    with _stage("ingest"):
         return quantize(volume, tf), tf
-
-
-def cmd_build(args) -> int:
-    labels, tf = _load_labels(args)
-    grid = GridInfo(labels.dims, labels.spacing, labels.origin, args.orientations)
-
-    with _stage("octree"):
-        slices = pipeline.stage_slice(labels, args.level, args.orientations)
-    with _stage("hinge"):
-        hinges = pipeline.stage_hinges(slices, args.orientations)
-    with _stage("order"):
-        plan, _report = pipeline.stage_order(hinges, slices, grid)
-    with _stage("pack"):
-        layout = pipeline.stage_pack(
-            slices, plan, grid, args.page, args.sheets, args.slot_width,
-            args.margin, args.gutter, args.k_max, args.seed,
-        )
-    with _stage("export"):
-        manifest = pipeline.stage_export(
-            args.out, labels, tf, slices, hinges, plan, layout, grid,
-            slot_width_mm=args.slot_width, seed=args.seed,
-            px_per_mm=args.dpi, perforate=args.perforate,
-        )
-    s = manifest["summary"]
-    print(
-        f"{s['slice_count']} slices, {s['hinge_count']} hinges, k={s['clusters']}, "
-        f"scale={s['scale']:.3f}, pages={s['pages']}, balanced={s['balanced']}"
-    )
-    print(f"wrote {Path(args.out) / 'manifest.json'}")
-    return 0
-
-
-def cmd_slice(args) -> int:
-    labels, _tf = _load_labels(args)
-    grid = GridInfo(labels.dims, labels.spacing, labels.origin, args.orientations)
-    with _stage("octree"):
-        slices = pipeline.stage_slice(labels, args.level, args.orientations)
-    pipeline.write_artifact(args.out, encode({"grid": grid, "slices": slices}))
-    print(f"{len(slices)} slices -> {args.out}")
-    return 0
-
-
-def cmd_hinge(args) -> int:
-    art = pipeline.read_artifact(args.inp)
-    grid, slices = _read_slices(art, args.inp)
-    with _stage("hinge"):
-        hinges = pipeline.stage_hinges(slices, grid.orientations)
-    pipeline.write_artifact(
-        args.out, {"grid": art["grid"], "slices": art["slices"], "hinges": encode(hinges)}
-    )
-    print(f"{len(hinges)} hinges -> {args.out}")
-    return 0
 
 
 def _check_unique_ids(what: str, path: str, ids) -> None:
@@ -282,66 +243,134 @@ def _read_hinges(path: str):
     return grid, slices, hinges
 
 
+_SAME_RUN = "use the hinges, plan and layout artifacts of one run"
+
+
+def _read_plan(path: str, hinges_path: str, slices, hinges):
+    """The plan artifact at `path`, of the run that wrote the hinges artifact
+    at `hinges_path`: it orders exactly that run's hinges, and each of its
+    slices once."""
+    plan = pipeline.plan_from_json(pipeline.read_artifact(path), path)
+    if sorted(plan.hinge_order) != sorted(h.id for h in hinges):
+        raise ValidationError(f"plan {path} does not order exactly the hinges of {hinges_path}", hint=_SAME_RUN)
+    if sorted(plan.slice_order) != sorted(s.id for s in slices):
+        raise ValidationError(f"plan {path} does not order each slice of {hinges_path} exactly once", hint=_SAME_RUN)
+    return plan
+
+
+def _read_layout(path: str, hinges_path: str, slices):
+    """The layout, slot width and seed of the layout artifact at `path`, of
+    the run that wrote the hinges artifact at `hinges_path`: it places and
+    clusters exactly that run's slices, each on one of its pages, and holds
+    only values that `pack` can write."""
+    layout, slot_width, seed = pipeline.layout_from_json(pipeline.read_artifact(path), path)
+    for name, value, (in_range, what) in (
+        ("sheets", layout.sheets, (lambda n: n >= 1, "an integer >= 1")),
+        ("page_size_mm", layout.page_size, (lambda size: all(_positive(v) for v in size), "two positive numbers")),
+        ("scale", layout.scale, (_positive, "a positive number")),
+        ("margin_mm", layout.margin, _PAPER),
+        ("gutter_mm", layout.gutter, _PAPER),
+        ("slot_width_mm", slot_width, _OPTIONS["slot_width"].range),
+        ("seed", seed, _OPTIONS["seed"].range),
+    ):
+        if not in_range(value):
+            raise ValidationError(f"layout {path}: {name} must be {what}, got {value!r}")
+    if not all(0 <= p.page < layout.sheets for p in (*layout.placements, *layout.partitions)):
+        raise ValidationError(f"layout {path} places a slice or a cluster off its {layout.sheets} page(s)")
+    placed = sorted(p.slice_id for p in layout.placements)
+    if placed != sorted(s.id for s in slices):
+        raise ValidationError(f"layout {path} does not place exactly the slices of {hinges_path}", hint=_SAME_RUN)
+    if sorted(layout.cluster_of) != placed:  # the manifest counts the clusters of this map
+        raise ValidationError(f"layout {path} does not cluster exactly the slices it places", hint=_SAME_RUN)
+    return layout, slot_width, seed
+
+
+# Each stage runs in one function, which `build` and the staged command share.
+@_stage("octree")
+def _slice(args, labels):
+    grid = GridInfo(labels.dims, labels.spacing, labels.origin, args.orientations)
+    return grid, pipeline.stage_slice(labels, args.level, args.orientations)
+
+
+@_stage("hinge")
+def _hinge(grid, slices):
+    return pipeline.stage_hinges(slices, grid.orientations)
+
+
+@_stage("order")
+def _order(grid, slices, hinges):
+    return pipeline.stage_order(hinges, slices, grid)[0]  # the plan; no output records the verification report
+
+
+@_stage("pack")
+def _pack(args, grid, slices, plan):
+    return pipeline.stage_pack(
+        slices, plan, grid, args.page, args.sheets, args.slot_width,
+        args.margin, args.gutter, args.k_max, args.seed,
+    )
+
+
+@_stage("export")
+def _export(args, labels, tf, grid, slices, hinges, plan, layout, slot_width, seed):
+    return pipeline.stage_export(
+        args.out, labels, tf, slices, hinges, plan, layout, grid,
+        slot_width_mm=slot_width, seed=seed, px_per_mm=args.dpi, perforate=args.perforate,
+    )
+
+
+def cmd_build(args) -> int:
+    labels, tf = _load_labels(args)
+    grid, slices = _slice(args, labels)
+    hinges = _hinge(grid, slices)
+    plan = _order(grid, slices, hinges)
+    layout = _pack(args, grid, slices, plan)
+    manifest = _export(args, labels, tf, grid, slices, hinges, plan, layout, args.slot_width, args.seed)
+    s = manifest["summary"]
+    print(
+        f"{s['slice_count']} slices, {s['hinge_count']} hinges, k={s['clusters']}, "
+        f"scale={s['scale']:.3f}, pages={s['pages']}, balanced={s['balanced']}"
+    )
+    print(f"wrote {Path(args.out) / 'manifest.json'}")
+    return 0
+
+
+def cmd_slice(args) -> int:
+    grid, slices = _slice(args, _load_labels(args)[0])
+    pipeline.write_artifact(args.out, encode({"grid": grid, "slices": slices}))
+    print(f"{len(slices)} slices -> {args.out}")
+    return 0
+
+
+def cmd_hinge(args) -> int:
+    art = pipeline.read_artifact(args.inp)
+    hinges = _hinge(*_read_slices(art, args.inp))
+    pipeline.write_artifact(args.out, {"grid": art["grid"], "slices": art["slices"], "hinges": encode(hinges)})
+    print(f"{len(hinges)} hinges -> {args.out}")
+    return 0
+
+
 def cmd_order(args) -> int:
-    grid, slices, hinges = _read_hinges(args.inp)
-    with _stage("order"):
-        plan, _report = pipeline.stage_order(hinges, slices, grid)
+    plan = _order(*_read_hinges(args.inp))
     pipeline.write_artifact(args.out, encode(plan))
     print(f"plan ({'exact' if plan.exact else 'heuristic'}) -> {args.out}")
     return 0
 
 
-def _check_same_run(hinges_path, slices, hinges, plan_path, plan, layout_path=None, layout=None) -> None:
-    """The plan, and the layout if given, come from the run that wrote the
-    hinges artifact: they hold exactly its hinges and slices, and the layout
-    clusters exactly the slices it places."""
-    hint = "use the hinges, plan and layout artifacts of one run"
-    if layout is not None:
-        placed = sorted(p.slice_id for p in layout.placements)
-        if placed != sorted(s.id for s in slices):
-            raise ValidationError(f"layout {layout_path} does not place exactly the slices of {hinges_path}", hint=hint)
-        if sorted(layout.cluster_of) != placed:  # the manifest counts the clusters of this map
-            raise ValidationError(f"layout {layout_path} does not cluster exactly the slices it places", hint=hint)
-    if sorted(plan.hinge_order) != sorted(h.id for h in hinges):
-        raise ValidationError(f"plan {plan_path} does not order exactly the hinges of {hinges_path}", hint=hint)
-
-
 def cmd_pack(args) -> int:
     grid, slices, hinges = _read_hinges(args.inp)
-    plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan), args.plan)
-    _check_same_run(args.inp, slices, hinges, args.plan, plan)
-    with _stage("pack"):
-        layout = pipeline.stage_pack(
-            slices, plan, grid, args.page, args.sheets, args.slot_width,
-            args.margin, args.gutter, args.k_max, args.seed,
-        )
-    pipeline.write_artifact(
-        args.out, encode(layout) | {"slot_width_mm": args.slot_width, "seed": args.seed}
-    )
+    layout = _pack(args, grid, slices, _read_plan(args.plan, args.inp, slices, hinges))
+    pipeline.write_artifact(args.out, encode(layout) | {"slot_width_mm": args.slot_width, "seed": args.seed})
     print(f"scale {layout.scale:.3f} on {layout.sheets} page(s) -> {args.out}")
     return 0
 
 
 def cmd_export(args) -> int:
-    layout, slot_width, seed = pipeline.layout_from_json(pipeline.read_artifact(args.inp), args.inp)
+    # the other inputs are held to the hinges artifact, so it is read first
     grid, slices, hinges = _read_hinges(args.hinges)
-    plan = pipeline.plan_from_json(pipeline.read_artifact(args.plan), args.plan)
-    _check_same_run(args.hinges, slices, hinges, args.plan, plan, args.inp, layout)
-    labels, tf = _load_labels(args)
-    if labels.dims != grid.dims:
-        raise ValidationError(
-            f"volume dims {labels.dims} do not match the artifact grid {grid.dims}"
-        )
-    if labels.spacing != grid.spacing:
-        raise ValidationError(
-            f"volume spacing {labels.spacing} does not match the artifact grid {grid.spacing}"
-        )
-    with _stage("export"):
-        manifest = pipeline.stage_export(
-            args.out, labels, tf, slices, hinges, plan, layout, grid,
-            slot_width_mm=slot_width, seed=seed,
-            px_per_mm=args.dpi, perforate=args.perforate,
-        )
+    layout, slot_width, seed = _read_layout(args.inp, args.hinges, slices)
+    plan = _read_plan(args.plan, args.hinges, slices, hinges)
+    labels, tf = _load_labels(args, grid)
+    manifest = _export(args, labels, tf, grid, slices, hinges, plan, layout, slot_width, seed)
     print(f"wrote {len(manifest['pages'])} page(s) -> {args.out}")
     return 0
 

@@ -1,7 +1,9 @@
-"""End-to-end orchestration shared by `build` and the per-stage commands.
+"""The pipeline's stages, which `build` and the staged commands both run.
 
-Each stage is a pure function over JSON-serializable artifacts so that a
-full build equals the composition of single-stage runs on the same inputs.
+Each `stage_*` takes and returns the values that the stage artifacts hold,
+so a build equals its staged commands run on the same inputs. All but
+`stage_export` only compute; it writes the pages, instructions, stability
+report and manifest.
 """
 
 from __future__ import annotations
@@ -149,47 +151,16 @@ def stage_order(
     return plan, verify_plan(plan, problem)
 
 
-def stage_pack(
-    slices: list[Slice],
-    plan: AssemblyPlan,
-    grid: GridInfo,
-    page_size: tuple[float, float],
-    sheets: int,
-    slot_width_mm: float,
-    margin: float,
-    gutter: float,
-    k_max: int,
-    seed: int,
-) -> PageLayout:
+def stage_pack(slices: list[Slice], plan: AssemblyPlan, grid: GridInfo, page_size: tuple[float, float], sheets: int,
+               slot_width_mm: float, margin: float, gutter: float, k_max: int, seed: int) -> PageLayout:
     clusters = cluster_slices(slices, plan, grid.dims, grid.orientations, k_max=k_max, seed=seed)
-    return pack(
-        slices,
-        plan,
-        clusters,
-        grid.spacing,
-        orientations=grid.orientations,
-        page_size=page_size,
-        sheets=sheets,
-        slot_width_mm=slot_width_mm,
-        margin=margin,
-        gutter=gutter,
-    )
+    return pack(slices, plan, clusters, grid.spacing, orientations=grid.orientations, page_size=page_size,
+                sheets=sheets, slot_width_mm=slot_width_mm, margin=margin, gutter=gutter)
 
 
-def stage_export(
-    outdir: str | Path,
-    labels: LabelVolume,
-    tf: TransferFunction,
-    slices: list[Slice],
-    hinges: list[Hinge],
-    plan: AssemblyPlan,
-    layout: PageLayout,
-    grid: GridInfo,
-    slot_width_mm: float,
-    seed: int,
-    px_per_mm: float,
-    perforate: bool,
-) -> dict:
+def stage_export(outdir: str | Path, labels: LabelVolume, tf: TransferFunction, slices: list[Slice],
+                 hinges: list[Hinge], plan: AssemblyPlan, layout: PageLayout, grid: GridInfo,
+                 slot_width_mm: float, seed: int, px_per_mm: float, perforate: bool) -> dict:
     """Write pages, instructions, manifest, and the stability report."""
     pixels = sum(math.prod(raster_size(s, labels.spacing, layout.scale, px_per_mm, grid.orientations)) for s in slices)
     if pixels > MAX_RASTER_PIXELS:

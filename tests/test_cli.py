@@ -335,6 +335,79 @@ def test_pack_rejects_a_plan_of_another_run(two_runs, hinges, plan, capsys, tmp_
     assert not (tmp_path / "layout.json").exists()
 
 
+def test_export_rejects_a_volume_of_another_origin(two_runs, capsys, tmp_path):
+    header = tmp_path / "vol.json"
+    header.write_text(json.dumps({**json.loads(header.read_text()), "origin_mm": [100.0, -5.0, 7.0]}))
+    code, err = run(["export", *two_runs, "--in", "layout2.json", "--hinges", "hinges2.json",
+                     "--plan", "plan2.json", "--out", "out"], capsys)
+    assert code == 2
+    assert "volume origin (100.0, -5.0, 7.0) does not match the artifact grid (0.0, 0.0, 0.0)" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+# a plan whose slice order does not hold each slice of its run exactly once
+BROKEN_PLANS = {
+    "drops-a-slice": lambda order: order[:-1],
+    "repeats-a-slice-in-place-of-another": lambda order: order[:-1] + order[:1],
+    "repeats-a-slice-beside-all": lambda order: order + order[:1],
+    "adds-an-unknown-slice": lambda order: order + [99999],
+}
+
+
+@pytest.mark.parametrize("command", ["pack", "export"])
+@pytest.mark.parametrize("case", BROKEN_PLANS)
+def test_plan_that_does_not_order_each_slice_once_exits_2(case, command, two_runs, capsys, tmp_path):
+    plan = json.loads((tmp_path / "plan2.json").read_text())
+    (tmp_path / "broken.json").write_text(json.dumps({**plan, "slice_order": BROKEN_PLANS[case](plan["slice_order"])}))
+    code, err = run(_with_input(command, two_runs, "--plan", "broken.json"), capsys)
+    assert code == 2
+    assert "plan broken.json does not order each slice of hinges2.json exactly once" in err
+    assert "hint: use the hinges, plan and layout artifacts of one run" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
+
+
+# a layout that does not hold to itself or to the ranges of its options:
+# each case is an edit and the message it draws
+BROKEN_LAYOUTS = {
+    "placement-off-the-pages": (lambda art: art["placements"][0].update(page=99),
+                                "layout broken.json places a slice or a cluster off its 1 page(s)"),
+    "placement-on-a-negative-page": (lambda art: art["placements"][-1].update(page=-1),
+                                     "layout broken.json places a slice or a cluster off its 1 page(s)"),
+    "partition-off-the-pages": (lambda art: art["partitions"][0].update(page=1),
+                                "layout broken.json places a slice or a cluster off its 1 page(s)"),
+    "no-sheets": (lambda art: art.update(sheets=0), "layout broken.json: sheets must be an integer >= 1, got 0"),
+    "zero-page": (lambda art: art.update(page_size_mm=[0, 297]),
+                  "layout broken.json: page_size_mm must be two positive numbers, got (0.0, 297.0)"),
+    "zero-scale": (lambda art: art.update(scale=0), "layout broken.json: scale must be a positive number, got 0.0"),
+    "negative-scale": (lambda art: art.update(scale=-1),
+                       "layout broken.json: scale must be a positive number, got -1.0"),
+    "negative-margin": (lambda art: art.update(margin_mm=-1),
+                        "layout broken.json: margin_mm must be a finite number >= 0"),
+    "negative-gutter": (lambda art: art.update(gutter_mm=-1),
+                        "layout broken.json: gutter_mm must be a finite number >= 0"),
+    "zero-slot-width": (lambda art: art.update(slot_width_mm=0),
+                        "layout broken.json: slot_width_mm must be a positive number, got 0.0"),
+    "negative-slot-width": (lambda art: art.update(slot_width_mm=-1),
+                            "layout broken.json: slot_width_mm must be a positive number, got -1.0"),
+    "negative-seed": (lambda art: art.update(seed=-3), "layout broken.json: seed must be an integer >= 0, got -3"),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_LAYOUTS)
+def test_layout_that_breaks_its_own_rules_exits_2(case, two_runs, capsys, tmp_path):
+    edit, message = BROKEN_LAYOUTS[case]
+    art = json.loads((tmp_path / "layout2.json").read_text())
+    edit(art)
+    (tmp_path / "broken.json").write_text(json.dumps(art))
+    code, err = run(_with_input("export", two_runs, "--in", "broken.json"), capsys)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 # every numeric option of `build` and the two it parses from a string, by config key
 KEYS = ("resolution", "seed", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter",
         "page", "orientations")

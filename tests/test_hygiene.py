@@ -182,6 +182,39 @@ def test_checker_flags_json_writes():
     assert json_writes(source) == [4, 5, 6, 8]
 
 
+def stage_calls(sources: dict[str, str]) -> dict[str, list[str]]:
+    """`file:line` of every call of a function named `stage_*`, by that
+    name, whether called as an attribute (`pipeline.stage_pack(...)`) or as
+    a bare name (after `from .pipeline import stage_pack`)."""
+    calls = {}
+    for f, src in sources.items():
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Call):
+                name = n.func.attr if isinstance(n.func, ast.Attribute) else getattr(n.func, "id", "")
+                if name.startswith("stage_"):
+                    calls.setdefault(name, []).append(f"{f}:{n.lineno}")
+    return calls
+
+
+def test_each_stage_is_called_from_one_place():
+    # `build` and the staged commands share one call of each stage, so a
+    # stage's argument list is written once
+    stages = [n.name for n in ast.parse((PACKAGE / "pipeline.py").read_text()).body
+              if isinstance(n, ast.FunctionDef) and n.name.startswith("stage_")]
+    assert len(stages) == 5
+    calls = stage_calls({p.name: p.read_text() for p in MODULES})
+    assert {stage: len(calls.get(stage, [])) for stage in stages} == dict.fromkeys(stages, 1), calls
+
+
+def test_checker_flags_stage_calls():
+    sources = {
+        "a.py": "from . import pipeline\npipeline.stage_pack(s)\nx.stage_pack(s); stage_export(s)\n",
+        "b.py": "from .pipeline import stage_export\nstage_export(s); staged(s); stage_pack\n",
+    }
+    # a mention that is not a call does not count
+    assert stage_calls(sources) == {"stage_pack": ["a.py:2", "a.py:3"], "stage_export": ["a.py:3", "b.py:2"]}
+
+
 def _mentions(tree: ast.Module) -> list[tuple[str, int, bool]]:
     """(name, line, bare) of every name, attribute and string in a module;
     `bare` marks a plain name, which cannot reach a method. A string in

@@ -93,6 +93,35 @@ def test_build_equals_staged_commands(meshes, built, tmp_path):
     assert files_under(staged) == expected
 
 
+# a value other than its default for each option that `slice`, `pack` or
+# `export` reads besides the paths, by the command that takes it
+SLICE_OPTIONS = ["--orientations", "z,x"]
+PACK_OPTIONS = ["--page", "A3", "--sheets", "2", "--slot-width", "1.5", "--margin", "7", "--gutter", "2.5",
+                "--k-max", "2", "--seed", "5"]
+EXPORT_OPTIONS = ["--dpi", "5", "--perforate"]
+
+
+def test_build_equals_staged_commands_at_other_options(meshes, tmp_path):
+    # slot width and seed reach export only through the layout artifact
+    build(meshes, tmp_path / "build", *SLICE_OPTIONS, *PACK_OPTIONS, *EXPORT_OPTIONS)
+    a = {name: str(tmp_path / f"{name}.json") for name in ("slices", "hinges", "plan", "layout")}
+    run(["slice", "--meshes", *meshes, *GRID, "--level", "3", *SLICE_OPTIONS, "--out", a["slices"]])
+    run(["hinge", "--in", a["slices"], "--out", a["hinges"]])
+    run(["order", "--in", a["hinges"], "--out", a["plan"]])
+    run(["pack", "--in", a["hinges"], "--plan", a["plan"], *PACK_OPTIONS, "--out", a["layout"]])
+    run(["export", "--in", a["layout"], "--hinges", a["hinges"], "--plan", a["plan"],
+         "--meshes", *meshes, *GRID, *EXPORT_OPTIONS, "--out", str(tmp_path / "print")])
+    expected = files_under(tmp_path / "build")
+    manifest = json.loads(expected["manifest.json"])
+    assert manifest["seed"] == 5
+    assert (manifest["summary"]["clusters"], manifest["summary"]["pages"]) == (2, 2)
+    assert manifest["options"] == {
+        "orientations": ["z", "x"], "page_size_mm": [297.0, 420.0], "sheets": 2, "margin_mm": 7.0,
+        "gutter_mm": 2.5, "slot_width_mm": 1.5, "px_per_mm": 5.0, "perforate": True,
+    }
+    assert files_under(tmp_path / "print") == expected
+
+
 def test_every_json_file_is_written_by_json_text(meshes, built, tmp_path):
     # the goldens pin only the manifest and the stability report; this also
     # holds the four stage artifacts to the one compact layout
