@@ -6,8 +6,8 @@ inspected or golden-tested, and together write what `build` writes. `slice`
 reads the volume or meshes and writes the slices artifact (grid and slices);
 `hinge` reads it and writes the hinges artifact (grid, slices and hinges);
 `order` reads that and writes the plan artifact; `pack` reads the hinges and
-plan artifacts and writes the layout artifact, with its slot width and
-seed; `export` reads the layout, hinges and plan artifacts and the volume or
+plan artifacts and writes the layout artifact, with its slot width;
+`export` reads the layout, hinges and plan artifacts and the volume or
 meshes, and writes the print. One reader per artifact kind decodes it and
 checks it: against itself, against the hinges artifact of its run, and, for
 the volume, against the artifact grid. Each JSON file is written on one
@@ -42,6 +42,9 @@ from .volume import quantize
 
 # the densest raster, in pixels per mm (2540 dpi); more only makes rasters too big to allocate
 MAX_PX_PER_MM = 100.0
+# how far, in mm, a placement of a layout artifact may overhang its page's
+# usable area: the slack of perfbench's layout check
+_SLACK_MM = 1e-6
 
 
 def _finite(value) -> bool:
@@ -101,7 +104,8 @@ class _Option(NamedTuple):
 
 # Every option once, by the name it sets, on only the commands that read it.
 # Slot width and raster density scale the print; only positive values make one.
-# Margins and gutters measure paper; the seed picks the first k-means centre.
+# Margins and gutters measure paper. k-means starts from one fixed centre, so
+# no option picks it: the clustering follows from the slices alone.
 _OPTIONS = {
     "inp": _Option("--in", {"hinge": "slices artifact", "order": "hinges artifact", "pack": "hinges artifact",
                             "export": "layout artifact"}, dict(required=True)),
@@ -123,9 +127,6 @@ _OPTIONS = {
     "k_max": _Option("--k-max", _PACK, dict(type=int, default=6)),
     "margin": _Option("--margin", _PACK, dict(type=float, default=DEFAULT_MARGIN_MM), _PAPER),
     "gutter": _Option("--gutter", _PACK, dict(type=float, default=DEFAULT_GUTTER_MM), _PAPER),
-    "seed": _Option("--seed", _PACK, dict(type=int, default=0, help="picks the first k-means centre when packing; "
-                                          "the same seed gives the same layout"),
-                    (lambda value: value >= 0, "an integer >= 0")),
     "dpi": _Option("--dpi", _EXPORT,
                    dict(type=float, default=DEFAULT_PX_PER_MM, help=f"raster density in pixels per mm, <= {MAX_PX_PER_MM:g}"),
                    (lambda value: _positive(value) and value <= MAX_PX_PER_MM,
@@ -259,11 +260,12 @@ def _read_plan(path: str, hinges_path: str, slices, hinges):
 
 
 def _read_layout(path: str, hinges_path: str, slices):
-    """The layout, slot width and seed of the layout artifact at `path`, of
-    the run that wrote the hinges artifact at `hinges_path`: it places and
-    clusters exactly that run's slices, each on one of its pages, and holds
-    only values that `pack` can write."""
-    layout, slot_width, seed = pipeline.layout_from_json(pipeline.read_artifact(path), path)
+    """The layout and slot width of the layout artifact at `path`, of the
+    run that wrote the hinges artifact at `hinges_path`: it places and
+    clusters exactly that run's slices, each inside the usable area of one
+    of its pages, has a partition only for a cluster that holds a slice, and
+    holds only values that `pack` can write."""
+    layout, slot_width = pipeline.layout_from_json(pipeline.read_artifact(path), path)
     for name, value, (in_range, what) in (
         ("sheets", layout.sheets, (lambda n: n >= 1, "an integer >= 1")),
         ("page_size_mm", layout.page_size, (lambda size: all(_positive(v) for v in size), "two positive numbers")),
@@ -271,18 +273,26 @@ def _read_layout(path: str, hinges_path: str, slices):
         ("margin_mm", layout.margin, _PAPER),
         ("gutter_mm", layout.gutter, _PAPER),
         ("slot_width_mm", slot_width, _OPTIONS["slot_width"].range),
-        ("seed", seed, _OPTIONS["seed"].range),
     ):
         if not in_range(value):
             raise ValidationError(f"layout {path}: {name} must be {what}, got {value!r}")
     if not all(0 <= p.page < layout.sheets for p in (*layout.placements, *layout.partitions)):
         raise ValidationError(f"layout {path} places a slice or a cluster off its {layout.sheets} page(s)")
+    (page_w, page_h), m = layout.page_size, layout.margin
+    for p in layout.placements:
+        if not (_positive(p.w) and _positive(p.h) and m - _SLACK_MM <= p.x and p.x + p.w <= page_w - m + _SLACK_MM
+                and m - _SLACK_MM <= p.y and p.y + p.h <= page_h - m + _SLACK_MM):
+            raise ValidationError(f"layout {path}: slice {p.slice_id} at ({p.x!r}, {p.y!r}) of size "
+                                  f"{p.w!r} x {p.h!r} mm leaves the usable area of its page")
     placed = sorted(p.slice_id for p in layout.placements)
     if placed != sorted(s.id for s in slices):
         raise ValidationError(f"layout {path} does not place exactly the slices of {hinges_path}", hint=_SAME_RUN)
     if sorted(layout.cluster_of) != placed:  # the manifest counts the clusters of this map
         raise ValidationError(f"layout {path} does not cluster exactly the slices it places", hint=_SAME_RUN)
-    return layout, slot_width, seed
+    empty = sorted({p.cluster for p in layout.partitions} - set(layout.cluster_of.values()))
+    if empty:
+        raise ValidationError(f"layout {path} has partitions for clusters {empty}, which hold no slice")
+    return layout, slot_width
 
 
 # Each stage runs in one function, which `build` and the staged command share.
@@ -306,15 +316,15 @@ def _order(grid, slices, hinges):
 def _pack(args, grid, slices, plan):
     return pipeline.stage_pack(
         slices, plan, grid, args.page, args.sheets, args.slot_width,
-        args.margin, args.gutter, args.k_max, args.seed,
+        args.margin, args.gutter, args.k_max,
     )
 
 
 @_stage("export")
-def _export(args, labels, tf, grid, slices, hinges, plan, layout, slot_width, seed):
+def _export(args, labels, tf, grid, slices, hinges, plan, layout, slot_width):
     return pipeline.stage_export(
         args.out, labels, tf, slices, hinges, plan, layout, grid,
-        slot_width_mm=slot_width, seed=seed, px_per_mm=args.dpi, perforate=args.perforate,
+        slot_width_mm=slot_width, px_per_mm=args.dpi, perforate=args.perforate,
     )
 
 
@@ -324,7 +334,7 @@ def cmd_build(args) -> int:
     hinges = _hinge(grid, slices)
     plan = _order(grid, slices, hinges)
     layout = _pack(args, grid, slices, plan)
-    manifest = _export(args, labels, tf, grid, slices, hinges, plan, layout, args.slot_width, args.seed)
+    manifest = _export(args, labels, tf, grid, slices, hinges, plan, layout, args.slot_width)
     s = manifest["summary"]
     print(
         f"{s['slice_count']} slices, {s['hinge_count']} hinges, k={s['clusters']}, "
@@ -359,7 +369,7 @@ def cmd_order(args) -> int:
 def cmd_pack(args) -> int:
     grid, slices, hinges = _read_hinges(args.inp)
     layout = _pack(args, grid, slices, _read_plan(args.plan, args.inp, slices, hinges))
-    pipeline.write_artifact(args.out, encode(layout) | {"slot_width_mm": args.slot_width, "seed": args.seed})
+    pipeline.write_artifact(args.out, encode(layout) | {"slot_width_mm": args.slot_width})
     print(f"scale {layout.scale:.3f} on {layout.sheets} page(s) -> {args.out}")
     return 0
 
@@ -367,10 +377,10 @@ def cmd_pack(args) -> int:
 def cmd_export(args) -> int:
     # the other inputs are held to the hinges artifact, so it is read first
     grid, slices, hinges = _read_hinges(args.hinges)
-    layout, slot_width, seed = _read_layout(args.inp, args.hinges, slices)
+    layout, slot_width = _read_layout(args.inp, args.hinges, slices)
     plan = _read_plan(args.plan, args.hinges, slices, hinges)
     labels, tf = _load_labels(args, grid)
-    manifest = _export(args, labels, tf, grid, slices, hinges, plan, layout, slot_width, seed)
+    manifest = _export(args, labels, tf, grid, slices, hinges, plan, layout, slot_width)
     print(f"wrote {len(manifest['pages'])} page(s) -> {args.out}")
     return 0
 

@@ -135,78 +135,36 @@ def _lloyd(points: np.ndarray, k: int, first_idx: int) -> tuple[np.ndarray, np.n
     return centroids, assignment, wcss
 
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+def _first_centre(n: int) -> int:
+    return n * 0xD9C2825F >> 32
 
 
-def _hashmixer(h: int, mult: int):
-    """numpy SeedSequence's 32-bit hashmix, with its running constant `h`."""
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * mult & _M32
-        value = value * h & _M32
-        return value ^ value >> 16
-    return hashmix
-
-
-def _first_centre(seed: int, n: int) -> int:
-    """`int(np.random.default_rng(seed).integers(n))` for 1 <= n <= 2**32,
-    computed in Python, since importing numpy.random costs ~12 ms. numpy's
-    SeedSequence mixes the seed's 32-bit words into a pool of four and
-    draws four uint64 words from it; PCG64 (O'Neill 2014) takes state
-    w0:w1 and increment w2:w3, and its XSL-RR outputs, low 32 bits first,
-    feed Lemire's (2019) bounded rejection method."""
-    if seed < 0:
-        raise ValueError("expected non-negative integer")
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    hash_a, hash_b = _hashmixer(0x43B0D7E5, 0x931E8875), _hashmixer(0x8B51F9DD, 0x58F38DED)
-
-    def mix(x: int, y: int) -> int:
-        r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return r ^ r >> 16
-
-    pool = [hash_a(words[i] if i < len(words) else 0) for i in range(4)]
-    for src, dst in ((s, d) for s in range(4) for d in range(4) if s != d):
-        pool[dst] = mix(pool[dst], hash_a(pool[src]))
-    for word in words[4:]:
-        pool = [mix(p, hash_a(word)) for p in pool]
-    state = [hash_b(pool[i % 4]) for i in range(8)]
-    w = [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
-    inc = (w[2] << 65 | w[3] << 1 | 1) & _M128
-    s = ((inc + (w[0] << 64 | w[1])) * _PCG64_MULT + inc) & _M128
-    while True:
-        s = (s * _PCG64_MULT + inc) & _M128
-        x, r = (s >> 64 ^ s) & _M64, s >> 122
-        x = (x >> r | x << (64 - r)) & _M64
-        for m in (x & _M32) * n, (x >> 32) * n:
-            if m & _M32 >= (1 << 32) % n:
-                return m >> 32
-
-
-def kmeans_elbow(points: np.ndarray, k_max: int, seed: int = 0) -> tuple[int, np.ndarray, np.ndarray, tuple[float, ...]]:
+def kmeans_elbow(points: np.ndarray, k_max: int) -> tuple[int, np.ndarray, np.ndarray, tuple[float, ...]]:
     """Pick k by the elbow rule: smallest k whose WCSS improvement to k+1,
-    relative to the total (k=1) WCSS, falls below the threshold. The first
-    farthest-point centre is the index that
-    `np.random.default_rng(seed).integers(len(points))` draws."""
+    relative to the total (k=1) WCSS, falls below the threshold; the WCSS
+    curve ends at the k after it. Every k grows farthest-point centres
+    (Gonzalez 1985) from `_first_centre(n)`, `n * 0xD9C2825F >> 32` of n
+    points: 0xD9C2825F is the first 32-bit word of `np.random.default_rng(0)`,
+    and Lemire's (2019) bounded draw `integers(n)` maps it to that index for
+    every n below 104 930. So no build imports numpy.random (~12 ms)."""
     if k_max < 1:
         raise ValidationError(f"k_max must be >= 1, got {k_max}")
     n = len(points)
     if n == 0:
         raise ValidationError("no points to cluster")
-    first_idx = _first_centre(seed, n)
+    first_idx = _first_centre(n)
     upper = min(k_max, n)
-    runs = [_lloyd(points, k, first_idx) for k in range(1, upper + 1)]
-    curve = tuple(r[2] for r in runs)
-    total = curve[0]
+    runs = [_lloyd(points, 1, first_idx)]
+    total = runs[0][2]
     best_k = upper
     for k in range(1, upper):
-        improvement = (curve[k - 1] - curve[k]) / total if total > 0 else 0.0
+        runs.append(_lloyd(points, k + 1, first_idx))
+        improvement = (runs[k - 1][2] - runs[k][2]) / total if total > 0 else 0.0
         if improvement < ELBOW_IMPROVEMENT:
             best_k = k
             break
     centroids, assignment, _ = runs[best_k - 1]
-    return best_k, centroids, assignment, curve
+    return best_k, centroids, assignment, tuple(r[2] for r in runs)
 
 
 def cluster_slices(
@@ -215,11 +173,10 @@ def cluster_slices(
     dims: tuple[int, int, int],
     orientations: tuple[str, str] = ("x", "y"),
     k_max: int = 6,
-    seed: int = 0,
 ) -> ClusterModel:
     vectors = build_vectors(slices, plan, dims, orientations)
     _basis, projected = pca_2d(vectors)
-    k, centroids, assignment, _curve = kmeans_elbow(projected, k_max, seed)
+    k, centroids, assignment, _curve = kmeans_elbow(projected, k_max)
     return ClusterModel(k=k, centroids=centroids, assignment=assignment)
 
 

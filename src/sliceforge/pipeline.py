@@ -152,15 +152,15 @@ def stage_order(
 
 
 def stage_pack(slices: list[Slice], plan: AssemblyPlan, grid: GridInfo, page_size: tuple[float, float], sheets: int,
-               slot_width_mm: float, margin: float, gutter: float, k_max: int, seed: int) -> PageLayout:
-    clusters = cluster_slices(slices, plan, grid.dims, grid.orientations, k_max=k_max, seed=seed)
+               slot_width_mm: float, margin: float, gutter: float, k_max: int) -> PageLayout:
+    clusters = cluster_slices(slices, plan, grid.dims, grid.orientations, k_max=k_max)
     return pack(slices, plan, clusters, grid.spacing, orientations=grid.orientations, page_size=page_size,
                 sheets=sheets, slot_width_mm=slot_width_mm, margin=margin, gutter=gutter)
 
 
 def stage_export(outdir: str | Path, labels: LabelVolume, tf: TransferFunction, slices: list[Slice],
                  hinges: list[Hinge], plan: AssemblyPlan, layout: PageLayout, grid: GridInfo,
-                 slot_width_mm: float, seed: int, px_per_mm: float, perforate: bool) -> dict:
+                 slot_width_mm: float, px_per_mm: float, perforate: bool) -> dict:
     """Write pages, instructions, manifest, and the stability report."""
     pixels = sum(math.prod(raster_size(s, labels.spacing, layout.scale, px_per_mm, grid.orientations)) for s in slices)
     if pixels > MAX_RASTER_PIXELS:
@@ -213,7 +213,6 @@ def stage_export(outdir: str | Path, labels: LabelVolume, tf: TransferFunction, 
 
     manifest = encode({
         "version": __version__,
-        "seed": seed,
         "options": {
             "orientations": grid.orientations,
             "page_size_mm": layout.page_size,
@@ -250,10 +249,10 @@ def plan_from_json(obj: dict, path: str) -> AssemblyPlan:
     return decode(AssemblyPlan, obj, f"plan artifact {path}")
 
 
-def layout_from_json(obj: dict, path: str) -> tuple[PageLayout, float, int]:
-    """Returns (layout, slot_width_mm, seed) from the pack artifact read from `path`."""
-    record = (obj, obj.get("slot_width_mm"), obj.get("seed"))
-    return decode(tuple[PageLayout, float, int], record, f"layout artifact {path}")
+def layout_from_json(obj: dict, path: str) -> tuple[PageLayout, float]:
+    """Returns (layout, slot_width_mm) from the pack artifact read from `path`."""
+    record = (obj, obj.get("slot_width_mm"))
+    return decode(tuple[PageLayout, float], record, f"layout artifact {path}")
 
 
 def _write(path: Path, text: str, what: str) -> None:

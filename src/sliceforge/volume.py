@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import decode, encode, json_text, read_array, read_json
+from .codec import decode, read_array, read_json
 from .errors import IngestError, ValidationError
 
 _DTYPES = {"u8": np.uint8, "u16": np.uint16, "f32": np.float32}
@@ -153,13 +153,6 @@ def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
     # rejects non-finite float32 values, reporting the same F-order index
     scalars = raw.astype(dtype.newbyteorder("="), copy=False).reshape(dims, order="F")
     return ScalarVolume(dims=dims, spacing=head.spacing, origin=head.origin, scalars=scalars)
-
-
-def save_volume(volume: ScalarVolume, path: str | Path, header: str | Path, dtype: str = "f32") -> None:
-    """Write the raw array + sidecar header (test fixtures and presets)."""
-    np_dtype = np.dtype(_DTYPES[dtype]).newbyteorder("<")
-    Path(path).write_bytes(volume.scalars.astype(np_dtype).tobytes(order="F"))
-    Path(header).write_text(json_text(encode(_VolumeHeader(volume.dims, volume.spacing, dtype, volume.origin))))
 
 
 def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:

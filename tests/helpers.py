@@ -20,14 +20,22 @@ from pathlib import Path
 
 import numpy as np
 
-from sliceforge.codec import encode
+from sliceforge.codec import encode, json_text
 from sliceforge.errors import ValidationError
 from sliceforge.export import CutGeometry, SlotCut
 from sliceforge.hinges import Hinge, SlotKind
 from sliceforge.layout import Rect, slice_print_size
 from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _BITS, _PAD_FRACTION, _parity_words, golden_palette
 from sliceforge.octree import Bounds, Slice, iter_nodes, slice_axes
-from sliceforge.volume import LabelVolume, ScalarVolume, TransferBin, TransferFunction, save_volume
+from sliceforge.volume import _DTYPES, LabelVolume, ScalarVolume, TransferBin, TransferFunction, _VolumeHeader
+
+
+def save_volume(volume: ScalarVolume, path: str | Path, header: str | Path, dtype: str = "f32") -> None:
+    """Write the raw array (little-endian, Fortran order) and its sidecar
+    header, as `load_volume` reads them."""
+    np_dtype = np.dtype(_DTYPES[dtype]).newbyteorder("<")
+    Path(path).write_bytes(volume.scalars.astype(np_dtype).tobytes(order="F"))
+    Path(header).write_text(json_text(encode(_VolumeHeader(volume.dims, volume.spacing, dtype, volume.origin))))
 
 
 def write_volume_files(tmp: Path, volume: ScalarVolume, tf: TransferFunction, stem: str = "vol", dtype: str = "f32"):

@@ -215,12 +215,15 @@ def test_malformed_volume_header_exits_2(volume_build, key, value, message, caps
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-# --margin and --gutter measure paper, --seed starts a random generator
+# --margin and --gutter measure paper; --seed is no option, so any value of
+# it exits 2 as unknown, as a flag and as a config key
 RANGE_CASES = [
     ("build", "margin"), ("build", "gutter"), ("build", "seed"),
     ("pack", "margin"), ("pack", "gutter"), ("pack", "seed"),
 ]
-RANGE_MESSAGES = {"margin": "a finite number >= 0", "gutter": "a finite number >= 0", "seed": "an integer >= 0"}
+FLAG_MESSAGES = {"margin": "--margin must be a finite number >= 0", "gutter": "--gutter must be a finite number >= 0",
+                 "seed": "unrecognized arguments: --seed"}
+CONFIG_MESSAGES = {**FLAG_MESSAGES, "seed": "unknown config key 'seed'"}
 
 
 @pytest.mark.parametrize("command,key", RANGE_CASES)
@@ -230,8 +233,7 @@ def test_out_of_range_flag_rejected(command, key, value, capsys, tmp_path, monke
     code, err = run(COMMANDS[command] + [f"--{key}", value], capsys)
     assert code == 2
     assert "Traceback" not in err
-    if not (key == "seed" and value in ("nan", "inf")):  # argparse itself refuses a non-integer seed
-        assert f"--{key} must be {RANGE_MESSAGES[key]}" in err
+    assert FLAG_MESSAGES[key] in err
 
 
 @pytest.mark.parametrize("command,key", RANGE_CASES)
@@ -241,12 +243,25 @@ def test_out_of_range_config_value_rejected(command, key, value, capsys, tmp_pat
     (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
     code, err = run(COMMANDS[command] + ["--config", "cfg.json"], capsys)
     assert code == 2
-    assert f"--{key} must be {RANGE_MESSAGES[key]}" in err
+    assert CONFIG_MESSAGES[key] in err
 
 
-def test_zero_margin_gutter_and_seed_pass_validation(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["build", "pack"])
+def test_seed_is_no_option(command, capsys, tmp_path, monkeypatch):
+    # k-means starts from one fixed centre: the seed that picked it is gone
     monkeypatch.chdir(tmp_path)
-    code, err = run(COMMANDS["build"] + ["--margin", "0", "--gutter", "0", "--seed", "0"], capsys)
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": 0}))
+    for extra, message in ((["--seed", "0"], "unrecognized arguments: --seed 0"),
+                           (["--config", "cfg.json"], f"unknown config key 'seed' for command '{command}'")):
+        code, err = run(COMMANDS[command] + extra, capsys)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
+
+def test_zero_margin_and_gutter_pass_validation(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, err = run(COMMANDS["build"] + ["--margin", "0", "--gutter", "0"], capsys)
     assert code == 4
     assert "must be" not in err
 
@@ -391,7 +406,12 @@ BROKEN_LAYOUTS = {
                         "layout broken.json: slot_width_mm must be a positive number, got 0.0"),
     "negative-slot-width": (lambda art: art.update(slot_width_mm=-1),
                             "layout broken.json: slot_width_mm must be a positive number, got -1.0"),
-    "negative-seed": (lambda art: art.update(seed=-3), "layout broken.json: seed must be an integer >= 0, got -3"),
+    "negative-width": (lambda art: art["placements"][0].update(w=-5),
+                       "leaves the usable area of its page"),
+    "placement-far-off-the-page": (lambda art: art["placements"][0].update(x=1e300),
+                                   "leaves the usable area of its page"),
+    "partition-of-no-slice": (lambda art: art["partitions"][0].update(cluster=9),
+                              "layout broken.json has partitions for clusters [9], which hold no slice"),
 }
 
 
@@ -409,7 +429,7 @@ def test_layout_that_breaks_its_own_rules_exits_2(case, two_runs, capsys, tmp_pa
 
 
 # every numeric option of `build` and the two it parses from a string, by config key
-KEYS = ("resolution", "seed", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter",
+KEYS = ("resolution", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter",
         "page", "orientations")
 POOL = (-1, 0, math.nan, math.inf, 1e308, "x", "nanxnan", "x,x")
 
@@ -537,7 +557,7 @@ def test_options_shared_by_commands_agree():
             spec = (tuple(action.option_strings), action.default, action.type, action.help, action.nargs, action.required)
             seen.setdefault(action.dest, {})[command] = spec
     shared = {dest: specs for dest, specs in seen.items() if len(specs) > 1}
-    assert {"page", "slot_width", "dpi", "level", "orientations", "seed", "config"} <= shared.keys()
+    assert {"page", "slot_width", "dpi", "level", "orientations", "config"} <= shared.keys()
     for dest, specs in shared.items():
         assert len(set(specs.values())) == 1, (dest, specs)
 
@@ -579,7 +599,7 @@ def test_help_exits_0(command, capsys):
 def test_config_integer_of_too_many_digits_rejected(capsys, tmp_path, monkeypatch):
     # json.loads raises ValueError, not JSONDecodeError, past int()'s digit limit
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "cfg.json").write_text('{"seed": ' + "1" * 5000 + "}")
+    (tmp_path / "cfg.json").write_text('{"sheets": ' + "1" * 5000 + "}")
     code, err = run(COMMANDS["build"] + ["--config", "cfg.json"], capsys)
     assert code == 2
     assert "config file cfg.json is not valid JSON" in err

@@ -344,7 +344,7 @@ def numpy_random_uses(source: str) -> list[int]:
 
 @pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
 def test_no_module_uses_numpy_random(path):
-    # layout._first_centre computes the one draw the pipeline makes
+    # layout._first_centre gives numpy's first draw from one constant word
     assert numpy_random_uses(path.read_text()) == []
 
 

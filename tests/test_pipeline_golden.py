@@ -97,12 +97,12 @@ def test_build_equals_staged_commands(meshes, built, tmp_path):
 # `export` reads besides the paths, by the command that takes it
 SLICE_OPTIONS = ["--orientations", "z,x"]
 PACK_OPTIONS = ["--page", "A3", "--sheets", "2", "--slot-width", "1.5", "--margin", "7", "--gutter", "2.5",
-                "--k-max", "2", "--seed", "5"]
+                "--k-max", "2"]
 EXPORT_OPTIONS = ["--dpi", "5", "--perforate"]
 
 
 def test_build_equals_staged_commands_at_other_options(meshes, tmp_path):
-    # slot width and seed reach export only through the layout artifact
+    # the slot width reaches export only through the layout artifact
     build(meshes, tmp_path / "build", *SLICE_OPTIONS, *PACK_OPTIONS, *EXPORT_OPTIONS)
     a = {name: str(tmp_path / f"{name}.json") for name in ("slices", "hinges", "plan", "layout")}
     run(["slice", "--meshes", *meshes, *GRID, "--level", "3", *SLICE_OPTIONS, "--out", a["slices"]])
@@ -113,7 +113,6 @@ def test_build_equals_staged_commands_at_other_options(meshes, tmp_path):
          "--meshes", *meshes, *GRID, *EXPORT_OPTIONS, "--out", str(tmp_path / "print")])
     expected = files_under(tmp_path / "build")
     manifest = json.loads(expected["manifest.json"])
-    assert manifest["seed"] == 5
     assert (manifest["summary"]["clusters"], manifest["summary"]["pages"]) == (2, 2)
     assert manifest["options"] == {
         "orientations": ["z", "x"], "page_size_mm": [297.0, 420.0], "sheets": 2, "margin_mm": 7.0,

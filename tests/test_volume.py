@@ -16,7 +16,6 @@ from sliceforge.volume import (
     TransferFunction,
     load_volume,
     quantize,
-    save_volume,
 )
 
 from helpers import write_volume_files
