@@ -216,11 +216,25 @@ def _check_unique_ids(what: str, path: str, ids) -> None:
 
 def _read_slices(art: dict, path: str):
     """The grid and slices of the artifact `art` read from `path`; no two
-    slices share an id."""
+    slices share an id, and no two coplanar slices meet (overlap or share
+    an edge of positive length), as `octree.unify_slices` leaves them."""
     grid = GridInfo.from_json(art.get("grid"), path)
     slices = slices_from_json(art.get("slices"), path)
     _check_unique_ids("slices", path, (s.id for s in slices))
     grid.check_inside(path, slices)
+    # sorted by plane and u0, a slice can only meet the ones after it on its
+    # plane up to the first that starts beyond its u1
+    ordered = sorted(slices, key=lambda s: (s.orientation, s.plane_coord, s.extent[0]))
+    for i, a in enumerate(ordered):
+        _, av0, au1, av1 = a.extent
+        for b in ordered[i + 1:]:
+            bu0, bv0, bu1, bv1 = b.extent
+            if (b.orientation, b.plane_coord) != (a.orientation, a.plane_coord) or bu0 > au1:
+                break
+            du, dv = min(au1, bu1) - bu0, min(av1, bv1) - max(av0, bv0)
+            if min(du, dv) >= 0 < max(du, dv):  # the predicate unify_slices merges on
+                raise ValidationError(f"slices {path}: slices {a.id} and {b.id} on {a.orientation} plane "
+                                      f"{a.plane_coord} overlap or share an edge, which unified slices never do")
     return grid, slices
 
 

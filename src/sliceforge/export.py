@@ -260,14 +260,21 @@ class _Frame:
 
 
 def _path(points: list[tuple[float, float]], dash: bool) -> str:
-    d = "M " + " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points) + " Z"
+    return _closed_path([f"{_fmt(x)} {_fmt(y)}" for x, y in points], dash)
+
+
+def _closed_path(corners: list[str], dash: bool) -> str:
     dash_attr = ' stroke-dasharray="2 1.5"' if dash else ""
-    return f'<path d="{d}" fill="none" stroke="#000000" stroke-width="0.2"{dash_attr}/>'
+    return f'<path d="M {" L ".join(corners)} Z" fill="none" stroke="#000000" stroke-width="0.2"{dash_attr}/>'
 
 
 def _rect_path(frame: _Frame, x0, y0, x1, y1, dash: bool) -> str:
-    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-    return _path([frame.to_page(a, b) for a, b in corners], dash)
+    """`_path` of the corners (x0, y0), (x1, y0), (x1, y1), (x0, y1). Each page
+    coordinate follows one local one, so two opposite corners give all four."""
+    (ax, ay), (bx, by) = ((_fmt(x), _fmt(y)) for x, y in (frame.to_page(x0, y0), frame.to_page(x1, y1)))
+    # turned, local x runs along page y: (x1, y0) lands on (ax, by)
+    beside = (f"{ax} {by}", f"{bx} {ay}") if frame.placement.rotated else (f"{bx} {ay}", f"{ax} {by}")
+    return _closed_path([f"{ax} {ay}", beside[0], f"{bx} {by}", beside[1]], dash)
 
 
 def _text(x: float, y: float, size: float, content: str, anchor: str = "start") -> str:

@@ -1,6 +1,8 @@
-"""Pairwise slice intersections (hinges), slot classification, the hinges
-of each slice in position order, and the precedence structure the
-assembly-order optimizer consumes.
+"""Slice intersections (hinges), found through an index of the second
+plane family by plane, slot classification, the hinges of each slice in
+position order, and the precedence structure the assembly-order optimizer
+consumes. The module uses no numpy: the stage works on small lists of
+records.
 
 Every hinge is the vertical segment where two perpendicular slices cross.
 Up-down hinges split the segment into a top slot on the first plane family
@@ -11,6 +13,7 @@ contact line sits on the shorter slice's boundary.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -81,52 +84,37 @@ class PrecedenceTriple:
     host_slice: int
 
 
-def _classify(za: tuple[int, int], zb: tuple[int, int]) -> tuple[HingeKind, bool]:
-    """Returns (kind, window_on_a). Intervals are the slices' v extents."""
-    if za == zb:
-        return HingeKind.UP_DOWN, False
-    # containment (possibly sharing one end) or, defensively, any partial
-    # overlap: the taller slice carries the window
-    len_a, len_b = za[1] - za[0], zb[1] - zb[0]
-    if len_a == len_b:
-        return HingeKind.CUT_THROUGH, True  # staggered equal heights: pick a
-    return HingeKind.CUT_THROUGH, len_a > len_b
-
-
 def compute_hinges(slices: list[Slice], orientations: tuple[str, str] = ("x", "y")) -> list[Hinge]:
-    """One hinge per perpendicular slice pair whose rectangles cross."""
-    family_a = [s for s in slices if s.orientation == orientations[0]]
-    family_b = [s for s in slices if s.orientation == orientations[1]]
+    """One hinge per perpendicular slice pair whose rectangles cross.
+
+    A crossing sits at (a's plane, b's plane), and u on each slice is the
+    other's plane, so a slice a of the first family can only cross the run of
+    the second, sorted by plane, whose planes lie in a's u-range. Hinge ids
+    follow (u_b, u_a, v0, v1), then the positions of a and of b in `slices`."""
+    family_a = [(s.plane_coord, *s.extent, s.id) for s in slices if s.orientation == orientations[0]]
+    family_b = sorted((s.plane_coord, *s.extent, s.id, pos)
+                      for pos, s in enumerate(s for s in slices if s.orientation == orientations[1]))
+    planes_b = [b[0] for b in family_b]
+    up_down = (HingeKind.UP_DOWN, SlotKind.TOP, SlotKind.BOTTOM, None)
     found = []
-    for a in family_a:
-        for b in family_b:
-            # the crossing line sits at (a.plane, b.plane); u on a slice runs
-            # along the other family's normal
-            u_on_a, u_on_b = b.plane_coord, a.plane_coord
-            if not (a.u_range[0] <= u_on_a <= a.u_range[1]):
-                continue
-            if not (b.u_range[0] <= u_on_b <= b.u_range[1]):
-                continue
-            v0 = max(a.v_range[0], b.v_range[0])
-            v1 = min(a.v_range[1], b.v_range[1])
-            if v1 - v0 <= 0:
-                continue  # corner touch or disjoint heights
-            kind, window_on_a = _classify(a.v_range, b.v_range)
-            stopper = None
-            if kind == HingeKind.UP_DOWN:
-                slot_a, slot_b = SlotKind.TOP, SlotKind.BOTTOM
+    for pos_a, (plane_a, ua0, va0, ua1, va1, id_a) in enumerate(family_a):
+        for plane_b, ub0, vb0, ub1, vb1, id_b, pos_b in family_b[bisect_left(planes_b, ua0):bisect_right(planes_b, ua1)]:
+            v0, v1 = (va0 if va0 > vb0 else vb0), (va1 if va1 < vb1 else vb1)
+            if v1 <= v0 or not ub0 <= plane_a <= ub1:
+                continue  # a corner touch, disjoint heights or no crossing
+            if va0 == vb0 and va1 == vb1:
+                rest = up_down
+            # containment (possibly sharing one end) or, defensively, partial
+            # overlap: the taller slice (a, of staggered equal heights) has the
+            # window; a none slot on the other's boundary needs a stopper tab
+            elif va1 - va0 >= vb1 - vb0:
+                rest = (HingeKind.CUT_THROUGH, SlotKind.WINDOW, SlotKind.NONE, id_b if plane_a in (ub0, ub1) else None)
             else:
-                slot_a = SlotKind.WINDOW if window_on_a else SlotKind.NONE
-                slot_b = SlotKind.NONE if window_on_a else SlotKind.WINDOW
-                small = b if window_on_a else a
-                small_u = u_on_b if window_on_a else u_on_a
-                if small_u == small.u_range[0] or small_u == small.u_range[1]:
-                    stopper = small.id  # none slot on the boundary: needs a tab
-            found.append((a.id, b.id, u_on_a, u_on_b, v0, v1, kind, slot_a, slot_b, stopper))
-    # each crossing holds the fields of a Hinge after its id; ids follow
-    # (u_b, u_a, v0, v1), and a stable sort keeps equal keys in loop order
-    found.sort(key=lambda f: (f[3], f[2], f[4], f[5]))
-    return [Hinge(i, *f) for i, f in enumerate(found)]
+                rest = (HingeKind.CUT_THROUGH, SlotKind.NONE, SlotKind.WINDOW, id_a if plane_b in (ua0, ua1) else None)
+            found.append((plane_a, plane_b, v0, v1, pos_a, pos_b, id_a, id_b, rest))
+    found.sort()  # no two crossings share their first six fields
+    return [Hinge(i, id_a, id_b, u_a, u_b, v0, v1, *rest)
+            for i, (u_b, u_a, v0, v1, _, _, id_a, id_b, rest) in enumerate(found)]
 
 
 def find_backbone(hinges: list[Hinge], slices: list[Slice]) -> int:
@@ -135,19 +123,11 @@ def find_backbone(hinges: list[Hinge], slices: list[Slice]) -> int:
     if not hinges:
         raise InfeasibleError("no hinges: the model cannot be stabilized")
     by_id = {s.id: s for s in slices}
-    candidates = [
-        h
-        for h in hinges
-        if 0 in by_id[h.slice_a].source_nodes and 0 in by_id[h.slice_b].source_nodes
-    ]
+    root = {sid for sid, s in by_id.items() if 0 in s.source_nodes}
+    candidates = [h for h in hinges if h.slice_a in root and h.slice_b in root]
     if not candidates:
-        raise InfeasibleError(
-            "no hinge joins the two root slices: the model cannot be stabilized"
-        )
-    return min(
-        candidates,
-        key=lambda h: (-h.length, -(by_id[h.slice_a].area + by_id[h.slice_b].area), h.id),
-    ).id
+        raise InfeasibleError("no hinge joins the two root slices: the model cannot be stabilized")
+    return min(candidates, key=lambda h: (-h.length, -(by_id[h.slice_a].area + by_id[h.slice_b].area), h.id)).id
 
 
 def hinges_by_slice(hinges: list[Hinge]) -> dict[int, list[Hinge]]:
@@ -163,22 +143,20 @@ def hinges_by_slice(hinges: list[Hinge]) -> dict[int, list[Hinge]]:
 
 
 def collect_triples(hinges: list[Hinge], slices: list[Slice]) -> list[PrecedenceTriple]:
-    """For each none-slot between up-down hinges, record the ordering triple."""
+    """For each none-slot between up-down hinges, record the ordering triple
+    of the nearest up-down hinge on each side of it."""
     by_slice = hinges_by_slice(hinges)
     triples: list[PrecedenceTriple] = []
     for s in slices:
         mine = by_slice.get(s.id, [])
-        for m, h in enumerate(mine):
-            if h.slot_on(s.id) != SlotKind.NONE:
-                continue
-            left = next(
-                (g for g in reversed(mine[:m]) if g.kind == HingeKind.UP_DOWN), None
-            )
-            right = next((g for g in mine[m + 1 :] if g.kind == HingeKind.UP_DOWN), None)
-            if left is not None and right is not None:
-                triples.append(
-                    PrecedenceTriple(i=left.id, j=h.id, k=right.id, host_slice=s.id)
-                )
+        left, right, rights = None, None, []  # rights: the nearest up-down hinge after each one, back to front
+        for h in reversed(mine):
+            rights.append(right)
+            right = h if h.kind == HingeKind.UP_DOWN else right
+        for h, right in zip(mine, reversed(rights)):
+            if left is not None and right is not None and h.slot_on(s.id) == SlotKind.NONE:
+                triples.append(PrecedenceTriple(i=left.id, j=h.id, k=right.id, host_slice=s.id))
+            left = h if h.kind == HingeKind.UP_DOWN else left
     return triples
 
 

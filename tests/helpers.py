@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from sliceforge.codec import encode, json_text
-from sliceforge.errors import ValidationError
+from sliceforge.errors import InfeasibleError, ValidationError
 from sliceforge.export import CutGeometry, SlotCut
-from sliceforge.hinges import Hinge, SlotKind
+from sliceforge.hinges import Hinge, HingeKind, PrecedenceTriple, SlotKind, hinges_by_slice
 from sliceforge.layout import Rect, slice_print_size
 from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _BITS, _PAD_FRACTION, _parity_words, golden_palette
 from sliceforge.octree import Bounds, Slice, iter_nodes, slice_axes
@@ -582,6 +582,102 @@ def hinges_on_slice_reference(hinges: list[Hinge], slice_id: int) -> list[Hinge]
     mine = [h for h in hinges if slice_id in (h.slice_a, h.slice_b)]
     mine.sort(key=lambda h: (h.u_on(slice_id), h.v0, h.id))
     return mine
+
+
+# --- the pair scan, triple rescans and backbone scan the hinge stage replaced --
+
+
+def _classify_reference(za: tuple[int, int], zb: tuple[int, int]) -> tuple[HingeKind, bool]:
+    """Returns (kind, window_on_a). Intervals are the slices' v extents."""
+    if za == zb:
+        return HingeKind.UP_DOWN, False
+    # containment (possibly sharing one end) or, defensively, any partial
+    # overlap: the taller slice carries the window
+    len_a, len_b = za[1] - za[0], zb[1] - zb[0]
+    if len_a == len_b:
+        return HingeKind.CUT_THROUGH, True  # staggered equal heights: pick a
+    return HingeKind.CUT_THROUGH, len_a > len_b
+
+
+def compute_hinges_reference(slices: list[Slice], orientations: tuple[str, str] = ("x", "y")) -> list[Hinge]:
+    """One hinge per perpendicular slice pair whose rectangles cross, found
+    by testing every pair: the oracle of `sliceforge.hinges.compute_hinges`."""
+    family_a = [s for s in slices if s.orientation == orientations[0]]
+    family_b = [s for s in slices if s.orientation == orientations[1]]
+    found = []
+    for a in family_a:
+        for b in family_b:
+            # the crossing line sits at (a.plane, b.plane); u on a slice runs
+            # along the other family's normal
+            u_on_a, u_on_b = b.plane_coord, a.plane_coord
+            if not (a.u_range[0] <= u_on_a <= a.u_range[1]):
+                continue
+            if not (b.u_range[0] <= u_on_b <= b.u_range[1]):
+                continue
+            v0 = max(a.v_range[0], b.v_range[0])
+            v1 = min(a.v_range[1], b.v_range[1])
+            if v1 - v0 <= 0:
+                continue  # corner touch or disjoint heights
+            kind, window_on_a = _classify_reference(a.v_range, b.v_range)
+            stopper = None
+            if kind == HingeKind.UP_DOWN:
+                slot_a, slot_b = SlotKind.TOP, SlotKind.BOTTOM
+            else:
+                slot_a = SlotKind.WINDOW if window_on_a else SlotKind.NONE
+                slot_b = SlotKind.NONE if window_on_a else SlotKind.WINDOW
+                small = b if window_on_a else a
+                small_u = u_on_b if window_on_a else u_on_a
+                if small_u == small.u_range[0] or small_u == small.u_range[1]:
+                    stopper = small.id  # none slot on the boundary: needs a tab
+            found.append((a.id, b.id, u_on_a, u_on_b, v0, v1, kind, slot_a, slot_b, stopper))
+    # each crossing holds the fields of a Hinge after its id; ids follow
+    # (u_b, u_a, v0, v1), and a stable sort keeps equal keys in loop order
+    found.sort(key=lambda f: (f[3], f[2], f[4], f[5]))
+    return [Hinge(i, *f) for i, f in enumerate(found)]
+
+
+def find_backbone_reference(hinges: list[Hinge], slices: list[Slice]) -> int:
+    """The hinge joining two slices of the root node (id 0), found by
+    scanning the source nodes of both slices of each hinge: the oracle of
+    `sliceforge.hinges.find_backbone`."""
+    if not hinges:
+        raise InfeasibleError("no hinges: the model cannot be stabilized")
+    by_id = {s.id: s for s in slices}
+    candidates = [
+        h
+        for h in hinges
+        if 0 in by_id[h.slice_a].source_nodes and 0 in by_id[h.slice_b].source_nodes
+    ]
+    if not candidates:
+        raise InfeasibleError(
+            "no hinge joins the two root slices: the model cannot be stabilized"
+        )
+    return min(
+        candidates,
+        key=lambda h: (-h.length, -(by_id[h.slice_a].area + by_id[h.slice_b].area), h.id),
+    ).id
+
+
+def collect_triples_reference(hinges: list[Hinge], slices: list[Slice]) -> list[PrecedenceTriple]:
+    """For each none-slot between up-down hinges, record the ordering triple,
+    rescanning the hinges on each side of it: the oracle of
+    `sliceforge.hinges.collect_triples`."""
+    by_slice = hinges_by_slice(hinges)
+    triples: list[PrecedenceTriple] = []
+    for s in slices:
+        mine = by_slice.get(s.id, [])
+        for m, h in enumerate(mine):
+            if h.slot_on(s.id) != SlotKind.NONE:
+                continue
+            left = next(
+                (g for g in reversed(mine[:m]) if g.kind == HingeKind.UP_DOWN), None
+            )
+            right = next((g for g in mine[m + 1 :] if g.kind == HingeKind.UP_DOWN), None)
+            if left is not None and right is not None:
+                triples.append(
+                    PrecedenceTriple(i=left.id, j=h.id, k=right.id, host_slice=s.id)
+                )
+    return triples
 
 
 # --- per-pixel rasterizer, row-joined PNG scanlines and a PNG decoder -------

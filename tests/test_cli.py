@@ -717,6 +717,47 @@ def test_artifact_with_broken_references_exits_2(case, command, two_runs, capsys
     assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
 
 
+# slice 0 of the level 2 run lies on x plane 2 with extent (0, 0, 8, 8); each
+# case gives it that extent and adds slice 6 on its plane, and says whether
+# the two meet: overlap, or share an edge of positive length
+COPLANAR = {
+    "copy-one-voxel-narrower": ((0, 0, 8, 8), (0, 0, 7, 8), True),
+    "shared-u-edge": ((0, 0, 4, 8), (4, 0, 8, 8), True),
+    "shared-v-edge": ((0, 0, 8, 4), (0, 4, 8, 8), True),
+    "partly-shared-edge": ((0, 0, 4, 5), (4, 3, 8, 8), True),
+    "corner-only": ((0, 0, 4, 4), (4, 4, 8, 8), False),
+    "apart": ((0, 0, 3, 8), (5, 0, 8, 8), False),
+}
+
+
+def _with_coplanar_slice(art: dict, case: str) -> dict:
+    extent, added, _meet = COPLANAR[case]
+    art["slices"][0]["extent"] = list(extent)
+    art["slices"].append({**art["slices"][0], "id": 6, "extent": list(added)})
+    return art
+
+
+@pytest.mark.parametrize("command", ["hinge", "order", "pack", "export"])
+@pytest.mark.parametrize("case", [case for case, (*_, meet) in COPLANAR.items() if meet])
+def test_coplanar_slices_that_meet_exit_2(case, command, two_runs, capsys, tmp_path):
+    # unified slices never meet, so an artifact whose slices do was not
+    # written by `slice`; its hinges would double every crossing of the pair
+    source = "slices2.json" if command == "hinge" else "hinges2.json"
+    art = _with_coplanar_slice(json.loads((tmp_path / source).read_text()), case)
+    (tmp_path / "broken.json").write_text(json.dumps(art))
+    code, err = run(_with_input(command, two_runs, "--hinges" if command == "export" else "--in", "broken.json"), capsys)
+    assert code == 2
+    assert "slices broken.json: slices 0 and 6 on x plane 2 overlap or share an edge" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", [case for case, (*_, meet) in COPLANAR.items() if not meet])
+def test_coplanar_slices_that_only_touch_at_a_corner_or_not_at_all_pass(case, two_runs, capsys, tmp_path):
+    art = _with_coplanar_slice(json.loads((tmp_path / "slices2.json").read_text()), case)
+    (tmp_path / "apart.json").write_text(json.dumps(art))
+    assert run(["hinge", "--in", "apart.json", "--out", "out.json"], capsys)[0] == 0
+
+
 def _volume_command(command: str, inputs: list[str], out: str) -> list[str]:
     """`command` on the level 2 artifacts of `two_runs` and the volume `inputs`."""
     if command == "export":

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sliceforge import pipeline
-from sliceforge.export import _fmt, emit_pages, slice_cut_geometry
+from sliceforge.export import _Frame, _fmt, _path, _rect_path, emit_pages, slice_cut_geometry
 from sliceforge.hinges import Hinge, HingeKind, SlotKind, hinges_by_slice
 from sliceforge.layout import PageLayout, Placement
 from sliceforge.mesh import voxelize_meshes
@@ -245,3 +245,31 @@ def test_slots_mate(fixture_case, orientations, scale):
         assert window.y0 <= float((max(pv0, hv0) - hv0) * mm)
         assert window.y1 >= float((min(pv1, hv1) - hv0) * mm)
         assert width_error(window) <= 1
+
+
+# page and local coordinates: ordinary ones, zeros of both signs, and small
+# negatives that print as "-0.0000" before `_fmt` turns them into "0"
+coordinates = st.one_of(
+    st.sampled_from((0.0, -0.0, -1e-5, -4.9e-5, 5e-5, -5e-5, 1 / 3, 210.0)),
+    st.floats(-1e4, 1e4),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.builds(Placement, slice_id=st.just(0), page=st.just(0), x=coordinates, y=coordinates,
+                 rotated=st.booleans(), w=coordinates, h=coordinates),
+       st.tuples(coordinates, coordinates, coordinates, coordinates), st.booleans())
+def test_rect_path_equals_its_four_mapped_corners(placement, rect, dash):
+    frame = _Frame(placement)
+    x0, y0, x1, y1 = rect
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    assert _rect_path(frame, x0, y0, x1, y1, dash) == _path([frame.to_page(a, b) for a, b in corners], dash)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_rect_path_of_a_corner_that_prints_as_minus_zero(rotated):
+    frame = _Frame(Placement(slice_id=0, page=0, x=0.0, y=-1e-5, rotated=rotated, w=10.0, h=1e-5))
+    path = _rect_path(frame, -1e-5, 0.0, 2.0, 1e-5, False)
+    assert "-0" not in path
+    assert path == _path([frame.to_page(a, b) for a, b in [(-1e-5, 0.0), (2.0, 0.0), (2.0, 1e-5), (-1e-5, 1e-5)]],
+                         False)

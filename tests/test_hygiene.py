@@ -1,7 +1,8 @@
 """Every name a package module imports at top level is used in that module,
 every function, class and method the package defines is referenced, every
-parameter is read, only `codec.py` reads files or writes JSON, and no
-module imports numpy.random, whose import alone costs a build ~12 ms.
+parameter is read, only `codec.py` reads files or writes JSON, no
+module imports numpy.random, whose import alone costs a build ~12 ms, and
+`hinges.py` and `ordering.py` import no numpy at all.
 
 `__init__.py` re-exports names on purpose and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -363,6 +364,49 @@ def test_checker_flags_numpy_random():
     # a docstring may name the numpy call; the random module and a
     # generator's method named `random` are no numpy.random
     assert numpy_random_uses(source) == [2, 3, 4, 5, 6, 7]
+
+
+def numpy_imports(source: str) -> list[int]:
+    """The lines that import numpy or one of its submodules: an import
+    statement at any depth, or a call of `import_module` or `__import__` on
+    the module's name."""
+    lines = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            names = [n.module or ""] if n.level == 0 else []  # `from .numpy import x` is the package's own
+        elif isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", "")) in ("import_module", "__import__"):
+            names = [a.value for a in n.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        else:
+            continue
+        if any(name.split(".")[0] == "numpy" for name in names):
+            lines.add(n.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", ["hinges.py", "ordering.py"])
+def test_pure_python_stages_import_no_numpy(name):
+    # the hinge and order stages run on lists of small records; keeping them
+    # off numpy lets those commands load without it once their imports allow
+    assert numpy_imports((PACKAGE / name).read_text()) == []
+
+
+def test_checker_flags_numpy_imports():
+    source = (
+        "import numpy as np\n"
+        "import os, numpy.linalg\n"
+        "from numpy import float64\n"
+        "from numpy.lib import stride_tricks\n"
+        "def f():\n"
+        "    import numpy\n"
+        "importlib.import_module('numpy')\n"
+        "__import__('numpy.fft')\n"
+        "from . import numpy_free; from .numpy import x; import numpyro; print('numpy'); import_module(name)\n"
+    )
+    # a relative import, a module whose name only starts with numpy, and a
+    # string that no import call takes are no numpy imports
+    assert numpy_imports(source) == [1, 2, 3, 4, 6, 7, 8]
 
 
 def test_build_does_not_load_numpy_random(tmp_path):
