@@ -10,12 +10,14 @@ plan artifacts and writes the layout artifact, with its slot width;
 `export` reads the layout, hinges and plan artifacts and the volume or
 meshes, and writes the print. One reader per artifact kind decodes it and
 checks it: against itself, against the hinges artifact of its run, and, for
-the volume, against the artifact grid. Each JSON file is written on one
-line; `python -m json.tool FILE` prints it indented. A command takes only the
-options it reads: any other flag, or any other key in its `--config` JSON
-file, exits 2. Each option takes the value of its flag, else of its config
-key, else its default; an artifact path (--in, --hinges, --plan, --out) has
-no default, and without flag or key the command exits 2.
+the volume, against the artifact grid. Hinges are where slices cross, so a
+command that reads a hinges artifact derives them again from its slices and
+takes the artifact only if it holds exactly those. Each JSON file is written
+on one line; `python -m json.tool FILE` prints it indented. A command takes
+only the options it reads: any other flag, or any other key in its
+`--config` JSON file, exits 2. Each option takes the value of its flag, else
+of its config key, else its default; an artifact path (--in, --hinges,
+--plan, --out) has no default, and without flag or key the command exits 2.
 Exit codes: 0 ok; 2 validation, which includes an input file that is no
 UTF-8 or JSON text; 3 infeasible; 4 I/O: any input file (OBJ, raw volume,
 header, transfer function, `--config` or stage artifact) missing or
@@ -207,20 +209,16 @@ def _load_labels(args, grid: GridInfo | None = None):
         return quantize(volume, tf), tf
 
 
-def _check_unique_ids(what: str, path: str, ids) -> None:
-    ids = sorted(ids)
-    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
-    if repeated:
-        raise ValidationError(f"{what} {path} hold the ids {repeated} more than once")
-
-
 def _read_slices(art: dict, path: str):
     """The grid and slices of the artifact `art` read from `path`; no two
     slices share an id, and no two coplanar slices meet (overlap or share
     an edge of positive length), as `octree.unify_slices` leaves them."""
     grid = GridInfo.from_json(art.get("grid"), path)
     slices = slices_from_json(art.get("slices"), path)
-    _check_unique_ids("slices", path, (s.id for s in slices))
+    ids = sorted(s.id for s in slices)
+    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+    if repeated:
+        raise ValidationError(f"slices {path} hold the ids {repeated} more than once")
     grid.check_inside(path, slices)
     # sorted by plane and u0, a slice can only meet the ones after it on its
     # plane up to the first that starts beyond its u1
@@ -239,23 +237,11 @@ def _read_slices(art: dict, path: str):
 
 
 def _read_hinges(path: str):
-    """The grid, slices and hinges of a hinges artifact; no two hinges share
-    an id, and every hinge joins a slice of the first orientation (slice_a)
-    to one of the second (slice_b)."""
+    """The grid, slices and hinges of a hinges artifact, whose hinges must
+    be exactly those its slices cross in (`hinges_from_json`)."""
     art = pipeline.read_artifact(path)
     grid, slices = _read_slices(art, path)
-    hinges = hinges_from_json(art.get("hinges"), path)
-    _check_unique_ids("hinges", path, (h.id for h in hinges))
-    grid.check_inside(path, hinges=hinges)
-    unknown = sorted(({h.slice_a for h in hinges} | {h.slice_b for h in hinges}) - {s.id for s in slices})
-    if unknown:
-        raise ValidationError(f"hinges {path} join slices {unknown} that the artifact does not hold")
-    family = {s.id: s.orientation for s in slices}
-    for h in hinges:
-        if (family[h.slice_a], family[h.slice_b]) != tuple(grid.orientations):
-            raise ValidationError(f"hinges {path}: hinge {h.id} joins slices {h.slice_a} and {h.slice_b}; slice_a must "
-                                  f"be of orientation {grid.orientations[0]} and slice_b of {grid.orientations[1]}")
-    return grid, slices, hinges
+    return grid, slices, hinges_from_json(art.get("hinges"), path, slices, grid.orientations)
 
 
 _SAME_RUN = "use the hinges, plan and layout artifacts of one run"

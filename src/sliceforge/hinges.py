@@ -2,7 +2,8 @@
 plane family by plane, slot classification, the hinges of each slice in
 position order, and the precedence structure the assembly-order optimizer
 consumes. The module uses no numpy: the stage works on small lists of
-records.
+records. The hinges are a function of the slices, so a hinges artifact is
+read by deriving them again and requiring it to hold exactly those.
 
 Every hinge is the vertical segment where two perpendicular slices cross.
 Up-down hinges split the segment into a top slot on the first plane family
@@ -17,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import decode
+from .codec import encode
 from .errors import InfeasibleError, ValidationError
 from .octree import Slice
 
@@ -34,7 +35,7 @@ class SlotKind(str, Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
+@dataclass
 class Hinge:
     """Crossing of slice_a (first plane family) and slice_b (second).
 
@@ -160,6 +161,20 @@ def collect_triples(hinges: list[Hinge], slices: list[Slice]) -> list[Precedence
     return triples
 
 
-def hinges_from_json(items: list[dict], path: str) -> list[Hinge]:
-    """The hinges of the artifact read from `path`."""
-    return decode(list[Hinge], items, f"hinges {path}")
+def hinges_from_json(items: list[dict], path: str, slices: list[Slice], orientations: tuple[str, str]) -> list[Hinge]:
+    """The hinges of `slices`, which the hinges artifact read from `path`
+    must hold as `items`: every hinge is where two slices cross, so any
+    other list is no artifact that `hinge` wrote."""
+    hinges = compute_hinges(slices, orientations)
+    want = encode(hinges)
+    if items != want:
+        if not isinstance(items, list):
+            why = "not a JSON array"
+        elif len(items) != len(want):
+            why = f"{len(items)} hinges, but its slices cross in {len(want)}"
+        else:
+            i = next(i for i, (got, hinge) in enumerate(zip(items, want)) if got != hinge)
+            why = f"hinge {i} is {items[i]!r}, but its slices give {want[i]!r}"
+        raise ValidationError(f"hinges {path} malformed: {why}",
+                              hint="rewrite it from its slices with `sliceforge hinge`")
+    return hinges

@@ -8,7 +8,6 @@ All of it is array work, with no Python work per node or per rectangle."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -126,7 +125,9 @@ def build_octree(labels: LabelVolume, max_level: int) -> OctreeNode:
     to where the level budget ends or some axis has no block two voxels wide.
     Label masks OR over that finest grid's blocks, then 2 x 2 x 2 per depth.
     A depth's nodes are the children of the splitting nodes above; a child's
-    preorder id is its parent's plus one plus its elder siblings' subtree sizes."""
+    preorder id is its parent's plus one plus its elder siblings' subtree sizes.
+    An all-background volume gives a leaf root with no labels, which
+    `pipeline.stage_slice` reports."""
     if max_level < 1:
         raise ValidationError(f"octree level must be >= 1, got {max_level}")
     grid, n_bits = labels.labels, labels.n_labels
@@ -159,8 +160,6 @@ def build_octree(labels: LabelVolume, max_level: int) -> OctreeNode:
             size = sizes[-depth - 2].reshape(-1, 8)
             root.child_ids[ids[split]] = ids[split, None] + 1 + np.cumsum(size, axis=1) - size
             ids = root.child_ids[ids[split]].ravel()
-    if not root.words[0].any():
-        warnings.warn("volume is entirely background: nothing to slice")
     return root
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,10 +75,10 @@ class GridInfo:
             AXES.index(up_axis(self.orientations)),
         )
 
-    def check_inside(self, path: str, slices: list[Slice] = (), hinges: list[Hinge] = ()) -> None:
+    def check_inside(self, path: str, slices: list[Slice]) -> None:
         """Every slice of the artifact read from `path` lies in one of the
         grid's orientations, with a non-empty extent, and on a plane, inside
-        the grid; every hinge spans a non-empty interval of its up axis."""
+        the grid."""
         a, b, up = (self.dims[i] for i in self.axes)
         limits = {self.orientations[0]: (a, b, up), self.orientations[1]: (b, a, up)}
         for s in slices:
@@ -90,10 +89,6 @@ class GridInfo:
             if not (0 <= s.plane_coord <= n and 0 <= u0 < u1 <= nu and 0 <= v0 < v1 <= nv):
                 raise ValidationError(f"slices {path}: slice {s.id} on plane {s.plane_coord} with extent "
                                       f"{s.extent} is empty or leaves the {self.dims} grid")
-        for h in hinges:
-            if not 0 <= h.v0 < h.v1 <= up:
-                raise ValidationError(f"hinges {path}: hinge {h.id} spans [{h.v0}, {h.v1}) of the up axis, "
-                                      f"which is empty or leaves [0, {up}]")
 
 
 def load_input(
@@ -126,9 +121,7 @@ def load_input(
 
 
 def stage_slice(labels: LabelVolume, level: int, orientations: tuple[str, str]) -> list[Slice]:
-    with warnings.catch_warnings():  # the error below reports an all-background volume once
-        warnings.filterwarnings("ignore", "volume is entirely background", UserWarning)
-        root = build_octree(labels, level)
+    root = build_octree(labels, level)
     if not root.distinct_labels:
         raise ValidationError(
             "volume is entirely background", hint="nothing to slice: every voxel has opacity 0"

@@ -454,10 +454,7 @@ def build_octree_reference(labels: LabelVolume, max_level: int) -> ReferenceNode
         return ReferenceNode(id=node_id, bounds=bounds, level=level, distinct_labels=distinct, children=children)
 
     root_bounds = tuple((0, int(d)) for d in labels.dims)
-    root = build(root_bounds, 1)
-    if not root.distinct_labels:
-        warnings.warn("volume is entirely background: nothing to slice")
-    return root
+    return build(root_bounds, 1)
 
 
 def extract_slices_reference(root, orientations: tuple[str, str] = ("x", "y")) -> list[Slice]:

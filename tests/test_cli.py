@@ -653,30 +653,32 @@ def test_malformed_artifact_field_exits_2_naming_the_file(two_runs, capsys, tmp_
 
 # an artifact whose parts do not refer to each other as one run writes them,
 # or whose grid no volume has: each case is an edit and the message it draws
+MALFORMED = "hinges broken.json malformed:"
 BROKEN_ARTIFACTS = {
     "unknown-slice-a": (lambda art: art["hinges"][0].update(slice_a=99999),
-                        "broken.json join slices [99999] that the artifact does not hold"),
+                        f"{MALFORMED} hinge 0 is {{'id': 0, 'kind': 'up_down', 'slice_a': 99999, 'slice_b': 3,"),
     "unknown-slice-b": (lambda art: art["hinges"][-1].update(slice_b=99999),
-                        "broken.json join slices [99999] that the artifact does not hold"),
+                        f"{MALFORMED} hinge 8 is {{'id': 8, 'kind': 'up_down', 'slice_a': 2, 'slice_b': 99999,"),
     "repeated-slice-id": (lambda art: art["slices"][1].update(id=art["slices"][0]["id"]),
                           "broken.json hold the ids [0] more than once"),
     "zero-dims": (lambda art: art["grid"].update(dims=[0, 0, 0]),
                   "broken.json: dims must be three integers >= 1, got (0, 0, 0)"),
     "negative-spacing": (lambda art: art["grid"].update(spacing_mm=[-1.0, 1.0, 1.0]),
                          "broken.json: spacing must be three finite numbers > 0, got (-1.0, 1.0, 1.0)"),
-    # a hinge joins an x slice (slice_a) to a y slice (slice_b): not a slice to
-    # itself, not two of one family, not the two families swapped
+    # each hinge is the one its slices give, which joins an x slice (slice_a) to a
+    # y slice (slice_b): not a slice to itself, not two of one family, not the two
+    # families swapped, and holds its id once
     "hinge-joins-itself": (lambda art: art["hinges"][0].update(slice_b=art["hinges"][0]["slice_a"]),
-                           "broken.json: hinge 0 joins slices 0 and 0; slice_a must be of orientation x and slice_b of y"),
+                           f"{MALFORMED} hinge 0 is {{'id': 0, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 0,"),
     "hinge-joins-one-family": (lambda art: art["hinges"][1].update(slice_b=1),
-                               "broken.json: hinge 1 joins slices 0 and 1; slice_a must be of orientation x"),
+                               f"{MALFORMED} hinge 1 is {{'id': 1, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 1,"),
     "hinge-swaps-families": (lambda art: art["hinges"][-1].update(slice_a=art["hinges"][-1]["slice_b"],
                                                                   slice_b=art["hinges"][-1]["slice_a"]),
-                             "broken.json: hinge 8 joins slices 5 and 2; slice_a must be of orientation x"),
+                             f"{MALFORMED} hinge 8 is {{'id': 8, 'kind': 'up_down', 'slice_a': 5, 'slice_b': 2,"),
     "repeated-hinge-id": (lambda art: art["hinges"][1].update(id=art["hinges"][0]["id"]),
-                          "hinges broken.json hold the ids [0] more than once"),
-    # a grid slices along two distinct axes of x, y and z, and its slices and
-    # hinges lie inside it
+                          f"{MALFORMED} hinge 1 is {{'id': 0, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 4,"),
+    # a grid slices along two distinct axes of x, y and z, and its slices lie
+    # inside it; so do the hinges its slices give
     "grid-repeats-an-axis": (lambda art: art["grid"].update(orientations=["x", "x"]),
                              "grid broken.json: orientations must be two distinct axes, got ('x', 'x')"),
     "grid-unknown-axis": (lambda art: art["grid"].update(orientations=["x", "q"]),
@@ -690,9 +692,13 @@ BROKEN_ARTIFACTS = {
     "slice-extent-outside": (lambda art: art["slices"][2].update(extent=[0, 0, 8, 9]),
                              "slice 2 on plane 6 with extent (0, 0, 8, 9) is empty or leaves the (8, 8, 8) grid"),
     "hinge-interval-reversed": (lambda art: art["hinges"][0].update(v0=8, v1=0),
-                                "hinges broken.json: hinge 0 spans [8, 0) of the up axis, which is empty or leaves [0, 8]"),
+                                f"{MALFORMED} hinge 0 is {{'id': 0, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 3, "
+                                "'slot_a': 'top', 'slot_b': 'bottom', 'stopper_on': None, 'u_a': 2, 'u_b': 2, "
+                                "'v0': 8, 'v1': 0}, but its slices give {'id': 0,"),
     "hinge-interval-outside": (lambda art: art["hinges"][1].update(v1=10**400),
-                               f"hinges broken.json: hinge 1 spans [0, {10**400}) of the up axis"),
+                               f"{MALFORMED} hinge 1 is {{'id': 1, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 4, "
+                               f"'slot_a': 'top', 'slot_b': 'bottom', 'stopper_on': None, 'u_a': 4, 'u_b': 2, "
+                               f"'v0': 0, 'v1': {10**400}}}, but its slices give {{'id': 1,"),
 }
 # every command that reads a hinges artifact, and `hinge`, which reads the slices
 BROKEN_CASES = [
@@ -713,6 +719,38 @@ def test_artifact_with_broken_references_exits_2(case, command, two_runs, capsys
     code, err = run(_with_input(command, two_runs, flag, "broken.json"), capsys)
     assert code == 2
     assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
+
+
+# hinge 4 of the level 2 run is up-down, from x slice 1 to y slice 4 at u 4 on
+# both, over [0, 8) with no stopper: each edit gives one of its keys another
+# value of the same JSON kind, and each other case edits the list
+HINGE_EDITS = {"id": 9, "slice_a": 2, "slice_b": 5, "u_a": 5, "u_b": 5, "v0": 1, "v1": 7,
+               "kind": "cut_through", "slot_a": "window", "slot_b": "none", "stopper_on": 1}
+
+
+def _tampered(hinges: list[dict], case: str) -> None:
+    if case in HINGE_EDITS:
+        hinges[4][case] = HINGE_EDITS[case]
+    elif case == "dropped":
+        del hinges[4]
+    elif case == "duplicated":
+        hinges.append(dict(hinges[4]))
+    else:  # swapped
+        hinges[3], hinges[4] = hinges[4], hinges[3]
+
+
+@pytest.mark.parametrize("command", ["order", "pack", "export"])
+@pytest.mark.parametrize("case", [*HINGE_EDITS, "dropped", "duplicated", "swapped"])
+def test_hinges_that_its_slices_do_not_give_exit_2(case, command, two_runs, capsys, tmp_path):
+    # a hinges artifact holds exactly the hinges of its slices, in their order
+    art = json.loads((tmp_path / "hinges2.json").read_text())
+    _tampered(art["hinges"], case)
+    (tmp_path / "broken.json").write_text(json.dumps(art))
+    code, err = run(_with_input(command, two_runs, "--hinges" if command == "export" else "--in", "broken.json"), capsys)
+    assert code == 2
+    assert "hinges broken.json malformed:" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
 

@@ -7,7 +7,7 @@ import pytest
 
 from sliceforge.codec import decode, encode, json_text
 from sliceforge.errors import ValidationError
-from sliceforge.hinges import Hinge, HingeKind, SlotKind, hinges_from_json
+from sliceforge.hinges import Hinge, HingeKind, SlotKind
 from sliceforge.layout import PageLayout, Partition, Placement
 from sliceforge.ordering import AssemblyPlan
 from sliceforge.pipeline import GridInfo
@@ -121,12 +121,13 @@ BAD_ENUMS = [
 def test_bad_enum_value_keeps_the_enums_own_message(key, value, message):
     items = [encode(HINGE), {**encode(HINGE), key: value}]
     with pytest.raises(ValidationError) as info:
-        hinges_from_json(items, "h.json")
+        decode(list[Hinge], items, "hinges h.json")
     assert str(info.value) == f"hinges h.json malformed: {message}"
 
 
 def test_enum_decodes_to_the_enums_own_members():
-    hinges = hinges_from_json([encode(HINGE), {**encode(HINGE), "kind": "up_down", "slot_a": "top"}], "h.json")
+    items = [encode(HINGE), {**encode(HINGE), "kind": "up_down", "slot_a": "top"}]
+    hinges = decode(list[Hinge], items, "hinges h.json")
     assert hinges[0].kind is HingeKind.CUT_THROUGH and hinges[1].kind is HingeKind.UP_DOWN
     assert hinges[0].slot_a is SlotKind.WINDOW and hinges[1].slot_a is SlotKind.TOP
     assert all(h.slot_b is SlotKind.NONE for h in hinges)

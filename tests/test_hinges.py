@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 from sliceforge.codec import encode
-from sliceforge.errors import InfeasibleError
+from sliceforge.errors import InfeasibleError, ValidationError
 from sliceforge.hinges import (
+    Hinge,
     HingeKind,
     SlotKind,
     collect_triples,
@@ -87,8 +90,19 @@ class TestComputeHinges:
         assert hinges == compute_hinges(slices)
 
     def test_json_round_trip(self):
-        hinges = compute_hinges(stopper_model())
-        assert hinges_from_json(encode(hinges), "hinges.json") == hinges
+        slices = stopper_model()
+        hinges = compute_hinges(slices, ("x", "y"))
+        assert hinges_from_json(encode(hinges), "hinges.json", slices, ("x", "y")) == hinges
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(Hinge)])
+    def test_json_with_one_field_changed_raises(self, key):
+        slices = stopper_model()
+        items = encode(compute_hinges(slices, ("x", "y")))
+        stopper = next(i for i, item in enumerate(items) if item["stopper_on"] is not None)
+        other = {"kind": "up_down", "slot_a": "top", "slot_b": "bottom", "stopper_on": None}
+        items[stopper][key] = other[key] if key in other else items[stopper][key] + 1
+        with pytest.raises(ValidationError, match=f"^hinges hinges.json malformed: hinge {stopper} is "):
+            hinges_from_json(items, "hinges.json", slices, ("x", "y"))
 
 
 class TestBackbone:

@@ -507,8 +507,7 @@ def test_label_above_n_labels_is_a_validation_error(grid, short):
 def folds_bytes_by_reshape(labels: LabelVolume, max_level: int) -> bool:
     """Whether `build_octree` folded the masks as one byte per voxel by
     reshapes alone: a single uint8 word, and no `reduceat` on any axis."""
-    with mock.patch.object(np, "bitwise_or", wraps=np.bitwise_or) as fold, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # an all-background grid warns
+    with mock.patch.object(np, "bitwise_or", wraps=np.bitwise_or) as fold:
         root = build_octree(labels, max_level)
     return root.words.dtype == np.uint8 and root.words.shape[1] == 1 and not fold.reduceat.called
 
@@ -658,7 +657,6 @@ def test_level_past_the_grid_depth_matches_reference():
     assert max(node.level for node in iter_nodes(got)) == 6  # 32 -> 1 voxel in five halvings
 
 
-@pytest.mark.filterwarnings("ignore:volume is entirely background")
 @pytest.mark.parametrize("orientations", [("x", "y"), ("z", "x"), ("y", "z")])
 @settings(max_examples=40, deadline=None)
 @given(grid=label_grids(label_pool=(0, 1, 2, 3, 9)), max_level=st.integers(1, 6))
