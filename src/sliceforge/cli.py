@@ -1,27 +1,28 @@
 """Command-line interface.
 
-`sliceforge build` runs the whole pipeline in memory; the staged commands
-run one stage each through JSON artifacts, so intermediate results can be
+`sliceforge build` runs the whole pipeline in memory; the staged commands run
+one stage each through JSON artifacts, so intermediate results can be
 inspected or golden-tested, and together write what `build` writes. `slice`
 reads the volume or meshes and writes the slices artifact (grid and slices);
 `hinge` reads it and writes the hinges artifact (grid, slices and hinges);
 `order` reads that and writes the plan artifact; `pack` reads the hinges and
-plan artifacts and writes the layout artifact, with its slot width;
-`export` reads the layout, hinges and plan artifacts and the volume or
-meshes, and writes the print. One reader per artifact kind decodes it and
-checks it: against itself, against the hinges artifact of its run, and, for
-the volume, against the artifact grid. Hinges are where slices cross, so a
-command that reads a hinges artifact derives them again from its slices and
-takes the artifact only if it holds exactly those. Each JSON file is written
-on one line; `python -m json.tool FILE` prints it indented. A command takes
-only the options it reads: any other flag, or any other key in its
-`--config` JSON file, exits 2. Each option takes the value of its flag, else
-of its config key, else its default; an artifact path (--in, --hinges,
+plan artifacts and writes the layout artifact, with its slot width; `export`
+reads the layout, hinges and plan artifacts and the volume or meshes, and
+writes the print. One reader per artifact kind decodes it and checks it:
+against itself, against the hinges artifact of its run, and, for the volume,
+against the artifact grid. Hinges are where slices cross, and a plan is what
+`order` derives from them: a command that reads a hinges or plan artifact
+derives its content again, the hinges from their slices and the plan from
+those hinges, and takes the artifact only if it holds exactly that. Each JSON
+file is written on one line; `python -m json.tool FILE` prints it indented. A
+command takes only the options it reads: any other flag, or any other key in
+its `--config` JSON file, exits 2. Each option takes the value of its flag,
+else of its config key, else its default; an artifact path (--in, --hinges,
 --plan, --out) has no default, and without flag or key the command exits 2.
-Exit codes: 0 ok; 2 validation, which includes an input file that is no
-UTF-8 or JSON text; 3 infeasible; 4 I/O: any input file (OBJ, raw volume,
-header, transfer function, `--config` or stage artifact) missing or
-unreadable, or an output that cannot be written.
+Exit codes: 0 ok; 2 validation, which includes an input file that is no UTF-8
+or JSON text; 3 infeasible; 4 I/O: any input file (OBJ, raw volume, header,
+transfer function, `--config` or stage artifact) missing or unreadable, or an
+output that cannot be written.
 """
 
 from __future__ import annotations
@@ -153,10 +154,11 @@ _KINDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """Every command's parser, or only `only`'s, whose usage names them all."""
     parser = argparse.ArgumentParser(prog="sliceforge", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_run, about) in _COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, metavar=only and "{" + ",".join(_COMMANDS) + "}")
+    for command, (_run, about) in _COMMANDS.items() if only is None else [(only, _COMMANDS[only])]:
         p = sub.add_parser(command, help=about)
         p.set_defaults(parser=p)  # where _resolve_options puts the config values
         for dest, (flag, commands, kwargs, _range) in _OPTIONS.items():
@@ -244,19 +246,12 @@ def _read_hinges(path: str):
     return grid, slices, hinges_from_json(art.get("hinges"), path, slices, grid.orientations)
 
 
-_SAME_RUN = "use the hinges, plan and layout artifacts of one run"
+_SAME_RUN = "use the hinges and layout artifacts of one run"
 
 
-def _read_plan(path: str, hinges_path: str, slices, hinges):
-    """The plan artifact at `path`, of the run that wrote the hinges artifact
-    at `hinges_path`: it orders exactly that run's hinges, and each of its
-    slices once."""
-    plan = pipeline.plan_from_json(pipeline.read_artifact(path), path)
-    if sorted(plan.hinge_order) != sorted(h.id for h in hinges):
-        raise ValidationError(f"plan {path} does not order exactly the hinges of {hinges_path}", hint=_SAME_RUN)
-    if sorted(plan.slice_order) != sorted(s.id for s in slices):
-        raise ValidationError(f"plan {path} does not order each slice of {hinges_path} exactly once", hint=_SAME_RUN)
-    return plan
+def _read_plan(path: str, hinges_path: str, grid, slices, hinges):
+    """The plan that `order` derives from `hinges_path`, which the artifact at `path` must hold."""
+    return pipeline.plan_from_json(pipeline.read_artifact(path), path, _order(grid, slices, hinges), hinges_path)
 
 
 def _read_layout(path: str, hinges_path: str, slices):
@@ -368,7 +363,7 @@ def cmd_order(args) -> int:
 
 def cmd_pack(args) -> int:
     grid, slices, hinges = _read_hinges(args.inp)
-    layout = _pack(args, grid, slices, _read_plan(args.plan, args.inp, slices, hinges))
+    layout = _pack(args, grid, slices, _read_plan(args.plan, args.inp, grid, slices, hinges))
     pipeline.write_artifact(args.out, encode(layout) | {"slot_width_mm": args.slot_width})
     print(f"scale {layout.scale:.3f} on {layout.sheets} page(s) -> {args.out}")
     return 0
@@ -378,7 +373,7 @@ def cmd_export(args) -> int:
     # the other inputs are held to the hinges artifact, so it is read first
     grid, slices, hinges = _read_hinges(args.hinges)
     layout, slot_width = _read_layout(args.inp, args.hinges, slices)
-    plan = _read_plan(args.plan, args.hinges, slices, hinges)
+    plan = _read_plan(args.plan, args.hinges, grid, slices, hinges)
     labels, tf = _load_labels(args, grid)
     manifest = _export(args, labels, tf, grid, slices, hinges, plan, layout, slot_width)
     print(f"wrote {len(manifest['pages'])} page(s) -> {args.out}")
@@ -397,7 +392,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)  # one subparser is faster to build
     try:
         args = parser.parse_args(argv)
         args = _resolve_options(parser, args, argv)

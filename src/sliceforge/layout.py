@@ -43,7 +43,7 @@ def build_vectors(
     orientations: tuple[str, str] = ("x", "y"),
 ) -> list[FeatureVector]:
     """Normalized slice centers plus normalized assembly position."""
-    order = {sid: i for i, sid in enumerate(plan.slice_order)}  # each slice once, as the CLI's plan reader checks
+    order = {sid: i for i, sid in enumerate(plan.slice_order)}
     count = len(plan.slice_order)
     vectors = []
     for s in slices:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 
 from . import __version__
@@ -103,9 +104,9 @@ def load_input(
     with the automatic transfer function unless `tf_path` names a file.
     Meshes exclude `--input` and `--header`; a volume excludes a resolution."""
     if meshes:
-        mesh_set = MeshSet(meshes=tuple(load_obj(p) for p in meshes))
         if input_path or header:
             raise ValidationError("--meshes excludes --input and --header: give meshes or a volume, not both")
+        mesh_set = MeshSet(meshes=tuple(load_obj(p) for p in meshes))
         resolution = DEFAULT_RESOLUTION if resolution is None else resolution
         volume, tf = voxelize_meshes(mesh_set, (resolution,) * 3)
         if tf_path and tf_path != "auto":
@@ -237,9 +238,16 @@ def stage_export(outdir: str | Path, labels: LabelVolume, tf: TransferFunction, 
     return manifest
 
 
-def plan_from_json(obj: dict, path: str) -> AssemblyPlan:
-    """The plan artifact read from `path`."""
-    return decode(AssemblyPlan, obj, f"plan artifact {path}")
+def plan_from_json(obj: dict, path: str, plan: AssemblyPlan, hinges_path: str) -> AssemblyPlan:
+    """`plan`, which `order` derives from `hinges_path`, if the artifact read from `path` holds it as `obj`."""
+    for key, want in encode(plan).items():
+        got = obj.get(key)
+        if got != want and type(got) is list and type(want) is list:  # the first position that differs
+            key, (got, want) = next((f"{key}[{i}]", p) for i, p in enumerate(zip_longest(got, want)) if p[0] != p[1])
+        if got != want:  # None where the key or the position is missing; a whole list is cut at 80 characters
+            raise ValidationError(f"plan {path} malformed: {key} is {got!r:.80}, but the hinges of {hinges_path} give "
+                                  f"{want!r:.80}", hint=f"rewrite it from {hinges_path} with `sliceforge order`")
+    return plan
 
 
 def layout_from_json(obj: dict, path: str) -> tuple[PageLayout, float]:

@@ -181,8 +181,9 @@ TOO_MANY_DIGITS = '{"bins": ' + "1" * 5000 + "}"
 ])
 def test_malformed_input_exits_2_with_a_message(volume_build, name, text, message, capsys, tmp_path):
     (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
-    meshes = ["--meshes", name] if name.endswith(".obj") else []  # meshes take the place of the volume
-    code, err = run(volume_build + meshes, capsys)
+    # meshes take the place of the volume: its --input, --header and --tf
+    argv = ["build", "--meshes", name, *volume_build[7:]] if name.endswith(".obj") else volume_build
+    code, err = run(argv, capsys)
     assert code == 2
     assert message in err
     assert "Traceback" not in err
@@ -266,22 +267,30 @@ def test_zero_margin_and_gutter_pass_validation(capsys, tmp_path, monkeypatch):
     assert "must be" not in err
 
 
+def write_runs(tmp: Path, levels: tuple[str, ...]) -> list[str]:
+    """A checkerboard volume in `tmp` and the staged artifacts of one run of
+    it per octree level, as `slices2.json`, `hinges2.json`, ... for level 2;
+    returns the volume's input flags."""
+    raw, header, tf = write_volume_files(tmp, *checkerboard_volume(8))
+    inputs = ["--input", str(raw), "--header", str(header), "--tf", str(tf)]
+    for level in levels:
+        slices, hinges, plan, layout = (str(tmp / f"{kind}{level}.json") for kind in ("slices", "hinges", "plan", "layout"))
+        for argv in (
+            ["slice", *inputs, "--level", level, "--out", slices],
+            ["hinge", "--in", slices, "--out", hinges],
+            ["order", "--in", hinges, "--out", plan],
+            ["pack", "--in", hinges, "--plan", plan, "--out", layout],
+        ):
+            assert cli.main(argv) == 0
+    return inputs
+
+
 @pytest.fixture
 def two_runs(tmp_path, monkeypatch):
     """The staged artifacts of a level 2 and a level 3 run of one volume,
     which slice it differently; returns the volume's input flags."""
     monkeypatch.chdir(tmp_path)
-    raw, header, tf = write_volume_files(tmp_path, *checkerboard_volume(8))
-    inputs = ["--input", str(raw), "--header", str(header), "--tf", str(tf)]
-    for level in ("2", "3"):
-        for argv in (
-            ["slice", *inputs, "--level", level, "--out", f"slices{level}.json"],
-            ["hinge", "--in", f"slices{level}.json", "--out", f"hinges{level}.json"],
-            ["order", "--in", f"hinges{level}.json", "--out", f"plan{level}.json"],
-            ["pack", "--in", f"hinges{level}.json", "--plan", f"plan{level}.json", "--out", f"layout{level}.json"],
-        ):
-            assert cli.main(argv) == 0
-    return inputs
+    return write_runs(tmp_path, ("2", "3"))
 
 
 def test_export_rejects_artifacts_of_another_slice_set(two_runs, capsys):
@@ -295,7 +304,7 @@ def test_export_rejects_artifacts_of_another_slice_set(two_runs, capsys):
     assert "layout layout3.json does not place exactly the slices of hinges2.json" in err
     code, err = export("layout2.json", "hinges2.json", "plan3.json")
     assert code == 2
-    assert "plan plan3.json does not order exactly the hinges of hinges2.json" in err
+    assert "plan plan3.json malformed: hinge_order[0] is 24, but the hinges of hinges2.json give 4" in err
     assert "Traceback" not in err
     assert export("layout2.json", "hinges2.json", "plan2.json")[0] == 0
 
@@ -345,7 +354,7 @@ def test_export_rejects_a_volume_of_another_spacing(two_runs, capsys, tmp_path):
 def test_pack_rejects_a_plan_of_another_run(two_runs, hinges, plan, capsys, tmp_path):
     code, err = run(["pack", "--in", hinges, "--plan", plan, "--out", "layout.json"], capsys)
     assert code == 2
-    assert f"plan {plan} does not order exactly the hinges of {hinges}" in err
+    assert f"plan {plan} malformed: hinge_order[0] is " in err and f", but the hinges of {hinges} give " in err
     assert "Traceback" not in err
     assert not (tmp_path / "layout.json").exists()
 
@@ -361,12 +370,24 @@ def test_export_rejects_a_volume_of_another_origin(two_runs, capsys, tmp_path):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
-# a plan whose slice order does not hold each slice of its run exactly once
+# a plan that `order` does not derive from its hinges artifact: each case
+# edits one key of the level 2 plan, which is exact, with hinge order
+# [4, 0, 2, 6, 8, 1, 3, 5, 7] and slice order [1, 4, 0, 3, 5, 2], and gives the
+# message that edit draws; a plan whose slice order does not hold each slice
+# once is one such plan
+GIVE = "but the hinges of hinges2.json give"
 BROKEN_PLANS = {
-    "drops-a-slice": lambda order: order[:-1],
-    "repeats-a-slice-in-place-of-another": lambda order: order[:-1] + order[:1],
-    "repeats-a-slice-beside-all": lambda order: order + order[:1],
-    "adds-an-unknown-slice": lambda order: order + [99999],
+    "drops-a-slice": ("slice_order", lambda order: order[:-1], f"slice_order[5] is None, {GIVE} 2"),
+    "repeats-a-slice-in-place-of-another": ("slice_order", lambda order: order[:-1] + order[:1],
+                                            f"slice_order[5] is 1, {GIVE} 2"),
+    "repeats-a-slice-beside-all": ("slice_order", lambda order: order + order[:1], f"slice_order[6] is 1, {GIVE} None"),
+    "adds-an-unknown-slice": ("slice_order", lambda order: order + [99999], f"slice_order[6] is 99999, {GIVE} None"),
+    "rotates-the-slices": ("slice_order", lambda order: order[1:] + order[:1], f"slice_order[0] is 4, {GIVE} 1"),
+    "reverses-the-hinges": ("hinge_order", lambda order: order[::-1], f"hinge_order[0] is 7, {GIVE} 4"),
+    "swaps-two-hinges": ("hinge_order", lambda order: [order[0], order[2], order[1], *order[3:]],
+                         f"hinge_order[1] is 2, {GIVE} 0"),
+    "negative-objective": ("objective", lambda _: -5, f"objective is -5, {GIVE} 20.071067811865476"),
+    "flips-exact": ("exact", lambda exact: not exact, f"exact is False, {GIVE} True"),
 }
 
 
@@ -374,13 +395,58 @@ BROKEN_PLANS = {
 @pytest.mark.parametrize("case", BROKEN_PLANS)
 def test_plan_that_does_not_order_each_slice_once_exits_2(case, command, two_runs, capsys, tmp_path):
     plan = json.loads((tmp_path / "plan2.json").read_text())
-    (tmp_path / "broken.json").write_text(json.dumps({**plan, "slice_order": BROKEN_PLANS[case](plan["slice_order"])}))
+    key, edit, message = BROKEN_PLANS[case]
+    (tmp_path / "broken.json").write_text(json.dumps({**plan, key: edit(plan[key])}))
     code, err = run(_with_input(command, two_runs, "--plan", "broken.json"), capsys)
     assert code == 2
-    assert "plan broken.json does not order each slice of hinges2.json exactly once" in err
-    assert "hint: use the hinges, plan and layout artifacts of one run" in err
+    assert f"plan broken.json malformed: {message}" in err
+    assert "hint: rewrite it from hinges2.json with `sliceforge order`" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def level2_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("level2")
+    return tmp, write_runs(tmp, ("2",))
+
+
+def _changed(data, value):
+    """Another value of the JSON kind of `value`, one of a plan's four: a
+    list of ids with one id changed or moved to another position, another
+    number, or the other bool."""
+    if type(value) is bool:
+        return not value
+    if type(value) is float:
+        return data.draw(st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != value))
+    i = data.draw(st.integers(0, len(value) - 1))
+    value = list(value)
+    if data.draw(st.booleans()):  # an id
+        value[i] = data.draw(st.integers().filter(lambda v: v != value[i]))
+    else:  # a position: the ids are distinct, so any other one changes the list
+        value.insert(data.draw(st.integers(0, len(value) - 1).filter(lambda j: j != i)), value.pop(i))
+    return value
+
+
+@settings(max_examples=50, deadline=None)
+@given(key=st.sampled_from(("hinge_order", "slice_order", "objective", "exact")), data=st.data())
+def test_plan_with_one_value_changed_exits_2(level2_run, key, data):
+    # whatever one value of the plan artifact changes, `pack` and `export`
+    # refuse it, with no output and no traceback
+    tmp, inputs = level2_run
+    plan = json.loads((tmp / "plan2.json").read_text())
+    broken, hinges = tmp / "broken-plan.json", str(tmp / "hinges2.json")
+    broken.write_text(json.dumps({**plan, key: _changed(data, plan[key])}))
+    for argv in (["pack", "--in", hinges, "--plan", str(broken), "--out", str(tmp / "layout.json")],
+                 ["export", *inputs, "--in", str(tmp / "layout2.json"), "--hinges", hinges,
+                  "--plan", str(broken), "--out", str(tmp / "out")]):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        event(f"{key} {code}")
+        assert code == 2, err.getvalue()
+        assert f"plan {broken} malformed: " in err.getvalue()
+        assert "Traceback" not in err.getvalue()
+    assert not (tmp / "layout.json").exists() and not (tmp / "out").exists()
 
 
 # a layout that does not hold to itself or to the ranges of its options:
@@ -542,8 +608,8 @@ def test_gutter_that_fits_no_page_exits_3(volume_build, capsys):
     assert "Traceback" not in err
 
 
-def subparsers() -> dict[str, argparse.ArgumentParser]:
-    parser = cli.build_parser()
+def subparsers(only: str | None = None) -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser(only)
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
@@ -560,6 +626,18 @@ def test_options_shared_by_commands_agree():
     assert {"page", "slot_width", "dpi", "level", "orientations", "config"} <= shared.keys()
     for dest, specs in shared.items():
         assert len(set(specs.values())) == 1, (dest, specs)
+
+
+@pytest.mark.parametrize("command", ["build", "slice", "hinge", "order", "pack", "export"])
+def test_one_command_parser_takes_the_options_of_the_full_parser(command):
+    # `main` builds only the parser of the command it runs
+    def options(parser):
+        return [(a.option_strings, a.dest, a.default, a.type, a.nargs, a.required, a.help) for a in parser._actions]
+
+    one = subparsers(command)
+    assert list(one) == [command]
+    assert options(one[command]) == options(subparsers()[command])
+    assert cli.build_parser(command).format_usage() == cli.build_parser().format_usage()
 
 
 def args_read(command: str) -> set[str]:
@@ -833,6 +911,8 @@ def _with_input(command: str, inputs: list[str], flag: str, value: str) -> list[
         argv[argv.index(flag) + 1] = value
     else:  # --meshes (which take the place of the volume) and --config
         argv += [flag, value]
+    if flag == "--meshes":  # a volume as well would be refused before any mesh is read
+        argv = [a for a in argv if a not in inputs[:4]]
     return argv
 
 
@@ -917,6 +997,21 @@ def test_meshes_with_a_volume_input_exit_2(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "--meshes excludes --input and --header" in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_meshes_with_a_volume_input_exit_2_before_any_mesh_is_read(capsys, tmp_path, monkeypatch):
+    # the flags alone conflict, so no mesh file is opened, let alone parsed
+    monkeypatch.chdir(tmp_path)
+    save_obj(icosphere(radius=0.7, subdivisions=1), tmp_path / "sphere0.obj")
+    with mock.patch.object(pipeline, "load_obj", wraps=pipeline.load_obj) as load_obj:
+        for mesh_file in ("missing.obj", "sphere0.obj"):
+            code, err = run(["build", "--meshes", mesh_file, "--input", "v.raw", "--header", "h.json", "--out", "out"],
+                            capsys)
+            assert code == 2
+            assert "--meshes excludes --input and --header" in err
+            assert "Traceback" not in err
+    load_obj.assert_not_called()
     assert not (tmp_path / "out").exists()
 
 

@@ -1,6 +1,7 @@
 """Every name a package module imports at top level is used in that module,
 every function, class and method the package defines is referenced, every
-parameter is read, only `codec.py` reads files or writes JSON, no
+parameter is read, only `codec.py` reads files or writes JSON, no module
+decodes a hinges or plan artifact, which are derived again instead, no
 module imports numpy.random, whose import alone costs a build ~12 ms, and
 `hinges.py` and `ordering.py` import no numpy at all.
 
@@ -214,6 +215,44 @@ def test_checker_flags_stage_calls():
     }
     # a mention that is not a call does not count
     assert stage_calls(sources) == {"stage_pack": ["a.py:2", "a.py:3"], "stage_export": ["a.py:3", "b.py:2"]}
+
+
+# the types whose artifacts a command derives again from their inputs and
+# compares, so no module decodes them
+DERIVED = ("Hinge", "AssemblyPlan")
+
+
+def derived_decodes(source: str) -> list[int]:
+    """The lines that call `decode`, bare or as an attribute, with a first
+    argument that names a type of DERIVED: `Hinge`, `list[Hinge]`,
+    `ordering.AssemblyPlan` and the like."""
+    return sorted(
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Call) and n.args and getattr(n.func, "id", getattr(n.func, "attr", "")) == "decode"
+        and any(getattr(m, "id", getattr(m, "attr", "")) in DERIVED for m in ast.walk(n.args[0]))
+    )
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_decodes_a_derived_artifact(path):
+    # hinges come from their slices and a plan from its hinges: a reader
+    # derives them and compares, so their rules live in the stage alone
+    assert derived_decodes(path.read_text()) == []
+
+
+def test_checker_flags_derived_decodes():
+    source = (
+        "from .codec import decode\n"
+        "decode(Hinge, items, 'hinges')\n"
+        "codec.decode(list[Hinge], items, 'hinges')\n"
+        "decode(AssemblyPlan, obj, 'plan'); decode(Slice, obj, 's')\n"
+        "data.decode(); data.decode('ascii'); decode(list[Slice], items, 's'); decode(Hinges, x, 'h')\n"
+        "decode(tuple[ordering.AssemblyPlan, float], record, 'plan')\n"
+        "encode(Hinge); decoder(Hinge); decode\n"
+    )
+    # a bytes decode, other types and calls that are not `decode` pass
+    assert derived_decodes(source) == [2, 3, 4, 6]
 
 
 def _mentions(tree: ast.Module) -> list[tuple[str, int, bool]]:
