@@ -35,8 +35,6 @@ import types
 import typing
 from pathlib import Path
 
-import numpy as np
-
 from .errors import IngestError, IOFailure, ValidationError
 
 
@@ -74,6 +72,8 @@ def read_array(path: str | Path, what: str, dtype: np.dtype, count: int) -> np.n
     unread; one of the right size is mapped read-only, its pages the array,
     and truncating it while mapped raises SIGBUS, as with `numpy.memmap`. A
     pipe, which has no size, and a file that refuses the mapping are read whole."""
+    import numpy as np
+
     expected = count * dtype.itemsize
     try:
         with open(path, "rb") as f:

@@ -19,8 +19,6 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-import numpy as np
-
 from .hinges import Hinge, HingeKind, SlotKind
 from .layout import PageLayout, Placement
 from .octree import Slice, slice_axes
@@ -156,6 +154,8 @@ def encode_png(index: np.ndarray, palette: np.ndarray) -> bytes:
     scanline's last byte are zero. A larger palette is written as RGBA8
     (colour type 6).
     """
+    import numpy as np
+
     rows, cols = index.shape
     if len(palette) > 256:
         ihdr = struct.pack(">IIBBBBB", cols, rows, 8, 6, 0, 0, 0)
@@ -181,6 +181,8 @@ def _index_scanlines(index: np.ndarray, depth: int) -> np.ndarray:
     """One scanline per row: filter byte 0, then the row's indices packed
     `8 // depth` to a byte, the first in the high bits, zero bits after the
     last index. Each index must be below `1 << depth`."""
+    import numpy as np
+
     g = 8 // depth
     rows, cols = index.shape
     width = -(-cols // g)

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import InfeasibleError, ValidationError
 from .octree import Slice, slice_axes
 from .ordering import AssemblyPlan
@@ -71,6 +69,8 @@ def pca_2d(vectors: list[FeatureVector]) -> tuple[PcaBasis, np.ndarray]:
     the basis is always usable; projections along completed directions are
     zero by construction.
     """
+    import numpy as np
+
     data = np.array([fv.v for fv in vectors], dtype=np.float64)
     mean = data.mean(axis=0)
     centered = data - mean
@@ -111,6 +111,8 @@ class ClusterModel:
 
 def _lloyd(points: np.ndarray, k: int, first_idx: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Deterministic k-means: farthest-point init from first_idx, then Lloyd."""
+    import numpy as np
+
     n = len(points)
     chosen = [first_idx]
     d2 = np.sum((points - points[first_idx]) ** 2, axis=1)

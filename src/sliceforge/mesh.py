@@ -26,8 +26,6 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .codec import read_bytes
 from .errors import ValidationError
 from .volume import ScalarVolume, TransferBin, TransferFunction
@@ -50,10 +48,6 @@ MAX_GRID_VOXELS = 1 << 28
 # temporaries to about 1 MB, which keeps them in a core's L2 cache (on four nested
 # spheres, 2^14 ran 4-8 % slower at 128^3 and 256^3, 2^15 12-40 %, 2^12 ~12 % at 256^3)
 _MAX_CANDIDATES = 1 << 13
-
-# _BITS[p, j] is bit j of the byte p: which of a word's 8 meshes a
-# membership pattern holds
-_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 # the characters past ASCII that str.split() splits on; str.splitlines() ends
 # lines at three of them
@@ -94,6 +88,8 @@ class MeshSet:
             raise ValidationError("MeshSet is empty")
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         lo = np.min([m.vertices.min(axis=0) for m in self.meshes], axis=0)
         hi = np.max([m.vertices.max(axis=0) for m in self.meshes], axis=0)
         return lo, hi
@@ -128,6 +124,8 @@ def _parse_obj_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
     by their first token; the rest of the v lines and of the f lines (i/j/k
     tails cut) go to one `np.fromstring` call each, which raises on a token
     that is no number."""
+    import numpy as np
+
     b = np.frombuffer(bytearray(b"\n" + data + b"\n\n"), np.uint8)
     space = b <= 32  # tab, line breaks and space; a file with other control bytes goes line by line
     ends = np.flatnonzero((b == 10) | (b == 13))  # line i is b[ends[i] + 1:ends[i + 1] + 1]
@@ -170,6 +168,8 @@ def _parse_obj_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 def _parse_obj_lines(path: Path, lines: list[str]) -> Mesh:
     """`load_obj` one line at a time: raises ValidationError at the first bad
     line, else returns what the array parse returns."""
+    import numpy as np
+
     rows = [line.split() for line in lines]
     n_vertices = sum(parts[:1] == ["v"] for parts in rows)
     vertices: list[tuple[float, float, float]] = []
@@ -232,8 +232,6 @@ def golden_palette(n: int) -> list[tuple[float, float, float]]:
     return [colorsys.hsv_to_rgb(h, _PALETTE_S, _PALETTE_V) for h in hues]
 
 
-# a subnormal projected area overflows the weights to inf or nan: no hit
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _parity_words(meshes: tuple[Mesh, ...], centers: tuple[np.ndarray, np.ndarray, np.ndarray], axis: int) -> np.ndarray:
     """Bit-packed inside-grids of all meshes using rays along one axis.
 
@@ -256,75 +254,83 @@ def _parity_words(meshes: tuple[Mesh, ...], centers: tuple[np.ndarray, np.ndarra
     every mesh's parity at once. Candidates are evaluated at most
     _MAX_CANDIDATES at a time, so the temporaries stay about 1 MB.
     """
-    u_axis, v_axis = [a for a in range(3) if a != axis]
-    cu, cv, cr = centers[u_axis], centers[v_axis], centers[axis]
-    n_u, n_v, n_r = len(cu), len(cv), len(cr)
-    n_words = (len(meshes) + 7) // 8
-    cu = cu + (cu[1] - cu[0]) * 2.718281828e-7
-    cv = cv + (cv[1] - cv[0]) * 3.141592653e-7
+    import numpy as np
 
-    tri = np.concatenate([m.vertices[m.triangles] for m in meshes])  # (m, 3, 3)
-    owner = np.repeat(np.arange(len(meshes)), [len(m.triangles) for m in meshes])
-    # one row per corner: numpy reduces over a length-3 inner axis ~40x slower
-    pu, pv, pr = (np.ascontiguousarray(tri[:, :, a].T) for a in (u_axis, v_axis, axis))
-    area2 = (pu[1] - pu[0]) * (pv[2] - pv[0]) - (pu[2] - pu[0]) * (pv[1] - pv[0])
-    # rays inside each triangle's projected bounding box; triangles parallel
-    # to the ray axis (area2 == 0) admit no interior crossing and get none
-    iu0 = np.searchsorted(cu, pu.min(axis=0))
-    iv0 = np.searchsorted(cv, pv.min(axis=0))
-    iv1 = np.searchsorted(cv, pv.max(axis=0), side="right")
-    span_u = np.maximum(np.searchsorted(cu, pu.max(axis=0), side="right") - iu0, 0)
-    span_u[(area2 == 0.0) | (iv1 <= iv0)] = 0
-    # one (triangle, column) pair per column of each box
-    t, col = _expand(span_u, iu0)
-    gu = cu[col]
-    ua, va = pu[:, t], pv[:, t]
-    ub, vb = ua[[1, 2, 0]], va[[1, 2, 0]]  # edges 0-1, 1-2, 2-0
-    # the v where the column crosses each edge that spans it (an edge along
-    # the column adds nothing: the two others end at its vertices)
-    spans = (np.minimum(ua, ub) <= gu) & (gu <= np.maximum(ua, ub)) & (ua != ub)
-    v_at = va + (gu - ua) / (ub - ua) * (vb - va)  # fraction first: subnormal products round coarsely
-    margin = 1e-6 * (cv[1] - cv[0])  # far above the rounding of the interval ends
-    lo = np.searchsorted(cv, np.where(spans, v_at, np.inf).min(axis=0) - margin)
-    hi = np.searchsorted(cv, np.where(spans, v_at, -np.inf).max(axis=0) + margin, side="right")
-    lo, hi = np.maximum(lo, iv0[t]), np.minimum(hi, iv1[t])
-    # one candidate per ray of each pair's interval
-    pair, cand_v = _expand(np.maximum(hi - lo, 0), lo)
-    cand_t, cand_u = t[pair], col[pair]
-    # one row per triangle: u0 u1 u2 v0 v1 v2 r0 r1 r2 area2
-    rows = np.column_stack([pu.T, pv.T, pr.T, area2])
-    word, bit = np.divmod(owner, 8)
-    flag = np.left_shift(1, bit).astype(np.uint8)
+    # `v_at` of an edge that does not span its column may divide by zero or
+    # overflow, and a subnormal projected area overflows the weights; the inf
+    # and nan they give count no hit
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        u_axis, v_axis = [a for a in range(3) if a != axis]
+        cu, cv, cr = centers[u_axis], centers[v_axis], centers[axis]
+        n_u, n_v, n_r = len(cu), len(cv), len(cr)
+        n_words = (len(meshes) + 7) // 8
+        cu = cu + (cu[1] - cu[0]) * 2.718281828e-7
+        cv = cv + (cv[1] - cv[0]) * 3.141592653e-7
 
-    # toggles[k, iu, iv, w] flips a mesh's bit once per crossing r with
-    # cr[k - 1] <= r < cr[k]; row n_r collects the crossings at or above
-    # every center
-    toggles = np.zeros((n_r + 1, n_u, n_v, n_words), dtype=np.uint8)
-    for first in range(0, len(pair), _MAX_CANDIDATES):
-        chunk = slice(first, first + _MAX_CANDIDATES)
-        t, iu, iv = cand_t[chunk], cand_u[chunk], cand_v[chunk]
-        gu, gv = cu[iu], cv[iv]
-        u0, u1, u2, v0, v1, v2, r0, r1, r2, a2 = rows[t].T
-        # barycentric coordinates in the projection plane
-        w0 = ((u1 - gu) * (v2 - gv) - (u2 - gu) * (v1 - gv)) / a2
-        w1 = ((u2 - gu) * (v0 - gv) - (u0 - gu) * (v2 - gv)) / a2
-        w2 = 1.0 - w0 - w1
-        hit = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
-        r_hit = w0[hit] * r0[hit] + w1[hit] * r1[hit] + w2[hit] * r2[hit]
-        above = np.searchsorted(cr, r_hit, side="right")
-        t = t[hit]
-        at = ((above * n_u + iu[hit]) * n_v + iv[hit]) * n_words + word[t]
-        np.bitwise_xor.at(toggles.reshape(-1), at, flag[t])
-    # running parity along the ray, one contiguous plane at a time
-    # (bitwise_xor.accumulate over axis 0 is an order of magnitude slower)
-    for k in range(1, n_r):
-        np.bitwise_xor(toggles[k], toggles[k - 1], out=toggles[k])
-    return np.moveaxis(toggles[:n_r], (3, 0, 1, 2), (0, axis + 1, u_axis + 1, v_axis + 1))
+        tri = np.concatenate([m.vertices[m.triangles] for m in meshes])  # (m, 3, 3)
+        owner = np.repeat(np.arange(len(meshes)), [len(m.triangles) for m in meshes])
+        # one row per corner: numpy reduces over a length-3 inner axis ~40x slower
+        pu, pv, pr = (np.ascontiguousarray(tri[:, :, a].T) for a in (u_axis, v_axis, axis))
+        area2 = (pu[1] - pu[0]) * (pv[2] - pv[0]) - (pu[2] - pu[0]) * (pv[1] - pv[0])
+        # rays inside each triangle's projected bounding box; triangles parallel
+        # to the ray axis (area2 == 0) admit no interior crossing and get none
+        iu0 = np.searchsorted(cu, pu.min(axis=0))
+        iv0 = np.searchsorted(cv, pv.min(axis=0))
+        iv1 = np.searchsorted(cv, pv.max(axis=0), side="right")
+        span_u = np.maximum(np.searchsorted(cu, pu.max(axis=0), side="right") - iu0, 0)
+        span_u[(area2 == 0.0) | (iv1 <= iv0)] = 0
+        # one (triangle, column) pair per column of each box
+        t, col = _expand(span_u, iu0)
+        gu = cu[col]
+        ua, va = pu[:, t], pv[:, t]
+        ub, vb = ua[[1, 2, 0]], va[[1, 2, 0]]  # edges 0-1, 1-2, 2-0
+        # the v where the column crosses each edge that spans it (an edge along
+        # the column adds nothing: the two others end at its vertices)
+        spans = (np.minimum(ua, ub) <= gu) & (gu <= np.maximum(ua, ub)) & (ua != ub)
+        v_at = va + (gu - ua) / (ub - ua) * (vb - va)  # fraction first: subnormal products round coarsely
+        margin = 1e-6 * (cv[1] - cv[0])  # far above the rounding of the interval ends
+        lo = np.searchsorted(cv, np.where(spans, v_at, np.inf).min(axis=0) - margin)
+        hi = np.searchsorted(cv, np.where(spans, v_at, -np.inf).max(axis=0) + margin, side="right")
+        lo, hi = np.maximum(lo, iv0[t]), np.minimum(hi, iv1[t])
+        # one candidate per ray of each pair's interval
+        pair, cand_v = _expand(np.maximum(hi - lo, 0), lo)
+        cand_t, cand_u = t[pair], col[pair]
+        # one row per triangle: u0 u1 u2 v0 v1 v2 r0 r1 r2 area2
+        rows = np.column_stack([pu.T, pv.T, pr.T, area2])
+        word, bit = np.divmod(owner, 8)
+        flag = np.left_shift(1, bit).astype(np.uint8)
+
+        # toggles[k, iu, iv, w] flips a mesh's bit once per crossing r with
+        # cr[k - 1] <= r < cr[k]; row n_r collects the crossings at or above
+        # every center
+        toggles = np.zeros((n_r + 1, n_u, n_v, n_words), dtype=np.uint8)
+        for first in range(0, len(pair), _MAX_CANDIDATES):
+            chunk = slice(first, first + _MAX_CANDIDATES)
+            t, iu, iv = cand_t[chunk], cand_u[chunk], cand_v[chunk]
+            gu, gv = cu[iu], cv[iv]
+            u0, u1, u2, v0, v1, v2, r0, r1, r2, a2 = rows[t].T
+            # barycentric coordinates in the projection plane
+            w0 = ((u1 - gu) * (v2 - gv) - (u2 - gu) * (v1 - gv)) / a2
+            w1 = ((u2 - gu) * (v0 - gv) - (u0 - gu) * (v2 - gv)) / a2
+            w2 = 1.0 - w0 - w1
+            hit = (w0 >= 0.0) & (w1 >= 0.0) & (w2 >= 0.0)
+            r_hit = w0[hit] * r0[hit] + w1[hit] * r1[hit] + w2[hit] * r2[hit]
+            above = np.searchsorted(cr, r_hit, side="right")
+            t = t[hit]
+            at = ((above * n_u + iu[hit]) * n_v + iv[hit]) * n_words + word[t]
+            np.bitwise_xor.at(toggles.reshape(-1), at, flag[t])
+        # running parity along the ray, one contiguous plane at a time
+        # (bitwise_xor.accumulate over axis 0 is an order of magnitude slower)
+        for k in range(1, n_r):
+            np.bitwise_xor(toggles[k], toggles[k - 1], out=toggles[k])
+        return np.moveaxis(toggles[:n_r], (3, 0, 1, 2), (0, axis + 1, u_axis + 1, v_axis + 1))
 
 
 def _is_closed(mesh: Mesh) -> bool:
     """Every edge is shared by an even number of triangles once vertices with
     bitwise equal coordinates are welded, so the mesh is a mod-2 cycle."""
+    import numpy as np
+
     rows = np.ascontiguousarray(mesh.vertices, dtype=np.float64).view(np.dtype((np.void, 24))).ravel()
     _, weld = np.unique(rows, return_inverse=True)
     corners = weld[mesh.triangles]
@@ -335,6 +341,8 @@ def _is_closed(mesh: Mesh) -> bool:
 
 def _expand(counts: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flat arrays of i and first[i] + k for each i and each k < counts[i]."""
+    import numpy as np
+
     owner = np.repeat(np.arange(len(counts)), counts)
     ends = np.cumsum(counts)
     return owner, np.arange(len(owner)) - (ends - counts - first)[owner]
@@ -344,6 +352,8 @@ def _changes(pattern: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where a ray along axis 0 changes membership: the flat index of each
     such voxel in the C-ordered grid, and the membership words of the voxel
     before it (zeros at depth 0) and of itself, each (changes, words)."""
+    import numpy as np
+
     n_words, n_r = pattern.shape[:2]
     grid = np.moveaxis(pattern, 0, -1).reshape(n_r, -1, n_words)  # a view of the toggles or the majority
     moved = grid[1:, :, 0] != grid[:-1, :, 0]
@@ -360,17 +370,21 @@ def _pair_counts(changes: tuple[np.ndarray, ...], shape: tuple[int, int, int], n
     from its words before to its words after, so histograms of the words
     weighted +run after and -run before each change (exact in float64) count
     each value: 256 bins for a word with itself, 65 536 for two words."""
+    import numpy as np
+
     at, before, after = changes
+    # bits[p, j] is bit j of the byte p: which of a word's 8 meshes a membership pattern holds
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
     run = shape[0] - at // (shape[1] * shape[2])
     words, signed = np.concatenate([after, before]), np.concatenate([run, -run])
     both = np.zeros((words.shape[1] * 8,) * 2, dtype=np.int64)
     for a in range(words.shape[1]):
         for b in range(a, words.shape[1]):
             if a == b:
-                block = _BITS.T @ (np.bincount(words[:, a], signed, minlength=256)[:, None] * _BITS)
+                block = bits.T @ (np.bincount(words[:, a], signed, minlength=256)[:, None] * bits)
             else:
                 joint = np.bincount((words[:, a].astype(np.intp) << 8) | words[:, b], signed, minlength=1 << 16)
-                block = _BITS.T @ joint.reshape(256, 256) @ _BITS
+                block = bits.T @ joint.reshape(256, 256) @ bits
             both[8 * a:8 * a + 8, 8 * b:8 * b + 8] = block
             both[8 * b:8 * b + 8, 8 * a:8 * a + 8] = block.T
     return both[:n, :n]
@@ -381,11 +395,14 @@ def _label_grid(changes: tuple[np.ndarray, ...], shape: tuple[int, int, int], ra
     r is mesh rank_order[r]; 0 for none), as ``np.min_scalar_type(n)``: each
     `_changes` voxel gets the XOR of its label and the one before it, and the
     running XOR along axis 0 fills in the rest."""
+    import numpy as np
+
     at, before, after = changes
     ranks = np.full(after.shape[1] * 8, -1)
     ranks[rank_order] = np.arange(len(rank_order))
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1  # bits[p, j]: bit j of the byte p
     # per word, membership pattern -> 1 + best rank (0 for none)
-    tables = np.where(_BITS == 1, ranks.reshape(-1, 1, 8), -1).max(axis=2) + 1
+    tables = np.where(bits == 1, ranks.reshape(-1, 1, 8), -1).max(axis=2) + 1
     label_of_rank = np.array([0, *(i + 1 for i in rank_order)], dtype=np.min_scalar_type(len(rank_order)))
     new, old = (label_of_rank[tables[np.arange(len(tables)), words].max(axis=1)] for words in (after, before))
     labels = np.zeros(shape, dtype=label_of_rank.dtype)
@@ -409,6 +426,8 @@ def voxelize_meshes(meshes: MeshSet, resolution: tuple[int, int, int]) -> tuple[
     open mesh the majority of three axis passes; counts and labels are read
     off the voxels where a ray along x changes membership (`_changes`).
     """
+    import numpy as np
+
     if any(int(r) < 8 for r in resolution):
         raise ValidationError(f"resolution must be >= 8 per axis, got {resolution}")
     resolution = tuple(int(r) for r in resolution)

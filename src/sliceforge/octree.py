@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .codec import decode
 from .errors import ValidationError
 from .volume import LabelVolume
@@ -71,6 +69,8 @@ def _finest_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.
     one and joined, so no word grid outgrows a slab. Along one-voxel blocks
     a slab holds an even number: an empty block, the first half of a halved
     voxel, reads the voxel its sibling holds, so it never ends a slab."""
+    import numpy as np
+
     axis = max(range(3), key=grid.strides.__getitem__)  # the slowest-stride axis
     e, size = edges[axis], grid.shape[axis]
     width = -(-size // (len(e) - 1))  # the widest block: halving keeps widths within one
@@ -97,6 +97,8 @@ def _fold_masks(grid: np.ndarray, n_bits: int, edges: list[np.ndarray]) -> np.nd
     ORs. The other axes then `reduceat` what is left; an empty block (never
     a node's) reads the voxel its sibling holds. Bit 0 of word 0 is the
     background, cleared at the end."""
+    import numpy as np
+
     dtype = np.dtype(f"uint{next((b for b in (8, 16, 32) if n_bits <= b), 64)}")
     bits, order = dtype.itemsize * 8, np.argsort(grid.strides)[::-1]  # the axis of smallest stride last
     out = []
@@ -128,6 +130,8 @@ def build_octree(labels: LabelVolume, max_level: int) -> OctreeNode:
     preorder id is its parent's plus one plus its elder siblings' subtree sizes.
     An all-background volume gives a leaf root with no labels, which
     `pipeline.stage_slice` reports."""
+    import numpy as np
+
     if max_level < 1:
         raise ValidationError(f"octree level must be >= 1, got {max_level}")
     grid, n_bits = labels.labels, labels.n_labels
@@ -219,6 +223,8 @@ class RawSlices:
         return len(self.rects)
 
     def __iter__(self):
+        import numpy as np
+
         nodes = np.split(self.nodes, np.searchsorted(self.owner, np.arange(1, len(self))))
         for (axis, plane, *extent), n in zip(self.rects.tolist(), nodes):
             yield Slice(-1, AXES[axis], plane, tuple(extent), tuple(n.tolist()))
@@ -226,6 +232,8 @@ class RawSlices:
 
 def extract_slices(root: OctreeNode, orientations: tuple[str, str] = ("x", "y")) -> RawSlices:
     """One center slice per node and plane family, bounding planes excluded."""
+    import numpy as np
+
     up_axis(orientations)  # validates the pair
     box, families = root.box, []
     for orientation in orientations:
@@ -248,6 +256,8 @@ def unify_slices(raw: RawSlices | list[Slice]) -> list[Slice]:
     whatever the input order. Idempotent; coplanar slices end up pairwise
     disjoint and non-adjacent, numbered in (orientation, plane, extent)
     order, their source nodes sorted."""
+    import numpy as np
+
     if not isinstance(raw, RawSlices):
         owner, nodes = np.array([(i, n) for i, s in enumerate(raw) for n in s.source_nodes], np.int64).reshape(-1, 2).T
         rects = np.array([(AXES.index(s.orientation), s.plane_coord, *s.extent) for s in raw], np.int64)

@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
 from .layout import MIN_PRINT_SLOT_MM, PageLayout, slice_print_size
 from .octree import Slice, slice_axes
@@ -54,6 +52,8 @@ def rasterize_slice(
     Alpha equals the transfer-function opacity of the sampled voxel, so
     background stays fully transparent on film.
     """
+    import numpy as np
+
     normal, u_ax, v_ax = slice_axes(s.orientation, orientations)
     dims = labels.dims
     if not (0 <= s.plane_coord <= dims[normal]):

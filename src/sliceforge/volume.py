@@ -14,12 +14,10 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .codec import decode, read_array, read_json
 from .errors import IngestError, ValidationError
 
-_DTYPES = {"u8": np.uint8, "u16": np.uint16, "f32": np.float32}
+_DTYPES = {"u8": "uint8", "u16": "uint16", "f32": "float32"}
 # voxels labelled per step of `quantize`; bounds its float64 and index temporaries
 _QUANTIZE_CHUNK = 1 << 16
 # the widest label dtype's maximum; a transfer function has fewer visible bins,
@@ -51,6 +49,8 @@ class ScalarVolume:
     scalars: np.ndarray  # uint8, uint16 or float32, shape == dims
 
     def __post_init__(self):
+        import numpy as np
+
         check_grid(self.dims, self.spacing, self.origin)
         if self.scalars.dtype not in (np.float32, np.uint8, np.uint16):
             raise ValidationError(f"scalars must be float32, uint8 or uint16 in native byte order, got {self.scalars.dtype}")
@@ -67,7 +67,7 @@ class ScalarVolume:
 
     @property
     def voxel_count(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,8 @@ def load_transfer_function(path: str | Path) -> TransferFunction:
 
 def load_volume(path: str | Path, header: str | Path) -> ScalarVolume:
     """Read a raw little-endian scalar array described by a JSON header."""
+    import numpy as np
+
     head = decode(_VolumeHeader, read_json(header, "header"), f"header {header}")
     dims = head.dims
     dtype = np.dtype(_DTYPES[head.dtype]).newbyteorder("<")
@@ -181,6 +183,8 @@ def quantize(volume: ScalarVolume, tf: TransferFunction) -> LabelVolume:
     Either way the scalars are walked in memory order, `_QUANTIZE_CHUNK` at a
     time, so no full-size temporary is made.
     """
+    import numpy as np
+
     breaks = np.array([edge for b in tf.bins for edge in (b.lo, b.hi)], dtype=np.float64)
     visible = [i for i, b in enumerate(tf.bins) if b.opacity > 0.0]
     k = len(visible)

@@ -25,9 +25,12 @@ from sliceforge.errors import InfeasibleError, ValidationError
 from sliceforge.export import CutGeometry, SlotCut
 from sliceforge.hinges import Hinge, HingeKind, PrecedenceTriple, SlotKind, hinges_by_slice
 from sliceforge.layout import Rect, slice_print_size
-from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _BITS, _PAD_FRACTION, _parity_words, golden_palette
+from sliceforge.mesh import REFERENCE_EXTENT_MM, Mesh, MeshSet, _PAD_FRACTION, _parity_words, golden_palette
 from sliceforge.octree import Bounds, Slice, iter_nodes, slice_axes
 from sliceforge.volume import _DTYPES, LabelVolume, ScalarVolume, TransferBin, TransferFunction, _VolumeHeader
+
+# _BITS[p, j] is bit j of the byte p: which of a word's 8 meshes a membership pattern holds
+_BITS = (np.arange(256)[:, None] >> np.arange(8)) & 1
 
 
 def save_volume(volume: ScalarVolume, path: str | Path, header: str | Path, dtype: str = "f32") -> None:

@@ -2,8 +2,10 @@
 every function, class and method the package defines is referenced, every
 parameter is read, only `codec.py` reads files or writes JSON, no module
 decodes a hinges or plan artifact, which are derived again instead, no
-module imports numpy.random, whose import alone costs a build ~12 ms, and
-`hinges.py` and `ordering.py` import no numpy at all.
+module imports numpy.random, whose import alone costs a build ~12 ms,
+`hinges.py` and `ordering.py` import no numpy at all, and no module but
+`synth.py` imports numpy when it is imported, so the CLI starts, and runs
+`hinge` and `order`, without loading it.
 
 `__init__.py` re-exports names on purpose and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -17,8 +19,11 @@ from pathlib import Path
 
 import pytest
 
+from sliceforge import cli
 from sliceforge.mesh import save_obj
-from sliceforge.synth import nested_spheres
+from sliceforge.synth import checkerboard_volume, nested_spheres
+
+from helpers import write_volume_files
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sliceforge"
@@ -405,29 +410,30 @@ def test_checker_flags_numpy_random():
     assert numpy_random_uses(source) == [2, 3, 4, 5, 6, 7]
 
 
+def imports_numpy(node: ast.AST) -> bool:
+    """Whether `node` imports numpy or one of its submodules: an import
+    statement, or a call of `import_module` or `__import__` on the module's
+    name."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""] if node.level == 0 else []  # `from .numpy import x` is the package's own
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", "")) in ("import_module", "__import__"):
+        names = [a.value for a in node.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+    else:
+        return False
+    return any(name.split(".")[0] == "numpy" for name in names)
+
+
 def numpy_imports(source: str) -> list[int]:
-    """The lines that import numpy or one of its submodules: an import
-    statement at any depth, or a call of `import_module` or `__import__` on
-    the module's name."""
-    lines = set()
-    for n in ast.walk(ast.parse(source)):
-        if isinstance(n, ast.Import):
-            names = [a.name for a in n.names]
-        elif isinstance(n, ast.ImportFrom):
-            names = [n.module or ""] if n.level == 0 else []  # `from .numpy import x` is the package's own
-        elif isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", "")) in ("import_module", "__import__"):
-            names = [a.value for a in n.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
-        else:
-            continue
-        if any(name.split(".")[0] == "numpy" for name in names):
-            lines.add(n.lineno)
-    return sorted(lines)
+    """The lines that import numpy, at any depth."""
+    return sorted({n.lineno for n in ast.walk(ast.parse(source)) if imports_numpy(n)})
 
 
 @pytest.mark.parametrize("name", ["hinges.py", "ordering.py"])
 def test_pure_python_stages_import_no_numpy(name):
     # the hinge and order stages run on lists of small records; keeping them
-    # off numpy lets those commands load without it once their imports allow
+    # off numpy lets those commands run without it
     assert numpy_imports((PACKAGE / name).read_text()) == []
 
 
@@ -446,6 +452,74 @@ def test_checker_flags_numpy_imports():
     # a relative import, a module whose name only starts with numpy, and a
     # string that no import call takes are no numpy imports
     assert numpy_imports(source) == [1, 2, 3, 4, 6, 7, 8]
+
+
+def eager_numpy_imports(source: str) -> list[int]:
+    """The lines that import numpy when the module is imported: those outside
+    the bodies of its functions and lambdas."""
+
+    def run_on_import(node):
+        deferred = node.body if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)) else []
+        deferred = deferred if isinstance(deferred, list) else [deferred]
+        for child in ast.iter_child_nodes(node):
+            if not any(child is d for d in deferred):
+                yield child
+                yield from run_on_import(child)
+
+    return sorted({n.lineno for n in run_on_import(ast.parse(source)) if imports_numpy(n)})
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "synth.py"], ids=lambda p: p.name)
+def test_no_module_imports_numpy_when_imported(path):
+    # each function that uses numpy imports it at its entry; synth.py, which
+    # only tests and the benchmark import, is the one exception
+    assert eager_numpy_imports(path.read_text()) == []
+
+
+def test_checker_flags_eager_numpy_imports():
+    source = (
+        "import numpy as np\n"
+        "def f(dtype=__import__('numpy').uint8):\n"
+        "    import numpy\n"
+        "class C:\n"
+        "    from numpy import float64\n"
+        "    def m(self):\n"
+        "        import numpy.linalg\n"
+        "g = lambda: __import__('numpy')\n"
+        "if True:\n"
+        "    import numpy.fft\n"
+    )
+    # a default value and a class body run on import; function bodies do not
+    assert eager_numpy_imports(source) == [1, 2, 5, 10]
+
+
+def loads_numpy(statement: str, cwd: Path) -> bool:
+    """Whether numpy is loaded after a fresh interpreter in `cwd` has imported
+    the CLI and run `statement`."""
+    script = f"import sys\nfrom sliceforge import cli\n{statement}\nprint('numpy' in sys.modules)\n"
+    done = subprocess.run([sys.executable, "-c", script], cwd=cwd, capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("statement", [
+    "cli.build_parser()",
+    "assert cli.main(['--help']) == 0",
+    "assert cli.main(['hinge', '--no-such-flag']) == 2",
+])
+def test_cli_starts_without_numpy(statement, tmp_path):
+    assert not loads_numpy(statement, tmp_path)
+
+
+def test_hinge_and_order_run_without_numpy(tmp_path):
+    raw, header, tf = write_volume_files(tmp_path, *checkerboard_volume(8))
+    assert cli.main(["slice", "--input", str(raw), "--header", str(header), "--tf", str(tf),
+                     "--level", "3", "--out", str(tmp_path / "slices.json")]) == 0
+    for argv in (["hinge", "--in", "slices.json", "--out", "hinges.json"],
+                 ["order", "--in", "hinges.json", "--out", "plan.json"]):
+        assert not loads_numpy(f"assert cli.main({argv!r}) == 0", tmp_path)
+    assert (tmp_path / "plan.json").is_file()
 
 
 def test_build_does_not_load_numpy_random(tmp_path):

@@ -143,6 +143,20 @@ def triangle_soups(draw):
     return mesh, tuple((np.arange(n) + 0.5) / n for _ in range(3))
 
 
+def test_subnormal_projected_area_warns_nothing():
+    # a sliver from the origin to (0.3, 0.3) whose short edge spans 1e-320 in
+    # x: its projected area underflows to a subnormal, so the edge fraction and
+    # the weights of the rays beside it overflow, and those rays count no hit
+    mesh = Mesh("sliver", np.array([[0.0, 0.0, 0.2], [1e-320, 0.0, 0.5], [0.3, 0.3, 0.8]]), np.array([[0, 1, 2]]))
+    (u0, v0, _), (u1, v1, _), (u2, v2, _) = mesh.vertices
+    assert 0 < (u1 - u0) * (v2 - v0) - (u2 - u0) * (v1 - v0) < np.finfo(np.float64).tiny
+    centers = tuple((np.arange(8) + 0.5) / 8 for _ in range(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = mesh_mod._parity_words((mesh,), centers, 2)
+    assert words.shape == (1, 8, 8, 8) and not words.any()
+
+
 @given(soup=triangle_soups())
 @settings(max_examples=150, deadline=None)
 def test_triangle_soups(soup):
