@@ -7,13 +7,13 @@ reads the volume or meshes and writes the slices artifact (grid and slices);
 `hinge` reads it and writes the hinges artifact (grid, slices and hinges);
 `order` reads that and writes the plan artifact; `pack` reads the hinges and
 plan artifacts and writes the layout artifact, with its slot width; `export`
-reads the layout, hinges and plan artifacts and the volume or meshes, and
+reads the hinges, plan and layout artifacts and the volume or meshes, and
 writes the print. One reader per artifact kind decodes it and checks it:
 against itself, against the hinges artifact of its run, and, for the volume,
-against the artifact grid. Hinges are where slices cross, and a plan is what
-`order` derives from them: a command that reads a hinges or plan artifact
-derives its content again, the hinges from their slices and the plan from
-those hinges, and takes the artifact only if it holds exactly that. Each JSON
+against the artifact grid. Hinges are where slices cross, a plan what
+`order` derives from them and a layout what `pack` derives from both at its
+own scale: a command that reads a hinges, plan or layout artifact derives it
+again and takes the artifact only if it holds exactly that. Each JSON
 file is written on one line; `python -m json.tool FILE` prints it indented. A
 command takes only the options it reads: any other flag, or any other key in
 its `--config` JSON file, exits 2. Each option takes the value of its flag,
@@ -34,10 +34,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import pipeline
-from .codec import encode, read_json
+from .codec import encode, read_json, require_encoding
 from .errors import SliceforgeError, ValidationError
 from .hinges import hinges_from_json
-from .layout import DEFAULT_GUTTER_MM, DEFAULT_MARGIN_MM, PAGE_SIZES_MM
+from .layout import DEFAULT_GUTTER_MM, DEFAULT_MARGIN_MM, PAGE_SIZES_MM, cluster_slices, page_plan
 from .octree import slices_from_json, up_axis
 from .pipeline import GridInfo
 from .render import DEFAULT_PX_PER_MM
@@ -45,9 +45,6 @@ from .volume import quantize
 
 # the densest raster, in pixels per mm (2540 dpi); more only makes rasters too big to allocate
 MAX_PX_PER_MM = 100.0
-# how far, in mm, a placement of a layout artifact may overhang its page's
-# usable area: the slack of perfbench's layout check
-_SLACK_MM = 1e-6
 
 
 def _finite(value) -> bool:
@@ -246,21 +243,21 @@ def _read_hinges(path: str):
     return grid, slices, hinges_from_json(art.get("hinges"), path, slices, grid.orientations)
 
 
-_SAME_RUN = "use the hinges and layout artifacts of one run"
-
-
 def _read_plan(path: str, hinges_path: str, grid, slices, hinges):
     """The plan that `order` derives from `hinges_path`, which the artifact at `path` must hold."""
     return pipeline.plan_from_json(pipeline.read_artifact(path), path, _order(grid, slices, hinges), hinges_path)
 
 
-def _read_layout(path: str, hinges_path: str, slices):
-    """The layout and slot width of the layout artifact at `path`, of the
-    run that wrote the hinges artifact at `hinges_path`: it places and
-    clusters exactly that run's slices, each inside the usable area of one
-    of its pages, has a partition only for a cluster that holds a slice, and
-    holds only values that `pack` can write."""
-    layout, slot_width = pipeline.layout_from_json(pipeline.read_artifact(path), path)
+def _read_layout(path: str, hinges_path: str, grid, slices, plan):
+    """The layout and slot width of the layout artifact at `path`, whose
+    options `pack` can write and which holds what `pack` gives the slices of
+    `hinges_path` and `plan` at its own options and scale. One clustering and
+    one packing probe give that: the elbow keeps the first k whose WCSS gain
+    is small, so k_max at the artifact's count of cluster ids picks its k
+    again; and its sheets are the pages `pack` used, min(--sheets, k), onto
+    which clusters fall as onto --sheets."""
+    obj = pipeline.read_artifact(path)
+    layout, slot_width = pipeline.layout_from_json(obj, path)
     for name, value, (in_range, what) in (
         ("sheets", layout.sheets, (lambda n: n >= 1, "an integer >= 1")),
         ("page_size_mm", layout.page_size, (lambda size: all(_positive(v) for v in size), "two positive numbers")),
@@ -271,23 +268,18 @@ def _read_layout(path: str, hinges_path: str, slices):
     ):
         if not in_range(value):
             raise ValidationError(f"layout {path}: {name} must be {what}, got {value!r}")
-    if not all(0 <= p.page < layout.sheets for p in (*layout.placements, *layout.partitions)):
-        raise ValidationError(f"layout {path} places a slice or a cluster off its {layout.sheets} page(s)")
-    (page_w, page_h), m = layout.page_size, layout.margin
-    for p in layout.placements:
-        if not (_positive(p.w) and _positive(p.h) and m - _SLACK_MM <= p.x and p.x + p.w <= page_w - m + _SLACK_MM
-                and m - _SLACK_MM <= p.y and p.y + p.h <= page_h - m + _SLACK_MM):
-            raise ValidationError(f"layout {path}: slice {p.slice_id} at ({p.x!r}, {p.y!r}) of size "
-                                  f"{p.w!r} x {p.h!r} mm leaves the usable area of its page")
-    placed = sorted(p.slice_id for p in layout.placements)
-    if placed != sorted(s.id for s in slices):
-        raise ValidationError(f"layout {path} does not place exactly the slices of {hinges_path}", hint=_SAME_RUN)
-    if sorted(layout.cluster_of) != placed:  # the manifest counts the clusters of this map
-        raise ValidationError(f"layout {path} does not cluster exactly the slices it places", hint=_SAME_RUN)
-    empty = sorted({p.cluster for p in layout.partitions} - set(layout.cluster_of.values()))
-    if empty:
-        raise ValidationError(f"layout {path} has partitions for clusters {empty}, which hold no slice")
-    return layout, slot_width
+    k = len({p.cluster for p in layout.partitions} | set(layout.cluster_of.values())) or 1
+    try:
+        clusters = cluster_slices(slices, plan, grid.dims, grid.orientations, k_max=k)
+        derived = page_plan(slices, plan, clusters, grid.spacing, grid.orientations, layout.page_size,
+                            layout.sheets, layout.margin, layout.gutter)(layout.scale)
+    except ValidationError as exc:
+        raise ValidationError(f"layout {path}: {exc}", exc.hint) from exc
+    hint = f"rewrite it from {hinges_path} and its plan with `sliceforge pack`"
+    if derived is None:
+        raise ValidationError(f"layout {path} malformed: its slices do not fit its pages at its scale", hint=hint)
+    source = f"the slices of {hinges_path} packed at its scale"
+    return require_encoding(obj, derived, f"layout {path}", source, hint), slot_width
 
 
 # Each stage runs in one function, which `build` and the staged command share.
@@ -372,8 +364,8 @@ def cmd_pack(args) -> int:
 def cmd_export(args) -> int:
     # the other inputs are held to the hinges artifact, so it is read first
     grid, slices, hinges = _read_hinges(args.hinges)
-    layout, slot_width = _read_layout(args.inp, args.hinges, slices)
     plan = _read_plan(args.plan, args.hinges, grid, slices, hinges)
+    layout, slot_width = _read_layout(args.inp, args.hinges, grid, slices, plan)
     labels, tf = _load_labels(args, grid)
     manifest = _export(args, labels, tf, grid, slices, hinges, plan, layout, slot_width)
     print(f"wrote {len(manifest['pages'])} page(s) -> {args.out}")

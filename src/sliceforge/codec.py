@@ -18,7 +18,8 @@ IOFailure "{what} not found", any other OS error IOFailure "cannot read
 {path} is not valid JSON", and a raw array file of the wrong size raises
 IngestError (both exit 2); `read_array` maps a file rather than copying it.
 `json_text` is the one JSON writer, of json's compact form: one line, keys
-sorted (`python -m json.tool FILE` indents it).
+sorted (`python -m json.tool FILE` indents it). `require_encoding` holds an
+artifact to what its reader derives, and names the first field that differs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import os
 import stat
 import types
 import typing
+from itertools import zip_longest
 from pathlib import Path
 
 from .errors import IngestError, IOFailure, ValidationError
@@ -113,6 +115,28 @@ def read_json(path: str | Path, what: str):
 def json_text(obj) -> str:
     """The whole text of a JSON file: `obj` compact, keys sorted, one line."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def require_encoding(obj: dict, value, what: str, source: str, hint: str):
+    """`value` if the artifact `obj`, which a message calls `what`, holds
+    its encoding under each of its keys (other keys are not its own); else a
+    ValidationError names the first key or list position that differs, down
+    to one value, with what `obj` holds there and what `source` give."""
+    for at, want in encode(value).items():
+        got = obj.get(at)
+        while got != want:  # into the first part that differs; a missing key or position reads as None
+            if isinstance(got, dict) and isinstance(want, dict):
+                parts = ((f"{at}.{key}", got.get(key), want.get(key)) for key in {**want, **got})
+            elif isinstance(got, list) and isinstance(want, list):
+                parts = ((f"{at}[{i}]", *pair) for i, pair in enumerate(zip_longest(got, want)))
+            else:
+                parts = ()
+            part = next((part for part in parts if part[1] != part[2]), None)
+            if part is None:  # one value, or one none of whose parts differs
+                raise ValidationError(f"{what} malformed: {at} is {got!r:.80}, but {source} give {want!r:.80}",
+                                      hint=hint)
+            at, got, want = part
+    return value
 
 
 def _same(value):

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
-from .codec import encode
+from .codec import require_encoding
 from .errors import InfeasibleError, ValidationError
 from .octree import Slice
 
@@ -132,14 +132,13 @@ def find_backbone(hinges: list[Hinge], slices: list[Slice]) -> int:
 
 
 def hinges_by_slice(hinges: list[Hinge]) -> dict[int, list[Hinge]]:
-    """The hinges touching each slice, sorted by in-plane position; a slice
-    that no hinge touches has no entry."""
+    """The hinges touching each slice in (in-plane position, v0, id) order;
+    a slice that no hinge touches has no entry. `hinges` must come in
+    `compute_hinges` order, which on every slice already is that order."""
     by_slice: dict[int, list[Hinge]] = {}
     for h in hinges:
-        for sid in {h.slice_a, h.slice_b}:
+        for sid in (h.slice_a, h.slice_b):
             by_slice.setdefault(sid, []).append(h)
-    for sid, mine in by_slice.items():
-        mine.sort(key=lambda h: (h.u_on(sid), h.v0, h.id))
     return by_slice
 
 
@@ -165,16 +164,5 @@ def hinges_from_json(items: list[dict], path: str, slices: list[Slice], orientat
     """The hinges of `slices`, which the hinges artifact read from `path`
     must hold as `items`: every hinge is where two slices cross, so any
     other list is no artifact that `hinge` wrote."""
-    hinges = compute_hinges(slices, orientations)
-    want = encode(hinges)
-    if items != want:
-        if not isinstance(items, list):
-            why = "not a JSON array"
-        elif len(items) != len(want):
-            why = f"{len(items)} hinges, but its slices cross in {len(want)}"
-        else:
-            i = next(i for i, (got, hinge) in enumerate(zip(items, want)) if got != hinge)
-            why = f"hinge {i} is {items[i]!r}, but its slices give {want[i]!r}"
-        raise ValidationError(f"hinges {path} malformed: {why}",
-                              hint="rewrite it from its slices with `sliceforge hinge`")
-    return hinges
+    return require_encoding({"hinges": items}, {"hinges": compute_hinges(slices, orientations)}, f"hinges {path}",
+                            "its slices", "rewrite it from its slices with `sliceforge hinge`")["hinges"]

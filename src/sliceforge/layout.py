@@ -10,6 +10,7 @@ largest global scale that still fits.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleError, ValidationError
@@ -384,27 +385,12 @@ def _try_pack(
     return placements
 
 
-def pack(
-    slices: list[Slice],
-    plan: AssemblyPlan,
-    clusters: ClusterModel,
-    spacing: tuple[float, float, float],
-    orientations: tuple[str, str] = ("x", "y"),
-    page_size: tuple[float, float] = PAGE_SIZES_MM["A4"],
-    sheets: int = 1,
-    margin: float = DEFAULT_MARGIN_MM,
-    gutter: float = DEFAULT_GUTTER_MM,
-    slot_width_mm: float = 1.0,
-) -> PageLayout:
-    """Pack every slice at one global scale: the returned scale packs, and a
-    probe within SCALE_TOLERANCE above it did not. It need not be the
-    largest scale that packs, since feasibility is not monotone in scale.
-
-    The minimum acceptable scale keeps printed slots at least 1 mm wide;
-    if even that does not fit, packing is infeasible. Each cluster lands on
-    one page, so more sheets help only while there are fewer than clusters;
-    past that, a bigger page or a wider slot (a smaller minimum scale) does.
-    """
+def page_plan(slices: list[Slice], plan: AssemblyPlan, clusters: ClusterModel, spacing: tuple[float, float, float],
+              orientations: tuple[str, str], page_size: tuple[float, float], sheets: int, margin: float,
+              gutter: float) -> Callable[[float], PageLayout | None]:
+    """Everything of `pack` but its scale search (the slices in assembly
+    order, their sizes, the clusters' sheets and partitions), as the function
+    that packs the slices at a scale: their layout, or None if they do not fit."""
     if sheets < 1:
         raise ValidationError(f"sheets must be >= 1, got {sheets}")
     page_w, page_h = (float(v) for v in page_size)
@@ -437,16 +423,42 @@ def pack(
             leaves[cluster] = (pg, rect)
             partitions.append(Partition(page=pg, cluster=cluster, rect=rect))
 
-    def feasible(scale: float) -> list[Placement] | None:
-        return _try_pack(scale, order, sizes, cluster_of, leaves, gutter)
+    def place(scale: float) -> PageLayout | None:
+        placements = _try_pack(scale, order, sizes, cluster_of, leaves, gutter)
+        return None if placements is None else PageLayout(
+            (page_w, page_h), margin, gutter, n_pages, scale, tuple(partitions), tuple(placements), cluster_of)
 
+    return place
+
+
+def pack(
+    slices: list[Slice],
+    plan: AssemblyPlan,
+    clusters: ClusterModel,
+    spacing: tuple[float, float, float],
+    orientations: tuple[str, str] = ("x", "y"),
+    page_size: tuple[float, float] = PAGE_SIZES_MM["A4"],
+    sheets: int = 1,
+    margin: float = DEFAULT_MARGIN_MM,
+    gutter: float = DEFAULT_GUTTER_MM,
+    slot_width_mm: float = 1.0,
+) -> PageLayout:
+    """Pack every slice at one global scale: the returned scale packs, and a
+    probe within SCALE_TOLERANCE above it did not. It need not be the
+    largest scale that packs, since feasibility is not monotone in scale.
+
+    The minimum acceptable scale keeps printed slots at least 1 mm wide;
+    if even that does not fit, packing is infeasible. Each cluster lands on
+    one page, so more sheets help only while there are fewer than clusters;
+    past that, a bigger page or a wider slot (a smaller minimum scale) does.
+    """
+    place = page_plan(slices, plan, clusters, spacing, orientations, page_size, sheets, margin, gutter)
     scale_min = LEGIBLE_SLOT_FRACTION * MIN_PRINT_SLOT_MM / slot_width_mm
-    base = feasible(scale_min)
-    if base is None:
-        total_area = sum(
-            (w * scale_min + gutter) * (h * scale_min + gutter) for w, h in sizes.values()
-        )
-        pages_of_area = total_area / (usable[2] * usable[3])
+    lo, layout = scale_min, place(scale_min)  # always the packing at `lo`, the largest feasible scale probed
+    if layout is None:
+        total_area = sum((w * scale_min + gutter) * (h * scale_min + gutter)
+                         for w, h in (slice_print_size(s, spacing, orientations) for s in slices))
+        pages_of_area = total_area / ((page_size[0] - 2 * margin) * (page_size[1] - 2 * margin))
         # each cluster lands on one page, so sheets past k stay empty; an
         # area no float holds (a huge gutter) names no sheet count either
         if sheets >= clusters.k or not math.isfinite(pages_of_area):
@@ -458,31 +470,20 @@ def pack(
             f"(printed slot width below {MIN_PRINT_SLOT_MM} mm)",
             hint=hint,
         )
-    # `placements` is always the packing at `lo`, the largest feasible scale probed
-    lo, placements = scale_min, base
     hi = scale_min * 2
     for _ in range(64):
-        probe = feasible(hi)
+        probe = place(hi)
         if probe is None:
             break
-        lo, placements = hi, probe
+        lo, layout = hi, probe
         hi *= 2
     else:
         raise ValidationError("packing feasibility did not bound; check slice sizes")
     while hi - lo > SCALE_TOLERANCE * lo:
         mid = (lo + hi) / 2.0
-        probe = feasible(mid)
+        probe = place(mid)
         if probe is None:
             hi = mid
         else:
-            lo, placements = mid, probe
-    return PageLayout(
-        page_size=(page_w, page_h),
-        margin=margin,
-        gutter=gutter,
-        sheets=n_pages,
-        scale=lo,
-        partitions=tuple(partitions),
-        placements=tuple(placements),
-        cluster_of=cluster_of,
-    )
+            lo, layout = mid, probe
+    return layout

@@ -11,11 +11,10 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from pathlib import Path
 
 from . import __version__
-from .codec import decode, encode, json_text, read_json
+from .codec import decode, encode, json_text, read_json, require_encoding
 from .errors import IOFailure, ValidationError
 from .export import emit_instructions, emit_pages, slice_cut_geometry
 from .hinges import Hinge, collect_triples, compute_hinges, find_backbone, hinges_by_slice
@@ -240,14 +239,8 @@ def stage_export(outdir: str | Path, labels: LabelVolume, tf: TransferFunction, 
 
 def plan_from_json(obj: dict, path: str, plan: AssemblyPlan, hinges_path: str) -> AssemblyPlan:
     """`plan`, which `order` derives from `hinges_path`, if the artifact read from `path` holds it as `obj`."""
-    for key, want in encode(plan).items():
-        got = obj.get(key)
-        if got != want and type(got) is list and type(want) is list:  # the first position that differs
-            key, (got, want) = next((f"{key}[{i}]", p) for i, p in enumerate(zip_longest(got, want)) if p[0] != p[1])
-        if got != want:  # None where the key or the position is missing; a whole list is cut at 80 characters
-            raise ValidationError(f"plan {path} malformed: {key} is {got!r:.80}, but the hinges of {hinges_path} give "
-                                  f"{want!r:.80}", hint=f"rewrite it from {hinges_path} with `sliceforge order`")
-    return plan
+    return require_encoding(obj, plan, f"plan {path}", f"the hinges of {hinges_path}",
+                            f"rewrite it from {hinges_path} with `sliceforge order`")
 
 
 def layout_from_json(obj: dict, path: str) -> tuple[PageLayout, float]:

@@ -301,7 +301,8 @@ def test_export_rejects_artifacts_of_another_slice_set(two_runs, capsys):
 
     code, err = export("layout3.json", "hinges2.json", "plan2.json")
     assert code == 2
-    assert "layout layout3.json does not place exactly the slices of hinges2.json" in err
+    assert ("layout layout3.json malformed: partitions[0].cluster is 0, "
+            "but the slices of hinges2.json packed at its scale give 1") in err
     code, err = export("layout2.json", "hinges2.json", "plan3.json")
     assert code == 2
     assert "plan plan3.json malformed: hinge_order[0] is 24, but the hinges of hinges2.json give 4" in err
@@ -315,17 +316,21 @@ def edit_clusters(path: Path, edit) -> None:
     path.write_text(json.dumps(record))
 
 
-@pytest.mark.parametrize("edit", [
-    lambda c: {**c, "999": 0},  # a cluster for a slice the layout does not place
-    lambda c: dict(list(c.items())[1:]),  # a placed slice in no cluster
-    lambda c: {**c, "999": max(c.values()) + 1},  # a cluster that holds no placed slice
+@pytest.mark.parametrize("edit,message", [
+    # a cluster for a slice the layout does not place
+    (lambda c: {**c, "999": 0}, "clusters.999 is 0, but the slices of hinges2.json packed at its scale give None"),
+    # a placed slice in no cluster
+    (lambda c: dict(list(c.items())[1:]), "clusters.0 is None, but the slices of hinges2.json packed at its scale give 1"),
+    # a cluster that holds no placed slice
+    (lambda c: {**c, "999": max(c.values()) + 1},
+     "clusters.999 is 3, but the slices of hinges2.json packed at its scale give None"),
 ], ids=["extra", "missing", "phantom-cluster"])
-def test_export_rejects_clusters_of_other_slices(two_runs, capsys, tmp_path, edit):
+def test_export_rejects_clusters_of_other_slices(two_runs, capsys, tmp_path, edit, message):
     edit_clusters(tmp_path / "layout2.json", edit)
     code, err = run(["export", *two_runs, "--in", "layout2.json", "--hinges", "hinges2.json",
                      "--plan", "plan2.json", "--out", "out"], capsys)
     assert code == 2
-    assert "layout layout2.json does not cluster exactly the slices it places" in err
+    assert f"layout layout2.json malformed: {message}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out" / "manifest.json").exists()
 
@@ -388,6 +393,9 @@ BROKEN_PLANS = {
                          f"hinge_order[1] is 2, {GIVE} 0"),
     "negative-objective": ("objective", lambda _: -5, f"objective is -5, {GIVE} 20.071067811865476"),
     "flips-exact": ("exact", lambda exact: not exact, f"exact is False, {GIVE} True"),
+    # no position differs, as a missing one reads as None: the whole list does
+    "appends-a-null": ("slice_order", lambda order: order + [None],
+                       f"slice_order is [1, 4, 0, 3, 5, 2, None], {GIVE} [1, 4, 0, 3, 5, 2]"),
 }
 
 
@@ -449,15 +457,23 @@ def test_plan_with_one_value_changed_exits_2(level2_run, key, data):
     assert not (tmp / "layout.json").exists() and not (tmp / "out").exists()
 
 
-# a layout that does not hold to itself or to the ranges of its options:
-# each case is an edit and the message it draws
+def _swap_slices(art: dict) -> None:
+    first, second = art["placements"][:2]
+    first["slice"], second["slice"] = second["slice"], first["slice"]
+
+
+# a layout that is not the packing of its slices at its own options and scale,
+# or whose options leave their ranges: each case is an edit of the level 2
+# layout, whose six square slices lie on one page in three clusters, and the
+# message it draws
+PACKED = "but the slices of hinges2.json packed at its scale give"
 BROKEN_LAYOUTS = {
     "placement-off-the-pages": (lambda art: art["placements"][0].update(page=99),
-                                "layout broken.json places a slice or a cluster off its 1 page(s)"),
+                                f"layout broken.json malformed: placements[0].page is 99, {PACKED} 0"),
     "placement-on-a-negative-page": (lambda art: art["placements"][-1].update(page=-1),
-                                     "layout broken.json places a slice or a cluster off its 1 page(s)"),
+                                     f"layout broken.json malformed: placements[5].page is -1, {PACKED} 0"),
     "partition-off-the-pages": (lambda art: art["partitions"][0].update(page=1),
-                                "layout broken.json places a slice or a cluster off its 1 page(s)"),
+                                f"layout broken.json malformed: partitions[0].page is 1, {PACKED} 0"),
     "no-sheets": (lambda art: art.update(sheets=0), "layout broken.json: sheets must be an integer >= 1, got 0"),
     "zero-page": (lambda art: art.update(page_size_mm=[0, 297]),
                   "layout broken.json: page_size_mm must be two positive numbers, got (0.0, 297.0)"),
@@ -473,11 +489,26 @@ BROKEN_LAYOUTS = {
     "negative-slot-width": (lambda art: art.update(slot_width_mm=-1),
                             "layout broken.json: slot_width_mm must be a positive number, got -1.0"),
     "negative-width": (lambda art: art["placements"][0].update(w=-5),
-                       "leaves the usable area of its page"),
+                       f"layout broken.json malformed: placements[0].w is -5, {PACKED} 66.5"),
     "placement-far-off-the-page": (lambda art: art["placements"][0].update(x=1e300),
-                                   "leaves the usable area of its page"),
+                                   f"layout broken.json malformed: placements[0].x is 1e+300, {PACKED} 5.0"),
     "partition-of-no-slice": (lambda art: art["partitions"][0].update(cluster=9),
-                              "layout broken.json has partitions for clusters [9], which hold no slice"),
+                              f"layout broken.json malformed: partitions[0].cluster is 9, {PACKED} 1"),
+    # each of these makes a broken print, yet holds every rule a layout once had
+    "placement-onto-another": (lambda art: art["placements"][1].update(x=art["placements"][0]["x"],
+                                                                       y=art["placements"][0]["y"]),
+                               f"layout broken.json malformed: placements[1].y is 5.0, {PACKED} 75.5"),
+    "placement-at-half-width": (lambda art: art["placements"][0].update(w=art["placements"][0]["w"] / 2),
+                                f"layout broken.json malformed: placements[0].w is 33.25, {PACKED} 66.5"),
+    "two-slices-swapped": (_swap_slices, f"layout broken.json malformed: placements[0].slice is 4, {PACKED} 1"),
+    "rotation-flipped": (lambda art: art["placements"][0].update(rotated=not art["placements"][0]["rotated"]),
+                         f"layout broken.json malformed: placements[0].rotated is True, {PACKED} False"),
+    "slice-in-another-cluster": (lambda art: art["clusters"].update({"0": 2}),
+                                 f"layout broken.json malformed: clusters.0 is 2, {PACKED} 1"),
+    # an error raised while the layout is derived names its file
+    "margins-leave-no-area": (lambda art: art.update(margin_mm=150),
+                              "layout broken.json: margins leave no usable page area"),
+    "no-clusters": (lambda art: art.update(clusters={}), f"layout broken.json malformed: clusters.0 is None, {PACKED} 1"),
 }
 
 
@@ -734,9 +765,9 @@ def test_malformed_artifact_field_exits_2_naming_the_file(two_runs, capsys, tmp_
 MALFORMED = "hinges broken.json malformed:"
 BROKEN_ARTIFACTS = {
     "unknown-slice-a": (lambda art: art["hinges"][0].update(slice_a=99999),
-                        f"{MALFORMED} hinge 0 is {{'id': 0, 'kind': 'up_down', 'slice_a': 99999, 'slice_b': 3,"),
+                        f"{MALFORMED} hinges[0].slice_a is 99999, but its slices give 0"),
     "unknown-slice-b": (lambda art: art["hinges"][-1].update(slice_b=99999),
-                        f"{MALFORMED} hinge 8 is {{'id': 8, 'kind': 'up_down', 'slice_a': 2, 'slice_b': 99999,"),
+                        f"{MALFORMED} hinges[8].slice_b is 99999, but its slices give 5"),
     "repeated-slice-id": (lambda art: art["slices"][1].update(id=art["slices"][0]["id"]),
                           "broken.json hold the ids [0] more than once"),
     "zero-dims": (lambda art: art["grid"].update(dims=[0, 0, 0]),
@@ -747,14 +778,14 @@ BROKEN_ARTIFACTS = {
     # y slice (slice_b): not a slice to itself, not two of one family, not the two
     # families swapped, and holds its id once
     "hinge-joins-itself": (lambda art: art["hinges"][0].update(slice_b=art["hinges"][0]["slice_a"]),
-                           f"{MALFORMED} hinge 0 is {{'id': 0, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 0,"),
+                           f"{MALFORMED} hinges[0].slice_b is 0, but its slices give 3"),
     "hinge-joins-one-family": (lambda art: art["hinges"][1].update(slice_b=1),
-                               f"{MALFORMED} hinge 1 is {{'id': 1, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 1,"),
+                               f"{MALFORMED} hinges[1].slice_b is 1, but its slices give 4"),
     "hinge-swaps-families": (lambda art: art["hinges"][-1].update(slice_a=art["hinges"][-1]["slice_b"],
                                                                   slice_b=art["hinges"][-1]["slice_a"]),
-                             f"{MALFORMED} hinge 8 is {{'id': 8, 'kind': 'up_down', 'slice_a': 5, 'slice_b': 2,"),
+                             f"{MALFORMED} hinges[8].slice_a is 5, but its slices give 2"),
     "repeated-hinge-id": (lambda art: art["hinges"][1].update(id=art["hinges"][0]["id"]),
-                          f"{MALFORMED} hinge 1 is {{'id': 0, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 4,"),
+                          f"{MALFORMED} hinges[1].id is 0, but its slices give 1"),
     # a grid slices along two distinct axes of x, y and z, and its slices lie
     # inside it; so do the hinges its slices give
     "grid-repeats-an-axis": (lambda art: art["grid"].update(orientations=["x", "x"]),
@@ -770,13 +801,9 @@ BROKEN_ARTIFACTS = {
     "slice-extent-outside": (lambda art: art["slices"][2].update(extent=[0, 0, 8, 9]),
                              "slice 2 on plane 6 with extent (0, 0, 8, 9) is empty or leaves the (8, 8, 8) grid"),
     "hinge-interval-reversed": (lambda art: art["hinges"][0].update(v0=8, v1=0),
-                                f"{MALFORMED} hinge 0 is {{'id': 0, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 3, "
-                                "'slot_a': 'top', 'slot_b': 'bottom', 'stopper_on': None, 'u_a': 2, 'u_b': 2, "
-                                "'v0': 8, 'v1': 0}, but its slices give {'id': 0,"),
+                                f"{MALFORMED} hinges[0].v0 is 8, but its slices give 0"),
     "hinge-interval-outside": (lambda art: art["hinges"][1].update(v1=10**400),
-                               f"{MALFORMED} hinge 1 is {{'id': 1, 'kind': 'up_down', 'slice_a': 0, 'slice_b': 4, "
-                               f"'slot_a': 'top', 'slot_b': 'bottom', 'stopper_on': None, 'u_a': 4, 'u_b': 2, "
-                               f"'v0': 0, 'v1': {10**400}}}, but its slices give {{'id': 1,"),
+                               f"{MALFORMED} hinges[1].v1 is {str(10**400)[:80]}, but its slices give 8"),
 }
 # every command that reads a hinges artifact, and `hinge`, which reads the slices
 BROKEN_CASES = [

@@ -101,7 +101,7 @@ class TestComputeHinges:
         stopper = next(i for i, item in enumerate(items) if item["stopper_on"] is not None)
         other = {"kind": "up_down", "slot_a": "top", "slot_b": "bottom", "stopper_on": None}
         items[stopper][key] = other[key] if key in other else items[stopper][key] + 1
-        with pytest.raises(ValidationError, match=f"^hinges hinges.json malformed: hinge {stopper} is "):
+        with pytest.raises(ValidationError, match=rf"^hinges hinges.json malformed: hinges\[{stopper}\]\.{key} is "):
             hinges_from_json(items, "hinges.json", slices, ("x", "y"))
 
 

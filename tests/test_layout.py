@@ -16,6 +16,7 @@ from sliceforge.layout import (
     cluster_slices,
     kmeans_elbow,
     pack,
+    page_plan,
     partition_page,
     pca_2d,
     slice_print_size,
@@ -147,6 +148,21 @@ class TestKmeansElbow:
         b = kmeans_elbow(pts, k_max=5)
         assert a[0] == b[0]
         assert np.array_equal(a[2], b[2])
+
+    @given(
+        points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=40),
+        k_max=st.integers(1, 8),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_k_max_at_the_chosen_k_gives_the_same_clustering(self, points, k_max):
+        # the elbow keeps the first k whose gain is small, so a layout reader
+        # that knows only the k of a layout clusters its slices as `pack` did
+        pts = np.array(points)
+        k, centroids, assignment, _ = kmeans_elbow(pts, k_max)
+        again, centroids_again, assignment_again, _ = kmeans_elbow(pts, k)
+        assert again == k
+        assert np.array_equal(centroids_again, centroids)
+        assert np.array_equal(assignment_again, assignment)
 
 
 class TestFirstCentre:
@@ -327,6 +343,16 @@ class TestPack:
         b = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A4"])
         assert a == b
 
+    def test_page_plan_at_the_packed_scale_gives_the_layout(self):
+        slices = grid_slices([(0, 0, 40, 30), (0, 0, 20, 60), (0, 0, 50, 50), (0, 0, 10, 10)])
+        plan = plan_for(slices)
+        clusters = cluster_slices(slices, plan, (128, 128, 128))
+        layout = pack(slices, plan, clusters, (1.0, 1.0, 1.0), page_size=PAGE_SIZES_MM["A3"], sheets=3)
+        place = page_plan(slices, plan, clusters, (1.0, 1.0, 1.0), ("x", "y"), PAGE_SIZES_MM["A3"], layout.sheets,
+                          layout.margin, layout.gutter)
+        assert place(layout.scale) == layout
+        assert place(layout.scale * 100) is None
+
     def test_infeasible_suggests_more_sheets(self):
         # two clusters of oversized slices: one A4 sheet cannot take them,
         # a second sheet can (pinned clustering isolates the pack behavior)
@@ -428,6 +454,17 @@ class TestSheetAssignment:
         assert all(b - a in (0, 1) for a, b in zip(sheet_of, sheet_of[1:]))
         if len(weights) >= sheets:
             assert set(sheet_of) == set(range(sheets))
+
+    @given(
+        weights=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=12),
+        sheets=st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_the_pages_used_assign_as_the_sheets_asked(self, weights, sheets):
+        # a layout records the pages that `pack` used, not the sheets it was
+        # given; assigning onto those pages must give the same sheets again
+        sheet_of = _assign_clusters_to_sheets(weights, sheets)
+        assert _assign_clusters_to_sheets(weights, max(sheet_of) + 1) == sheet_of
 
     def test_one_cluster_per_sheet(self):
         assert _assign_clusters_to_sheets([1, 1], 2) == [0, 1]

@@ -93,6 +93,23 @@ def test_build_equals_staged_commands(meshes, built, tmp_path):
     assert files_under(staged) == expected
 
 
+def test_build_equals_staged_commands_on_more_sheets_than_clusters(meshes, tmp_path):
+    # the spheres fall into 3 clusters, so `pack` uses 3 of 5 sheets, and
+    # `export` derives the layout again on the 3 pages that it records
+    build(meshes, tmp_path / "build", "--sheets", "5")
+    a = {name: str(tmp_path / f"{name}.json") for name in ("slices", "hinges", "plan", "layout")}
+    run(["slice", "--meshes", *meshes, *GRID, "--level", "3", "--out", a["slices"]])
+    run(["hinge", "--in", a["slices"], "--out", a["hinges"]])
+    run(["order", "--in", a["hinges"], "--out", a["plan"]])
+    run(["pack", "--in", a["hinges"], "--plan", a["plan"], "--sheets", "5", "--out", a["layout"]])
+    run(["export", "--in", a["layout"], "--hinges", a["hinges"], "--plan", a["plan"],
+         "--meshes", *meshes, *GRID, "--out", str(tmp_path / "print")])
+    expected = files_under(tmp_path / "build")
+    manifest = json.loads(expected["manifest.json"])
+    assert (manifest["summary"]["clusters"], manifest["summary"]["pages"], manifest["options"]["sheets"]) == (3, 3, 3)
+    assert files_under(tmp_path / "print") == expected
+
+
 # a value other than its default for each option that `slice`, `pack` or
 # `export` reads besides the paths, by the command that takes it
 SLICE_OPTIONS = ["--orientations", "z,x"]

@@ -97,6 +97,19 @@ def test_matches_rescanning_fixpoint(raw):
         event("a grown box joins what no two rectangles join")
 
 
+@settings(max_examples=200, deadline=None)
+@given(raw_slice_sets(), st.sampled_from([("x", "y"), ("y", "z"), ("z", "x")]))
+def test_hinges_by_slice_needs_no_sort(raw, orientations):
+    # `compute_hinges` numbers hinges in an order that on each slice is
+    # already (u, v0, id): `hinges_by_slice` only groups them
+    hinges = compute_hinges(unify_slices(raw), orientations)
+    if hinges:
+        event("hinges")
+    for sid, mine in hinges_by_slice(hinges).items():
+        keys = [(h.u_on(sid), h.v0, h.id) for h in mine]
+        assert keys == sorted(keys)
+
+
 def _direct_components(raw: list[Slice]) -> int:
     """Connected components of coplanar rectangles that meet directly."""
     parent = list(range(len(raw)))
