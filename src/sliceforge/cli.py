@@ -13,7 +13,8 @@ against itself, against the hinges artifact of its run, and, for the volume,
 against the artifact grid. Hinges are where slices cross, a plan what
 `order` derives from them and a layout what `pack` derives from both at its
 own scale: a command that reads a hinges, plan or layout artifact derives it
-again and takes the artifact only if it holds exactly that. Each JSON
+again and takes the artifact only if it holds exactly that, so the layout
+reader decodes only the options that the packing is derived at. Each JSON
 file is written on one line; `python -m json.tool FILE` prints it indented. A
 command takes only the options it reads: any other flag, or any other key in
 its `--config` JSON file, exits 2. Each option takes the value of its flag,
@@ -251,35 +252,37 @@ def _read_plan(path: str, hinges_path: str, grid, slices, hinges):
 def _read_layout(path: str, hinges_path: str, grid, slices, plan):
     """The layout and slot width of the layout artifact at `path`, whose
     options `pack` can write and which holds what `pack` gives the slices of
-    `hinges_path` and `plan` at its own options and scale. One clustering and
-    one packing probe give that: the elbow keeps the first k whose WCSS gain
-    is small, so k_max at the artifact's count of cluster ids picks its k
-    again; and its sheets are the pages `pack` used, min(--sheets, k), onto
-    which clusters fall as onto --sheets."""
+    `hinges_path` and `plan` at its own options and scale. Only the options
+    are decoded; one clustering and one packing probe give the rest: the
+    elbow keeps the first k whose WCSS gain is small, so k_max at the
+    artifact's count of partitions, one per cluster, picks its k again; and
+    its sheets are the pages `pack` used, min(--sheets, k), onto which
+    clusters fall as onto --sheets."""
     obj = pipeline.read_artifact(path)
-    layout, slot_width = pipeline.layout_from_json(obj, path)
-    for name, value, (in_range, what) in (
-        ("sheets", layout.sheets, (lambda n: n >= 1, "an integer >= 1")),
-        ("page_size_mm", layout.page_size, (lambda size: all(_positive(v) for v in size), "two positive numbers")),
-        ("scale", layout.scale, (_positive, "a positive number")),
-        ("margin_mm", layout.margin, _PAPER),
-        ("gutter_mm", layout.gutter, _PAPER),
-        ("slot_width_mm", slot_width, _OPTIONS["slot_width"].range),
+    options = pipeline.layout_from_json(obj, path)
+    for name, (in_range, what) in (
+        ("sheets", (lambda n: n >= 1, "an integer >= 1")),
+        ("page_size_mm", (lambda size: all(_positive(v) for v in size), "two positive numbers")),
+        ("scale", (_positive, "a positive number")),
+        ("margin_mm", _PAPER),
+        ("gutter_mm", _PAPER),
+        ("slot_width_mm", _OPTIONS["slot_width"].range),
     ):
-        if not in_range(value):
-            raise ValidationError(f"layout {path}: {name} must be {what}, got {value!r}")
-    k = len({p.cluster for p in layout.partitions} | set(layout.cluster_of.values())) or 1
+        if not in_range(getattr(options, name)):
+            raise ValidationError(f"layout {path}: {name} must be {what}, got {getattr(options, name)!r}")
+    partitions = obj.get("partitions")
+    k = len(partitions) if isinstance(partitions, list) and partitions else 1  # else the comparison fails
     try:
         clusters = cluster_slices(slices, plan, grid.dims, grid.orientations, k_max=k)
-        derived = page_plan(slices, plan, clusters, grid.spacing, grid.orientations, layout.page_size,
-                            layout.sheets, layout.margin, layout.gutter)(layout.scale)
+        derived = page_plan(slices, plan, clusters, grid.spacing, grid.orientations, options.page_size_mm,
+                            options.sheets, options.margin_mm, options.gutter_mm)(options.scale)
     except ValidationError as exc:
         raise ValidationError(f"layout {path}: {exc}", exc.hint) from exc
     hint = f"rewrite it from {hinges_path} and its plan with `sliceforge pack`"
     if derived is None:
         raise ValidationError(f"layout {path} malformed: its slices do not fit its pages at its scale", hint=hint)
     source = f"the slices of {hinges_path} packed at its scale"
-    return require_encoding(obj, derived, f"layout {path}", source, hint), slot_width
+    return require_encoding(obj, derived, f"layout {path}", source, hint), options.slot_width_mm
 
 
 # Each stage runs in one function, which `build` and the staged command share.

@@ -4,10 +4,13 @@ and the one reader of every input file.
 `encode` turns a dataclass into a dict of its fields, an enum into its
 value, a tuple into a list and dict keys into strings; ints, floats, strings,
 booleans and None pass through unchanged. `decode` builds a value back from
-the annotated field types, and a value must already have the JSON type its
-annotation stands for: a boolean for bool, an integer that is not a boolean
-for int, any number but a boolean for float, a string for str. A field whose
-JSON key differs from its name names the key in ``field(metadata={"json": key})``.
+the annotated field types of the inputs a command decodes: dataclasses,
+lists, tuples, ints, floats and strings. A value must already have the JSON
+type its annotation stands for: an integer that is not a boolean for int,
+any number but a boolean for float, a string for str. Enums, optionals and
+dicts are only encoded: the artifacts that hold them are derived again and
+compared, not decoded. A field whose JSON key differs from its name names
+the key in ``field(metadata={"json": key})``.
 
 The converters are built once per type, not by reflecting on every value.
 
@@ -47,12 +50,12 @@ def encode(obj):
 
 def decode(tp, data, what: str):
     """A value of annotated type `tp` from its JSON form; any malformed or
-    missing part raises one ValidationError that names `what`, and a type's
-    own check in `__post_init__` names `what` before its message and keeps
-    its hint."""
+    missing part, or an integer too large for a float, raises one
+    ValidationError that names `what`, and a type's own check in
+    `__post_init__` names `what` before its message and keeps its hint."""
     try:
         return _decoder(tp)(data)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} malformed: {type(exc).__name__}: {exc}") from exc
     except ValidationError as exc:
         raise type(exc)(f"{what}: {exc}", exc.hint) from exc
@@ -161,10 +164,6 @@ def _parts(tp) -> tuple[object, tuple]:
     return origin or tp, typing.get_args(tp)
 
 
-def _is_enum(tp) -> bool:
-    return isinstance(tp, type) and issubclass(tp, enum.Enum)
-
-
 @functools.cache
 def _encoder(tp):
     if dataclasses.is_dataclass(tp):
@@ -173,7 +172,7 @@ def _encoder(tp):
             key: getattr(obj, name) if enc is _same else enc(getattr(obj, name))
             for key, name, enc in fields
         }
-    if _is_enum(tp):
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
         return operator.attrgetter("value")
     cls, args = _parts(tp)
     if cls is typing.Optional:
@@ -222,21 +221,10 @@ def _scalar(name: str, *types):
     return check
 
 
-def _int_key(key: str) -> int:
-    """An int dict key from the digits `encode` writes for it. int() also
-    takes "01", " 1", "1_0" and non-ASCII digits, which would let two keys
-    of one object name one int and one of their values be lost."""
-    value = int(key)
-    if str(value) != key:
-        raise ValueError(f"object key {key!r} is not an integer in canonical digits")
-    return value
-
-
 _as_object = _checked(dict, "object")
-_as_array = _checked((list, tuple), "array")
+_as_array = _checked(list, "array")
 # a JSON value decodes only to the type that its own JSON type stands for
 _SCALARS = {
-    bool: _scalar("boolean", bool),
     int: _scalar("integer", int),
     float: _scalar("number", float, int),
     str: _scalar("string", str),
@@ -261,20 +249,7 @@ def _decoder(tp):
             ])
 
         return dec
-    if _is_enum(tp):
-        members = {m.value: m for m in tp}
-
-        def dec_enum(data):
-            try:
-                return members[data]
-            except (KeyError, TypeError):  # no member, or unhashable: the enum's own error
-                return tp(data)
-
-        return dec_enum
     cls, args = _parts(tp)
-    if cls is typing.Optional:
-        inner = _decoder(args[0])
-        return lambda data: None if data is None else inner(data)
     if cls is list:
         inner = _decoder(args[0])
         return lambda data: [inner(v) for v in _as_array(data)]
@@ -290,10 +265,6 @@ def _decoder(tp):
             return tuple([conv(v) for conv, v in zip(convs, data)])
 
         return dec_fixed
-    if cls is dict:
-        key = _int_key if args[0] is int else _decoder(args[0])
-        value = _decoder(args[1])
-        return lambda data: {key(k): value(v) for k, v in _as_object(data).items()}
     if cls in _SCALARS:
         return _SCALARS[cls]
     raise NotImplementedError(f"no JSON decoder for {tp}")

@@ -243,10 +243,21 @@ def plan_from_json(obj: dict, path: str, plan: AssemblyPlan, hinges_path: str) -
                             f"rewrite it from {hinges_path} with `sliceforge order`")
 
 
-def layout_from_json(obj: dict, path: str) -> tuple[PageLayout, float]:
-    """Returns (layout, slot_width_mm) from the pack artifact read from `path`."""
-    record = (obj, obj.get("slot_width_mm"))
-    return decode(tuple[PageLayout, float], record, f"layout artifact {path}")
+@dataclass(frozen=True)
+class LayoutOptions:
+    """The options that a layout artifact holds beside its packing, by their JSON keys."""
+
+    page_size_mm: tuple[float, float]
+    margin_mm: float
+    gutter_mm: float
+    sheets: int
+    scale: float
+    slot_width_mm: float
+
+
+def layout_from_json(obj: dict, path: str) -> LayoutOptions:
+    """The options of the pack artifact read from `path`; its packing is derived from them and compared."""
+    return decode(LayoutOptions, obj, f"layout artifact {path}")
 
 
 def _write(path: Path, text: str, what: str) -> None:

@@ -11,6 +11,7 @@ voxel unless the transfer function has 255 visible bins or more.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,8 @@ _MIXED = 0xFFFF
 def check_grid(dims, spacing, origin) -> None:
     if len(dims) != 3 or any(int(d) < 1 for d in dims):
         raise ValidationError(f"dims must be three integers >= 1, got {dims}")
+    if max(dims) > sys.float_info.max:  # hinges are weighed by their place in the grid, in floats
+        raise ValidationError(f"dims must each be at most {sys.float_info.max:g}, got {dims}")
     if len(spacing) != 3 or not all(math.isfinite(s) and s > 0 for s in spacing):
         raise ValidationError(f"spacing must be three finite numbers > 0, got {spacing}")
     if len(origin) != 3 or not all(math.isfinite(o) for o in origin):

@@ -340,7 +340,7 @@ def test_export_rejects_a_cluster_key_in_other_digits(two_runs, capsys, tmp_path
     code, err = run(["export", *two_runs, "--in", "layout2.json", "--hinges", "hinges2.json",
                      "--plan", "plan2.json", "--out", "out"], capsys)
     assert code == 2
-    assert "layout artifact layout2.json malformed: ValueError: object key '0" in err
+    assert f"layout layout2.json malformed: clusters.0 is None, {PACKED} 1" in err
     assert "Traceback" not in err
 
 
@@ -509,6 +509,16 @@ BROKEN_LAYOUTS = {
     "margins-leave-no-area": (lambda art: art.update(margin_mm=150),
                               "layout broken.json: margins leave no usable page area"),
     "no-clusters": (lambda art: art.update(clusters={}), f"layout broken.json malformed: clusters.0 is None, {PACKED} 1"),
+    # the options are decoded, each to the JSON type that `pack` writes it as
+    "sheets-true": (lambda art: art.update(sheets=True),
+                    "layout artifact broken.json malformed: TypeError: expected a JSON integer, got bool"),
+    "sheets-fraction": (lambda art: art.update(sheets=1.5),
+                        "layout artifact broken.json malformed: TypeError: expected a JSON integer, got float"),
+    "scale-string": (lambda art: art.update(scale="0.7"),
+                     "layout artifact broken.json malformed: TypeError: expected a JSON number, got str"),
+    "one-page-side": (lambda art: art.update(page_size_mm=[210]),
+                      "layout artifact broken.json malformed: ValueError: expected 2 items, got 1"),
+    "no-scale": (lambda art: art.pop("scale"), "layout artifact broken.json malformed: KeyError: 'scale'"),
 }
 
 
@@ -772,6 +782,8 @@ BROKEN_ARTIFACTS = {
                           "broken.json hold the ids [0] more than once"),
     "zero-dims": (lambda art: art["grid"].update(dims=[0, 0, 0]),
                   "broken.json: dims must be three integers >= 1, got (0, 0, 0)"),
+    "dims-too-large-for-a-float": (lambda art: art["grid"].update(dims=[8, 10**400, 8]),
+                                   "broken.json: dims must each be at most 1.79769e+308, got (8, 1000"),
     "negative-spacing": (lambda art: art["grid"].update(spacing_mm=[-1.0, 1.0, 1.0]),
                          "broken.json: spacing must be three finite numbers > 0, got (-1.0, 1.0, 1.0)"),
     # each hinge is the one its slices give, which joins an x slice (slice_a) to a
@@ -808,7 +820,7 @@ BROKEN_ARTIFACTS = {
 # every command that reads a hinges artifact, and `hinge`, which reads the slices
 BROKEN_CASES = [
     *[(case, command) for case in BROKEN_ARTIFACTS for command in ("order", "pack", "export")],
-    ("repeated-slice-id", "hinge"), ("zero-dims", "hinge"),
+    ("repeated-slice-id", "hinge"), ("zero-dims", "hinge"), ("dims-too-large-for-a-float", "hinge"),
     ("grid-repeats-an-axis", "hinge"), ("grid-unknown-axis", "hinge"), ("slice-unknown-orientation", "hinge"),
     ("slice-plane-outside", "hinge"), ("slice-extent-empty", "hinge"), ("slice-extent-outside", "hinge"),
 ]
@@ -907,6 +919,32 @@ def _volume_command(command: str, inputs: list[str], out: str) -> list[str]:
         return ["export", *inputs, "--in", "layout2.json", "--hinges", "hinges2.json", "--plan", "plan2.json",
                 "--out", out]
     return [command, *inputs, "--level", "2", "--out", out]
+
+
+# an integer too large for a float in a float field of each kind of JSON
+# input: the file, its edit, the command that reads it and what it calls the file
+HUGE = 10**400
+HUGE_INPUTS = {
+    "header": ("vol.json", lambda obj: obj.update(spacing_mm=[HUGE, 1, 1]), "build", "header"),
+    "transfer-function": ("vol_tf.json", lambda obj: obj["bins"][-1].update(hi=-HUGE), "build", "transfer function"),
+    "slices-artifact": ("slices2.json", lambda obj: obj["grid"].update(origin_mm=[0, HUGE, 0]), "hinge", "grid"),
+    "hinges-artifact": ("hinges2.json", lambda obj: obj["grid"].update(spacing_mm=[1, 1, -HUGE]), "order", "grid"),
+    "layout-options": ("layout2.json", lambda obj: obj.update(margin_mm=HUGE), "export", "layout artifact"),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_INPUTS)
+def test_integer_too_large_for_a_float_in_an_input_file_exits_2(case, two_runs, capsys, tmp_path):
+    name, edit, command, what = HUGE_INPUTS[case]
+    obj = json.loads((tmp_path / name).read_text())
+    edit(obj)
+    (tmp_path / name).write_text(json.dumps(obj))
+    out = "out" if command in ("build", "export") else "out.json"
+    code, err = run(_with_input(command, two_runs, "--out", out), capsys)
+    assert code == 2
+    assert re.search(rf"{what} \S*{re.escape(name)} malformed: OverflowError: int too large to convert to float", err)
+    assert "Traceback" not in err
+    assert not (tmp_path / out).exists()
 
 
 # every file the CLI reads: what its messages call it, by flag; and the

@@ -1,9 +1,9 @@
 """Every name a package module imports at top level is used in that module,
 every function, class and method the package defines is referenced, every
 parameter is read, only `codec.py` reads files or writes JSON, no module
-decodes a hinges or plan artifact, which are derived again instead, no
-module imports numpy.random, whose import alone costs a build ~12 ms,
-`hinges.py` and `ordering.py` import no numpy at all, and no module but
+decodes the hinges, plan or packing of an artifact, which are derived
+again instead, no module imports numpy.random, whose import alone costs a
+build ~12 ms, `hinges.py` and `ordering.py` import no numpy at all, and no module but
 `synth.py` imports numpy when it is imported, so the CLI starts, and runs
 `hinge` and `order`, without loading it.
 
@@ -224,7 +224,7 @@ def test_checker_flags_stage_calls():
 
 # the types whose artifacts a command derives again from their inputs and
 # compares, so no module decodes them
-DERIVED = ("Hinge", "AssemblyPlan")
+DERIVED = ("Hinge", "AssemblyPlan", "PageLayout", "Placement", "Partition")
 
 
 def derived_decodes(source: str) -> list[int]:
@@ -241,8 +241,9 @@ def derived_decodes(source: str) -> list[int]:
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_decodes_a_derived_artifact(path):
-    # hinges come from their slices and a plan from its hinges: a reader
-    # derives them and compares, so their rules live in the stage alone
+    # hinges come from their slices, a plan from its hinges and a packing
+    # from both: a reader derives them and compares, so their rules live in
+    # the stage alone
     assert derived_decodes(path.read_text()) == []
 
 
@@ -255,9 +256,10 @@ def test_checker_flags_derived_decodes():
         "data.decode(); data.decode('ascii'); decode(list[Slice], items, 's'); decode(Hinges, x, 'h')\n"
         "decode(tuple[ordering.AssemblyPlan, float], record, 'plan')\n"
         "encode(Hinge); decoder(Hinge); decode\n"
+        "decode(tuple[PageLayout, float], record, 'layout')\n"
     )
     # a bytes decode, other types and calls that are not `decode` pass
-    assert derived_decodes(source) == [2, 3, 4, 6]
+    assert derived_decodes(source) == [2, 3, 4, 6, 8]
 
 
 def _mentions(tree: ast.Module) -> list[tuple[str, int, bool]]:
