@@ -38,7 +38,7 @@ from . import pipeline
 from .codec import encode, read_json, require_encoding
 from .errors import SliceforgeError, ValidationError
 from .hinges import hinges_from_json
-from .layout import DEFAULT_GUTTER_MM, DEFAULT_MARGIN_MM, PAGE_SIZES_MM, cluster_slices, page_plan
+from .layout import DEFAULT_GUTTER_MM, DEFAULT_MARGIN_MM, PAGE_SIZES_MM, cluster_slices, page_plan, scale_range
 from .octree import slices_from_json, up_axis
 from .pipeline import GridInfo
 from .render import DEFAULT_PX_PER_MM
@@ -251,7 +251,8 @@ def _read_plan(path: str, hinges_path: str, grid, slices, hinges):
 
 def _read_layout(path: str, hinges_path: str, grid, slices, plan):
     """The layout and slot width of the layout artifact at `path`, whose
-    options `pack` can write and which holds what `pack` gives the slices of
+    options `pack` can write, whose scale is one that `pack` searches at its
+    slot width, and which holds what `pack` gives the slices of
     `hinges_path` and `plan` at its own options and scale. Only the options
     are decoded; one clustering and one packing probe give the rest: the
     elbow keeps the first k whose WCSS gain is small, so k_max at the
@@ -270,6 +271,11 @@ def _read_layout(path: str, hinges_path: str, grid, slices, plan):
     ):
         if not in_range(getattr(options, name)):
             raise ValidationError(f"layout {path}: {name} must be {what}, got {getattr(options, name)!r}")
+    hint = f"rewrite it from {hinges_path} and its plan with `sliceforge pack`"
+    low, high = scale_range(options.slot_width_mm)
+    if not low <= options.scale < high:
+        raise ValidationError(f"layout {path} malformed: scale {options.scale!r} is outside [{low:g}, {high:g}), "
+                              f"the scales `pack` searches at slot_width_mm {options.slot_width_mm!r}", hint=hint)
     partitions = obj.get("partitions")
     k = len(partitions) if isinstance(partitions, list) and partitions else 1  # else the comparison fails
     try:
@@ -278,7 +284,6 @@ def _read_layout(path: str, hinges_path: str, grid, slices, plan):
                             options.sheets, options.margin_mm, options.gutter_mm)(options.scale)
     except ValidationError as exc:
         raise ValidationError(f"layout {path}: {exc}", exc.hint) from exc
-    hint = f"rewrite it from {hinges_path} and its plan with `sliceforge pack`"
     if derived is None:
         raise ValidationError(f"layout {path} malformed: its slices do not fit its pages at its scale", hint=hint)
     source = f"the slices of {hinges_path} packed at its scale"

@@ -29,19 +29,16 @@ MIN_PRINT_SLOT_MM = 1.0
 LEGIBLE_SLOT_FRACTION = 0.5
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    slice_id: int
-    v: tuple[float, float, float, float]  # (x, y, z, d), each in [0, 1]
-
-
 def build_vectors(
     slices: list[Slice],
     plan: AssemblyPlan,
     dims: tuple[int, int, int],
     orientations: tuple[str, str] = ("x", "y"),
-) -> list[FeatureVector]:
-    """Normalized slice centers plus normalized assembly position."""
+) -> np.ndarray:
+    """(n, 4) features, one row per slice: its normalized center (x, y, z)
+    and its normalized assembly position d, each in [0, 1]."""
+    import numpy as np
+
     order = {sid: i for i, sid in enumerate(plan.slice_order)}
     count = len(plan.slice_order)
     vectors = []
@@ -53,18 +50,12 @@ def build_vectors(
         center[v_ax] = (s.v_range[0] + s.v_range[1]) / 2.0
         x, y, z = (center[i] / dims[i] for i in range(3))
         d = order[s.id] / (count - 1) if count > 1 else 0.0
-        vectors.append(FeatureVector(slice_id=s.id, v=(x, y, z, d)))
-    return vectors
+        vectors.append((x, y, z, d))
+    return np.array(vectors, dtype=np.float64)
 
 
-@dataclass(frozen=True)
-class PcaBasis:
-    mean: np.ndarray  # (4,)
-    directions: np.ndarray  # (2, 4), orthonormal rows
-
-
-def pca_2d(vectors: list[FeatureVector]) -> tuple[PcaBasis, np.ndarray]:
-    """Project features onto the top-2 variance directions.
+def pca_2d(data: np.ndarray) -> np.ndarray:
+    """Project centered features onto the top-2 variance directions.
 
     Degenerate ranks are completed with canonical orthonormal directions so
     the basis is always usable; projections along completed directions are
@@ -72,10 +63,8 @@ def pca_2d(vectors: list[FeatureVector]) -> tuple[PcaBasis, np.ndarray]:
     """
     import numpy as np
 
-    data = np.array([fv.v for fv in vectors], dtype=np.float64)
-    mean = data.mean(axis=0)
-    centered = data - mean
-    cov = (centered.T @ centered) / max(len(vectors), 1)
+    centered = data - data.mean(axis=0)
+    cov = (centered.T @ centered) / max(len(data), 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
@@ -99,8 +88,7 @@ def pca_2d(vectors: list[FeatureVector]) -> tuple[PcaBasis, np.ndarray]:
         norm = np.linalg.norm(d)
         if norm > 1e-9:
             directions.append(d / norm)
-    basis = PcaBasis(mean=mean, directions=np.vstack(directions))
-    return basis, centered @ basis.directions.T
+    return centered @ np.vstack(directions).T
 
 
 @dataclass(frozen=True)
@@ -142,10 +130,10 @@ def _first_centre(n: int) -> int:
     return n * 0xD9C2825F >> 32
 
 
-def kmeans_elbow(points: np.ndarray, k_max: int) -> tuple[int, np.ndarray, np.ndarray, tuple[float, ...]]:
+def kmeans_elbow(points: np.ndarray, k_max: int) -> ClusterModel:
     """Pick k by the elbow rule: smallest k whose WCSS improvement to k+1,
-    relative to the total (k=1) WCSS, falls below the threshold; the WCSS
-    curve ends at the k after it. Every k grows farthest-point centres
+    relative to the total (k=1) WCSS, falls below the threshold; no k past
+    the one after it is clustered. Every k grows farthest-point centres
     (Gonzalez 1985) from `_first_centre(n)`, `n * 0xD9C2825F >> 32` of n
     points: 0xD9C2825F is the first 32-bit word of `np.random.default_rng(0)`,
     and Lemire's (2019) bounded draw `integers(n)` maps it to that index for
@@ -167,7 +155,7 @@ def kmeans_elbow(points: np.ndarray, k_max: int) -> tuple[int, np.ndarray, np.nd
             best_k = k
             break
     centroids, assignment, _ = runs[best_k - 1]
-    return best_k, centroids, assignment, tuple(r[2] for r in runs)
+    return ClusterModel(k=best_k, centroids=centroids, assignment=assignment)
 
 
 def cluster_slices(
@@ -177,10 +165,7 @@ def cluster_slices(
     orientations: tuple[str, str] = ("x", "y"),
     k_max: int = 6,
 ) -> ClusterModel:
-    vectors = build_vectors(slices, plan, dims, orientations)
-    _basis, projected = pca_2d(vectors)
-    k, centroids, assignment, _curve = kmeans_elbow(projected, k_max)
-    return ClusterModel(k=k, centroids=centroids, assignment=assignment)
+    return kmeans_elbow(pca_2d(build_vectors(slices, plan, dims, orientations)), k_max)
 
 
 Rect = tuple[float, float, float, float]  # x, y, w, h (mm)
@@ -431,6 +416,14 @@ def page_plan(slices: list[Slice], plan: AssemblyPlan, clusters: ClusterModel, s
     return place
 
 
+def scale_range(slot_width_mm: float) -> tuple[float, float]:
+    """The scales `pack` searches at a slot width, [low, high): low prints
+    the slot at LEGIBLE_SLOT_FRACTION of MIN_PRINT_SLOT_MM, and the search
+    doubles from low at most 64 times."""
+    low = LEGIBLE_SLOT_FRACTION * MIN_PRINT_SLOT_MM / slot_width_mm
+    return low, low * 2.0**64
+
+
 def pack(
     slices: list[Slice],
     plan: AssemblyPlan,
@@ -453,7 +446,7 @@ def pack(
     past that, a bigger page or a wider slot (a smaller minimum scale) does.
     """
     place = page_plan(slices, plan, clusters, spacing, orientations, page_size, sheets, margin, gutter)
-    scale_min = LEGIBLE_SLOT_FRACTION * MIN_PRINT_SLOT_MM / slot_width_mm
+    scale_min, scale_max = scale_range(slot_width_mm)
     lo, layout = scale_min, place(scale_min)  # always the packing at `lo`, the largest feasible scale probed
     if layout is None:
         total_area = sum((w * scale_min + gutter) * (h * scale_min + gutter)
@@ -471,7 +464,7 @@ def pack(
             hint=hint,
         )
     hi = scale_min * 2
-    for _ in range(64):
+    while hi <= scale_max:
         probe = place(hi)
         if probe is None:
             break

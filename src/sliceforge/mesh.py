@@ -167,7 +167,8 @@ def _parse_obj_bytes(data: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _parse_obj_lines(path: Path, lines: list[str]) -> Mesh:
     """`load_obj` one line at a time: raises ValidationError at the first bad
-    line, else returns what the array parse returns."""
+    line, else returns what the array parse returns; a file with no vertex
+    or no face gives an empty (0, 3) array, which `Mesh` reports."""
     import numpy as np
 
     rows = [line.split() for line in lines]
@@ -203,12 +204,14 @@ def _parse_obj_lines(path: Path, lines: list[str]) -> Mesh:
             raise ValidationError(f"{path}:{ln}: {line.strip()!r} holds a token that is not a number") from None
     return Mesh(
         name=path.stem,
-        vertices=np.asarray(vertices, dtype=np.float64),
-        triangles=np.asarray(triangles, dtype=np.int64),
+        vertices=np.asarray(vertices, dtype=np.float64).reshape(-1, 3),
+        triangles=np.asarray(triangles, dtype=np.int64).reshape(-1, 3),
     )
 
 
 def save_obj(mesh: Mesh, path: str | Path) -> None:
+    """Write `mesh` as OBJ text. No stage calls it: beside the tests, its one
+    caller is `perfbench/workloads.py`, which writes the benchmark's meshes."""
     lines = [f"# {mesh.name}"]
     lines += [f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}" for v in mesh.vertices]
     lines += [f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}" for t in mesh.triangles]

@@ -129,14 +129,13 @@ def build_octree(labels: LabelVolume, max_level: int) -> OctreeNode:
     A depth's nodes are the children of the splitting nodes above; a child's
     preorder id is its parent's plus one plus its elder siblings' subtree sizes.
     An all-background volume gives a leaf root with no labels, which
-    `pipeline.stage_slice` reports."""
+    `pipeline.stage_slice` reports. No label exceeds `labels.n_labels`, as
+    `quantize` gives them."""
     import numpy as np
 
     if max_level < 1:
         raise ValidationError(f"octree level must be >= 1, got {max_level}")
     grid, n_bits = labels.labels, labels.n_labels
-    if (top := int(grid.max())) > n_bits:
-        raise ValidationError(f"label volume holds label {top} but has only {n_bits} labels")
     edges = [[np.array([0, int(n)]) for n in labels.dims]]  # edges[d][axis]: block bounds at depth d
     while len(edges) < max_level and all(np.diff(e).max() >= 2 for e in edges[-1]):
         edges.append([np.insert(e, range(1, len(e)), (e[:-1] + e[1:]) // 2) for e in edges[-1]])
@@ -168,6 +167,8 @@ def build_octree(labels: LabelVolume, max_level: int) -> OctreeNode:
 
 
 def iter_nodes(root: OctreeNode):
+    """Every node of the tree, in preorder. No stage calls it: beside the
+    tests, its one caller is `perfbench/tracing.py`, which counts the nodes."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -234,7 +235,6 @@ def extract_slices(root: OctreeNode, orientations: tuple[str, str] = ("x", "y"))
     """One center slice per node and plane family, bounding planes excluded."""
     import numpy as np
 
-    up_axis(orientations)  # validates the pair
     box, families = root.box, []
     for orientation in orientations:
         normal, u, v = slice_axes(orientation, orientations)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
 from .layout import MIN_PRINT_SLOT_MM, PageLayout, slice_print_size
 from .octree import Slice, slice_axes
 from .volume import LabelVolume, TransferFunction
@@ -50,14 +49,13 @@ def rasterize_slice(
     rectangle of labels (one byte each when the palette has at most 256
     colours) is expanded to the pixel grid by repeating columns and rows.
     Alpha equals the transfer-function opacity of the sampled voxel, so
-    background stays fully transparent on film.
+    background stays fully transparent on film. The slice's plane lies in
+    the volume, as the octree makes it or `GridInfo.check_inside` holds it.
     """
     import numpy as np
 
     normal, u_ax, v_ax = slice_axes(s.orientation, orientations)
     dims = labels.dims
-    if not (0 <= s.plane_coord <= dims[normal]):
-        raise ValidationError(f"slice plane {s.plane_coord} outside volume axis {normal}")
     # integer plane p is the face between voxel layers p-1 and p; sample the
     # layer on the + side, clamped at the top face
     layer = min(s.plane_coord, dims[normal] - 1)

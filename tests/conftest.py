@@ -1,8 +1,9 @@
 import pytest
 
 from sliceforge.mesh import voxelize_meshes
-from sliceforge.synth import checkerboard_volume, nested_spheres
 from sliceforge.volume import quantize
+
+from synth import checkerboard_volume, nested_spheres
 
 
 @pytest.fixture(scope="session")

@@ -24,10 +24,10 @@ from sliceforge import cli, pipeline
 from sliceforge import mesh
 from sliceforge.mesh import save_obj
 from sliceforge.render import MAX_RASTER_PIXELS
-from sliceforge.synth import checkerboard_volume
 from sliceforge.synth import icosphere
 
 from helpers import write_volume_files
+from synth import checkerboard_volume
 
 # the commands that take --slot-width or --dpi; input paths need not exist
 # because option values are checked before any file is read
@@ -178,6 +178,8 @@ TOO_MANY_DIGITS = '{"bins": ' + "1" * 5000 + "}"
     pytest.param("vol.json", TOO_MANY_DIGITS, "header vol.json is not valid JSON", id="header-digits"),
     pytest.param("cfg.json", NOT_UTF8, "config file cfg.json is not valid JSON", id="config-not-utf8"),
     pytest.param("mesh.obj", b"v 0 0 0\nv 1 0 \xff\n", "mesh.obj:2: byte 0xff is not UTF-8 text", id="mesh-not-utf8"),
+    pytest.param("mesh.obj", "v 0 0 0\nv 1 0 0\nv 0 1 0\n", "mesh 'mesh' is empty", id="mesh-no-faces"),
+    pytest.param("mesh.obj", "", "mesh 'mesh' is empty", id="mesh-empty"),
 ])
 def test_malformed_input_exits_2_with_a_message(volume_build, name, text, message, capsys, tmp_path):
     (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -519,6 +521,13 @@ BROKEN_LAYOUTS = {
     "one-page-side": (lambda art: art.update(page_size_mm=[210]),
                       "layout artifact broken.json malformed: ValueError: expected 2 items, got 1"),
     "no-scale": (lambda art: art.pop("scale"), "layout artifact broken.json malformed: KeyError: 'scale'"),
+    # a slot width at which `pack` never searches the artifact's scale
+    "slot-width-too-narrow": (lambda art: art.update(slot_width_mm=1e-300),
+                              "layout broken.json malformed: scale 8.3125 is outside [5e+299, inf), "
+                              "the scales `pack` searches at slot_width_mm 1e-300"),
+    "slot-width-too-wide": (lambda art: art.update(slot_width_mm=1e308),
+                            "layout broken.json malformed: scale 8.3125 is outside [5e-309, 9.22337e-290), "
+                            "the scales `pack` searches at slot_width_mm 1e+308"),
 }
 
 

@@ -21,10 +21,10 @@ from sliceforge.layout import PageLayout, Placement
 from sliceforge.mesh import voxelize_meshes
 from sliceforge.octree import Slice, slice_axes
 from sliceforge.ordering import AssemblyPlan
-from sliceforge.synth import nested_spheres
 from sliceforge.volume import quantize
 
 from helpers import slice_cut_geometry_reference
+from synth import nested_spheres
 
 PAIRS = [(a, b) for a in "xyz" for b in "xyz" if a != b]
 # decimals that are not short in binary, powers of two, the seed-7 spacing

@@ -2,10 +2,11 @@
 every function, class and method the package defines is referenced, every
 parameter is read, only `codec.py` reads files or writes JSON, no module
 decodes the hinges, plan or packing of an artifact, which are derived
-again instead, no module imports numpy.random, whose import alone costs a
-build ~12 ms, `hinges.py` and `ordering.py` import no numpy at all, and no module but
-`synth.py` imports numpy when it is imported, so the CLI starts, and runs
-`hinge` and `order`, without loading it.
+again instead, every top-level definition is reached from `cli.main`
+unless the benchmark harness imports it, no module imports numpy.random,
+whose import alone costs a build ~12 ms, `hinges.py` and `ordering.py`
+import no numpy at all, and no module imports numpy when it is imported, so
+the CLI starts, and runs `hinge` and `order`, without loading it.
 
 `__init__.py` re-exports names on purpose and `from __future__` imports
 are directives, so both are exempt from the import check.
@@ -21,9 +22,9 @@ import pytest
 
 from sliceforge import cli
 from sliceforge.mesh import save_obj
-from sliceforge.synth import checkerboard_volume, nested_spheres
 
 from helpers import write_volume_files
+from synth import checkerboard_volume, nested_spheres
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sliceforge"
@@ -365,6 +366,108 @@ def test_checker_flags_unreferenced_definitions():
     ]
 
 
+def _scope(tree: ast.Module, modules) -> tuple[dict, dict, dict]:
+    """A module's top-level names: the definitions, assignments included,
+    that bind each; what a relative import of a name binds it to, as
+    (module, name), with `from . import x` naming `__init__.x`; and the
+    package modules it imports as a name (`from . import pipeline`)."""
+    defs, aliases, modules_as = {}, {}, {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.setdefault(node.name, []).append(node)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        defs.setdefault(n.id, []).append(node)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1:
+            for a in node.names:
+                if node.module is None and a.name in modules:
+                    modules_as[a.asname or a.name] = a.name
+                else:
+                    aliases[a.asname or a.name] = (node.module or "__init__", a.name)
+    return defs, aliases, modules_as
+
+
+def unreachable_definitions(package: dict[str, str], root: tuple[str, str], kept: set[tuple[str, str]]) -> list[str]:
+    """`module.name` of every top-level definition of the `package` sources
+    (module -> source) that `root` does not reach and `kept` does not hold.
+    A definition reaches every top-level name its code names, through the
+    module's imports and a package module's attributes (`pipeline.pack`);
+    its code is all of it, so a table reaches the functions it lists and a
+    class its methods' names. Dunder names are the package's metadata."""
+    trees = {m: ast.parse(src) for m, src in package.items()}
+    scopes = {m: _scope(tree, package) for m, tree in trees.items()}
+    reached, todo = set(), [root]
+    while todo:
+        m, name = key = todo.pop()
+        if key in reached or m not in scopes:
+            continue
+        reached.add(key)
+        defs, aliases, modules_as = scopes[m]
+        if name in aliases:
+            todo.append(aliases[name])
+        for node in defs.get(name, []):
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name) and (n.id in defs or n.id in aliases):
+                    todo.append((m, n.id))
+                elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules_as:
+                    todo.append((modules_as[n.value.id], n.attr))
+    return [
+        f"{m}.{name}"
+        for m, (defs, _, _) in scopes.items()
+        for name in defs
+        if (m, name) not in reached | kept and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def imported_from(sources: dict[str, str], package: str) -> set[tuple[str, str]]:
+    """(module, name) of every name the sources import from `package` by
+    name, with `__init__` for the package itself."""
+    return {
+        (n.module.partition(".")[2] or "__init__", a.name)
+        for src in sources.values()
+        for n in ast.walk(ast.parse(src))
+        if isinstance(n, ast.ImportFrom) and n.level == 0 and (n.module or "").split(".")[0] == package
+        for a in n.names
+    }
+
+
+def test_every_definition_is_reached_from_main():
+    # src/ holds what `sliceforge` runs; test fixtures live in tests/, and
+    # the only exceptions are the names the benchmark harness imports
+    package = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    kept = imported_from({p.name: p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))}, "sliceforge")
+    assert unreachable_definitions(package, ("cli", "main"), kept) == []
+
+
+def test_checker_flags_unreachable_definitions():
+    package = {
+        "__init__": '__version__ = "1"\n',
+        "cli": (
+            "from . import __version__, stages\n"
+            "from .util import helper as h\n"
+            "def main(argv):\n"
+            "    return _COMMANDS[argv[0]](argv)\n"
+            "def run(argv):\n"
+            "    return stages.go(h(argv), __version__)\n"
+            "_COMMANDS = {'run': run}\n"
+            "def only_tested(): pass\n"
+        ),
+        "stages": "LIMIT = 3\ndef go(x, v): return min(x, LIMIT)\ndef unused(): return go(1, 2)\n",
+        "util": "def helper(x): return x\ndef harness_only(): pass\ndef fixture(): pass\n",
+    }
+    # `run` is reached only through the table; a name the harness imports
+    # is kept, one it only names in a string or a comment is not
+    kept = imported_from({
+        "bench.py": "from pkg.util import harness_only\nimport pkg.stages as stages\n# fixture\nprint('fixture')\n",
+    }, "pkg")
+    assert kept == {("util", "harness_only")}
+    assert unreachable_definitions(package, ("cli", "main"), kept) == [
+        "cli.only_tested", "stages.unused", "util.fixture",
+    ]
+
+
 def numpy_random_uses(source: str) -> list[int]:
     """The lines that import numpy.random, name it as an attribute of numpy
     under whatever name the module imports numpy by, or name it in a string
@@ -471,10 +574,9 @@ def eager_numpy_imports(source: str) -> list[int]:
     return sorted({n.lineno for n in run_on_import(ast.parse(source)) if imports_numpy(n)})
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "synth.py"], ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_numpy_when_imported(path):
-    # each function that uses numpy imports it at its entry; synth.py, which
-    # only tests and the benchmark import, is the one exception
+    # each function that uses numpy imports it at its entry
     assert eager_numpy_imports(path.read_text()) == []
 
 

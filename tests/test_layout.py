@@ -1,11 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sliceforge import layout as layout_mod
 from sliceforge.errors import InfeasibleError
 from sliceforge.layout import (
     PAGE_SIZES_MM,
@@ -44,49 +46,38 @@ class TestBuildVectors:
     def test_five_slices_order_component(self):
         slices = grid_slices([(0, 0, 64, 64)] * 5)
         vectors = build_vectors(slices, plan_for(slices), (128, 128, 128))
-        ds = [fv.v[3] for fv in vectors]
-        assert ds == [0.0, 0.25, 0.5, 0.75, 1.0]
-        for fv in vectors:
-            assert all(0.0 <= c <= 1.0 for c in fv.v)
+        assert vectors.shape == (5, 4)
+        assert vectors[:, 3].tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert ((0.0 <= vectors) & (vectors <= 1.0)).all()
 
     def test_single_slice_degenerate_d(self):
         slices = grid_slices([(0, 0, 64, 64)])
-        (fv,) = build_vectors(slices, plan_for(slices), (128, 128, 128))
-        assert fv.v[3] == 0.0
+        ((*_, d),) = build_vectors(slices, plan_for(slices), (128, 128, 128))
+        assert d == 0.0
 
     def test_mirrored_centers_symmetric(self):
         slices = synthetic_slices(
             [("x", 32, (0, 0, 128, 128), (0,)), ("x", 96, (0, 0, 128, 128), (1,))]
         )
-        vectors = build_vectors(slices, plan_for(slices), (128, 128, 128))
-        xs = [fv.v[0] for fv in vectors]
+        xs = build_vectors(slices, plan_for(slices), (128, 128, 128))[:, 0]
         assert math.isclose(xs[0] + xs[1], 1.0)
 
 
 class TestPca:
     def test_identical_vectors_project_to_zero(self):
-        slices = grid_slices([(0, 0, 64, 64)] * 3)
-        vectors = build_vectors(slices, plan_for(slices), (128, 128, 128))
-        for fv_idx in range(3):
-            vectors[fv_idx] = type(vectors[0])(slice_id=fv_idx, v=(0.5, 0.5, 0.5, 0.5))
-        basis, projected = pca_2d(vectors)
+        projected = pca_2d(np.full((3, 4), 0.5))
+        assert projected.shape == (3, 2)
         assert np.allclose(projected, 0.0)
-        assert np.allclose(basis.directions @ basis.directions.T, np.eye(2), atol=1e-9)
 
     def test_rank_one_second_component_zero(self):
-        from sliceforge.layout import FeatureVector
-
-        vectors = [FeatureVector(i, (0.1 * i, 0.5, 0.5, 0.5)) for i in range(4)]
-        _basis, projected = pca_2d(vectors)
+        data = np.array([(0.1 * i, 0.5, 0.5, 0.5) for i in range(4)])
+        projected = pca_2d(data)
         assert np.allclose(projected[:, 1], 0.0, atol=1e-12)
 
     def test_generic_vectors_match_eigendecomposition_oracle(self):
-        from sliceforge.layout import FeatureVector
-
         rng = np.random.default_rng(3)
         data = rng.uniform(size=(6, 4))
-        vectors = [FeatureVector(i, tuple(row)) for i, row in enumerate(data)]
-        basis, projected = pca_2d(vectors)
+        projected = pca_2d(data)
         # oracle: full eigendecomposition of the covariance
         centered = data - data.mean(axis=0)
         cov = centered.T @ centered / len(data)
@@ -102,52 +93,53 @@ class TestPca:
                 assert d2 <= d4 + 1e-9
 
     def test_orthonormality_tolerance(self):
-        from sliceforge.layout import FeatureVector
-
         rng = np.random.default_rng(17)
-        vectors = [FeatureVector(i, tuple(rng.uniform(size=4))) for i in range(12)]
-        basis, _ = pca_2d(vectors)
-        gram = basis.directions @ basis.directions.T
+        data = rng.uniform(size=(12, 4))
+        # full-rank data: least squares recovers the (4, 2) directions projected onto
+        directions, *_ = np.linalg.lstsq(data - data.mean(axis=0), pca_2d(data), rcond=None)
+        gram = directions.T @ directions
         assert np.abs(gram - np.eye(2)).max() <= 1e-9
 
 
 class TestKmeansElbow:
     def test_single_point(self):
-        k, centroids, assignment, _ = kmeans_elbow(np.array([[2.0, 3.0]]), k_max=6)
-        assert k == 1
-        assert np.allclose(centroids[0], [2.0, 3.0])
-        assert assignment.tolist() == [0]
+        model = kmeans_elbow(np.array([[2.0, 3.0]]), k_max=6)
+        assert model.k == 1
+        assert np.allclose(model.centroids[0], [2.0, 3.0])
+        assert model.assignment.tolist() == [0]
 
     def test_two_blobs_found(self):
         pts = np.array(
             [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1],
              [5.0, 5.0], [5.1, 5.0], [5.0, 5.1], [5.1, 5.1]]
         )
-        k, centroids, assignment, curve = kmeans_elbow(pts, k_max=4)
-        assert k == 2
-        assert len(set(assignment[:4])) == 1
-        assert len(set(assignment[4:])) == 1
-        assert assignment[0] != assignment[4]
+        with mock.patch.object(layout_mod, "_lloyd", wraps=layout_mod._lloyd) as lloyd:
+            model = kmeans_elbow(pts, k_max=4)
+        assert model.k == 2
+        assert len(set(model.assignment[:4])) == 1
+        assert len(set(model.assignment[4:])) == 1
+        assert model.assignment[0] != model.assignment[4]
         # exhaustive WCSS for k=1..3 confirms the elbow sits at 2: the k=1
         # to k=2 drop dominates the total, the next drop is negligible
+        curve = [layout_mod._lloyd(pts, k, _first_centre(len(pts)))[2] for k in (1, 2, 3)]
         assert (curve[0] - curve[1]) / curve[0] >= 0.10
         assert (curve[1] - curve[2]) / curve[0] < 0.10
-        assert len(curve) == 3  # no k past the one after the elbow is clustered
+        assert [c.args[1] for c in lloyd.call_args_list] == [1, 2, 3]  # no k past the one after the elbow
 
     def test_assignments_are_nearest_centroid_fixed_point(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(size=(40, 2))
-        k, centroids, assignment, _ = kmeans_elbow(pts, k_max=6)
-        dists = ((pts[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assert np.array_equal(assignment, dists.argmin(axis=1))
+        model = kmeans_elbow(pts, k_max=6)
+        dists = ((pts[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(model.assignment, dists.argmin(axis=1))
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(size=(25, 2))
         a = kmeans_elbow(pts, k_max=5)
         b = kmeans_elbow(pts, k_max=5)
-        assert a[0] == b[0]
-        assert np.array_equal(a[2], b[2])
+        assert a.k == b.k
+        assert np.array_equal(a.assignment, b.assignment)
 
     @given(
         points=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=40),
@@ -158,11 +150,11 @@ class TestKmeansElbow:
         # the elbow keeps the first k whose gain is small, so a layout reader
         # that knows only the k of a layout clusters its slices as `pack` did
         pts = np.array(points)
-        k, centroids, assignment, _ = kmeans_elbow(pts, k_max)
-        again, centroids_again, assignment_again, _ = kmeans_elbow(pts, k)
-        assert again == k
-        assert np.array_equal(centroids_again, centroids)
-        assert np.array_equal(assignment_again, assignment)
+        model = kmeans_elbow(pts, k_max)
+        again = kmeans_elbow(pts, model.k)
+        assert again.k == model.k
+        assert np.array_equal(again.centroids, model.centroids)
+        assert np.array_equal(again.assignment, model.assignment)
 
 
 class TestFirstCentre:

@@ -21,7 +21,9 @@ from sliceforge.mesh import (
     save_obj,
     voxelize_meshes,
 )
-from sliceforge.synth import icosphere, nested_spheres, unit_cube
+from sliceforge.synth import icosphere
+
+from synth import nested_spheres, unit_cube
 
 
 def grid_centers_world(meshes: MeshSet, resolution):

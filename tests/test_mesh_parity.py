@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from sliceforge import mesh as mesh_mod
 from sliceforge.mesh import Mesh
-from sliceforge.synth import icosphere, unit_cube
+from sliceforge.synth import icosphere
 
 from helpers import _inside_by_parity, inside_by_parity_reference
+from synth import unit_cube
 
 
 def padded_centers(mesh: Mesh, resolution):

@@ -26,8 +26,10 @@ from hypothesis import strategies as st
 from sliceforge import pipeline
 from sliceforge.mesh import Mesh, MeshSet, voxelize_meshes
 from sliceforge.pipeline import GridInfo
-from sliceforge.synth import icosphere, unit_cube
+from sliceforge.synth import icosphere
 from sliceforge.volume import LabelVolume
+
+from synth import unit_cube
 
 
 def assert_mesh_order_permutes_labels(meshes: MeshSet, perm, resolution) -> None:

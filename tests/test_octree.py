@@ -13,7 +13,6 @@ from sliceforge.octree import (
     iter_nodes,
     unify_slices,
 )
-from sliceforge.synth import checkerboard_volume
 from sliceforge.volume import LabelVolume, quantize
 
 from helpers import oracle_slice_count

@@ -25,10 +25,10 @@ from sliceforge import cli, pipeline
 from sliceforge.codec import decode, json_text
 from sliceforge.mesh import save_obj
 from sliceforge.octree import Slice
-from sliceforge.synth import nested_spheres
 from sliceforge.volume import quantize
 
 from helpers import decode_png, rasterize_slice_reference
+from synth import nested_spheres
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "spheres32_manifest.json"

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sliceforge.errors import ValidationError
 from sliceforge.export import encode_png
 from sliceforge.octree import Slice, slice_axes
 from sliceforge.render import rasterize_slice
@@ -136,14 +135,6 @@ def test_rasters_hold_one_byte_per_pixel():
     pixels = sum(r.pixels.size for r in rasters)
     assert pixels == len(faces) * (8 * n) ** 2
     assert peak < 1.5 * pixels, f"peak {peak} B for {pixels} pixels"
-
-
-@pytest.mark.parametrize("plane", [-1, 4])
-def test_plane_outside_volume_is_a_validation_error(plane):
-    labels = LabelVolume((3, 3, 3), (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), np.zeros((3, 3, 3), np.uint16), 0)
-    s = Slice(0, "x", plane, (0, 0, 3, 3), (0,))
-    with pytest.raises(ValidationError, match="outside volume"):
-        rasterize_slice(labels, TransferFunction(bins=()), s, 1.0)
 
 
 @st.composite

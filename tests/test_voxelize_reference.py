@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from sliceforge import mesh as mesh_mod
 from sliceforge.mesh import Mesh, MeshSet, _is_closed, voxelize_meshes
-from sliceforge.synth import icosphere, nested_spheres, unit_cube
+from sliceforge.synth import icosphere
 
 from helpers import (
     _inside_by_parity,
@@ -29,6 +29,7 @@ from helpers import (
     pair_counts_reference,
     voxelize_meshes_reference,
 )
+from synth import nested_spheres, unit_cube
 
 
 def run(voxelize, meshes: MeshSet, resolution):
