@@ -244,19 +244,21 @@ class MaxRects:
         self.free: list[Rect] = [(0.0, 0.0, width, height)]
 
     def insert(self, w: float, h: float) -> tuple[float, float, bool] | None:
-        best = None  # (short_fit, long_fit, index, rotated)
+        """Place a w x h item, rotated if that fits better: the free
+        rectangle of least (short, long) leftover side, the first of equal
+        ones, unrotated before rotated. Its corner, or None if nothing fits."""
+        best, short, long_ = None, math.inf, math.inf
+        options = ((False, w, h), (True, h, w)) if w != h else ((False, w, h),)
         for i, (fx, fy, fw, fh) in enumerate(self.free):
-            for rotated in ((False, True) if w != h else (False,)):
-                iw, ih = (h, w) if rotated else (w, h)
+            for rotated, iw, ih in options:
                 if iw <= fw and ih <= fh:
-                    short = min(fw - iw, fh - ih)
-                    long_ = max(fw - iw, fh - ih)
-                    cand = (short, long_, i, rotated)
-                    if best is None or cand < best:
-                        best = cand
+                    a, b = fw - iw, fh - ih
+                    a, b = b if b < a else a, b if b > a else a  # min and max, as the builtins take them
+                    if best is None or a < short or a == short and b < long_:
+                        best, short, long_ = (i, rotated), a, b
         if best is None:
             return None
-        _, _, idx, rotated = best
+        idx, rotated = best
         fx, fy, _, _ = self.free[idx]
         iw, ih = (h, w) if rotated else (w, h)
         self._place((fx, fy, iw, ih))
@@ -265,43 +267,58 @@ class MaxRects:
     def _place(self, used: Rect) -> None:
         """Split each free rectangle `used` overlaps into its maximal
         leftovers, then drop every rectangle another one contains (of two
-        equal ones, the later). The unsplit ones survived the last prune, so
-        none contains another: each is tested against the new pieces only."""
+        equal ones, the later).
+
+        Only the pieces are tested, each against the pieces on its side of
+        `used` and the unsplit rectangles that touch `used`. The unsplit ones
+        survived the last prune, so none lies inside another, nor so inside
+        a piece, which lies inside the rectangle it was cut from. A rectangle
+        that holds a piece reaches the piece's side of `used` without
+        crossing it: it touches `used`, and no piece on another side does.
+        This needs each piece's far edge, a float sum, to be the edge it was
+        cut at; where one rounds, the whole list is pruned."""
         ux, uy, uw, uh = used
+        ur, ut = ux + uw, uy + uh
         new_free: list[Rect] = []
-        pieces: list[int] = []  # indices of the leftovers in new_free
-        for fx, fy, fw, fh in self.free:
-            if ux >= fx + fw or ux + uw <= fx or uy >= fy + fh or uy + uh <= fy:
-                new_free.append((fx, fy, fw, fh))
+        sides: tuple[list[int], ...] = ([], [], [], [])  # the pieces left of, right of, below and above `used`
+        near: list[int] = []  # the unsplit rectangles that touch `used`
+        exact = True  # every piece ends at the edge it was cut at
+        for rect in self.free:
+            fx, fy, fw, fh = rect
+            fr, ft = fx + fw, fy + fh
+            if ux >= fr or ur <= fx or uy >= ft or ut <= fy:
+                if not (ux > fr or ur < fx or uy > ft or ut < fy):
+                    near.append(len(new_free))
+                new_free.append(rect)
                 continue
-            first = len(new_free)
             # subtract: up to four maximal leftovers
             if ux > fx:
+                sides[0].append(len(new_free))
                 new_free.append((fx, fy, ux - fx, fh))
-            if ux + uw < fx + fw:
-                new_free.append((ux + uw, fy, fx + fw - (ux + uw), fh))
+                exact = exact and fx + (ux - fx) == ux
+            if ur < fr:
+                sides[1].append(len(new_free))
+                new_free.append((ur, fy, fr - ur, fh))
+                exact = exact and ur + (fr - ur) == fr
             if uy > fy:
+                sides[2].append(len(new_free))
                 new_free.append((fx, fy, fw, uy - fy))
-            if uy + uh < fy + fh:
-                new_free.append((fx, uy + uh, fw, fy + fh - (uy + uh)))
-            pieces.extend(range(first, len(new_free)))
-        split, everything = set(pieces), range(len(new_free))
-        keep: list[Rect] = []
-        for i, a in enumerate(new_free):
-            for j in everything if i in split else pieces:
-                b = new_free[j]
-                if (
-                    i != j
-                    and a[0] >= b[0]
-                    and a[1] >= b[1]
-                    and a[0] + a[2] <= b[0] + b[2]
-                    and a[1] + a[3] <= b[1] + b[3]
-                    and (a != b or i > j)
-                ):
-                    break
-            else:
-                keep.append(a)
-        self.free = keep
+                exact = exact and fy + (uy - fy) == uy
+            if ut < ft:
+                sides[3].append(len(new_free))
+                new_free.append((fx, ut, fw, ft - ut))
+                exact = exact and ut + (ft - ut) == ft
+        dropped = set()
+        for tested, against in [(side, near + side) for side in sides] if exact else [(range(len(new_free)),) * 2]:
+            for i in tested:
+                ax, ay, aw, ah = a = new_free[i]
+                ar, at = ax + aw, ay + ah
+                for j in against:
+                    bx, by, bw, bh = b = new_free[j]
+                    if ax >= bx and ay >= by and ar <= bx + bw and at <= by + bh and i != j and (i > j or a != b):
+                        dropped.add(i)
+                        break
+        self.free = [r for i, r in enumerate(new_free) if i not in dropped] if dropped else new_free
 
 
 def slice_print_size(s: Slice, spacing: tuple[float, float, float], orientations: tuple[str, str]) -> tuple[float, float]:
@@ -440,8 +457,9 @@ def pack(
     probe within SCALE_TOLERANCE above it did not. It need not be the
     largest scale that packs, since feasibility is not monotone in scale.
 
-    The minimum acceptable scale keeps printed slots at least 1 mm wide;
-    if even that does not fit, packing is infeasible. Each cluster lands on
+    The smallest scale searched, the low end of `scale_range`, prints the
+    slot LEGIBLE_SLOT_FRACTION of MIN_PRINT_SLOT_MM wide; if even that does
+    not fit, packing is infeasible. Each cluster lands on
     one page, so more sheets help only while there are fewer than clusters;
     past that, a bigger page or a wider slot (a smaller minimum scale) does.
     """
@@ -460,7 +478,7 @@ def pack(
             hint = f"try --sheets {min(max(math.ceil(pages_of_area), sheets + 1), clusters.k)} or a larger page"
         raise InfeasibleError(
             "slices do not fit even at the minimum legible scale "
-            f"(printed slot width below {MIN_PRINT_SLOT_MM} mm)",
+            f"(printed slot width below {scale_min * slot_width_mm:g} mm)",
             hint=hint,
         )
     hi = scale_min * 2

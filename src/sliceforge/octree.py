@@ -214,11 +214,18 @@ def slice_axes(orientation: str, orientations: tuple[str, str]) -> tuple[int, in
 
 @dataclass(frozen=True, eq=False)
 class RawSlices:
-    """Unnumbered slices as arrays; iterating yields each as a `Slice`."""
+    """Unnumbered slices as arrays; iterating yields each as a `Slice`.
+
+    The rows of one quad are the slices of one family of the four children
+    on one side of a split node's centre plane. They share that plane and
+    tile the node's cross-section, and since a node splits only with every
+    axis at least two voxels wide, neighbouring quarters meet along an edge
+    of positive length: a quad always unifies into the node's cross-section."""
 
     rects: np.ndarray  # (n, 6): normal axis, plane, u0, v0, u1, v1
     nodes: np.ndarray  # (m,) source node ids
     owner: np.ndarray  # (m,) nondecreasing: the row of `rects` each source node belongs to
+    quad: np.ndarray  # (n,) the first row of each row's quad; a row alone is its own
 
     def __len__(self) -> int:
         return len(self.rects)
@@ -232,19 +239,26 @@ class RawSlices:
 
 
 def extract_slices(root: OctreeNode, orientations: tuple[str, str] = ("x", "y")) -> RawSlices:
-    """One center slice per node and plane family, bounding planes excluded."""
+    """One center slice per node and plane family, bounding planes excluded,
+    each row tagged with its quad (see `RawSlices`)."""
     import numpy as np
 
     box, families = root.box, []
-    for orientation in orientations:
+    kids = root.child_ids[root.child_ids[:, 0] >= 0]  # each split node's children, octant 4x + 2y + z in that column
+    for f, orientation in enumerate(orientations):
         normal, u, v = slice_axes(orientation, orientations)
         plane = box[:, normal].sum(axis=1) // 2
         keep = (plane != box[:, normal, 0]) & (plane != box[:, normal, 1])
         (u0, u1), (v0, v1) = box[:, u].T, box[:, v].T
-        families.append(np.stack([keep, np.full_like(plane, normal), plane, u0, v0, u1, v1, np.arange(len(plane))], 1))
-    rows = np.stack(families, axis=1).reshape(-1, 8)
+        # a quad by its first node: the sibling on the same side of the normal, at 0 along the other axes
+        first = np.arange(len(plane))  # the root is a quad of its own
+        first[kids] = kids[:, np.arange(8) & (4 >> normal)]
+        families.append(np.stack([keep, np.full_like(plane, normal), plane, u0, v0, u1, v1, np.arange(len(plane)),
+                                  first * len(orientations) + f], 1))
+    rows = np.stack(families, axis=1).reshape(-1, 9)
+    row_of = np.cumsum(rows[:, 0]) - 1  # the row each (node, family) gets, if kept; a quad keeps all or none
     rows = rows[rows[:, 0] == 1]
-    return RawSlices(rows[:, 1:7], rows[:, 7], np.arange(len(rows)))
+    return RawSlices(rows[:, 1:7], rows[:, 7], np.arange(len(rows)), row_of[rows[:, 8]])
 
 
 def unify_slices(raw: RawSlices | list[Slice]) -> list[Slice]:
@@ -253,7 +267,9 @@ def unify_slices(raw: RawSlices | list[Slice]) -> list[Slice]:
     Each round replaces every connected component of meeting boxes by its
     bounding box, until no two meet. Meeting only grows with the boxes, so
     every fixpoint joins what a round joins: this is the least fixpoint,
-    whatever the input order. Idempotent; coplanar slices end up pairwise
+    whatever the input order. The first round joins each quad of a
+    `RawSlices` without a pair test: its rows always meet, so any round
+    would join them. Idempotent; coplanar slices end up pairwise
     disjoint and non-adjacent, numbered in (orientation, plane, extent)
     order, their source nodes sorted."""
     import numpy as np
@@ -261,9 +277,15 @@ def unify_slices(raw: RawSlices | list[Slice]) -> list[Slice]:
     if not isinstance(raw, RawSlices):
         owner, nodes = np.array([(i, n) for i, s in enumerate(raw) for n in s.source_nodes], np.int64).reshape(-1, 2).T
         rects = np.array([(AXES.index(s.orientation), s.plane_coord, *s.extent) for s in raw], np.int64)
-        raw = RawSlices(rects.reshape(-1, 6), nodes, owner)
-    boxes, box_of = raw.rects.copy(), np.arange(len(raw))  # box_of: the box each raw rectangle is in
-    while len(boxes) > 1:
+        raw = RawSlices(rects.reshape(-1, 6), nodes, owner, np.arange(len(raw)))
+    boxes, box_of, label = raw.rects.copy(), np.arange(len(raw)), raw.quad  # box_of: the box each raw rectangle is in
+    while True:  # each round joins the boxes that share a label: first the quads, then the components that meet
+        for column, join in enumerate((np.minimum, np.minimum, np.maximum, np.maximum), 2):
+            join.at(boxes[:, column], label, boxes[:, column])  # a root's row becomes its component's box
+        roots = np.flatnonzero(label == np.arange(len(label)))
+        boxes, box_of = boxes[roots], np.searchsorted(roots, label)[box_of]
+        if len(boxes) < 2:
+            break
         # sorted by (axis, plane, u0), box i can only meet the next ones up to
         # the last on its plane whose u0 is within its u1; step k tests the k-th
         b = boxes[order := np.lexsort((boxes[:, 2], boxes[:, 1], boxes[:, 0]))]
@@ -284,10 +306,6 @@ def unify_slices(raw: RawSlices | list[Slice]) -> list[Slice]:
             np.minimum.at(label, ends.max(axis=0), ends.min(axis=0))
             while not np.array_equal(label[label], label):
                 label = label[label]
-        np.minimum.at(boxes[:, 2:4], label, boxes[:, 2:4])  # a root's row becomes its component's box
-        np.maximum.at(boxes[:, 4:], label, boxes[:, 4:])
-        roots = np.flatnonzero(label == np.arange(len(label)))
-        boxes, box_of = boxes[roots], np.searchsorted(roots, label)[box_of]
     order = np.lexsort(boxes.T[::-1])  # by axis, plane, u0, v0, u1, v1
     span = raw.nodes.max(initial=0) + 1  # node ids are preorder ids, >= 0
     key = np.sort(np.argsort(order)[box_of[raw.owner]] * span + raw.nodes)  # (slice, node), sorted

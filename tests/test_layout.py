@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sliceforge import layout as layout_mod
@@ -21,6 +21,7 @@ from sliceforge.layout import (
     page_plan,
     partition_page,
     pca_2d,
+    scale_range,
     slice_print_size,
 )
 from sliceforge.ordering import AssemblyPlan
@@ -461,3 +462,68 @@ class TestSheetAssignment:
     def test_one_cluster_per_sheet(self):
         assert _assign_clusters_to_sheets([1, 1], 2) == [0, 1]
         assert _assign_clusters_to_sheets([1, 1, 1], 3) == [0, 1, 2]
+
+
+def _rounds_past(free, used) -> bool:
+    """Whether a piece that `used` cuts from a free rectangle ends, by its
+    float sum, past that rectangle's far edge."""
+    ux, uy, uw, uh = used
+    for fx, fy, fw, fh in free:
+        fr, ft, ur, ut = fx + fw, fy + fh, ux + uw, uy + uh
+        if ux < fr and ur > fx and uy < ft and ut > fy and (
+            ux > fx and fx + (ux - fx) > fr
+            or ur < fr and ur + (fr - ur) > fr
+            or uy > fy and fy + (uy - fy) > ft
+            or ut < ft and ut + (ft - ut) > ft
+        ):
+            return True
+    return False
+
+
+class TestMaxRectsRounding:
+    """`MaxRects._place` prunes only the new pieces, unless a piece's far
+    edge rounds past the edge of the rectangle it was cut from."""
+
+    def test_a_piece_past_its_parent_prunes_the_whole_list(self):
+        # found by search over tenths: the piece right of `used` in the
+        # second rectangle ends at 0.6 + 1.1 = 1.7000000000000002, past that
+        # rectangle's 0.5 + 1.2 = 1.7, and so holds the first rectangle, which
+        # the second does not hold and a prune of the pieces alone would keep
+        free, used = [(0.8, 0.5, 0.9, 0.8), (0.5, 0.5, 1.2, 3.0)], (0.5, 2.3, 0.1, 2.0)
+        assert prune_contained_reference(free) == free and _rounds_past(free, used)
+        packer = MaxRects(1.0, 1.0)
+        packer.free = list(free)
+        packer._place(used)
+        assert packer.free == place_reference(free, used) == [(0.6, 0.5, 1.1, 3.0), (0.5, 0.5, 1.2, 1.7999999999999998)]
+
+    @given(
+        rects=st.lists(st.tuples(*(st.integers(0, 30),) * 2, *(st.integers(1, 30),) * 2), min_size=1, max_size=12),
+        used=st.tuples(*(st.integers(-5, 30),) * 2, *(st.integers(1, 25),) * 2),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_place_equals_whole_list_prune_on_tenths(self, rects, used):
+        # tenths are not exact in binary, so pieces often end past their parent
+        free = prune_contained_reference([tuple(v / 10 for v in r) for r in rects])
+        used = tuple(v / 10 for v in used)
+        if _rounds_past(free, used):
+            event("a piece ends past its parent")
+        packer = MaxRects(1.0, 1.0)
+        packer.free = list(free)
+        packer._place(used)
+        assert packer.free == place_reference(free, used)
+
+
+class TestInfeasibleMessage:
+    @pytest.mark.parametrize("slot_width", [0.3, 1.0, 2.0])
+    def test_names_the_slot_width_printed_at_the_smallest_scale(self, slot_width):
+        # the search starts at the low end of `scale_range`, which prints the
+        # slot at LEGIBLE_SLOT_FRACTION of MIN_PRINT_SLOT_MM, whatever its width
+        from sliceforge.layout import ClusterModel
+
+        slices = synthetic_slices([("x", 16, (0, 0, 4000, 4000), (0,))])
+        clusters = ClusterModel(k=1, centroids=np.zeros((1, 2)), assignment=np.zeros(1, dtype=int))
+        with pytest.raises(InfeasibleError) as err:
+            pack(slices, plan_for(slices), clusters, (1.0, 1.0, 1.0), slot_width_mm=slot_width)
+        low = scale_range(slot_width)[0] * slot_width
+        assert f"printed slot width below {low:g} mm" in str(err.value)
+        assert "printed slot width below 0.5 mm" in str(err.value)

@@ -3,16 +3,21 @@ replaced (`helpers.unify_slices_reference`, which reruns a full merge pass
 until nothing changes or, with `helpers.merge_group_one_pass_reference`,
 merges each plane in one pass, and `helpers.hinges_on_slice_reference`,
 which scans every hinge once per slice): the same slices, and the same
-hinges per slice in the same order."""
+hinges per slice in the same order. Slices from a tree also unify as they
+do without the quads `extract_slices` tags them with."""
 
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sliceforge.hinges import compute_hinges, hinges_by_slice
 from sliceforge.octree import Slice, build_octree, extract_slices, unify_slices
+from sliceforge.volume import LabelVolume
 
 from helpers import (
     hinges_on_slice_reference,
@@ -126,6 +131,36 @@ def _direct_components(raw: list[Slice]) -> int:
         ):
             parent[root(i)] = root(j)
     return len({root(i) for i in range(len(raw))})
+
+
+@st.composite
+def label_grids(draw) -> LabelVolume:
+    """Label grids of 1 to 13 voxels a side, odd sides and one-voxel axes
+    included: a coarse random grid stretched over the voxels, so that some
+    nodes hold one label and stop while others split, with a few voxels
+    relabelled."""
+    dims = draw(st.tuples(*(st.integers(1, 13),) * 3))
+    coarse = draw(arrays(np.uint8, draw(st.tuples(*(st.integers(1, 5),) * 3)), elements=st.integers(0, 3)))
+    grid = coarse[np.ix_(*(np.arange(n) * c // n for n, c in zip(dims, coarse.shape)))]
+    for *voxel, label in draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in dims), st.integers(0, 3)),
+                                       max_size=6)):
+        grid[tuple(voxel)] = label
+    return LabelVolume(dims, (1.0, 1.0, 1.0), (0.0, 0.0, 0.0), grid, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_grids(), st.integers(1, 5), st.sampled_from([("x", "y"), ("y", "z"), ("z", "x")]))
+def test_quads_unify_as_the_pairwise_scan_does(labels, level, orientations):
+    # a quad is four rows, or the root's row alone; joining each quad first
+    # leaves the slices, and their source nodes, of joining rows pairwise
+    raw = extract_slices(build_octree(labels, level), orientations)
+    sizes = Counter(raw.quad.tolist())
+    assert set(sizes.values()) <= {1, 4} and all(raw.quad[raw.quad] == raw.quad)
+    if 4 in sizes.values():
+        event("a quad of four rows")
+    unified = unify_slices(raw)
+    assert unified == unify_slices(list(raw))
+    assert unified == unify_slices_reference(list(raw))
 
 
 def test_octree_slices_match_reference(spheres64):
