@@ -20,6 +20,8 @@ command takes only the options it reads: any other flag, or any other key in
 its `--config` JSON file, exits 2. Each option takes the value of its flag,
 else of its config key, else its default; an artifact path (--in, --hinges,
 --plan, --out) has no default, and without flag or key the command exits 2.
+`_OPTIONS` holds the range of every number option but --resolution, checked
+before any input is read, and of the options a layout artifact records.
 Exit codes: 0 ok; 2 validation, which includes an input file that is no UTF-8
 or JSON text; 3 infeasible; 4 I/O: any input file (OBJ, raw volume, header,
 transfer function, `--config` or stage artifact) missing or unreadable, or an
@@ -94,6 +96,7 @@ _VOLUME = ("build", "slice", "export")  # the commands that read a volume or mes
 _PACK = ("build", "pack")
 _EXPORT = ("build", "export")
 _PAPER = (lambda value: _finite(value) and value >= 0, "a finite number >= 0")
+_COUNT = (lambda n: n >= 1, "an integer >= 1")
 
 
 class _Option(NamedTuple):
@@ -103,10 +106,11 @@ class _Option(NamedTuple):
     range: tuple | None = None  # (test, what a message says the value must be)
 
 
-# Every option once, by the name it sets, on only the commands that read it.
-# Slot width and raster density scale the print; only positive values make one.
-# Margins and gutters measure paper. k-means starts from one fixed centre, so
-# no option picks it: the clustering follows from the slices alone.
+# Every option once, by the name it sets, on only the commands that read it,
+# with the range of its values, which nothing else decides. Levels and sheets
+# count from 1; only a positive slot width and raster density make a print;
+# margins and gutters measure paper. The voxelizer bounds --resolution, which
+# a volume build refuses. No option moves k-means: `layout.K_MAX` caps its k.
 _OPTIONS = {
     "inp": _Option("--in", {"hinge": "slices artifact", "order": "hinges artifact", "pack": "hinges artifact",
                             "export": "layout artifact"}, dict(required=True)),
@@ -118,14 +122,13 @@ _OPTIONS = {
     "meshes": _Option("--meshes", _VOLUME, dict(nargs="+", help="OBJ files (one intensity per mesh)")),
     "resolution": _Option("--resolution", _VOLUME, dict(
         type=int, help=f"voxelization grid per axis for meshes (default {pipeline.DEFAULT_RESOLUTION})")),
-    "level": _Option("--level", ("build", "slice"), dict(type=int, default=3, help="highest octree level L")),
+    "level": _Option("--level", ("build", "slice"), dict(type=int, default=3, help="highest octree level L"), _COUNT),
     "orientations": _Option("--orientations", ("build", "slice"),
                             dict(type=_parse_orientations, default="x,y", help="two slicing plane normals, e.g. x,y")),
     "page": _Option("--page", _PACK, dict(type=_parse_page, default="A4", help="A4, A3, or WxH in mm")),
-    "sheets": _Option("--sheets", _PACK, dict(type=int, default=1)),
+    "sheets": _Option("--sheets", _PACK, dict(type=int, default=1), _COUNT),
     "slot_width": _Option("--slot-width", _PACK, dict(type=float, default=1.0, help="slot width in model mm"),
                           (_positive, "a positive number")),
-    "k_max": _Option("--k-max", _PACK, dict(type=int, default=6)),
     "margin": _Option("--margin", _PACK, dict(type=float, default=DEFAULT_MARGIN_MM), _PAPER),
     "gutter": _Option("--gutter", _PACK, dict(type=float, default=DEFAULT_GUTTER_MM), _PAPER),
     "dpi": _Option("--dpi", _EXPORT,
@@ -251,22 +254,19 @@ def _read_plan(path: str, hinges_path: str, grid, slices, hinges):
 
 def _read_layout(path: str, hinges_path: str, grid, slices, plan):
     """The layout and slot width of the layout artifact at `path`, whose
-    options `pack` can write, whose scale is one that `pack` searches at its
-    slot width, and which holds what `pack` gives the slices of
-    `hinges_path` and `plan` at its own options and scale. Only the options
-    are decoded; one clustering and one packing probe give the rest: the
-    elbow keeps the first k whose WCSS gain is small, so k_max at the
-    artifact's count of partitions, one per cluster, picks its k again; and
-    its sheets are the pages `pack` used, min(--sheets, k), onto which
-    clusters fall as onto --sheets."""
+    options are in the ranges of their flags, whose scale is one that `pack`
+    searches at its slot width, and which holds what `pack` gives the slices
+    of `hinges_path` and `plan` at its own options and scale. Only the
+    options are decoded, and one packing probe derives the rest: its sheets
+    are the pages `pack` used, onto which the clusters fall as onto --sheets."""
     obj = pipeline.read_artifact(path)
     options = pipeline.layout_from_json(obj, path)
     for name, (in_range, what) in (
-        ("sheets", (lambda n: n >= 1, "an integer >= 1")),
+        ("sheets", _OPTIONS["sheets"].range),
         ("page_size_mm", (lambda size: all(_positive(v) for v in size), "two positive numbers")),
         ("scale", (_positive, "a positive number")),
-        ("margin_mm", _PAPER),
-        ("gutter_mm", _PAPER),
+        ("margin_mm", _OPTIONS["margin"].range),
+        ("gutter_mm", _OPTIONS["gutter"].range),
         ("slot_width_mm", _OPTIONS["slot_width"].range),
     ):
         if not in_range(getattr(options, name)):
@@ -276,10 +276,8 @@ def _read_layout(path: str, hinges_path: str, grid, slices, plan):
     if not low <= options.scale < high:
         raise ValidationError(f"layout {path} malformed: scale {options.scale!r} is outside [{low:g}, {high:g}), "
                               f"the scales `pack` searches at slot_width_mm {options.slot_width_mm!r}", hint=hint)
-    partitions = obj.get("partitions")
-    k = len(partitions) if isinstance(partitions, list) and partitions else 1  # else the comparison fails
     try:
-        clusters = cluster_slices(slices, plan, grid.dims, grid.orientations, k_max=k)
+        clusters = cluster_slices(slices, plan, grid.dims, grid.orientations)
         derived = page_plan(slices, plan, clusters, grid.spacing, grid.orientations, options.page_size_mm,
                             options.sheets, options.margin_mm, options.gutter_mm)(options.scale)
     except ValidationError as exc:
@@ -309,10 +307,7 @@ def _order(grid, slices, hinges):
 
 @_stage("pack")
 def _pack(args, grid, slices, plan):
-    return pipeline.stage_pack(
-        slices, plan, grid, args.page, args.sheets, args.slot_width,
-        args.margin, args.gutter, args.k_max,
-    )
+    return pipeline.stage_pack(slices, plan, grid, args.page, args.sheets, args.slot_width, args.margin, args.gutter)
 
 
 @_stage("export")

@@ -22,7 +22,8 @@ IOFailure "{what} not found", any other OS error IOFailure "cannot read
 IngestError (both exit 2); `read_array` maps a file rather than copying it.
 `json_text` is the one JSON writer, of json's compact form: one line, keys
 sorted (`python -m json.tool FILE` indents it). `require_encoding` holds an
-artifact to what its reader derives, and names the first field that differs.
+artifact to what its reader derives, and names the first field that differs
+in value or in JSON type.
 """
 
 from __future__ import annotations
@@ -127,19 +128,30 @@ def require_encoding(obj: dict, value, what: str, source: str, hint: str):
     to one value, with what `obj` holds there and what `source` give."""
     for at, want in encode(value).items():
         got = obj.get(at)
-        while got != want:  # into the first part that differs; a missing key or position reads as None
+        while not _json_equal(got, want):  # into the first part that differs; a missing key or position reads as None
             if isinstance(got, dict) and isinstance(want, dict):
                 parts = ((f"{at}.{key}", got.get(key), want.get(key)) for key in {**want, **got})
             elif isinstance(got, list) and isinstance(want, list):
                 parts = ((f"{at}[{i}]", *pair) for i, pair in enumerate(zip_longest(got, want)))
             else:
                 parts = ()
-            part = next((part for part in parts if part[1] != part[2]), None)
+            part = next((part for part in parts if not _json_equal(part[1], part[2])), None)
             if part is None:  # one value, or one none of whose parts differs
                 raise ValidationError(f"{what} malformed: {at} is {got!r:.80}, but {source} give {want!r:.80}",
                                       hint=hint)
             at, got, want = part
     return value
+
+
+def _json_equal(got, want) -> bool:
+    """Equal, and of one JSON type in every part: Python's == also takes true and 1.0 for 1."""
+    if type(got) is not type(want):
+        return False
+    if type(want) is dict:
+        return got.keys() == want.keys() and all(map(_json_equal, map(got.__getitem__, want), want.values()))
+    if type(want) is list:
+        return len(got) == len(want) and all(map(_json_equal, got, want))
+    return got == want
 
 
 def _same(value):

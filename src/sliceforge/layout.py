@@ -22,6 +22,7 @@ PAGE_SIZES_MM = {"A4": (210.0, 297.0), "A3": (297.0, 420.0)}
 DEFAULT_MARGIN_MM = 5.0
 DEFAULT_GUTTER_MM = 4.0
 ELBOW_IMPROVEMENT = 0.10
+K_MAX = 6  # the most clusters the elbow picks
 SCALE_TOLERANCE = 0.005
 MIN_PRINT_SLOT_MM = 1.0
 # packing may undershoot the recommended 1 mm printed slot (the stability
@@ -133,16 +134,13 @@ def _first_centre(n: int) -> int:
 def kmeans_elbow(points: np.ndarray, k_max: int) -> ClusterModel:
     """Pick k by the elbow rule: smallest k whose WCSS improvement to k+1,
     relative to the total (k=1) WCSS, falls below the threshold; no k past
-    the one after it is clustered. Every k grows farthest-point centres
+    the one after it is clustered, nor past `k_max` (K_MAX in a build) or
+    the n >= 1 points. Every k grows farthest-point centres
     (Gonzalez 1985) from `_first_centre(n)`, `n * 0xD9C2825F >> 32` of n
     points: 0xD9C2825F is the first 32-bit word of `np.random.default_rng(0)`,
     and Lemire's (2019) bounded draw `integers(n)` maps it to that index for
     every n below 104 930. So no build imports numpy.random (~12 ms)."""
-    if k_max < 1:
-        raise ValidationError(f"k_max must be >= 1, got {k_max}")
     n = len(points)
-    if n == 0:
-        raise ValidationError("no points to cluster")
     first_idx = _first_centre(n)
     upper = min(k_max, n)
     runs = [_lloyd(points, 1, first_idx)]
@@ -163,9 +161,9 @@ def cluster_slices(
     plan: AssemblyPlan,
     dims: tuple[int, int, int],
     orientations: tuple[str, str] = ("x", "y"),
-    k_max: int = 6,
 ) -> ClusterModel:
-    return kmeans_elbow(pca_2d(build_vectors(slices, plan, dims, orientations)), k_max)
+    """The slices' clusters: their features projected to 2D, and at most K_MAX clusters by the elbow."""
+    return kmeans_elbow(pca_2d(build_vectors(slices, plan, dims, orientations)), K_MAX)
 
 
 Rect = tuple[float, float, float, float]  # x, y, w, h (mm)
@@ -203,15 +201,12 @@ class PageLayout:
 
 def partition_page(page_rect: Rect, weights: list[float]) -> list[Rect]:
     """kd-style split of a rectangle into len(weights) leaves whose areas
-    are exactly proportional to the weights (cluster order preserved).
+    are exactly proportional to the positive weights (cluster order preserved).
 
     Each node cuts across its longer side, which keeps small-share leaves
     as thick as a straight cut allows (strict axis alternation starves
     low-weight clusters into unpackable slivers on elongated parents).
     """
-    total = sum(weights)
-    if total <= 0:
-        raise ValidationError("total slice area must be positive")
 
     def split(rect: Rect, ws: list[float]) -> list[Rect]:
         if len(ws) == 1:
@@ -333,7 +328,7 @@ def _assign_clusters_to_sheets(weights: list[float], sheets: int) -> list[int]:
     """Contiguous weight-balanced grouping of clusters onto sheets."""
     k = len(weights)
     used = min(sheets, k)
-    target = sum(weights) / used if used else 0.0
+    target = sum(weights) / used
     sheet_of = []
     sheet, acc = 0, 0.0
     for c in range(k):
@@ -393,8 +388,6 @@ def page_plan(slices: list[Slice], plan: AssemblyPlan, clusters: ClusterModel, s
     """Everything of `pack` but its scale search (the slices in assembly
     order, their sizes, the clusters' sheets and partitions), as the function
     that packs the slices at a scale: their layout, or None if they do not fit."""
-    if sheets < 1:
-        raise ValidationError(f"sheets must be >= 1, got {sheets}")
     page_w, page_h = (float(v) for v in page_size)
     if page_w - 2 * margin <= 0 or page_h - 2 * margin <= 0:
         raise ValidationError("margins leave no usable page area")
@@ -416,7 +409,7 @@ def page_plan(slices: list[Slice], plan: AssemblyPlan, clusters: ClusterModel, s
     usable: Rect = (margin, margin, page_w - 2 * margin, page_h - 2 * margin)
     leaves: dict[int, tuple[int, Rect]] = {}
     partitions: list[Partition] = []
-    n_pages = max(sheet_of_ranked) + 1 if sheet_of_ranked else 1
+    n_pages = max(sheet_of_ranked) + 1
     for pg in range(n_pages):
         members = [i for i, sh in enumerate(sheet_of_ranked) if sh == pg]
         rects = partition_page(usable, [ranked_weights[i] for i in members])

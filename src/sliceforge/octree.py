@@ -130,11 +130,9 @@ def build_octree(labels: LabelVolume, max_level: int) -> OctreeNode:
     preorder id is its parent's plus one plus its elder siblings' subtree sizes.
     An all-background volume gives a leaf root with no labels, which
     `pipeline.stage_slice` reports. No label exceeds `labels.n_labels`, as
-    `quantize` gives them."""
+    `quantize` gives them. `max_level` is at least 1, as the CLI holds --level."""
     import numpy as np
 
-    if max_level < 1:
-        raise ValidationError(f"octree level must be >= 1, got {max_level}")
     grid, n_bits = labels.labels, labels.n_labels
     edges = [[np.array([0, int(n)]) for n in labels.dims]]  # edges[d][axis]: block bounds at depth d
     while len(edges) < max_level and all(np.diff(e).max() >= 2 for e in edges[-1]):

@@ -145,8 +145,8 @@ def stage_order(
 
 
 def stage_pack(slices: list[Slice], plan: AssemblyPlan, grid: GridInfo, page_size: tuple[float, float], sheets: int,
-               slot_width_mm: float, margin: float, gutter: float, k_max: int) -> PageLayout:
-    clusters = cluster_slices(slices, plan, grid.dims, grid.orientations, k_max=k_max)
+               slot_width_mm: float, margin: float, gutter: float) -> PageLayout:
+    clusters = cluster_slices(slices, plan, grid.dims, grid.orientations)
     return pack(slices, plan, clusters, grid.spacing, orientations=grid.orientations, page_size=page_size,
                 sheets=sheets, slot_width_mm=slot_width_mm, margin=margin, gutter=gutter)
 

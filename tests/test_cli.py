@@ -269,6 +269,56 @@ def test_zero_margin_and_gutter_pass_validation(capsys, tmp_path, monkeypatch):
     assert "must be" not in err
 
 
+@pytest.mark.parametrize("command", ["build", "pack"])
+def test_k_max_is_no_option(command, capsys, tmp_path, monkeypatch):
+    # `layout.K_MAX` caps the elbow's k, as the paper leaves no choice of it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"k_max": 2}))
+    for extra, message in ((["--k-max", "2"], "unrecognized arguments: --k-max 2"),
+                           (["--config", "cfg.json"], f"unknown config key 'k_max' for command '{command}'")):
+        code, err = run(COMMANDS[command] + extra, capsys)
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
+
+def missing_inputs(command: str) -> list[str]:
+    """`command` with each path that it requires, and --input, --header and
+    --tf if it reads a volume, naming a file that does not exist."""
+    named = [dest for dest, option in cli._OPTIONS.items() if command in option.commands
+             and (option.kwargs.get("required") or dest in ("input", "header", "tf"))]
+    return [command, *(arg for dest in named for arg in (cli._OPTIONS[dest].flag, f"missing-{dest}"))]
+
+
+# one value outside the range of each option that `cli._OPTIONS` gives one
+OUT_OF_RANGE = {"level": 0, "sheets": 0, "slot_width": 0, "margin": -1, "gutter": -1, "dpi": 0}
+RANGED = [(dest, command) for dest, option in cli._OPTIONS.items() if option.range for command in option.commands]
+
+
+def test_every_number_option_but_resolution_has_a_range():
+    # the voxelizer bounds --resolution, and a volume build refuses any
+    numbers = {dest for dest, option in cli._OPTIONS.items() if option.kwargs.get("type") in (int, float)}
+    assert {dest for dest in numbers if cli._OPTIONS[dest].range is None} == {"resolution"}
+    assert OUT_OF_RANGE.keys() == {dest for dest, _command in RANGED}
+
+
+@pytest.mark.parametrize("dest,command", RANGED, ids=[f"{dest}-{command}" for dest, command in RANGED])
+@pytest.mark.parametrize("channel", ["flag", "config"])
+def test_out_of_range_value_exits_2_before_any_input_is_read(dest, command, channel, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = missing_inputs(command)
+    assert run(argv, capsys)[0] == 4  # with every value in range, the missing inputs stop the command
+    flag, value = cli._OPTIONS[dest].flag, OUT_OF_RANGE[dest]
+    if channel == "flag":
+        argv += [flag, str(value)]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({dest: value}))
+        argv += ["--config", "cfg.json"]
+    code, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error [{command}]: {flag} must be {cli._OPTIONS[dest].range[1]}, got ")
+
+
 def write_runs(tmp: Path, levels: tuple[str, ...]) -> list[str]:
     """A checkerboard volume in `tmp` and the staged artifacts of one run of
     it per octree level, as `slices2.json`, `hinges2.json`, ... for level 2;
@@ -544,6 +594,40 @@ def test_layout_that_breaks_its_own_rules_exits_2(case, two_runs, capsys, tmp_pa
     assert not (tmp_path / "out").exists()
 
 
+# a value that == takes for the one a command derives, but of another JSON
+# type: each case is the artifact of the level 2 run, its edit, the commands
+# that read it with the flag that names it, and the message
+OTHER_JSON_TYPE = {
+    "plan-id-true": ("plan2.json", lambda art: art["slice_order"].__setitem__(0, True), "--plan", ("pack", "export"),
+                     f"plan broken.json malformed: slice_order[0] is True, {GIVE} 1"),
+    "plan-id-float": ("plan2.json", lambda art: art["hinge_order"].__setitem__(0, 4.0), "--plan", ("pack", "export"),
+                      f"plan broken.json malformed: hinge_order[0] is 4.0, {GIVE} 4"),
+    "plan-exact-one": ("plan2.json", lambda art: art.update(exact=1), "--plan", ("pack", "export"),
+                       f"plan broken.json malformed: exact is 1, {GIVE} True"),
+    "layout-rotated-zero": ("layout2.json", lambda art: art["placements"][0].update(rotated=0), "--in", ("export",),
+                            f"layout broken.json malformed: placements[0].rotated is 0, {PACKED} False"),
+    "layout-x-integer": ("layout2.json", lambda art: art["placements"][0].update(x=5), "--in", ("export",),
+                         f"layout broken.json malformed: placements[0].x is 5, {PACKED} 5.0"),
+    "hinges-u-float": ("hinges2.json", lambda art: art["hinges"][4].update(u_a=4.0), "--in", ("order", "pack"),
+                       "hinges broken.json malformed: hinges[4].u_a is 4.0, but its slices give 4"),
+}
+
+
+@pytest.mark.parametrize("case", OTHER_JSON_TYPE)
+def test_value_of_another_json_type_exits_2(case, two_runs, capsys, tmp_path):
+    # Python's == takes true and 1.0 for 1, but no file the commands write holds them so
+    source, edit, flag, commands, message = OTHER_JSON_TYPE[case]
+    art = json.loads((tmp_path / source).read_text())
+    edit(art)
+    (tmp_path / "broken.json").write_text(json.dumps(art))
+    for command in commands:
+        code, err = run(_with_input(command, two_runs, flag, "broken.json"), capsys)
+        assert code == 2, command
+        assert message in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "out.json").exists()
+
+
 # every numeric option of `build` and the two it parses from a string, by config key
 KEYS = ("resolution", "level", "sheets", "slot_width", "dpi", "k_max", "margin", "gutter",
         "page", "orientations")
@@ -716,6 +800,26 @@ def test_each_command_takes_only_the_options_it_reads():
     every = set().union(*dests.values())
     for command in parsers:
         assert dests[command] == args_read(command) & every, command
+
+
+# the flags of each command but --help: adding or removing an option edits this
+COMMAND_FLAGS = {
+    "build": {"--config", "--dpi", "--gutter", "--header", "--input", "--level", "--margin", "--meshes",
+              "--orientations", "--out", "--page", "--perforate", "--resolution", "--sheets", "--slot-width", "--tf"},
+    "slice": {"--config", "--header", "--input", "--level", "--meshes", "--orientations", "--out", "--resolution",
+              "--tf"},
+    "hinge": {"--config", "--in", "--out"},
+    "order": {"--config", "--in", "--out"},
+    "pack": {"--config", "--gutter", "--in", "--margin", "--out", "--page", "--plan", "--sheets", "--slot-width"},
+    "export": {"--config", "--dpi", "--header", "--hinges", "--in", "--input", "--meshes", "--out", "--perforate",
+               "--plan", "--resolution", "--tf"},
+}
+
+
+def test_each_command_takes_these_flags():
+    flags = {command: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+             for command, parser in subparsers().items()}
+    assert flags == COMMAND_FLAGS
 
 
 @pytest.mark.parametrize("command", ["build", "slice", "hinge", "order", "pack", "export"])

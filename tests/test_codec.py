@@ -2,10 +2,11 @@
 decodes, JSON key names, and one ValidationError for every malformed input."""
 
 import json
+import re
 
 import pytest
 
-from sliceforge.codec import decode, encode, json_text
+from sliceforge.codec import decode, encode, json_text, require_encoding
 from sliceforge.errors import ValidationError
 from sliceforge.hinges import Hinge, HingeKind, SlotKind
 from sliceforge.layout import PageLayout, Partition, Placement
@@ -108,3 +109,20 @@ def test_integer_too_large_for_a_float_raises_one_validation_error(value):
     message = "^tf malformed: OverflowError: int too large to convert to float$"
     with pytest.raises(ValidationError, match=message):
         decode(TransferFunction, {"bins": [{**BIN_JSON, "hi": value}]}, "tf")
+
+
+@pytest.mark.parametrize("at,edit", [
+    ("placements[0].rotated", lambda obj: obj["placements"][0].update(rotated=1)),
+    ("sheets", lambda obj: obj.update(sheets=1.0)),
+    ("sheets", lambda obj: obj.update(sheets=True)),
+    ("clusters.3", lambda obj: obj["clusters"].update({"3": False})),
+    ("partitions[0].rect[0]", lambda obj: obj["partitions"][0]["rect"].__setitem__(0, 5)),
+])
+def test_require_encoding_names_a_value_of_another_json_type(at, edit):
+    # Python's == takes true and 1.0 for 1; the JSON text of each edit differs
+    obj = json.loads(json_text(encode(LAYOUT)))
+    assert require_encoding(obj, LAYOUT, "layout", "its slices", "hint") is LAYOUT
+    edit(obj)
+    assert obj == encode(LAYOUT)
+    with pytest.raises(ValidationError, match=rf"^layout malformed: {re.escape(at)} is "):
+        require_encoding(obj, LAYOUT, "layout", "its slices", "hint")

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from sliceforge import layout as layout_mod
@@ -480,6 +480,39 @@ def _rounds_past(free, used) -> bool:
     return False
 
 
+# (ux, uw, bx, bw) in tenths, where `used` from ux, uw wide, ends at
+# ur = ux + uw inside a rectangle B from bx, bw wide, and the piece right of
+# `used` ends at ur + (fr - ur), past B's fr = bx + bw (46 of 55 800 cuts)
+ROUNDING_CUTS = [
+    (ux, uw, bx, bw) for ux in range(16) for uw in range(1, 16) for bx in range(ux + uw)
+    for bw in range(ux + uw - bx + 1, ux + uw - bx + 16)
+    if (ur := ux / 10 + uw / 10) + ((fr := bx / 10 + bw / 10) - ur) > fr
+]
+
+
+@st.composite
+def free_around_a_rounding_sum(draw):
+    """A free list and `used`, in tenths, where `used` cuts a piece right of
+    it from a rectangle B, and the piece's far edge rounds past B's; beside B
+    lies A, of the piece's x extent and below `used`, which the piece holds
+    and B does not, so a prune of the pieces alone keeps A. Other rectangles
+    join them, and a case may be mirrored across the diagonal, which makes
+    the piece the one above `used`."""
+    ux, uw, bx, bw = draw(st.sampled_from(ROUNDING_CUTS))
+    by, gap, uh = (draw(st.integers(lo, hi)) for lo, hi in ((0, 10), (2, 20), (1, 20)))
+    bh, ah = draw(st.integers(gap + 1, gap + 20)), draw(st.integers(1, gap - 1))
+    ur, fr = ux / 10 + uw / 10, bx / 10 + bw / 10
+    used = (ux / 10, (by + gap) / 10, uw / 10, uh / 10)
+    b = (bx / 10, by / 10, bw / 10, bh / 10)
+    a = (ur, by / 10, fr - ur, ah / 10)
+    others = draw(st.lists(st.tuples(*(st.integers(0, 30),) * 2, *(st.integers(1, 30),) * 2), max_size=4))
+    free = prune_contained_reference(draw(st.permutations([a, b, *(tuple(v / 10 for v in r) for r in others)])))
+    assume(a in free and b in free)  # no other rectangle holds them
+    if draw(st.booleans()):
+        free, used = [(y, x, h, w) for x, y, w, h in free], (used[1], used[0], used[3], used[2])
+    return free, used
+
+
 class TestMaxRectsRounding:
     """`MaxRects._place` prunes only the new pieces, unless a piece's far
     edge rounds past the edge of the rectangle it was cut from."""
@@ -507,6 +540,18 @@ class TestMaxRectsRounding:
         used = tuple(v / 10 for v in used)
         if _rounds_past(free, used):
             event("a piece ends past its parent")
+        packer = MaxRects(1.0, 1.0)
+        packer.free = list(free)
+        packer._place(used)
+        assert packer.free == place_reference(free, used)
+
+    @given(case=free_around_a_rounding_sum())
+    @settings(max_examples=200, deadline=None)
+    def test_place_equals_whole_list_prune_where_a_piece_rounds_past(self, case):
+        # every case needs the whole-list prune, so this carries the guard
+        # that the committed case and the tenths above rarely reach
+        free, used = case
+        assert _rounds_past(free, used)
         packer = MaxRects(1.0, 1.0)
         packer.free = list(free)
         packer._place(used)

@@ -113,8 +113,7 @@ def test_build_equals_staged_commands_on_more_sheets_than_clusters(meshes, tmp_p
 # a value other than its default for each option that `slice`, `pack` or
 # `export` reads besides the paths, by the command that takes it
 SLICE_OPTIONS = ["--orientations", "z,x"]
-PACK_OPTIONS = ["--page", "A3", "--sheets", "2", "--slot-width", "1.5", "--margin", "7", "--gutter", "2.5",
-                "--k-max", "2"]
+PACK_OPTIONS = ["--page", "A3", "--sheets", "2", "--slot-width", "1.5", "--margin", "7", "--gutter", "2.5"]
 EXPORT_OPTIONS = ["--dpi", "5", "--perforate"]
 
 
@@ -130,7 +129,7 @@ def test_build_equals_staged_commands_at_other_options(meshes, tmp_path):
          "--meshes", *meshes, *GRID, *EXPORT_OPTIONS, "--out", str(tmp_path / "print")])
     expected = files_under(tmp_path / "build")
     manifest = json.loads(expected["manifest.json"])
-    assert (manifest["summary"]["clusters"], manifest["summary"]["pages"]) == (2, 2)
+    assert (manifest["summary"]["clusters"], manifest["summary"]["pages"]) == (4, 2)
     assert manifest["options"] == {
         "orientations": ["z", "x"], "page_size_mm": [297.0, 420.0], "sheets": 2, "margin_mm": 7.0,
         "gutter_mm": 2.5, "slot_width_mm": 1.5, "px_per_mm": 5.0, "perforate": True,
